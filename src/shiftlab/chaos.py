@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .decomposition import cyclic_structure, is_irreducible, mixing_constant, sync_length, class_of_word
 from .errors import (
@@ -34,8 +34,10 @@ from .shift_core import (
     canonical_presentation,
     distance,
     essential,
+    follower,
     periodic_points,
     point_in_shift,
+    word_in_language,
 )
 
 
@@ -111,10 +113,8 @@ def _reading_states(g: SftGraph, point: SymbolicPoint) -> dict[int, set[str]]:
     which the shifted point is readable forever (a greatest fixed point)."""
     pre, per = len(point.preperiod), len(point.period)
     total = pre + per
-    out = {v: {} for v in g.vertices}
-    for (u, v, a) in g.edges:
-        out[u].setdefault(a, set()).add(v)
-    alive = {j: set(g.vertices) for j in range(total)}
+    out = follower(g).out
+    alive = {j: set(out) for j in range(total)}
     changed = True
     while changed:
         changed = False
@@ -154,16 +154,13 @@ def chain_proximal_join(g: SftGraph, y: SymbolicPoint, z: SymbolicPoint,
                 != class_of_word(ge, cs, z.expand(probe))):
             raise NotChainProximal("points lie in different cyclic classes")
     K = epsilon_exp
-    out = {v: {} for v in ge.vertices}
-    for (u, v, a) in ge.edges:
-        out[u].setdefault(a, set()).add(v)
+    f = follower(ge)
+    out = f.out
     # States after reading the K-prefix of z from anywhere.
-    front = set(ge.vertices)
-    for j in range(K):
-        sym = z.symbol_at(j)
-        front = set().union(*(out[v].get(sym, set()) for v in front)) if front else set()
-    if not front:
+    end = f.walk(z.expand(K))
+    if end is None:
         raise NotInLanguage("prefix of z not admissible")
+    front = set(f.states[end])
     readers = _reading_states(ge, y)
     pre, per = len(y.preperiod), len(y.period)
 
@@ -193,7 +190,7 @@ def chain_proximal_join(g: SftGraph, y: SymbolicPoint, z: SymbolicPoint,
     raise NotChainProximal("no connector up to length %d" % cap)
 
 
-def _recover_path(g: SftGraph, out: dict, front: set[str], ell: int,
+def _recover_path(g: SftGraph, out: Mapping, front: set[str], ell: int,
                   layers: list[set[str]], goal: set[str]) -> Word:
     """Lexicographically first label word of length ell from the front set
     to the goal set, walking the stored reachability layers backwards."""
@@ -287,9 +284,7 @@ def build_scrambled_tuple(g: SftGraph, distal: DistalTuple,
         running += lengths[k - 1]
         if lengths[k] < k * running:
             raise InvalidSchedule("block %d violates the domination rule" % (k + 1))
-    out = {v: {} for v in gc.vertices}
-    for (u, v, a) in gc.edges:
-        out[u].setdefault(a, set()).add(v)
+    out = follower(gc).out
     n = len(distal.points)
     readers = [_reading_states(gc, p) for p in distal.points]
     starts = []
@@ -325,7 +320,7 @@ def build_scrambled_tuple(g: SftGraph, distal: DistalTuple,
     return tup
 
 
-def _walk(out: dict, state: str, word: Sequence[str]) -> str:
+def _walk(out: Mapping, state: str, word: Sequence[str]) -> str:
     for sym in word:
         nxt = out[state].get(sym)
         if not nxt:
@@ -334,7 +329,7 @@ def _walk(out: dict, state: str, word: Sequence[str]) -> str:
     return state
 
 
-def _exact_length_path(g: SftGraph, out: dict, src: str, dst: str,
+def _exact_length_path(g: SftGraph, out: Mapping, src: str, dst: str,
                        length: int) -> Word:
     """Lexicographically first label word of an exact-length path."""
     can = [set() for _ in range(length + 1)]
@@ -360,15 +355,9 @@ def _exact_length_path(g: SftGraph, out: dict, src: str, dst: str,
 
 
 def _verify_streams(g: SftGraph, tup: ScrambledTuple) -> None:
-    out = {v: {} for v in g.vertices}
-    for (u, v, a) in g.edges:
-        out[u].setdefault(a, set()).add(v)
     for s in tup.streams:
-        states = set(g.vertices)
-        for sym in s:
-            states = set().union(*(out[v].get(sym, set()) for v in states)) if states else set()
-            if not states:
-                raise InternalInvariantViolation("scrambled stream not admissible")
+        if not word_in_language(g, s):
+            raise InternalInvariantViolation("scrambled stream not admissible")
 
 
 # ---------------------------------------------------------------------------
@@ -430,11 +419,3 @@ def density_report(streams: Sequence[Sequence[str]], epsilon_exp: int,
             mi += 1
     return [DensityRow(h, out[h][0], out[h][1]) for h in horizons]
 
-
-def density_csv(rows: Sequence[DensityRow]) -> str:
-    lines = ["horizon,close_count,close_fraction,far_count,far_fraction"]
-    for r in rows:
-        fc, ff = r.fractions()
-        lines.append("%d,%d,%.9f,%d,%.9f"
-                     % (r.horizon, r.close_count, float(fc), r.far_count, float(ff)))
-    return "\n".join(lines) + "\n"

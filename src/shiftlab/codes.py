@@ -10,6 +10,7 @@ output, whatever its length.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -23,9 +24,9 @@ from .shift_core import (
     SftGraph,
     SymbolicPoint,
     Word,
-    _subset_automaton,
     canonical_presentation,
     essential,
+    follower,
     graph_from_json,
     graph_to_json,
     language_subset,
@@ -78,25 +79,21 @@ def _check_well_defined(code: SlidingBlockCode) -> None:
     for block in words_of_length(dom, w):
         if block not in code.rule:
             raise NotInLanguage("rule missing admissible block %r" % (block,))
-    states, trans = _subset_automaton(code.codomain)
-    if not states or not states[0]:
+    cod = follower(code.codomain)
+    if cod.is_empty:
         if not dom.vertices:
             return
         raise NotInLanguage("codomain is empty but domain is not")
-    dstates, dtrans = _subset_automaton(dom)
-    if not dstates or not dstates[0]:
+    fdom = follower(dom)
+    if fdom.is_empty:
         return
+    dtrans, ctrans = fdom.trans, cod.trans
     # Pair (domain follower state with w-1 symbol history, codomain state).
-    start_pairs = []
-    for hist in words_of_length(dom, w - 1):
-        i = 0
-        for s in hist:
-            i = dtrans[(i, s)]
-        start_pairs.append((i, hist, 0))
+    start_pairs = [(fdom.walk(hist), hist, 0) for hist in words_of_length(dom, w - 1)]
     seen = set(start_pairs)
-    queue = list(start_pairs)
+    queue = deque(start_pairs)
     while queue:
-        di, hist, ci = queue.pop(0)
+        di, hist, ci = queue.popleft()
         for a in dom.alphabet:
             if (di, a) not in dtrans:
                 continue
@@ -104,10 +101,10 @@ def _check_well_defined(code: SlidingBlockCode) -> None:
             out = code.rule.get(block)
             if out is None:
                 raise NotInLanguage("rule missing admissible block %r" % (block,))
-            if (ci, out) not in trans:
+            if (ci, out) not in ctrans:
                 raise NotInLanguage(
                     "image leaves the codomain language at block %r" % (block,))
-            node = (dtrans[(di, a)], block[1:], trans[(ci, out)])
+            node = (dtrans[(di, a)], block[1:], ctrans[(ci, out)])
             if node not in seen:
                 seen.add(node)
                 queue.append(node)
@@ -206,7 +203,10 @@ def code_to_json(code: SlidingBlockCode) -> dict:
 def code_from_json(data: dict) -> SlidingBlockCode:
     try:
         window = int(data["window"])
-        rule = {parse_word(str(k)): str(v) for k, v in data["rule"].items()}
+        # A window-1 key is one symbol, even when that symbol has several
+        # characters: parse_word would split it.
+        rule = {(str(k),) if window == 1 else parse_word(str(k)): str(v)
+                for k, v in data["rule"].items()}
         domain = graph_from_json(data["domain"])
         codomain = graph_from_json(data["codomain"])
     except (KeyError, TypeError, ValueError) as exc:

@@ -11,6 +11,7 @@ all cycle lengths.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -183,12 +184,12 @@ def cyclic_structure(g: SftGraph) -> CyclicStructure:
         raise NotIrreducible("cyclic structure needs an irreducible graph")
     root = ge.vertices[0]
     dist = {root: 0}
-    queue = [root]
+    queue = deque([root])
     arcs: dict[str, list[str]] = {v: [] for v in ge.vertices}
     for (u, v, _a) in ge.edges:
         arcs[u].append(v)
     while queue:
-        u = queue.pop(0)
+        u = queue.popleft()
         for v in arcs[u]:
             if v not in dist:
                 dist[v] = dist[u] + 1

@@ -371,9 +371,6 @@ class TruncatedSystem:
                 best = d
         return best
 
-    def canonical_successor(self, i: int) -> int:
-        return self.successors[i][0]
-
     def chain_component_ids(self) -> list[int]:
         """Component index per point under the successor relation
         (-1 for points in no cyclic strongly connected part)."""

@@ -15,12 +15,15 @@ Conventions, fixed once here and relied on everywhere else:
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from collections import deque
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from types import MappingProxyType
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import (
     EmptyShift,
@@ -104,13 +107,6 @@ class SftGraph:
             if a not in ab:
                 raise InvalidAlphabet("edge label %r not in alphabet" % a)
 
-    @property
-    def out_map(self) -> dict[str, list[tuple[str, str]]]:
-        m: dict[str, list[tuple[str, str]]] = {v: [] for v in self.vertices}
-        for (u, v, a) in self.edges:
-            m[u].append((a, v))
-        return m
-
     def is_empty(self) -> bool:
         return not essential(self).vertices
 
@@ -121,9 +117,6 @@ class SftGraph:
                 return False
             seen.add((u, a))
         return True
-
-    def successors(self, vertex: str, symbol: str) -> list[str]:
-        return [v for (u, v, a) in self.edges if u == vertex and a == symbol]
 
 
 def make_graph(vertices: Iterable[str], edges: Iterable[tuple[str, str, str]],
@@ -214,24 +207,59 @@ def from_forbidden_words(alphabet: Iterable[str], forbidden: Iterable[Sequence[s
 # Deterministic presentations and language comparison
 
 
-def _subset_automaton(g: SftGraph) -> tuple[list[frozenset], dict[tuple[int, str], int]]:
-    """Subset construction over the essential part; state 0 is the full
-    vertex set.  Returns (states, transitions); all states are accepting and
-    nonempty, missing transitions mean the word leaves the language."""
+@dataclass(frozen=True, eq=False)
+class Follower:
+    """Follower-set automaton of the essential part of a graph.
+
+    ``states`` are vertex sets in breadth-first discovery order; state 0 is
+    the full vertex set.  ``trans`` maps (state, symbol) to a state; every
+    state is accepting and a missing transition means the word leaves the
+    language.  ``out`` is the labeled out-map, vertex -> symbol -> targets.
+    An empty shift has the single state ``frozenset()`` and no transitions.
+    Both maps are read-only: :func:`follower` shares one instance among all
+    callers asking about the same graph value.
+    """
+
+    states: tuple[frozenset[str], ...]
+    trans: Mapping[tuple[int, str], int]
+    out: Mapping[str, Mapping[str, frozenset[str]]]
+
+    @property
+    def is_empty(self) -> bool:
+        return not self.states[0]
+
+    def walk(self, word: Iterable[str], state: int = 0) -> Optional[int]:
+        """State after reading ``word``, or None if it leaves the language."""
+        trans = self.trans
+        for a in word:
+            state = trans.get((state, a))
+            if state is None:
+                return None
+        return state
+
+
+@functools.lru_cache(maxsize=256)
+def follower(g: SftGraph) -> Follower:
+    """Subset construction over the essential part of ``g``, built once per
+    graph value.  The memo is bounded so that a long-running process does
+    not grow without limit; 256 entries hold the distinct graphs of any one
+    acceptance criterion (criterion 10 asks about 117)."""
     ge = essential(g)
     out: dict[str, dict[str, set[str]]] = {v: {} for v in ge.vertices}
     for (u, v, a) in ge.edges:
         out[u].setdefault(a, set()).add(v)
+    frozen = {v: MappingProxyType({a: frozenset(t) for a, t in m.items()})
+              for v, m in out.items()}
     start = frozenset(ge.vertices)
     states = [start]
     index = {start: 0}
     trans: dict[tuple[int, str], int] = {}
-    queue = [start]
+    queue = deque([start])
     while queue:
-        s = queue.pop(0)
+        s = queue.popleft()
         i = index[s]
         for a in ge.alphabet:
-            nxt = frozenset().union(*(out[v].get(a, set()) for v in s)) if s else frozenset()
+            nxt = frozenset().union(*(frozen[v].get(a, ()) for v in s))
             if not nxt:
                 continue
             if nxt not in index:
@@ -239,21 +267,19 @@ def _subset_automaton(g: SftGraph) -> tuple[list[frozenset], dict[tuple[int, str
                 states.append(nxt)
                 queue.append(nxt)
             trans[(i, a)] = index[nxt]
-    return states, trans
+    return Follower(tuple(states), MappingProxyType(trans), MappingProxyType(frozen))
 
 
 def determinize(g: SftGraph) -> SftGraph:
     """Deterministic presentation of the same language (subset construction,
     restricted to the essential part)."""
-    states, trans = _subset_automaton(g)
-    if not states or not states[0]:
-        return SftGraph((), (), g.alphabet)
-    names = ["q%d" % i for i in range(len(states))]
-    edges = tuple((names[i], names[j], a) for (i, a), j in sorted(trans.items()))
+    f = follower(g)
+    names = ["q%d" % i for i in range(len(f.states))]
+    edges = tuple((names[i], names[j], a) for (i, a), j in sorted(f.trans.items()))
     return essential(SftGraph(tuple(names), edges, g.alphabet))
 
 
-def _minimize(num_states: int, trans: dict[tuple[int, str], int],
+def _minimize(num_states: int, trans: Mapping[tuple[int, str], int],
               alphabet: Sequence[str]) -> tuple[list[int], int]:
     """Moore minimization of a partial DFA in which every state is
     accepting.  Returns (block id per state, block count)."""
@@ -278,12 +304,10 @@ def canonical_presentation(g: SftGraph) -> SftGraph:
     canonically by breadth-first discovery from the full-follower state.
     Two graphs present the same language iff their canonical presentations
     are identical."""
-    states, trans = _subset_automaton(g)
-    if not states or not states[0]:
-        return SftGraph((), (), g.alphabet)
-    block, nblocks = _minimize(len(states), trans, g.alphabet)
+    f = follower(g)
+    block, nblocks = _minimize(len(f.states), f.trans, g.alphabet)
     btrans: dict[tuple[int, str], int] = {}
-    for (s, a), t in trans.items():
+    for (s, a), t in f.trans.items():
         btrans[(block[s], a)] = block[t]
     # Canonical BFS naming from the block of the full state.
     order = [block[0]]
@@ -319,24 +343,22 @@ def language_subset(a: SftGraph, b: SftGraph) -> tuple[bool, Optional[Word]]:
     """Is every word of ``a`` a word of ``b``?  On failure returns a
     shortest witness word (in ``a`` but not ``b``)."""
     ab = _merged_alphabet(a, b)
-    sa, ta = _subset_automaton(a)
-    sb, tb = _subset_automaton(b)
-    a_dead = not sa or not sa[0]
-    b_dead = not sb or not sb[0]
-    if a_dead:
+    fa, fb = follower(a), follower(b)
+    if fa.is_empty:
         return True, None
-    start = (0, 0 if not b_dead else None)
-    queue: list[tuple[tuple[int, Optional[int]], Word]] = [(start, ())]
+    if fb.is_empty:
+        return False, ()
+    ta, tb = fa.trans, fb.trans
+    start = (0, 0)
+    queue = deque([(start, ())])
     seen = {start}
     while queue:
-        (i, j), w = queue.pop(0)
-        if j is None:
-            return False, w
+        (i, j), w = queue.popleft()
         for s in ab:
-            if (i, s) not in ta:
+            ni = ta.get((i, s))
+            if ni is None:
                 continue
-            ni = ta[(i, s)]
-            nj = tb.get((j, s)) if j is not None else None
+            nj = tb.get((j, s))
             if nj is None:
                 return False, w + (s,)
             key = (ni, nj)
@@ -349,22 +371,20 @@ def language_subset(a: SftGraph, b: SftGraph) -> tuple[bool, Optional[Word]]:
 def language_equal(a: SftGraph, b: SftGraph) -> tuple[bool, Optional[Word]]:
     """Language equality with a shortest counterexample word on failure."""
     ab = _merged_alphabet(a, b)
-    sa, ta = _subset_automaton(a)
-    sb, tb = _subset_automaton(b)
-    ia = 0 if sa and sa[0] else None
-    ib = 0 if sb and sb[0] else None
-    start = (ia, ib)
-    if ia is None and ib is None:
+    fa, fb = follower(a), follower(b)
+    if fa.is_empty and fb.is_empty:
         return True, None
-    if ia is None or ib is None:
+    if fa.is_empty or fb.is_empty:
         return False, ()
-    queue: list[tuple[tuple[Optional[int], Optional[int]], Word]] = [(start, ())]
+    ta, tb = fa.trans, fb.trans
+    start = (0, 0)
+    queue = deque([(start, ())])
     seen = {start}
     while queue:
-        (i, j), w = queue.pop(0)
+        (i, j), w = queue.popleft()
         for s in ab:
-            ni = ta.get((i, s)) if i is not None else None
-            nj = tb.get((j, s)) if j is not None else None
+            ni = ta.get((i, s))
+            nj = tb.get((j, s))
             if ni is None and nj is None:
                 continue
             if ni is None or nj is None:
@@ -377,40 +397,21 @@ def language_equal(a: SftGraph, b: SftGraph) -> tuple[bool, Optional[Word]]:
 
 
 def word_in_language(g: SftGraph, word: Sequence[str]) -> bool:
-    states, trans = _subset_automaton(g)
-    if not states or not states[0]:
-        return len(word) == 0
-    i = 0
-    for s in word:
-        if (i, s) not in trans:
-            return False
-        i = trans[(i, s)]
-    return True
+    return follower(g).walk(word) is not None
 
 
 def words_of_length(g: SftGraph, length: int) -> list[Word]:
     """All admissible words of exactly the given length, sorted."""
-    states, trans = _subset_automaton(g)
-    if not states or not states[0]:
-        return [()] if length == 0 else []
-    out: list[Word] = []
-
-    def walk(i: int, w: Word) -> None:
-        if len(w) == length:
-            out.append(w)
-            return
-        for a in g.alphabet:
-            if (i, a) in trans:
-                walk(trans[(i, a)], w + (a,))
-
-    walk(0, ())
-    return sorted(out)
+    trans = follower(g).trans
+    layer: list[tuple[int, Word]] = [(0, ())]
+    for _ in range(length):
+        layer = [(trans[(i, a)], w + (a,))
+                 for i, w in layer for a in g.alphabet if (i, a) in trans]
+    return sorted(w for _i, w in layer)
 
 
 def count_words(g: SftGraph, length: int) -> int:
-    states, trans = _subset_automaton(g)
-    if not states or not states[0]:
-        return 1 if length == 0 else 0
+    trans = follower(g).trans
     counts = {0: 1}
     for _ in range(length):
         nxt: dict[int, int] = {}
@@ -495,28 +496,15 @@ def distance(x: SymbolicPoint, y: SymbolicPoint) -> Fraction:
 
 def point_in_shift(g: SftGraph, x: SymbolicPoint) -> bool:
     """Does the presented shift space contain the point?  Decided by a
-    follower-set walk with cycle detection over period phases."""
-    ge = essential(g)
-    if not ge.vertices:
-        return False
-    out: dict[str, dict[str, set[str]]] = {v: {} for v in ge.vertices}
-    for (u, v, a) in ge.edges:
-        out[u].setdefault(a, set()).add(v)
-    s = frozenset(ge.vertices)
-    seen: dict[tuple[int, frozenset], bool] = {}
-    i = 0
-    while True:
-        if i >= len(x.preperiod):
-            phase = (i - len(x.preperiod)) % len(x.period)
-            key = (phase, s)
-            if key in seen:
-                return True
-            seen[key] = True
-        a = x.symbol_at(i)
-        s = frozenset().union(*(out[v].get(a, set()) for v in s)) if s else frozenset()
-        if not s:
-            return False
-        i += 1
+    follower-automaton walk that reads whole periods until the state at a
+    period boundary repeats."""
+    f = follower(g)
+    state = f.walk(x.preperiod)
+    seen = set()
+    while state is not None and state not in seen:
+        seen.add(state)
+        state = f.walk(x.period, state)
+    return state is not None
 
 
 def periodic_points(g: SftGraph, period: int) -> list[SymbolicPoint]:

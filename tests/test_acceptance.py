@@ -349,6 +349,7 @@ def test_criterion_09_shadowing_lab():
 
 
 def test_criterion_10_tower_approximation():
+    t0 = time.monotonic()
     seq = cantor_product_sequence(4)
     assert inverse_systems.check_mlc(seq, depth_cap=8).all_mlc1
     sysm = inverse_systems.truncated_limit(seq, 4, 5)
@@ -372,6 +373,7 @@ def test_criterion_10_tower_approximation():
             gap = towers.fiber_hausdorff_gap(sysm, target, fiber)
             if gap > Fraction(1, 2 ** (N - 1)):
                 failures.append((t4.entries, N, float(gap)))
-    ok = not failures and checked > 0
-    report(10, ok, "%d tower/level pairs, fiber gap <= 2^-(N-1)%s"
-           % (checked, "" if ok else "; failures %s" % failures[:4]))
+    elapsed = time.monotonic() - t0
+    ok = not failures and checked > 0 and elapsed < 60.0
+    report(10, ok, "%d tower/level pairs, fiber gap <= 2^-(N-1), %.1fs%s"
+           % (checked, elapsed, "" if ok else "; failures %s" % failures[:4]))

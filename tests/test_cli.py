@@ -60,6 +60,15 @@ class TestMlc:
             assert not lv["mlc1"]
             assert lv["witness"] == lv["level"] + 2
 
+    def test_multichar_symbols_survive_the_json_round_trip(self, tmp_path, capsys):
+        from shiftlab.fixtures import cantor_product_sequence
+        from shiftlab.inverse_systems import sequence_to_json
+        cp3 = tmp_path / "cp3.json"
+        cp3.write_text(json.dumps(sequence_to_json(cantor_product_sequence(3))))
+        code, out, err = run(capsys, "mlc", "--in", str(cp3))
+        assert code == 0, err
+        assert json.loads(out)["all_mlc1"]
+
 
 class TestTowers:
     def test_branching_enumeration(self, capsys):

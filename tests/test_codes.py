@@ -127,3 +127,15 @@ class TestJson:
         c2 = code_from_json(code_to_json(c))
         x = SymbolicPoint((), ("0", "1", "1"))
         assert apply_code(c, x) == apply_code(c2, x)
+
+    def test_round_trip_multichar_symbols(self):
+        dom = full_shift(["aa", "b"])
+        cod = full_shift(["x:0", "y"])
+        rule = {(u, v): ("x:0" if u == v else "y") for u in dom.alphabet for v in dom.alphabet}
+        c = SlidingBlockCode(dom, cod, 2, rule)
+        assert code_from_json(code_to_json(c)) == c
+
+    def test_round_trip_multichar_window_one(self):
+        g = full_shift(["00:0", "00:1"])
+        c = identity_code(g)
+        assert code_from_json(code_to_json(c)) == c

@@ -175,3 +175,7 @@ class TestJson:
         assert seq2.tail == seq.tail and seq2.tail_block == seq.tail_block
         rep = check_mlc(seq2, depth_cap=16)
         assert not rep.all_mlc1
+
+    def test_round_trip_multichar_symbols(self):
+        seq = cantor_product_sequence(3)
+        assert sequence_from_json(sequence_to_json(seq)) == seq

@@ -1,19 +1,22 @@
 """Core shift-space machinery: graphs, languages, points, the metric."""
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from shiftlab.errors import NotInLanguage, PreconditionError
-from shiftlab.fixtures import golden_mean_graph, two_cycle_graph
+from shiftlab.fixtures import golden_mean_graph, random_graph, two_cycle_graph
 from shiftlab.shift_core import (
+    SftGraph,
     SymbolicPoint,
     canonical_presentation,
     canonical_signature,
     count_words,
     distance,
     essential,
+    follower,
     from_forbidden_words,
     full_shift,
     graph_from_json,
@@ -214,3 +217,119 @@ class TestJson:
         from shiftlab.errors import SchemaError
         with pytest.raises(SchemaError):
             graph_from_json({"nonsense": 1})
+
+
+# ---------------------------------------------------------------------------
+# The shared follower automaton against the hand-built walks it replaced
+
+
+def _subset_automaton_oracle(g):
+    """Subset construction over the essential part, rebuilt on every call."""
+    ge = essential(g)
+    out = {v: {} for v in ge.vertices}
+    for (u, v, a) in ge.edges:
+        out[u].setdefault(a, set()).add(v)
+    start = frozenset(ge.vertices)
+    states = [start]
+    index = {start: 0}
+    trans = {}
+    queue = [start]
+    while queue:
+        s = queue.pop(0)
+        i = index[s]
+        for a in ge.alphabet:
+            nxt = frozenset().union(*(out[v].get(a, set()) for v in s)) if s else frozenset()
+            if not nxt:
+                continue
+            if nxt not in index:
+                index[nxt] = len(states)
+                states.append(nxt)
+                queue.append(nxt)
+            trans[(i, a)] = index[nxt]
+    return states, trans
+
+
+def _point_in_shift_oracle(g, x):
+    """Vertex-set walk with cycle detection over (period phase, set)."""
+    ge = essential(g)
+    if not ge.vertices:
+        return False
+    out = {v: {} for v in ge.vertices}
+    for (u, v, a) in ge.edges:
+        out[u].setdefault(a, set()).add(v)
+    s = frozenset(ge.vertices)
+    seen = set()
+    i = 0
+    while True:
+        if i >= len(x.preperiod):
+            key = ((i - len(x.preperiod)) % len(x.period), s)
+            if key in seen:
+                return True
+            seen.add(key)
+        a = x.symbol_at(i)
+        s = frozenset().union(*(out[v].get(a, set()) for v in s)) if s else frozenset()
+        if not s:
+            return False
+        i += 1
+
+
+def seeded_graphs():
+    return st.builds(lambda seed, nv: random_graph(random.Random(seed), max_vertices=nv),
+                     st.integers(0, 10 ** 6), st.integers(1, 5))
+
+
+def points_over(symbols):
+    word = st.lists(st.sampled_from(symbols), max_size=5).map(tuple)
+    period = st.lists(st.sampled_from(symbols), min_size=1, max_size=5).map(tuple)
+    return st.builds(SymbolicPoint, word, period)
+
+
+EMPTY = SftGraph(("a",), (), ("0",))
+
+
+class TestFollower:
+    @settings(max_examples=150, deadline=None)
+    @given(seeded_graphs())
+    def test_matches_oracle_exactly(self, g):
+        states, trans = _subset_automaton_oracle(g)
+        f = follower(g)
+        assert f.states == tuple(states)
+        assert dict(f.trans) == trans
+
+    def test_empty_shift_matches_oracle(self):
+        states, trans = _subset_automaton_oracle(EMPTY)
+        f = follower(EMPTY)
+        assert f.states == tuple(states) == (frozenset(),)
+        assert dict(f.trans) == trans == {}
+        assert f.is_empty
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_point_in_shift_matches_oracle(self, data):
+        g = data.draw(seeded_graphs())
+        x = data.draw(points_over(list(g.alphabet) + ["9"]))
+        assert point_in_shift(g, x) == _point_in_shift_oracle(g, x)
+
+    def test_empty_shift_has_no_points(self):
+        x = SymbolicPoint((), ("0",))
+        assert not point_in_shift(EMPTY, x) and not _point_in_shift_oracle(EMPTY, x)
+
+    def test_shared_by_graph_value(self):
+        g = golden_mean_graph()
+        copy = graph_from_json(graph_to_json(g))
+        assert copy is not g
+        assert follower(g) is follower(copy)
+
+    def test_read_only(self):
+        f = follower(golden_mean_graph())
+        v = next(iter(f.out))
+        with pytest.raises(TypeError):
+            f.trans[(0, "0")] = 0
+        with pytest.raises(TypeError):
+            f.out[v] = {}
+        with pytest.raises(TypeError):
+            f.out[v]["0"] = frozenset()
+
+    def test_long_words_do_not_recurse(self):
+        g = full_shift(["0"])
+        assert words_of_length(g, 1500) == [("0",) * 1500]
