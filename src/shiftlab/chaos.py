@@ -26,6 +26,7 @@ from .errors import (
     NotInLanguage,
     NotIrreducible,
     NotMixing,
+    SchemaError,
 )
 from .shift_core import (
     SftGraph,
@@ -273,6 +274,8 @@ def build_scrambled_tuple(g: SftGraph, distal: DistalTuple,
     reference orbit on odd blocks and track their own separated orbits on
     even blocks, with uniform-length mixing connectors in between so all
     streams stay aligned."""
+    if num_blocks < 1:
+        raise SchemaError("need at least one block")
     gc = canonical_presentation(g)
     if not is_irreducible(gc) or cyclic_structure(gc).period != 1:
         raise NotMixing("scrambled streams need a mixing graph")
@@ -390,6 +393,8 @@ def density_report(streams: Sequence[Sequence[str]], epsilon_exp: int,
         dexp += 1
     if d != 1:
         raise InvalidThresholds("delta must be a power of two")
+    if not horizons:
+        return []
     length = min(len(s) for s in streams)
     pairs = list(itertools.combinations(range(len(streams)), 2))
     INF = length + epsilon_exp + dexp + 2

@@ -29,7 +29,7 @@ from .codes import (
     identity_code,
     restrict,
 )
-from .decomposition import restrict_graph_to_cr
+from .decomposition import Decomposition, chain_components, restrict_graph_to_cr
 from .errors import (
     CannotExtract,
     InternalInvariantViolation,
@@ -56,12 +56,15 @@ DEFAULT_DEPTH_CAP = 32
 
 @dataclass(frozen=True)
 class InverseSequenceSpec:
-    """Finitely presented inverse sequence."""
+    """Finitely presented inverse sequence.  ``_memo`` holds its composed
+    images, decompositions and identity tail code for its lifetime."""
 
     levels: tuple[SftGraph, ...]
     codes: tuple[SlidingBlockCode, ...]
     tail: str = "identity"
     tail_block: int = 1
+    _memo: dict = field(default_factory=dict, init=False, repr=False,
+                        compare=False)
 
     def __post_init__(self) -> None:
         L = len(self.levels)
@@ -108,24 +111,43 @@ class InverseSequenceSpec:
         if self.tail == "identity":
             if n <= L - 1:
                 return self.codes[n - 1]
-            return identity_code(self.levels[L - 1])
+            if "identity_code" not in self._memo:
+                self._memo["identity_code"] = identity_code(self.levels[L - 1])
+            return self._memo["identity_code"]
         if n <= L:
             return self.codes[n - 1]
         p = self.tail_block
         return self.code(n - p)
 
+    def decomposition(self, n: int) -> Decomposition:
+        """Chain components of level n."""
+        key = ("decomposition", n)
+        if key not in self._memo:
+            self._memo[key] = chain_components(self.level(n))
+        return self._memo[key]
+
 
 def composed_image(seq: InverseSequenceSpec, m: int, n: int,
                    start: Optional[SftGraph] = None) -> SftGraph:
     """Canonical presentation of the image at level n of (a subsystem of)
-    level m, folded one code at a time so windows never grow."""
+    level m, folded one code at a time so windows never grow.  Each step
+    is memoised and a query resumes from the deepest cached step; the
+    fold starts from a canonical presentation, which is safe because
+    ``code_image`` depends only on the language of its domain."""
     if m < n:
         raise SchemaError("need m >= n")
-    g = start if start is not None else seq.level(m)
-    if m == n:
-        return canonical_presentation(g)
-    for k in range(m - 1, n - 1, -1):
-        g = code_image(seq.code(k), domain=g)
+    memo = seq._memo
+    k = n
+    while k <= m and (m, k, start) not in memo:
+        k += 1
+    if k > m:
+        k = m
+        memo[(m, m, start)] = canonical_presentation(
+            start if start is not None else seq.level(m))
+    g = memo[(m, k, start)]
+    for j in range(k - 1, n - 1, -1):
+        g = code_image(seq.code(j), domain=g)
+        memo[(m, j, start)] = g
     return g
 
 

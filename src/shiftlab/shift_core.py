@@ -344,10 +344,6 @@ def language_subset(a: SftGraph, b: SftGraph) -> tuple[bool, Optional[Word]]:
     shortest witness word (in ``a`` but not ``b``)."""
     ab = _merged_alphabet(a, b)
     fa, fb = follower(a), follower(b)
-    if fa.is_empty:
-        return True, None
-    if fb.is_empty:
-        return False, ()
     ta, tb = fa.trans, fb.trans
     start = (0, 0)
     queue = deque([(start, ())])
@@ -372,10 +368,6 @@ def language_equal(a: SftGraph, b: SftGraph) -> tuple[bool, Optional[Word]]:
     """Language equality with a shortest counterexample word on failure."""
     ab = _merged_alphabet(a, b)
     fa, fb = follower(a), follower(b)
-    if fa.is_empty and fb.is_empty:
-        return True, None
-    if fa.is_empty or fb.is_empty:
-        return False, ()
     ta, tb = fa.trans, fb.trans
     start = (0, 0)
     queue = deque([(start, ())])

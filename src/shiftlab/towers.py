@@ -19,9 +19,6 @@ from fractions import Fraction
 from typing import Optional
 
 from .decomposition import (
-    ChainComponent,
-    Decomposition,
-    chain_components,
     class_of_word,
     cyclic_structure,
     entropy,
@@ -66,39 +63,24 @@ class Tower:
         return len(self.entries)
 
 
-class TowerAnalyzer:
-    """Caches per-level decompositions and component images."""
+def _component_image(seq: InverseSequenceSpec, m: int, n: int,
+                     cid: str) -> SftGraph:
+    """Canonical image at level n of component cid of level m."""
+    return composed_image(seq, m, n, start=seq.decomposition(m).by_id(cid).graph)
 
-    def __init__(self, seq: InverseSequenceSpec):
-        self.seq = seq
-        self._decomp: dict[int, Decomposition] = {}
-        self._img: dict[tuple[int, int, str], SftGraph] = {}
 
-    def decomposition(self, n: int) -> Decomposition:
-        if n not in self._decomp:
-            self._decomp[n] = chain_components(self.seq.level(n))
-        return self._decomp[n]
+def _component_ids(seq: InverseSequenceSpec, n: int) -> list[str]:
+    return [c.component_id for c in seq.decomposition(n).components]
 
-    def component_ids(self, n: int) -> list[str]:
-        return [c.component_id for c in self.decomposition(n).components]
 
-    def component(self, n: int, cid: str) -> ChainComponent:
-        return self.decomposition(n).by_id(cid)
-
-    def image(self, m: int, n: int, cid: str) -> SftGraph:
-        """Canonical image at level n of component cid of level m."""
-        key = (m, n, cid)
-        if key not in self._img:
-            self._img[key] = composed_image(
-                self.seq, m, n, start=self.component(m, cid).graph)
-        return self._img[key]
-
-    def containing_component(self, n: int, sub: SftGraph) -> Optional[str]:
-        for c in self.decomposition(n).components:
-            ok, _ = language_subset(sub, c.graph)
-            if ok:
-                return c.component_id
-        return None
+def containing_component(seq: InverseSequenceSpec, n: int,
+                         sub: SftGraph) -> Optional[str]:
+    """The first component of level n whose language contains sub's."""
+    for c in seq.decomposition(n).components:
+        ok, _ = language_subset(sub, c.graph)
+        if ok:
+            return c.component_id
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -109,14 +91,13 @@ def enumerate_towers(seq: InverseSequenceSpec, depth: int,
                      kind: str = "component") -> list[Tower]:
     """All towers to the given depth, in lexicographic entry order."""
     if kind == "component":
-        ana = TowerAnalyzer(seq)
-        partial: list[tuple[str, ...]] = [(cid,) for cid in ana.component_ids(1)]
+        partial: list[tuple[str, ...]] = [(cid,) for cid in _component_ids(seq, 1)]
         for n in range(2, depth + 1):
             nxt = []
             for tup in partial:
-                below = ana.component(n - 1, tup[-1]).graph
-                for cid in ana.component_ids(n):
-                    ok, _ = language_subset(ana.image(n, n - 1, cid), below)
+                below = seq.decomposition(n - 1).by_id(tup[-1]).graph
+                for cid in _component_ids(seq, n):
+                    ok, _ = language_subset(_component_image(seq, n, n - 1, cid), below)
                     if ok:
                         nxt.append(tup + (cid,))
             partial = nxt
@@ -177,18 +158,18 @@ class SelectionReport:
     tail_period: Optional[int]     # detected repetition length of the greedy state
 
 
-def _maximal_choices(ana: TowerAnalyzer, m: int, n: int,
+def _maximal_choices(seq: InverseSequenceSpec, m: int, n: int,
                      cands: list[str]) -> str:
     """Inclusion-maximal image at level n among the candidate components
     of level m; ties resolved by smallest component id."""
     maximal = []
     for cid in cands:
-        img = ana.image(m, n, cid)
+        img = _component_image(seq, m, n, cid)
         dominated = False
         for other in cands:
             if other == cid:
                 continue
-            oimg = ana.image(m, n, other)
+            oimg = _component_image(seq, m, n, other)
             le, _ = language_subset(img, oimg)
             ge, _ = language_subset(oimg, img)
             if le and not ge:
@@ -216,24 +197,23 @@ def select_max_tower(seq: InverseSequenceSpec, tower: Tower, n: int,
     rep = check_mlc(seq, levels=range(n, depth + 1))
     if not rep.all_mlc1:
         raise Mlc1Required("one-step image stability fails in the selection range")
-    ana = TowerAnalyzer(seq)
     c_n = tower.entries[n - 1]
     c_n1 = tower.entries[n]
     # Step at level n: deeper component with maximal image under the
     # level-n entry, covering the image of the incumbent level-n+1 entry.
-    base = ana.component(n, c_n).graph
-    incumbent = ana.image(n + 1, n, c_n1)
+    base = seq.decomposition(n).by_id(c_n).graph
+    incumbent = _component_image(seq, n + 1, n, c_n1)
     cands = []
-    for cid in ana.component_ids(n + 1):
-        img = ana.image(n + 1, n, cid)
+    for cid in _component_ids(seq, n + 1):
+        img = _component_image(seq, n + 1, n, cid)
         lo, _ = language_subset(incumbent, img)
         hi, _ = language_subset(img, base)
         if lo and hi:
             cands.append(cid)
     if not cands:
         raise EmptyImageChain("no candidate over the level-%d entry" % n)
-    d_cur = _maximal_choices(ana, n + 1, n, cands)
-    anchor = ana.image(n + 1, n, d_cur)
+    d_cur = _maximal_choices(seq, n + 1, n, cands)
+    anchor = _component_image(seq, n + 1, n, d_cur)
     selected: dict[int, str] = {n: c_n}
     picked = [d_cur]
     anchor_sigs = [canonical_signature(anchor)]
@@ -243,9 +223,8 @@ def select_max_tower(seq: InverseSequenceSpec, tower: Tower, n: int,
         # Candidates at level m+1 whose two-step image still covers the
         # anchor at level m-1.
         cands = []
-        for cid in ana.component_ids(m + 1):
-            two = composed_image(seq, m + 1, m - 1,
-                                 start=ana.component(m + 1, cid).graph)
+        for cid in _component_ids(seq, m + 1):
+            two = _component_image(seq, m + 1, m - 1, cid)
             ok, _ = language_subset(anchor, two)
             if ok:
                 cands.append(cid)
@@ -253,15 +232,15 @@ def select_max_tower(seq: InverseSequenceSpec, tower: Tower, n: int,
             raise EmptyImageChain("anchor image loses its cover at level %d" % (m + 1))
         groups: dict[str, list[str]] = {}
         for cid in cands:
-            comp = ana.containing_component(m, ana.image(m + 1, m, cid))
+            comp = containing_component(seq, m, _component_image(seq, m + 1, m, cid))
             if comp is None:
                 raise InternalInvariantViolation(
                     "component image not inside any component at level %d" % m)
             groups.setdefault(comp, []).append(cid)
         gid = sorted(groups)[0]
-        d_cur = _maximal_choices(ana, m + 1, m, groups[gid])
+        d_cur = _maximal_choices(seq, m + 1, m, groups[gid])
         selected[m] = gid
-        anchor = ana.image(m + 1, m, d_cur)
+        anchor = _component_image(seq, m + 1, m, d_cur)
         picked.append(d_cur)
         anchor_sigs.append(canonical_signature(anchor))
         key = (_tail_phase(seq, m + 1), gid, d_cur, anchor_sigs[-1])
@@ -293,25 +272,24 @@ def _tail_phase(seq: InverseSequenceSpec, m: int) -> int:
 def verify_selection(seq: InverseSequenceSpec, before: Tower, after: Tower,
                      n: int) -> dict[str, bool]:
     """The four contract properties of the upgraded tower."""
-    ana = TowerAnalyzer(seq)
     d = after.depth
     props = {}
     props["keeps_start_entry"] = (after.entries[: n] == before.entries[: n])
     lo, _ = language_subset(
-        ana.image(n + 1, n, before.entries[n]),
-        ana.image(n + 1, n, after.entries[n]))
+        _component_image(seq, n + 1, n, before.entries[n]),
+        _component_image(seq, n + 1, n, after.entries[n]))
     props["covers_incumbent_image"] = lo
     ok = True
     for m in range(1, d):
-        img = ana.image(m + 1, m, after.entries[m])
-        inside, _ = language_subset(img, ana.component(m, after.entries[m - 1]).graph)
+        img = _component_image(seq, m + 1, m, after.entries[m])
+        inside, _ = language_subset(
+            img, seq.decomposition(m).by_id(after.entries[m - 1]).graph)
         ok = ok and inside
     props["levelwise_containment"] = ok
     stable = True
     for m in range(n, d - 1):
-        one = ana.image(m + 1, m, after.entries[m])
-        two = composed_image(seq, m + 2, m,
-                             start=ana.component(m + 2, after.entries[m + 1]).graph)
+        one = _component_image(seq, m + 1, m, after.entries[m])
+        two = _component_image(seq, m + 2, m, after.entries[m + 1])
         eq, _ = language_equal(one, two)
         stable = stable and eq
     props["one_step_image_stability"] = stable
@@ -340,14 +318,12 @@ def find_entropic_component(seq: InverseSequenceSpec, depth: int) -> EntropicRep
     rep = check_mlc(cr)
     if not rep.all_mlc1:
         raise Mlc1Required("one-step image stability required after restriction")
-    ana = TowerAnalyzer(cr)
     for tower in enumerate_towers(cr, depth):
         for n in range(1, depth):
-            img = ana.image(n + 1, n, tower.entries[n])
+            img = _component_image(cr, n + 1, n, tower.entries[n])
             if has_positive_entropy(img):
                 sel = select_max_tower(cr, tower, n, depth)
-                bound = entropy(
-                    TowerAnalyzer(cr).image(n + 1, n, sel.tower.entries[n]))
+                bound = entropy(_component_image(cr, n + 1, n, sel.tower.entries[n]))
                 return EntropicReport(sel.tower, n, bound, sel)
     raise NoEntropicComponent("no positive-entropy image at any level")
 
@@ -371,8 +347,7 @@ def truncated_fiber(seq: InverseSequenceSpec, tower: Tower,
         raise SchemaError("tower is shallower than the truncated system")
     picks = []
     if tower.kind == "component":
-        ana = TowerAnalyzer(seq)
-        graphs = [ana.component(n, tower.entries[n - 1]).graph
+        graphs = [seq.decomposition(n).by_id(tower.entries[n - 1]).graph
                   for n in range(1, system.depth + 1)]
         for i, p in enumerate(system.points):
             if all(word_in_language(g, w) for g, w in zip(graphs, p)):

@@ -114,6 +114,19 @@ class TestScramble:
             assert code == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_zero_blocks_is_exit_2(self, capsys):
+        code, _, err = run(capsys, "scramble", "--in", path("golden_mean.json"),
+                           "-n", "2", "--blocks", "0", "--eps-exp", "2")
+        assert code == 2
+        assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+
+    def test_horizon_before_first_block_gives_empty_table(self, capsys):
+        code, out, _ = run(capsys, "scramble", "--in", path("golden_mean.json"),
+                           "-n", "2", "--blocks", "3", "--horizon", "1",
+                           "--eps-exp", "2")
+        assert code == 0
+        assert json.loads(out)["rows"] == []
+
 
 class TestShadow:
     def test_full_family_passes(self, capsys):

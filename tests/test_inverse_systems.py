@@ -1,6 +1,10 @@
 """Inverse sequences: image chains, stabilization, extraction, truncations."""
 
+import dataclasses
+import random
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from shiftlab.errors import CannotExtract, Mlc1Required, TooLarge
 from shiftlab.fixtures import (
@@ -14,6 +18,8 @@ from shiftlab.fixtures import (
     mixed_sequence,
     random_sequence,
 )
+from shiftlab.codes import code_image
+from shiftlab.decomposition import chain_components
 from shiftlab.inverse_systems import (
     check_mlc,
     composed_image,
@@ -25,7 +31,34 @@ from shiftlab.inverse_systems import (
     sequence_to_json,
     truncated_limit,
 )
-from shiftlab.shift_core import language_equal, language_subset
+from shiftlab.shift_core import canonical_presentation, language_equal, language_subset
+
+
+def _composed_image_oracle(seq, m, n, start=None):
+    """The from-scratch fold that the memoised composed_image replaced."""
+    g = start if start is not None else seq.level(m)
+    if m == n:
+        return canonical_presentation(g)
+    for k in range(m - 1, n - 1, -1):
+        g = code_image(seq.code(k), domain=g)
+    return g
+
+
+def _check_memo_against_oracle(seq, orders, depth=7):
+    """Every composed_image(seq, m, n, start) for 1 <= n <= m <= depth, with
+    start None or a component graph of level m, asked on a fresh spec in
+    each given order, equals the oracle."""
+    starts = {m: [None] + [c.graph for c in chain_components(seq.level(m)).components]
+              for m in range(1, depth + 1)}
+    queries = [(m, n, i) for m in range(1, depth + 1) for n in range(1, m + 1)
+               for i in range(len(starts[m]))]
+    expected = {(m, n, i): _composed_image_oracle(seq, m, n, starts[m][i])
+                for (m, n, i) in queries}
+    for order in orders:
+        fresh = dataclasses.replace(seq)
+        for q in order(queries):
+            m, n, i = q
+            assert composed_image(fresh, m, n, starts[m][i]) == expected[q], q
 
 
 class TestImageChains:
@@ -52,6 +85,37 @@ class TestImageChains:
             for earlier, later in zip(chain.images, chain.images[1:]):
                 ok, witness = language_subset(later, earlier)
                 assert ok, (seed, witness)
+
+
+def _shuffled(rng):
+    return lambda qs: rng.sample(qs, len(qs))
+
+
+class TestImageMemo:
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(0, 10 ** 6), st.randoms(use_true_random=False))
+    def test_random_sequences_match_oracle(self, seed, rng):
+        _check_memo_against_oracle(random_sequence(seed), [_shuffled(rng)])
+
+    @pytest.mark.parametrize("make", [lambda: cantor_product_sequence(3), abc_sequence],
+                             ids=["cantor_product_3", "abc_periodic"])
+    def test_fixed_sequences_match_oracle(self, make):
+        rng = random.Random(0)
+        # Ascending order asks (m, n) before (m, m); descending the reverse.
+        orders = [sorted, lambda qs: sorted(qs, reverse=True),
+                  _shuffled(rng), _shuffled(rng)]
+        _check_memo_against_oracle(make(), orders)
+
+    def test_identity_tail_code_is_built_once(self):
+        seq = cantor_product_sequence(3)
+        L = seq.prefix_length
+        assert seq.code(L) is seq.code(L + 5)
+
+    def test_memo_does_not_affect_equality(self):
+        a, b = cantor_product_sequence(3), cantor_product_sequence(3)
+        check_mlc(a, depth_cap=4)
+        a.decomposition(2)
+        assert a == b and repr(a) == repr(b)
 
 
 class TestMlc:

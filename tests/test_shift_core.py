@@ -124,6 +124,15 @@ class TestLanguageComparison:
         ok, witness = language_subset(full_shift(BIN), full_shift(["a", "b"]))
         assert not ok and witness is not None
 
+    def test_empty_shift_witness_is_a_word_of_the_other_side(self):
+        empty = SftGraph(("a",), (), ("0",))
+        full = full_shift(["0"])
+        assert language_subset(full, empty) == (False, ("0",))
+        assert language_equal(full, empty) == (False, ("0",))
+        assert language_equal(empty, full) == (False, ("0",))
+        assert language_subset(empty, full) == (True, None)
+        assert language_equal(empty, empty) == (True, None)
+
 
 class TestWords:
     def test_word_round_trip(self):

@@ -55,14 +55,14 @@ class TestEnumeration:
             assert t.kind == "cyclic"
 
     def test_tower_entries_are_nested(self):
-        from shiftlab.towers import TowerAnalyzer
+        from shiftlab.inverse_systems import composed_image
         from shiftlab.shift_core import language_subset
         seq = cantor_product_sequence(3)
-        ana = TowerAnalyzer(seq)
         for t in enumerate_towers(seq, 3):
             for n in range(1, 3):
-                upper_img = ana.image(n + 1, n, t.entries[n])
-                lower = ana.component(n, t.entries[n - 1]).graph
+                upper = seq.decomposition(n + 1).by_id(t.entries[n]).graph
+                upper_img = composed_image(seq, n + 1, n, start=upper)
+                lower = seq.decomposition(n).by_id(t.entries[n - 1]).graph
                 ok, _ = language_subset(upper_img, lower)
                 assert ok
 
