@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .decomposition import cyclic_structure, is_irreducible, mixing_constant, sync_length, class_of_word
 from .errors import (
@@ -171,11 +171,12 @@ def chain_proximal_join(g: SftGraph, y: SymbolicPoint, z: SymbolicPoint,
         return readers[pre + (pos - pre) % per]
 
     cap = m * (len(ge.vertices) ** 2 + pre + per + 4)
-    layers = [set(front)]
+    layer = front
     for ell in range(0, cap + 1):
-        if ell % m == 0 and layers[ell] & reader_set(K + ell):
-            connector = _recover_path(ge, out, front, ell,
-                                      layers, reader_set(K + ell))
+        if ell % m == 0 and layer & reader_set(K + ell):
+            connector = _first_word(out, front, reader_set(K + ell), ell)
+            if connector is None:
+                raise InternalInvariantViolation("path recovery failed")
             tail = y.shift(K + ell)
             w = SymbolicPoint(z.expand(K) + connector + tail.preperiod, tail.period)
             if not point_in_shift(ge, w):
@@ -183,44 +184,35 @@ def chain_proximal_join(g: SftGraph, y: SymbolicPoint, z: SymbolicPoint,
             if w.shift(K + ell) != y.shift(K + ell):
                 raise InternalInvariantViolation("join tail does not glue to y")
             return JoinCertificate(w, K, connector, K + ell)
-        nxt = set()
-        for v in layers[ell]:
-            for targets in out[v].values():
-                nxt |= targets
-        layers.append(nxt)
+        layer = {t for v in layer for targets in out[v].values() for t in targets}
     raise NotChainProximal("no connector up to length %d" % cap)
 
 
-def _recover_path(g: SftGraph, out: Mapping, front: set[str], ell: int,
-                  layers: list[set[str]], goal: set[str]) -> Word:
-    """Lexicographically first label word of length ell from the front set
-    to the goal set, walking the stored reachability layers backwards."""
-    # can_reach[t] = states in layers[t] from which goal is reachable in
-    # exactly ell - t more steps.
-    can = [set() for _ in range(ell + 1)]
-    can[ell] = layers[ell] & goal
-    for t in range(ell - 1, -1, -1):
-        for v in layers[t]:
-            for targets in out[v].values():
-                if targets & can[t + 1]:
-                    can[t].add(v)
-                    break
-    if not can[0]:
-        raise InternalInvariantViolation("path recovery failed")
+def _first_word(out: Mapping[str, Mapping[str, frozenset[str]]],
+                sources: Iterable[str], goal: Iterable[str],
+                length: int) -> Optional[Word]:
+    """Label word of a path of exactly ``length`` edges from a source
+    vertex to a goal vertex, or None if there is none.  The path starts at
+    the least source that can still reach the goal in time, and each step
+    takes the least symbol, then the least target vertex, from which the
+    goal stays reachable in the steps left."""
+    # live[t]: vertices from which the goal is reachable in exactly
+    # length - t steps.
+    live = [set(goal)]
+    for _ in range(length):
+        ahead = live[-1]
+        live.append({v for v, moves in out.items()
+                     if any(targets & ahead for targets in moves.values())})
+    live.reverse()
+    starts = live[0].intersection(sources)
+    if not starts:
+        return None
+    v = min(starts)
     word = []
-    current = can[0]
-    for t in range(ell):
-        choice = None
-        for v in sorted(current):
-            for sym in sorted(out[v]):
-                if out[v][sym] & can[t + 1]:
-                    choice = (v, sym)
-                    break
-            if choice:
-                break
-        v, sym = choice
+    for t in range(1, length + 1):
+        sym = min(a for a, targets in out[v].items() if targets & live[t])
         word.append(sym)
-        current = out[v][sym] & can[t + 1]
+        v = min(out[v][sym] & live[t])
     return tuple(word)
 
 
@@ -309,7 +301,10 @@ def build_scrambled_tuple(g: SftGraph, distal: DistalTuple,
             target_pt = ref if kind == "together" else distal.points[i]
             target_state = ref_start if kind == "together" else starts[i]
             if states[i] is not None:
-                word = _exact_length_path(gc, out, states[i], target_state, conn)
+                word = _first_word(out, (states[i],), (target_state,), conn)
+                if word is None:
+                    raise NotMixing("no path of length %d from %s to %s"
+                                    % (conn, states[i], target_state))
                 streams[i].extend(word)
             content = target_pt.expand(length)
             streams[i].extend(content)
@@ -330,31 +325,6 @@ def _walk(out: Mapping, state: str, word: Sequence[str]) -> str:
             raise InternalInvariantViolation("stream content not admissible")
         state = min(nxt)
     return state
-
-
-def _exact_length_path(g: SftGraph, out: Mapping, src: str, dst: str,
-                       length: int) -> Word:
-    """Lexicographically first label word of an exact-length path."""
-    can = [set() for _ in range(length + 1)]
-    can[length] = {dst}
-    for t in range(length - 1, -1, -1):
-        for v in g.vertices:
-            for targets in out[v].values():
-                if targets & can[t + 1]:
-                    can[t].add(v)
-                    break
-    if src not in can[0]:
-        raise NotMixing("no path of length %d from %s to %s" % (length, src, dst))
-    word = []
-    v = src
-    for t in range(length):
-        for sym in sorted(out[v]):
-            hit = out[v][sym] & can[t + 1]
-            if hit:
-                word.append(sym)
-                v = min(hit)
-                break
-    return tuple(word)
 
 
 def _verify_streams(g: SftGraph, tup: ScrambledTuple) -> None:

@@ -7,7 +7,8 @@ inputs, and any seeds, and files are written atomically, so identical
 invocations produce byte-identical artifacts.
 
 Exit codes: 0 success, 2 precondition or schema failure, 1 internal
-invariant violation.
+invariant violation or any other error.  A failure prints one line on
+stderr and no traceback.
 """
 
 from __future__ import annotations
@@ -21,7 +22,12 @@ import tempfile
 from fractions import Fraction
 
 from . import __version__
-from .errors import InternalInvariantViolation, PreconditionError, SchemaError
+from .errors import (
+    InternalInvariantViolation,
+    InvalidScales,
+    PreconditionError,
+    SchemaError,
+)
 from . import chaos, decomposition, fixtures, inverse_systems, shadow_lab, shift_core, towers
 
 
@@ -216,6 +222,8 @@ def _shadow_system(args) -> shadow_lab.FiniteSystem:
 def _cmd_shadow(args) -> int:
     if args.selftest:
         return _selftest_shadow()
+    if args.eps_exp < 0 or args.delta_exp < 0:
+        raise InvalidScales("--eps-exp and --delta-exp must be nonnegative")
     sysm = _shadow_system(args)
     eps = Fraction(1, 2 ** args.eps_exp)
     delta = Fraction(1, 2 ** args.delta_exp)
@@ -467,6 +475,10 @@ def main(argv=None) -> int:
         return 2
     except InternalInvariantViolation as e:
         sys.stderr.write("internal invariant violated: %s\n" % e)
+        return 1
+    except Exception as e:
+        sys.stderr.write("internal error: %s: %s\n"
+                         % (type(e).__name__, " ".join(str(e).split())))
         return 1
 
 

@@ -11,8 +11,9 @@ output, whatever its length.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from dataclasses import dataclass, field
+from types import MappingProxyType
+from typing import Mapping, Optional, Sequence
 
 from .errors import (
     AlphabetMismatch,
@@ -39,12 +40,16 @@ from .shift_core import (
 
 @dataclass(frozen=True)
 class SlidingBlockCode:
+    """``rule`` is stored as a read-only copy, so a validated code cannot
+    change; it takes part in equality but not in the hash."""
+
     domain: SftGraph
     codomain: SftGraph
     window: int
-    rule: dict[Word, str]
+    rule: Mapping[Word, str] = field(hash=False)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "rule", MappingProxyType(dict(self.rule)))
         if self.window < 1:
             raise SchemaError("window must be >= 1")
         for w, s in self.rule.items():

@@ -13,8 +13,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Hashable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -30,7 +29,6 @@ from .shift_core import (
     Word,
     canonical_presentation,
     essential,
-    make_graph,
     word_in_language,
     words_of_length,
 )
@@ -60,14 +58,23 @@ class Decomposition:
         raise KeyError(component_id)
 
 
-def _tarjan_sccs(vertices: Sequence[str], arcs: dict[str, list[str]]) -> list[list[str]]:
-    """Iterative Tarjan; returns strongly connected components in a
-    deterministic order."""
-    index: dict[str, int] = {}
-    low: dict[str, int] = {}
-    onstack: set[str] = set()
-    stack: list[str] = []
-    sccs: list[list[str]] = []
+def _arcs(g: SftGraph) -> dict[str, list[str]]:
+    """Successor lists of the vertices of g, one entry per edge."""
+    arcs: dict[str, list[str]] = {v: [] for v in g.vertices}
+    for (u, v, _a) in g.edges:
+        arcs[u].append(v)
+    return arcs
+
+
+def _tarjan_sccs(vertices: Sequence[Hashable],
+                 arcs: Mapping[Hashable, Sequence[Hashable]]) -> list[list]:
+    """Iterative Tarjan over any hashable, sortable vertices; returns
+    strongly connected components in a deterministic order."""
+    index: dict = {}
+    low: dict = {}
+    onstack: set = set()
+    stack: list = []
+    sccs: list[list] = []
     counter = [0]
 
     for root in vertices:
@@ -114,19 +121,12 @@ def chain_components(g: SftGraph) -> Decomposition:
     """Chain components of the presented shift, one per strongly connected
     subgraph with a cycle of the canonical presentation."""
     c = canonical_presentation(g)
-    arcs: dict[str, list[str]] = {v: [] for v in c.vertices}
-    selfedge = set()
-    for (u, v, _a) in c.edges:
-        arcs[u].append(v)
-        if u == v:
-            selfedge.add(u)
+    arcs = _arcs(c)
     comps = []
     transient = []
-    raw = _tarjan_sccs(c.vertices, arcs)
-    for verts in raw:
+    for verts in _tarjan_sccs(c.vertices, arcs):
         vs = set(verts)
-        has_cycle = len(verts) > 1 or any(v in selfedge for v in verts)
-        if not has_cycle:
+        if len(verts) == 1 and verts[0] not in arcs[verts[0]]:
             transient.extend(verts)
             continue
         sub = SftGraph(
@@ -154,10 +154,7 @@ def is_irreducible(g: SftGraph) -> bool:
     ge = essential(g)
     if not ge.vertices:
         return False
-    arcs: dict[str, list[str]] = {v: [] for v in ge.vertices}
-    for (u, v, _a) in ge.edges:
-        arcs[u].append(v)
-    return len(_tarjan_sccs(ge.vertices, arcs)) == 1
+    return len(_tarjan_sccs(ge.vertices, _arcs(ge))) == 1
 
 
 @dataclass(frozen=True)
@@ -185,9 +182,7 @@ def cyclic_structure(g: SftGraph) -> CyclicStructure:
     root = ge.vertices[0]
     dist = {root: 0}
     queue = deque([root])
-    arcs: dict[str, list[str]] = {v: [] for v in ge.vertices}
-    for (u, v, _a) in ge.edges:
-        arcs[u].append(v)
+    arcs = _arcs(ge)
     while queue:
         u = queue.popleft()
         for v in arcs[u]:

@@ -34,10 +34,6 @@ class NotIrreducible(PreconditionError):
     pass
 
 
-class NotTransitive(PreconditionError):
-    pass
-
-
 class NotMixing(PreconditionError):
     pass
 

@@ -5,13 +5,12 @@ from __future__ import annotations
 
 import itertools
 import random
-from typing import Optional, Sequence
 
 from .codes import SlidingBlockCode, symbol_code, identity_code
 from .inverse_systems import InverseSequenceSpec
+from .shadow_lab import gap_shift_graph, switch_level
 from .shift_core import (
     SftGraph,
-    Word,
     canonical_presentation,
     essential,
     from_forbidden_words,
@@ -23,15 +22,6 @@ from .shift_core import (
 def golden_mean_graph() -> SftGraph:
     """No two consecutive 1s."""
     return from_forbidden_words("01", [("1", "1")])
-
-
-def gap_shift(k: int) -> SftGraph:
-    """Every 1 is followed by at least k zeros; k = 1 is the golden mean
-    shift."""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    forbidden = [("1",) + ("0",) * j + ("1",) for j in range(k)]
-    return from_forbidden_words("01", forbidden)
 
 
 def two_cycle_graph() -> SftGraph:
@@ -121,16 +111,6 @@ def two_cycle_sequence(length: int = 3) -> InverseSequenceSpec:
 # Cantor-base product fixture
 
 
-def switch_level(word: Sequence[str]) -> int:
-    """Level at which a binary word stops changing: the last index i
-    (1-based) with word[i] != word[i+1], floored at 1."""
-    j = 1
-    for i in range(1, len(word)):
-        if word[i] != word[i - 1]:
-            j = i
-    return j
-
-
 def _tagged_fiber(tag: str, fiber: SftGraph) -> SftGraph:
     verts = tuple("%s|%s" % (tag, v) for v in fiber.vertices)
     edges = tuple(("%s|%s" % (tag, u), "%s|%s" % (tag, v), "%s:%s" % (tag, a))
@@ -151,7 +131,7 @@ def cantor_product_sequence(depth: int = 4) -> InverseSequenceSpec:
         parts = None
         for u in itertools.product("01", repeat=n):
             tag = "".join(u)
-            fiber = gap_shift(switch_level(u))
+            fiber = gap_shift_graph(switch_level(u))
             tagged = _tagged_fiber(tag, fiber)
             parts = tagged if parts is None else _plain_union(parts, tagged)
         levels.append(parts)

@@ -15,10 +15,9 @@ Mittag-Leffler condition.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .codes import (
     SlidingBlockCode,
@@ -29,7 +28,12 @@ from .codes import (
     identity_code,
     restrict,
 )
-from .decomposition import Decomposition, chain_components, restrict_graph_to_cr
+from .decomposition import (
+    Decomposition,
+    _tarjan_sccs,
+    chain_components,
+    restrict_graph_to_cr,
+)
 from .errors import (
     CannotExtract,
     InternalInvariantViolation,
@@ -41,8 +45,6 @@ from .shift_core import (
     SftGraph,
     Word,
     canonical_presentation,
-    canonical_signature,
-    essential,
     graph_from_json,
     graph_to_json,
     language_equal,
@@ -397,17 +399,11 @@ class TruncatedSystem:
         """Component index per point under the successor relation
         (-1 for points in no cyclic strongly connected part)."""
         n = len(self.points)
-        from .decomposition import _tarjan_sccs
-        arcs = {str(i): [str(j) for j in self.successors[i]] for i in range(n)}
-        sccs = _tarjan_sccs([str(i) for i in range(n)], arcs)
+        sccs = _tarjan_sccs(range(n), dict(enumerate(self.successors)))
         comp = [-1] * n
         cid = 0
-        keyed = []
-        for verts in sccs:
-            ids = [int(v) for v in verts]
-            cyclic = len(ids) > 1 or ids[0] in self.successors[ids[0]]
-            if cyclic:
-                keyed.append(sorted(ids))
+        keyed = [ids for ids in sccs
+                 if len(ids) > 1 or ids[0] in self.successors[ids[0]]]
         keyed.sort()
         for ids in keyed:
             for i in ids:
@@ -463,6 +459,8 @@ def sequence_from_json(data: dict) -> InverseSequenceSpec:
         levels = tuple(graph_from_json(g) for g in data["levels"])
         codes = tuple(code_from_json(c) for c in data["codes"])
         tail = data.get("tail", {"mode": "identity", "block": 1})
+        if not isinstance(tail, dict):
+            raise SchemaError("sequence tail must be an object")
         mode = str(tail.get("mode", "identity"))
         block = int(tail.get("block", 1))
     except (KeyError, TypeError, ValueError) as exc:

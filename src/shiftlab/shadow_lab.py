@@ -12,12 +12,13 @@ of pseudo-orbits.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from .decomposition import chain_components
+from .decomposition import _tarjan_sccs
 from .errors import (
     InternalInvariantViolation,
     InvalidScales,
@@ -27,6 +28,7 @@ from .errors import (
 from .shift_core import (
     SftGraph,
     Word,
+    from_forbidden_words,
     word_distance,
     words_of_length,
 )
@@ -68,13 +70,6 @@ class FiniteSystem:
 
     def d(self, p: str, q: str) -> Fraction:
         return self.dist[(p, q)]
-
-    def f(self, p: str) -> str:
-        """Canonical (least) successor; the whole map when single-valued."""
-        return min(self.successors[p])
-
-    def is_map(self) -> bool:
-        return all(len(s) == 1 for s in self.successors.values())
 
 
 def check_triangle(sys: "FiniteSystem") -> None:
@@ -254,6 +249,8 @@ def truncate_shift(g: SftGraph, depth: int) -> FiniteSystem:
     a word drop its first symbol and append every admissible continuation,
     so orbits of the truncation are exactly the shift orbits as far as the
     truncation can see."""
+    if depth < 1:
+        raise PreconditionError("truncation depth must be at least 1")
     words = words_of_length(g, depth)
     if not words:
         raise PreconditionError("no admissible words at this depth")
@@ -287,9 +284,6 @@ def truncate_shift(g: SftGraph, depth: int) -> FiniteSystem:
 def gap_shift_graph(k: int) -> SftGraph:
     """Binary shift where any two 1 symbols are separated by at least k
     zeros (free when k = 0)."""
-    from .shift_core import from_forbidden_words, full_shift
-    if k == 0:
-        return full_shift(["0", "1"])
     forbidden = [("1",) + ("0",) * j + ("1",) for j in range(k)]
     return from_forbidden_words(["0", "1"], forbidden)
 
@@ -371,9 +365,6 @@ class LayeredExample:
     fiber_systems: dict[str, FiniteSystem]
     successors: dict[str, tuple[str, ...]]
 
-    def f(self, p: str) -> str:
-        return min(self.successors[p])
-
     def d(self, p: str, q: str) -> Fraction:
         bp, lp = p.split("|", 1)
         bq, lq = q.split("|", 1)
@@ -382,7 +373,7 @@ class LayeredExample:
         return max(abs(self.base_value[bp] - self.base_value[bq]), Fraction(1))
 
 
-def _switch_index(word: Word) -> int:
+def switch_level(word: Word) -> int:
     """Last position where the symbol changes, and 1 when it never does."""
     j = 1
     for t in range(1, len(word)):
@@ -404,7 +395,7 @@ def build_layered_example(base_depth: int = 4, endpoint_max: int = 3,
     base and the fiber map on each fiber, so chain components are exactly
     the fibers.
     """
-    words = sorted(words_of_length_binary(base_depth))
+    words = list(itertools.product("01", repeat=base_depth))
     # Interval embedding: each refinement level splits with a geometric
     # contraction tied to the finest scale used so far.
     eps = [Fraction(1, 2 ** k) for k in range(1, endpoint_max + 1)]
@@ -433,7 +424,7 @@ def build_layered_example(base_depth: int = 4, endpoint_max: int = 3,
     fiber_cache: dict[int, FiniteSystem] = {}
     for w in words:
         wkey = "".join(w)
-        j = _switch_index(w)
+        j = switch_level(w)
         if j <= endpoint_max:
             if j not in fiber_cache:
                 fiber_cache[j] = truncate_shift(gap_shift_graph(j), fiber_depth)
@@ -461,13 +452,6 @@ def build_layered_example(base_depth: int = 4, endpoint_max: int = 3,
                           scales, fiber_systems, image)
 
 
-def words_of_length_binary(n: int) -> list[Word]:
-    out = [()]
-    for _ in range(n):
-        out = [w + (s,) for w in out for s in ("0", "1")]
-    return out
-
-
 @dataclass(frozen=True)
 class LayeredCensus:
     stratum_sizes: dict[int, int]
@@ -491,7 +475,9 @@ def layered_census(ex: LayeredExample) -> LayeredCensus:
             interior = len(s.base_points)
     invariant = all(ex.fiber_of[q] == ex.fiber_of[p]
                     for p in ex.labels for q in ex.successors[p])
-    transitive = all(_fiber_chain_transitive(f) for f in ex.fiber_systems.values())
+    # Fibers of one stratum share one system object; check each once.
+    fibers = {id(f): f for f in ex.fiber_systems.values()}
+    transitive = all(_fiber_chain_transitive(f) for f in fibers.values())
     distinct = len(set(ex.base_value.values())) == len(ex.base_value)
     return LayeredCensus(sizes, interior, len(ex.fiber_systems),
                          invariant, transitive, distinct)
@@ -501,19 +487,9 @@ def _fiber_chain_transitive(f: FiniteSystem) -> bool:
     """Chain transitive at the fiber's own finest positive distance."""
     positive = [f.d(p, q) for p in f.labels for q in f.labels if p != q]
     delta = min(positive) if positive else Fraction(1)
-    succ = _successor_table(f, delta)
-    reach = {p: set(succ[p]) for p in f.labels}
-    changed = True
-    while changed:
-        changed = False
-        for p in f.labels:
-            add = set()
-            for q in reach[p]:
-                add |= reach[q]
-            if not add <= reach[p]:
-                reach[p] |= add
-                changed = True
-    return all(q in reach[p] for p in f.labels for q in f.labels)
+    # One strongly connected component chains every point to every point:
+    # through another point, or, in a one-point space, by the map itself.
+    return len(_tarjan_sccs(f.labels, _successor_table(f, delta))) <= 1
 
 
 def layered_fiber_shadowing(ex: LayeredExample, horizon: int = 8,

@@ -35,23 +35,6 @@ from .errors import (
 Word = tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class CylinderMetric:
-    """Record of the metric convention: d(x, y) = base**(-j) with j the
-    least differing coordinate, coordinates starting at 0."""
-
-    base: int = 2
-    origin: int = 0
-
-    def value(self, first_mismatch: Optional[int]) -> Fraction:
-        if first_mismatch is None:
-            return Fraction(0)
-        return Fraction(1, self.base ** first_mismatch)
-
-
-METRIC = CylinderMetric()
-
-
 def word_str(word: Sequence[str]) -> str:
     if any(len(s) != 1 for s in word):
         return ".".join(word)
@@ -482,7 +465,7 @@ def distance(x: SymbolicPoint, y: SymbolicPoint) -> Fraction:
              + math.lcm(len(x.period), len(y.period)))
     for j in range(bound + 1):
         if x.symbol_at(j) != y.symbol_at(j):
-            return METRIC.value(j)
+            return Fraction(1, 2 ** j)
     return Fraction(0)
 
 

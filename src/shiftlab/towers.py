@@ -14,7 +14,7 @@ InternalInvariantViolation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -38,11 +38,9 @@ from .inverse_systems import (
     check_mlc,
     composed_image,
     restrict_to_cr,
-    truncated_limit,
 )
 from .shift_core import (
     SftGraph,
-    Word,
     canonical_signature,
     language_equal,
     language_subset,

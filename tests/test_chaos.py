@@ -1,5 +1,6 @@
 """Distal tuples, chain proximal joins, scrambled streams, densities."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from shiftlab.chaos import (
     Schedule,
+    _first_word,
     build_scrambled_tuple,
     chain_proximal_join,
     density_report,
@@ -14,13 +16,20 @@ from shiftlab.chaos import (
     orbit_separation,
 )
 from shiftlab.errors import (
+    InternalInvariantViolation,
     InvalidThresholds,
     NoDistalTuple,
     NotChainProximal,
     NotMixing,
 )
-from shiftlab.fixtures import golden_mean_graph, two_cycle_graph
-from shiftlab.shift_core import SymbolicPoint, distance, full_shift, point_in_shift
+from shiftlab.fixtures import golden_mean_graph, random_graph, two_cycle_graph
+from shiftlab.shift_core import (
+    SymbolicPoint,
+    distance,
+    follower,
+    full_shift,
+    point_in_shift,
+)
 
 BIN = ["0", "1"]
 
@@ -168,3 +177,114 @@ class TestDensity:
         for r in rows:
             fc, ff = r.fractions()
             assert 0 <= fc <= 1 and 0 <= ff <= 1
+
+
+# ---------------------------------------------------------------------------
+# The two path searches that _first_word replaced, kept as oracles.
+
+
+def _recover_path(g, out, front, ell, layers, goal):
+    """Lexicographically first label word of length ell from the front set
+    to the goal set, walking the stored reachability layers backwards."""
+    can = [set() for _ in range(ell + 1)]
+    can[ell] = layers[ell] & goal
+    for t in range(ell - 1, -1, -1):
+        for v in layers[t]:
+            for targets in out[v].values():
+                if targets & can[t + 1]:
+                    can[t].add(v)
+                    break
+    if not can[0]:
+        raise InternalInvariantViolation("path recovery failed")
+    word = []
+    current = can[0]
+    for t in range(ell):
+        choice = None
+        for v in sorted(current):
+            for sym in sorted(out[v]):
+                if out[v][sym] & can[t + 1]:
+                    choice = (v, sym)
+                    break
+            if choice:
+                break
+        v, sym = choice
+        word.append(sym)
+        current = out[v][sym] & can[t + 1]
+    return tuple(word)
+
+
+def _exact_length_path(g, out, src, dst, length):
+    """Lexicographically first label word of an exact-length path."""
+    can = [set() for _ in range(length + 1)]
+    can[length] = {dst}
+    for t in range(length - 1, -1, -1):
+        for v in g.vertices:
+            for targets in out[v].values():
+                if targets & can[t + 1]:
+                    can[t].add(v)
+                    break
+    if src not in can[0]:
+        raise NotMixing("no path of length %d from %s to %s" % (length, src, dst))
+    word = []
+    v = src
+    for t in range(length):
+        for sym in sorted(out[v]):
+            hit = out[v][sym] & can[t + 1]
+            if hit:
+                word.append(sym)
+                v = min(hit)
+                break
+    return tuple(word)
+
+
+def recover_oracle(g, out, front, goal, ell):
+    layers = [set(front)]
+    for _ in range(ell):
+        layers.append({t for v in layers[-1] for ts in out[v].values() for t in ts})
+    try:
+        return _recover_path(g, out, set(front), ell, layers, set(goal))
+    except InternalInvariantViolation:
+        return None
+
+
+def exact_oracle(g, out, src, dst, length):
+    try:
+        return _exact_length_path(g, out, src, dst, length)
+    except NotMixing:
+        return None
+
+
+class TestFirstWordOracles:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 10 ** 6), st.integers(1, 5), st.integers(0, 8),
+           st.randoms(use_true_random=False))
+    def test_matches_recover_path(self, seed, nv, ell, rng):
+        g = random_graph(random.Random(seed), max_vertices=nv)
+        out = follower(g).out
+        front = rng.sample(g.vertices, rng.randint(1, len(g.vertices)))
+        goal = rng.sample(g.vertices, rng.randint(1, len(g.vertices)))
+        assert _first_word(out, front, goal, ell) == \
+            recover_oracle(g, out, front, goal, ell)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 10 ** 6), st.integers(1, 5), st.integers(0, 8),
+           st.randoms(use_true_random=False))
+    def test_matches_exact_length_path(self, seed, nv, length, rng):
+        g = random_graph(random.Random(seed), max_vertices=nv)
+        out = follower(g).out
+        src, dst = rng.choice(g.vertices), rng.choice(g.vertices)
+        assert _first_word(out, (src,), (dst,), length) == \
+            exact_oracle(g, out, src, dst, length)
+
+    def test_both_oracles_have_none_cases(self):
+        rng = random.Random(0)
+        found = {"recover": set(), "exact": set()}
+        for seed in range(200):
+            g = random_graph(random.Random(seed), max_vertices=4)
+            out = follower(g).out
+            v, w = rng.choice(g.vertices), rng.choice(g.vertices)
+            ell = rng.randint(0, 5)
+            found["recover"].add(recover_oracle(g, out, [v], [w], ell) is None)
+            found["exact"].add(exact_oracle(g, out, v, w, ell) is None)
+            assert _first_word(out, [v], [w], ell) == exact_oracle(g, out, v, w, ell)
+        assert found == {"recover": {True, False}, "exact": {True, False}}

@@ -174,3 +174,35 @@ class TestSelftests:
         rep = json.loads(out)
         assert rep["failed"] == 0
         assert rep["passed"] > 0
+
+
+def _string_tail(tmp_path):
+    with open(path("abc_sequence.json"), encoding="utf-8") as f:
+        data = json.load(f)
+    data["tail"] = "identity"
+    bad = tmp_path / "string_tail.json"
+    bad.write_text(json.dumps(data))
+    return str(bad)
+
+
+class TestFailuresAreOneLine:
+    @pytest.mark.parametrize("argv, expected", [
+        (["shadow", "--family", "full", "--eps-exp", "-1"], 2),
+        (["shadow", "--family", "full", "--delta-exp", "-2"], 2),
+        (["shadow", "--family", "full", "--depth", "0"], 2),
+        (["layered", "--fiber-depth", "0"], 2),
+        (["mlc", "--in", _string_tail], 2),
+        (["analyze", "--in", path("golden_mean.json")], 1),
+    ], ids=["negative-eps-exp", "negative-delta-exp", "shadow-depth-0",
+            "layered-fiber-depth-0", "string-tail", "injected-runtime-error"])
+    def test_exit_code_and_one_stderr_line(self, tmp_path, capsys, monkeypatch,
+                                           argv, expected):
+        def boom(args):
+            raise RuntimeError("injected\nfailure")
+
+        monkeypatch.setattr("shiftlab.cli._cmd_analyze", boom)
+        argv = [a(tmp_path) if callable(a) else a for a in argv]
+        code, _, err = run(capsys, *argv)
+        assert code == expected
+        assert len(err.splitlines()) == 1, err
+        assert "Traceback" not in err

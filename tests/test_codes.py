@@ -139,3 +139,25 @@ class TestJson:
         g = full_shift(["00:0", "00:1"])
         c = identity_code(g)
         assert code_from_json(code_to_json(c)) == c
+
+
+class TestReadOnlyRule:
+    def test_equal_specs_hash_equal(self):
+        from shiftlab.fixtures import cantor_product_sequence
+        a, b = cantor_product_sequence(3), cantor_product_sequence(3)
+        assert a == b and hash(a) == hash(b)
+        assert hash(xor_code()) == hash(xor_code())
+
+    def test_rule_is_a_read_only_copy(self):
+        rule = {(a,): a for a in BIN}
+        c = SlidingBlockCode(full_shift(BIN), full_shift(BIN), 1, rule)
+        rule[("0",)] = "1"
+        assert c.rule[("0",)] == "0"
+        with pytest.raises(TypeError):
+            c.rule[("0",)] = "1"
+
+    def test_rule_takes_part_in_equality(self):
+        g = full_shift(BIN)
+        flip = symbol_code(g, g, {"0": "1", "1": "0"})
+        assert flip != identity_code(g)
+        assert flip == symbol_code(g, g, {"1": "0", "0": "1"})

@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from shiftlab.errors import CannotExtract, Mlc1Required, TooLarge
+from shiftlab.errors import CannotExtract, Mlc1Required, SchemaError, TooLarge
 from shiftlab.fixtures import (
     abc_sequence,
     branching_sequence,
@@ -19,7 +19,7 @@ from shiftlab.fixtures import (
     random_sequence,
 )
 from shiftlab.codes import code_image
-from shiftlab.decomposition import chain_components
+from shiftlab.decomposition import _tarjan_sccs, chain_components
 from shiftlab.inverse_systems import (
     check_mlc,
     composed_image,
@@ -227,6 +227,26 @@ class TestTruncatedLimit:
                 for n in range(sysm.depth):
                     assert q[n][:sysm.word_length - 1] == pt[n][1:]
 
+    def test_component_ids_match_string_vertex_oracle(self):
+        """The old method ran Tarjan on str(i) vertices and converted back."""
+        sizes = []
+        for seq, depth, length in [(abc_sequence(), 3, 3),
+                                   (branching_sequence(), 3, 4),
+                                   (cantor_product_sequence(3), 3, 4)]:
+            sysm = truncated_limit(seq, depth, length)
+            n = len(sysm.points)
+            arcs = {str(i): [str(j) for j in sysm.successors[i]] for i in range(n)}
+            keyed = sorted(sorted(int(v) for v in verts)
+                           for verts in _tarjan_sccs([str(i) for i in range(n)], arcs)
+                           if len(verts) > 1 or int(verts[0]) in sysm.successors[int(verts[0])])
+            expected = [-1] * n
+            for cid, ids in enumerate(keyed):
+                for i in ids:
+                    expected[i] = cid
+            assert sysm.chain_component_ids() == expected
+            sizes.append(n)
+        assert max(sizes) > 10  # string and int vertex orders differ
+
     def test_guard_against_explosion(self):
         with pytest.raises(TooLarge):
             truncated_limit(cantor_product_sequence(4), 4, 10, max_points=100)
@@ -243,3 +263,9 @@ class TestJson:
     def test_round_trip_multichar_symbols(self):
         seq = cantor_product_sequence(3)
         assert sequence_from_json(sequence_to_json(seq)) == seq
+
+    def test_non_object_tail_is_a_schema_error(self):
+        data = sequence_to_json(abc_sequence())
+        data["tail"] = "identity"
+        with pytest.raises(SchemaError):
+            sequence_from_json(data)

@@ -1,14 +1,19 @@
 """Finite systems, brute-force shadowing, the gap family, layered example."""
 
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from shiftlab import shadow_lab
 from shiftlab.errors import PreconditionError, TooLarge
 from shiftlab.fixtures import golden_mean_graph
 from shiftlab.shadow_lab import (
     FiniteSystem,
+    _fiber_chain_transitive,
+    _successor_table,
     brute_shadowing_check,
     build_layered_example,
     check_triangle,
@@ -24,7 +29,12 @@ from shiftlab.shadow_lab import (
     truncate_shift,
 )
 from shiftlab.decomposition import entropy
-from shiftlab.shift_core import full_shift, language_equal
+from shiftlab.shift_core import (
+    from_forbidden_words,
+    full_shift,
+    language_equal,
+    word_distance,
+)
 
 BIN = ["0", "1"]
 HALF = Fraction(1, 2)
@@ -71,6 +81,11 @@ class TestTruncation:
         for p in sysm.labels:
             for q in sysm.successors[p]:
                 assert q[:3] == p[1:]
+
+    def test_depth_below_one_is_a_precondition(self):
+        for depth in (0, -1):
+            with pytest.raises(PreconditionError):
+                truncate_shift(full_shift(BIN), depth)
 
     def test_metric_is_word_metric(self):
         sysm = truncate_shift(full_shift(BIN), 3)
@@ -157,6 +172,11 @@ class TestGapFamily:
     def test_gap_zero_is_full(self):
         assert language_equal(gap_shift_graph(0), full_shift(BIN))[0]
 
+    def test_graph_is_the_forbidden_gap_word_presentation(self):
+        for k in range(6):
+            forbidden = [("1",) + ("0",) * j + ("1",) for j in range(k)]
+            assert gap_shift_graph(k) == from_forbidden_words("01", forbidden)
+
     def test_gap_one_is_golden_mean(self):
         assert language_equal(gap_shift_graph(1), golden_mean_graph())[0]
 
@@ -193,8 +213,77 @@ class TestLayeredExample:
         assert reps
         assert all(r.shadowed for r in reps.values())
 
+    def test_census_checks_each_fiber_object_once(self, monkeypatch):
+        ex = build_layered_example(base_depth=4, fiber_depth=6)
+        checked = []
+
+        def counting(f):
+            checked.append(f)
+            return _fiber_chain_transitive(f)
+
+        monkeypatch.setattr(shadow_lab, "_fiber_chain_transitive", counting)
+        assert layered_census(ex).fibers_transitive
+        distinct = {id(f) for f in ex.fiber_systems.values()}
+        assert len(checked) == len(distinct) < len(ex.fiber_systems)
+
     def test_smaller_example_census(self):
         ex = build_layered_example(base_depth=3, fiber_depth=8)
         c = layered_census(ex)
         assert c.component_count == 8
         assert c.stratum_sizes == {1: 4, 2: 4}
+
+
+# ---------------------------------------------------------------------------
+# The transitive-closure check that _fiber_chain_transitive replaced, kept
+# as an oracle.
+
+
+def closure_chain_transitive(f):
+    positive = [f.d(p, q) for p in f.labels for q in f.labels if p != q]
+    delta = min(positive) if positive else Fraction(1)
+    succ = _successor_table(f, delta)
+    reach = {p: set(succ[p]) for p in f.labels}
+    changed = True
+    while changed:
+        changed = False
+        for p in f.labels:
+            add = set()
+            for q in reach[p]:
+                add |= reach[q]
+            if not add <= reach[p]:
+                reach[p] |= add
+                changed = True
+    return all(q in reach[p] for p in f.labels for q in f.labels)
+
+
+def random_system(rng):
+    """A small finite system under a word ultrametric or a line metric,
+    with random nonempty successor sets."""
+    n = rng.randint(1, 6)
+    if rng.random() < 0.5:
+        words = rng.sample(["".join(w) for w in itertools.product("01", repeat=3)], n)
+        metric = word_distance
+    else:
+        words = ["p%d" % i for i in range(n)]
+        metric = lambda p, q: Fraction(abs(int(p[1:]) - int(q[1:])))
+    return system_from_function(
+        words, metric,
+        lambda p: rng.sample(words, rng.randint(1, min(2, n))))
+
+
+class TestChainTransitiveOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_matches_closure_loop(self, rng):
+        f = random_system(rng)
+        assert _fiber_chain_transitive(f) == closure_chain_transitive(f)
+
+    def test_both_verdicts_occur(self):
+        rng = random.Random(0)
+        verdicts = set()
+        for _ in range(200):
+            f = random_system(rng)
+            verdict = closure_chain_transitive(f)
+            assert _fiber_chain_transitive(f) == verdict
+            verdicts.add(verdict)
+        assert verdicts == {True, False}
