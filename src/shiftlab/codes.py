@@ -208,6 +208,8 @@ def code_to_json(code: SlidingBlockCode) -> dict:
 def code_from_json(data: dict) -> SlidingBlockCode:
     try:
         window = int(data["window"])
+        if not isinstance(data["rule"], dict):
+            raise SchemaError("malformed code: rule must be an object")
         # A window-1 key is one symbol, even when that symbol has several
         # characters: parse_word would split it.
         rule = {(str(k),) if window == 1 else parse_word(str(k)): str(v)

@@ -8,15 +8,29 @@ pseudo-orbits breadth first while tracking, for each one, the set of
 shadowing-orbit states that are still alive, so the work is bounded by
 the number of distinct (point, survivor set) pairs instead of the raw tree
 of pseudo-orbits.
+
+Distances are ``Fraction`` values at the API, but every system carries an
+integer index built once at construction: the metric times the least
+common multiple of its denominators, and each successor set as an ``int``
+bitmask (bit i is ``labels[i]``).  The metric checks run on that matrix,
+each epsilon- or delta-ball is one bitmask computed once per threshold per
+call, and survivor sets are bitmasks too, so the checks stay exact without
+any ``Fraction`` arithmetic in their loops.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from functools import reduce
+from operator import or_
+from types import MappingProxyType
+from typing import Callable, Mapping, NamedTuple, Optional, Sequence
+
+import numpy as np
 
 from .decomposition import _tarjan_sccs
 from .errors import (
@@ -33,6 +47,22 @@ from .shift_core import (
     words_of_length,
 )
 
+# Elements of the largest temporary the triangle check builds: it works on
+# blocks of rows, so an explicit check on a large space stays quadratic in
+# memory.
+_TRIANGLE_BLOCK = 1 << 20
+
+
+class _Index(NamedTuple):
+    """Integer form of a finite system, derived once from its labels,
+    metric and successors."""
+
+    pos: Mapping[str, int]          # label -> index
+    by_label: tuple[int, ...]       # indices in sorted-label order
+    scale: int                      # least common multiple of the denominators
+    dm: np.ndarray                  # distances times scale, read-only
+    succ: tuple[int, ...]           # successor bitmask of each index
+
 
 @dataclass(frozen=True)
 class FiniteSystem:
@@ -40,11 +70,13 @@ class FiniteSystem:
     the metric is a symmetric rational matrix keyed by label pairs, and
     each point has a nonempty set of successors.  A truncated shift keeps
     every admissible extension as a successor; a genuine self-map has
-    singleton successor sets."""
+    singleton successor sets.  The metric and successors are stored as
+    read-only copies, since the integer index is derived from them."""
 
     labels: tuple[str, ...]
-    dist: dict[tuple[str, str], Fraction] = field(compare=False)
-    successors: dict[str, tuple[str, ...]] = field(compare=False)
+    dist: Mapping[tuple[str, str], Fraction] = field(compare=False)
+    successors: Mapping[str, tuple[str, ...]] = field(compare=False)
+    _index: _Index = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         seen = set(self.labels)
@@ -54,15 +86,16 @@ class FiniteSystem:
             succ = self.successors.get(p)
             if not succ or any(q not in seen for q in succ):
                 raise PreconditionError("successors not defined into the space at %r" % p)
-        for p in self.labels:
-            for q in self.labels:
-                d = self.dist.get((p, q))
-                if d is None or d < 0:
-                    raise PreconditionError("metric missing or negative at (%r, %r)" % (p, q))
-                if (d == 0) != (p == q):
-                    raise PreconditionError("metric must vanish exactly on the diagonal")
-                if d != self.dist.get((q, p)):
-                    raise PreconditionError("metric not symmetric at (%r, %r)" % (p, q))
+        dm, scale = _scaled_metric(self.labels, self.dist)
+        pos = {p: i for i, p in enumerate(self.labels)}
+        successors = {p: tuple(self.successors[p]) for p in self.labels}
+        object.__setattr__(self, "dist", MappingProxyType(dict(self.dist)))
+        object.__setattr__(self, "successors", MappingProxyType(successors))
+        object.__setattr__(self, "_index", _Index(
+            MappingProxyType(pos),
+            tuple(sorted(range(len(self.labels)), key=self.labels.__getitem__)),
+            scale, dm,
+            tuple(reduce(or_, (1 << pos[q] for q in successors[p])) for p in self.labels)))
         # The cubic triangle check is opt-in via check_triangle; it runs
         # automatically only on small spaces.
         if len(self.labels) <= 40:
@@ -72,13 +105,49 @@ class FiniteSystem:
         return self.dist[(p, q)]
 
 
+def _scaled_metric(labels: Sequence[str],
+                   dist: Mapping[tuple[str, str], Fraction]) -> tuple[np.ndarray, int]:
+    """The metric as an integer matrix: each distance times the least
+    common multiple of all denominators, as int64 when twice the largest
+    entry fits and as exact Python ints otherwise.  Raises on the first bad
+    entry in row-major order: missing or negative, nonzero on the diagonal
+    or zero off it, or unequal to its transpose."""
+    n = len(labels)
+    vals = [dist.get((p, q)) for p in labels for q in labels]
+    scale = math.lcm(*{d.denominator for d in vals if d is not None})
+    # A missing entry becomes -1, so it reads as negative below.
+    ints = [-1 if d is None else d.numerator * (scale // d.denominator) for d in vals]
+    wide = 2 * max(map(abs, ints), default=0) > np.iinfo(np.int64).max
+    dm = np.array(ints, dtype=object if wide else np.int64).reshape(n, n)
+    missing = dm < 0
+    diagonal = (dm == 0) != np.eye(n, dtype=bool)
+    bad = np.flatnonzero(missing | diagonal | (dm != dm.T))
+    if bad.size:
+        i, j = divmod(int(bad[0]), n)
+        if missing[i, j]:
+            raise PreconditionError("metric missing or negative at (%r, %r)"
+                                    % (labels[i], labels[j]))
+        if diagonal[i, j]:
+            raise PreconditionError("metric must vanish exactly on the diagonal")
+        raise PreconditionError("metric not symmetric at (%r, %r)"
+                                % (labels[i], labels[j]))
+    dm.flags.writeable = False
+    return dm, scale
+
+
 def check_triangle(sys: "FiniteSystem") -> None:
-    for p in sys.labels:
-        for q in sys.labels:
-            for r in sys.labels:
-                if sys.dist[(p, r)] > sys.dist[(p, q)] + sys.dist[(q, r)]:
-                    raise PreconditionError(
-                        "triangle inequality fails through %r" % q)
+    """Raise through the middle point q of the first (p, q, r), in
+    lexicographic index order, with d(p, r) > d(p, q) + d(q, r)."""
+    dm = sys._index.dm
+    n = len(dm)
+    block = max(1, _TRIANGLE_BLOCK // max(1, n * n))
+    for lo in range(0, n, block):
+        rows = dm[lo:lo + block]
+        fails = rows[:, None, :] > rows[:, :, None] + dm[None, :, :]
+        hit = np.flatnonzero(fails.any(axis=2))
+        if hit.size:
+            raise PreconditionError(
+                "triangle inequality fails through %r" % sys.labels[hit[0] % n])
 
 
 def system_from_function(labels: Sequence[str],
@@ -92,6 +161,51 @@ def system_from_function(labels: Sequence[str],
         img = mapping(p)
         succ[p] = (img,) if isinstance(img, str) else tuple(sorted(img))
     return FiniteSystem(labels, dist, succ)
+
+
+# ---------------------------------------------------------------------------
+# Bitmask primitives
+
+
+def _bits(mask: int):
+    """Indices of the set bits of mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _balls(sys: FiniteSystem, radius: Fraction) -> list[int]:
+    """Bitmask of the closed radius-ball around each point.  A scaled
+    distance k is at most radius * scale exactly when it is at most the
+    floor of that product."""
+    ix = sys._index
+    r = Fraction(radius)
+    within = ix.dm <= r.numerator * ix.scale // r.denominator
+    return [int.from_bytes(row.tobytes(), "little")
+            for row in np.packbits(within, axis=1, bitorder="little")]
+
+
+def _image_map(sys: FiniteSystem) -> Callable[[int], int]:
+    """Image of a point mask under the successor relation, memoised for
+    the lifetime of the returned function (one call of a checker)."""
+    succ = sys._index.succ
+    memo: dict[int, int] = {}
+
+    def image(mask: int) -> int:
+        img = memo.get(mask)
+        if img is None:
+            img = memo[mask] = reduce(or_, (succ[i] for i in _bits(mask)), 0)
+        return img
+
+    return image
+
+
+def _step_masks(sys: FiniteSystem, delta: Fraction) -> list[int]:
+    """Mask of the legal delta-pseudo-orbit steps from each point: q
+    follows p when q lands within delta of some successor of p."""
+    ball = _balls(sys, delta)
+    return [reduce(or_, (ball[y] for y in _bits(s)), 0) for s in sys._index.succ]
 
 
 # ---------------------------------------------------------------------------
@@ -112,11 +226,10 @@ class ShadowingReport:
 
 
 def _successor_table(sys: FiniteSystem, delta: Fraction) -> dict[str, list[str]]:
-    """Legal delta-pseudo-orbit steps: q follows p when q lands within
-    delta of some successor of p."""
-    return {p: [q for q in sys.labels
-                if any(sys.d(y, q) <= delta for y in sys.successors[p])]
-            for p in sys.labels}
+    """The steps of _step_masks as lists of labels, in label order."""
+    labels = sys.labels
+    return {labels[i]: [labels[j] for j in _bits(m)]
+            for i, m in enumerate(_step_masks(sys, delta))}
 
 
 def brute_shadowing_check(sys: FiniteSystem, epsilon: Fraction, delta: Fraction,
@@ -137,37 +250,36 @@ def brute_shadowing_check(sys: FiniteSystem, epsilon: Fraction, delta: Fraction,
         raise InvalidScales("epsilon and delta must be positive")
     if horizon < 1:
         raise InvalidScales("horizon must be at least 1")
-    succ = _successor_table(sys, delta)
     if mode == "sampled":
-        return _sampled_check(sys, succ, epsilon, delta, horizon, samples, seed)
+        return _sampled_check(sys, _successor_table(sys, delta), epsilon, delta,
+                              horizon, samples, seed)
     if mode != "exhaustive":
         raise PreconditionError("mode must be 'exhaustive' or 'sampled'")
-    near = {p: frozenset(q for q in sys.labels if sys.d(p, q) <= epsilon)
-            for p in sys.labels}
-    # BFS over (pseudo-orbit head, survivor set); paths expand in sorted
+    labels = sys.labels
+    near = _balls(sys, epsilon)
+    image = _image_map(sys)
+    steps = [sorted(_bits(m), key=labels.__getitem__)
+             for m in _step_masks(sys, delta)]
+    # BFS over (pseudo-orbit head, survivor mask); paths expand in sorted
     # label order so the first failure found at the shortest depth is the
     # lexicographically least counterexample.
-    frontier: list[tuple[str, frozenset, tuple[str, ...]]] = []
-    for p in sorted(sys.labels):
-        frontier.append((p, near[p], (p,)))
+    frontier = [(p, near[p], (labels[p],)) for p in sys._index.by_label]
     explored = 0
-    seen_at_depth: set[tuple[str, frozenset]] = set()
     for depth in range(1, horizon + 1):
         next_frontier = []
-        seen: set[tuple[str, frozenset]] = set()
+        seen: set[tuple[int, int]] = set()
         for (p, alive, path) in frontier:
             if not alive:
                 return ShadowingReport(
                     False, epsilon, delta, horizon, "exhaustive",
                     counterexample=path,
-                    failure_trace=_failure_trace(sys, epsilon, path),
+                    failure_trace=_failure_trace(sys, near, image, path),
                     states_explored=explored)
             if depth == horizon:
                 continue
-            for q in sorted(succ[p]):
-                nxt_alive = frozenset(y for a in alive
-                                      for y in sys.successors[a]
-                                      if y in near[q])
+            img = image(alive)
+            for q in steps[p]:
+                nxt_alive = img & near[q]
                 key = (q, nxt_alive)
                 if nxt_alive and key in seen:
                     continue
@@ -175,28 +287,31 @@ def brute_shadowing_check(sys: FiniteSystem, epsilon: Fraction, delta: Fraction,
                 explored += 1
                 if explored > state_cap:
                     raise TooLarge("exhaustive search exceeded %d states" % state_cap)
-                next_frontier.append((q, nxt_alive, path + (q,)))
+                next_frontier.append((q, nxt_alive, path + (labels[q],)))
         frontier = next_frontier
     return ShadowingReport(True, epsilon, delta, horizon, "exhaustive",
                            states_explored=explored)
 
 
-def _failure_trace(sys: FiniteSystem, epsilon: Fraction,
+def _failure_trace(sys: FiniteSystem, near: list[int],
+                   image: Callable[[int], int],
                    path: tuple[str, ...]) -> tuple[tuple[str, int], ...]:
     """For each starting point, the first index where every true orbit
-    from it has left the epsilon-tube around the pseudo-orbit."""
+    from it has left the epsilon-tube (balls near) around the
+    pseudo-orbit."""
+    ix = sys._index
+    tube = [near[ix.pos[p]] for p in path]
     out = []
-    for start in sorted(sys.labels):
-        alive = {start} if sys.d(start, path[0]) <= epsilon else set()
+    for start in ix.by_label:
+        alive = (1 << start) & tube[0]
         fail = 0 if not alive else -1
-        for t, p in enumerate(path[1:], start=1):
+        for t in range(1, len(path)):
             if not alive:
                 break
-            alive = {y for a in alive for y in sys.successors[a]
-                     if sys.d(y, p) <= epsilon}
+            alive = image(alive) & tube[t]
             if not alive:
                 fail = t
-        out.append((start, fail))
+        out.append((sys.labels[start], fail))
     return tuple(out)
 
 
@@ -204,6 +319,8 @@ def _sampled_check(sys: FiniteSystem, succ: dict, epsilon: Fraction,
                    delta: Fraction, horizon: int, samples: int,
                    seed: int) -> ShadowingReport:
     rng = random.Random(seed)
+    near = _balls(sys, epsilon)
+    image = _image_map(sys)
     checked = 0
     for _ in range(samples):
         path = [rng.choice(sys.labels)]
@@ -213,10 +330,11 @@ def _sampled_check(sys: FiniteSystem, succ: dict, epsilon: Fraction,
                 break
             path.append(rng.choice(nxt))
         checked += 1
-        if not is_shadowed(sys, epsilon, tuple(path)):
+        if not _shadowed(sys, near, image, path):
             return ShadowingReport(False, epsilon, delta, horizon, "sampled",
                                    counterexample=tuple(path),
-                                   failure_trace=_failure_trace(sys, epsilon, tuple(path)),
+                                   failure_trace=_failure_trace(sys, near, image,
+                                                                tuple(path)),
                                    orbits_checked=checked)
     return ShadowingReport(True, epsilon, delta, horizon, "sampled",
                            orbits_checked=checked)
@@ -224,17 +342,23 @@ def _sampled_check(sys: FiniteSystem, succ: dict, epsilon: Fraction,
 
 def is_pseudo_orbit(sys: FiniteSystem, delta: Fraction,
                     path: Sequence[str]) -> bool:
-    return all(any(sys.d(y, path[t + 1]) <= delta
-                   for y in sys.successors[path[t]])
+    ix = sys._index
+    ball = _balls(sys, delta)
+    return all(ix.succ[ix.pos[path[t]]] & ball[ix.pos[path[t + 1]]]
                for t in range(len(path) - 1))
 
 
 def is_shadowed(sys: FiniteSystem, epsilon: Fraction,
                 path: Sequence[str]) -> bool:
-    alive = {x for x in sys.labels if sys.d(x, path[0]) <= epsilon}
+    return _shadowed(sys, _balls(sys, epsilon), _image_map(sys), path)
+
+
+def _shadowed(sys: FiniteSystem, near: list[int], image: Callable[[int], int],
+              path: Sequence[str]) -> bool:
+    pos = sys._index.pos
+    alive = near[pos[path[0]]]
     for p in path[1:]:
-        alive = {y for x in alive for y in sys.successors[x]
-                 if sys.d(y, p) <= epsilon}
+        alive = image(alive) & near[pos[p]]
         if not alive:
             return False
     return bool(alive)
@@ -284,6 +408,8 @@ def truncate_shift(g: SftGraph, depth: int) -> FiniteSystem:
 def gap_shift_graph(k: int) -> SftGraph:
     """Binary shift where any two 1 symbols are separated by at least k
     zeros (free when k = 0)."""
+    if k < 0:
+        raise PreconditionError("gap parameter must be nonnegative")
     forbidden = [("1",) + ("0",) * j + ("1",) for j in range(k)]
     return from_forbidden_words(["0", "1"], forbidden)
 
@@ -485,8 +611,9 @@ def layered_census(ex: LayeredExample) -> LayeredCensus:
 
 def _fiber_chain_transitive(f: FiniteSystem) -> bool:
     """Chain transitive at the fiber's own finest positive distance."""
-    positive = [f.d(p, q) for p in f.labels for q in f.labels if p != q]
-    delta = min(positive) if positive else Fraction(1)
+    ix = f._index
+    positive = ix.dm[~np.eye(len(f.labels), dtype=bool)]
+    delta = Fraction(int(positive.min()), ix.scale) if positive.size else Fraction(1)
     # One strongly connected component chains every point to every point:
     # through another point, or, in a one-point space, by the map itself.
     return len(_tarjan_sccs(f.labels, _successor_table(f, delta))) <= 1

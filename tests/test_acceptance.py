@@ -342,7 +342,7 @@ def test_criterion_09_shadowing_lab():
     fibers = shadow_lab.layered_fiber_shadowing(ex, horizon=8)
     fibers_ok = bool(fibers) and all(r.shadowed for r in fibers.values())
     elapsed = time.monotonic() - t0
-    ok = pass_full and cex_ok and census_ok and fibers_ok and elapsed < 120.0
+    ok = pass_full and cex_ok and census_ok and fibers_ok and elapsed < 30.0
     report(9, ok, "full-2 pass=%s, limit counterexample=%s, census=%s, "
                   "fibers=%s, %.1fs"
            % (pass_full, cex_ok, census_ok, fibers_ok, elapsed))

@@ -176,6 +176,15 @@ class TestSelftests:
         assert rep["passed"] > 0
 
 
+def _list_rule(tmp_path):
+    with open(path("abc_sequence.json"), encoding="utf-8") as f:
+        data = json.load(f)
+    data["codes"][0]["rule"] = [1, 2]
+    bad = tmp_path / "list_rule.json"
+    bad.write_text(json.dumps(data))
+    return str(bad)
+
+
 def _string_tail(tmp_path):
     with open(path("abc_sequence.json"), encoding="utf-8") as f:
         data = json.load(f)
@@ -192,9 +201,12 @@ class TestFailuresAreOneLine:
         (["shadow", "--family", "full", "--depth", "0"], 2),
         (["layered", "--fiber-depth", "0"], 2),
         (["mlc", "--in", _string_tail], 2),
+        (["mlc", "--in", _list_rule], 2),
+        (["shadow", "--family", "gap", "--k", "-1"], 2),
         (["analyze", "--in", path("golden_mean.json")], 1),
     ], ids=["negative-eps-exp", "negative-delta-exp", "shadow-depth-0",
-            "layered-fiber-depth-0", "string-tail", "injected-runtime-error"])
+            "layered-fiber-depth-0", "string-tail", "list-rule", "negative-gap",
+            "injected-runtime-error"])
     def test_exit_code_and_one_stderr_line(self, tmp_path, capsys, monkeypatch,
                                            argv, expected):
         def boom(args):

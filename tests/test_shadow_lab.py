@@ -287,3 +287,268 @@ class TestChainTransitiveOracle:
             assert _fiber_chain_transitive(f) == verdict
             verdicts.add(verdict)
         assert verdicts == {True, False}
+
+
+# ---------------------------------------------------------------------------
+# The Fraction/frozenset implementations that the integer index and the
+# bitmask checker replaced, kept as oracles.
+
+
+def oracle_check_triangle(labels, dist):
+    for p in labels:
+        for q in labels:
+            for r in labels:
+                if dist[(p, r)] > dist[(p, q)] + dist[(q, r)]:
+                    raise PreconditionError(
+                        "triangle inequality fails through %r" % q)
+
+
+def oracle_check_metric(labels, dist):
+    for p in labels:
+        for q in labels:
+            d = dist.get((p, q))
+            if d is None or d < 0:
+                raise PreconditionError("metric missing or negative at (%r, %r)" % (p, q))
+            if (d == 0) != (p == q):
+                raise PreconditionError("metric must vanish exactly on the diagonal")
+            if d != dist.get((q, p)):
+                raise PreconditionError("metric not symmetric at (%r, %r)" % (p, q))
+    if len(labels) <= 40:
+        oracle_check_triangle(labels, dist)
+
+
+def oracle_successor_table(sys, delta):
+    return {p: [q for q in sys.labels
+                if any(sys.d(y, q) <= delta for y in sys.successors[p])]
+            for p in sys.labels}
+
+
+def oracle_failure_trace(sys, epsilon, path):
+    out = []
+    for start in sorted(sys.labels):
+        alive = {start} if sys.d(start, path[0]) <= epsilon else set()
+        fail = 0 if not alive else -1
+        for t, p in enumerate(path[1:], start=1):
+            if not alive:
+                break
+            alive = {y for a in alive for y in sys.successors[a]
+                     if sys.d(y, p) <= epsilon}
+            if not alive:
+                fail = t
+        out.append((start, fail))
+    return tuple(out)
+
+
+def oracle_is_pseudo_orbit(sys, delta, path):
+    return all(any(sys.d(y, path[t + 1]) <= delta
+                   for y in sys.successors[path[t]])
+               for t in range(len(path) - 1))
+
+
+def oracle_is_shadowed(sys, epsilon, path):
+    alive = {x for x in sys.labels if sys.d(x, path[0]) <= epsilon}
+    for p in path[1:]:
+        alive = {y for x in alive for y in sys.successors[x]
+                 if sys.d(y, p) <= epsilon}
+        if not alive:
+            return False
+    return bool(alive)
+
+
+def oracle_brute_shadowing_check(sys, epsilon, delta, horizon, mode="exhaustive",
+                                 samples=200, seed=0, state_cap=10 ** 7):
+    Report = shadow_lab.ShadowingReport
+    epsilon, delta = Fraction(epsilon), Fraction(delta)
+    succ = oracle_successor_table(sys, delta)
+    if mode == "sampled":
+        rng = random.Random(seed)
+        checked = 0
+        for _ in range(samples):
+            path = [rng.choice(sys.labels)]
+            for _ in range(horizon - 1):
+                nxt = succ[path[-1]]
+                if not nxt:
+                    break
+                path.append(rng.choice(nxt))
+            checked += 1
+            if not oracle_is_shadowed(sys, epsilon, tuple(path)):
+                return Report(False, epsilon, delta, horizon, "sampled",
+                              counterexample=tuple(path),
+                              failure_trace=oracle_failure_trace(sys, epsilon, tuple(path)),
+                              orbits_checked=checked)
+        return Report(True, epsilon, delta, horizon, "sampled", orbits_checked=checked)
+    near = {p: frozenset(q for q in sys.labels if sys.d(p, q) <= epsilon)
+            for p in sys.labels}
+    frontier = [(p, near[p], (p,)) for p in sorted(sys.labels)]
+    explored = 0
+    for depth in range(1, horizon + 1):
+        next_frontier = []
+        seen = set()
+        for (p, alive, path) in frontier:
+            if not alive:
+                return Report(False, epsilon, delta, horizon, "exhaustive",
+                              counterexample=path,
+                              failure_trace=oracle_failure_trace(sys, epsilon, path),
+                              states_explored=explored)
+            if depth == horizon:
+                continue
+            for q in sorted(succ[p]):
+                nxt_alive = frozenset(y for a in alive
+                                      for y in sys.successors[a]
+                                      if y in near[q])
+                key = (q, nxt_alive)
+                if nxt_alive and key in seen:
+                    continue
+                seen.add(key)
+                explored += 1
+                if explored > state_cap:
+                    raise TooLarge("exhaustive search exceeded %d states" % state_cap)
+                next_frontier.append((q, nxt_alive, path + (q,)))
+        frontier = next_frontier
+    return Report(True, epsilon, delta, horizon, "exhaustive",
+                  states_explored=explored)
+
+
+def random_metric(rng, n):
+    """n labels in shuffled order ("p10" sorts before "p2", so index order
+    is not label order) and a metric on them: a word ultrametric, a line
+    metric with rational coordinates, or the maximum of the two."""
+    labels = ["p%d" % i for i in rng.sample(range(12), n)]
+    words = dict(zip(labels, rng.sample(list(itertools.product("01", repeat=4)), n)))
+    coords = sorted({Fraction(a, b) for a in range(9) for b in (1, 3, 4)})
+    xs = dict(zip(labels, rng.sample(coords, n)))
+    kind = rng.randrange(3)
+
+    def metric(p, q):
+        word = word_distance(words[p], words[q])
+        line = abs(xs[p] - xs[q])
+        return (word, line, max(word, line))[kind]
+
+    return labels, {(p, q): Fraction(metric(p, q)) for p in labels for q in labels}
+
+
+def random_shadow_case(rng):
+    n = rng.randint(1, 7)
+    labels, dist = random_metric(rng, n)
+    succ = {p: tuple(rng.sample(labels, rng.randint(1, min(3, n)))) for p in labels}
+    scales = [Fraction(1, 2 ** k) for k in range(5)] + [Fraction(1, 3), Fraction(5, 4)]
+    return (FiniteSystem(tuple(labels), dist, succ), rng.choice(scales),
+            rng.choice(scales), rng.randint(1, 6))
+
+
+def error_text(fn):
+    try:
+        fn()
+    except PreconditionError as e:
+        return str(e)
+    return None
+
+
+class TestIntegerIndexOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_reports_match_oracle(self, rng):
+        sysm, eps, delta, horizon = random_shadow_case(rng)
+        for mode in ("exhaustive", "sampled"):
+            kw = dict(mode=mode, samples=rng.randint(1, 20), seed=rng.randrange(100))
+            assert brute_shadowing_check(sysm, eps, delta, horizon, **kw) == \
+                oracle_brute_shadowing_check(sysm, eps, delta, horizon, **kw)
+        assert _successor_table(sysm, delta) == oracle_successor_table(sysm, delta)
+        path = tuple(rng.choice(sysm.labels) for _ in range(horizon))
+        assert is_shadowed(sysm, eps, path) == oracle_is_shadowed(sysm, eps, path)
+        assert is_pseudo_orbit(sysm, delta, path) == oracle_is_pseudo_orbit(sysm, delta, path)
+        assert shadow_lab._failure_trace(sysm, shadow_lab._balls(sysm, eps),
+                                         shadow_lab._image_map(sysm), path) == \
+            oracle_failure_trace(sysm, eps, path)
+
+    def test_both_verdicts_occur_in_both_modes(self):
+        rng = random.Random(0)
+        verdicts = set()
+        for _ in range(300):
+            sysm, eps, delta, horizon = random_shadow_case(rng)
+            for mode in ("exhaustive", "sampled"):
+                rep = brute_shadowing_check(sysm, eps, delta, horizon, mode=mode)
+                assert rep == oracle_brute_shadowing_check(sysm, eps, delta, horizon,
+                                                           mode=mode)
+                verdicts.add((mode, rep.shadowed))
+        assert verdicts == {(m, v) for m in ("exhaustive", "sampled")
+                            for v in (True, False)}
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_metric_errors_match_oracle(self, rng):
+        labels, dist = random_metric(rng, rng.randint(1, 6))
+        for _ in range(rng.randint(0, 3)):
+            p, q = rng.choice(labels), rng.choice(labels)
+            op = rng.randrange(6)
+            if op == 0:
+                dist.pop((p, q), None)
+            elif op == 1:
+                dist[(p, q)] = Fraction(-1, 3)
+            elif op == 2:
+                dist[(p, q)] = Fraction(0)
+            elif op == 3:
+                dist[(p, q)] = Fraction(1, 7) + dist.get((p, q), 0)
+            else:
+                # Stretch or shrink a symmetric pair: may break the triangle.
+                d = dist.get((p, q), Fraction(1)) * (Fraction(7, 2) if op == 4 else Fraction(1, 5))
+                dist[(p, q)] = dist[(q, p)] = d
+        succ = {p: (p,) for p in labels}
+        assert error_text(lambda: FiniteSystem(tuple(labels), dist, succ)) == \
+            error_text(lambda: oracle_check_metric(labels, dist))
+
+    def test_explicit_triangle_check_on_a_large_space(self):
+        # 110 points on a line with one stretched pair late in index order,
+        # so the failure lies past the first block of rows.
+        n = 110
+        labels = tuple("x%03d" % i for i in range(n))
+        dist = {(p, q): abs(i - j) for i, p in enumerate(labels)
+                for j, q in enumerate(labels)}
+        dist[(labels[100], labels[104])] = dist[(labels[104], labels[100])] = 9
+        sysm = FiniteSystem(labels, dist, {p: (p,) for p in labels})
+        assert shadow_lab._TRIANGLE_BLOCK // (n * n) < 100
+        assert error_text(lambda: check_triangle(sysm)) == \
+            error_text(lambda: oracle_check_triangle(labels, dist)) == \
+            "triangle inequality fails through 'x098'"
+
+    def test_metric_wider_than_int64_uses_python_ints(self):
+        # Points 1/p on a line for the first 17 primes: the common
+        # denominator is their product, about 1.9e21.
+        primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
+        labels = ["q%d" % p for p in primes]
+        x = {"q%d" % p: Fraction(1, p) for p in primes}
+        dist = {(a, b): abs(x[a] - x[b]) for a in labels for b in labels}
+        nxt = {a: (labels[(i + 1) % len(labels)],) for i, a in enumerate(labels)}
+        sysm = FiniteSystem(tuple(labels), dist, nxt)
+        assert sysm._index.dm.dtype == object
+        assert sysm._index.scale > 2 ** 63
+        check_triangle(sysm)
+        for eps, delta, horizon in [(Fraction(1, 40), Fraction(1, 400), 6),
+                                    (Fraction(1, 5), Fraction(1, 9), 8)]:
+            for mode in ("exhaustive", "sampled"):
+                assert brute_shadowing_check(sysm, eps, delta, horizon, mode=mode) == \
+                    oracle_brute_shadowing_check(sysm, eps, delta, horizon, mode=mode)
+        assert _fiber_chain_transitive(sysm) == closure_chain_transitive(sysm)
+        dist[("q2", "q59")] = dist[("q59", "q2")] = Fraction(1)
+        assert error_text(lambda: FiniteSystem(tuple(labels), dist, nxt)) == \
+            error_text(lambda: oracle_check_metric(labels, dist)) is not None
+
+
+class TestReadOnlySystem:
+    def test_metric_and_successors_reject_mutation(self):
+        sysm = limit_gap_system(3)
+        with pytest.raises(TypeError):
+            sysm.dist[("zinf", "z0")] = Fraction(1)
+        with pytest.raises(TypeError):
+            sysm.successors["zinf"] = ("z0",)
+
+    def test_caller_dicts_are_copied(self):
+        dist = {("a", "a"): Fraction(0), ("b", "b"): Fraction(0),
+                ("a", "b"): Fraction(1), ("b", "a"): Fraction(1)}
+        succ = {"a": ["b"], "b": ["a"]}
+        sysm = FiniteSystem(("a", "b"), dist, succ)
+        dist[("a", "b")] = Fraction(5)
+        succ["a"].append("a")
+        assert sysm.d("a", "b") == 1
+        assert sysm.successors["a"] == ("b",)
+        assert is_pseudo_orbit(sysm, Fraction(1, 2), ("a", "b", "a"))
