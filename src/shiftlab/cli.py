@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import tempfile
@@ -297,7 +298,6 @@ def _run_battery(name: str, cases) -> int:
 
 
 def _selftest_analyze() -> int:
-    import math
     g = fixtures.golden_mean_graph()
     phi = (1 + math.sqrt(5)) / 2
     return _run_battery("analyze", [
@@ -338,7 +338,6 @@ def _selftest_towers() -> int:
 
 
 def _selftest_entropic() -> int:
-    import math
     phi = (1 + math.sqrt(5)) / 2
     res = towers.find_entropic_component(fixtures.mixed_sequence(), depth=4)
     return _run_battery("entropic", [

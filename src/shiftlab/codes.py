@@ -10,6 +10,7 @@ output, whatever its length.
 
 from __future__ import annotations
 
+import functools
 from collections import deque
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -22,6 +23,7 @@ from .errors import (
     SchemaError,
 )
 from .shift_core import (
+    MEMO_SIZE,
     SftGraph,
     SymbolicPoint,
     Word,
@@ -115,6 +117,7 @@ def _check_well_defined(code: SlidingBlockCode) -> None:
                 queue.append(node)
 
 
+@functools.lru_cache(maxsize=MEMO_SIZE)
 def identity_code(g: SftGraph) -> SlidingBlockCode:
     return SlidingBlockCode(g, g, 1, {(a,): a for a in g.alphabet})
 
@@ -152,10 +155,11 @@ def compose(outer: SlidingBlockCode, inner: SlidingBlockCode) -> SlidingBlockCod
     return SlidingBlockCode(inner.domain, outer.codomain, w, rule)
 
 
+@functools.lru_cache(maxsize=MEMO_SIZE)
 def code_image(code: SlidingBlockCode, domain: Optional[SftGraph] = None) -> SftGraph:
     """Canonical presentation of the image of the (restricted) domain:
     transport labels through the rule on the block graph, then
-    determinize and minimize."""
+    determinize and minimize.  Built once per (code, domain) value."""
     dom = essential(domain if domain is not None else code.domain)
     if not dom.vertices:
         return SftGraph((), (), code.codomain.alphabet)

@@ -10,6 +10,7 @@ all cycle lengths.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -25,6 +26,7 @@ from .errors import (
     TooLarge,
 )
 from .shift_core import (
+    MEMO_SIZE,
     SftGraph,
     Word,
     canonical_presentation,
@@ -117,9 +119,11 @@ def _tarjan_sccs(vertices: Sequence[Hashable],
     return sccs
 
 
+@functools.lru_cache(maxsize=MEMO_SIZE)
 def chain_components(g: SftGraph) -> Decomposition:
     """Chain components of the presented shift, one per strongly connected
-    subgraph with a cycle of the canonical presentation."""
+    subgraph with a cycle of the canonical presentation.  Built once per
+    graph value."""
     c = canonical_presentation(g)
     arcs = _arcs(c)
     comps = []

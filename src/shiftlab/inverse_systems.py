@@ -15,7 +15,7 @@ Mittag-Leffler condition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -28,12 +28,7 @@ from .codes import (
     identity_code,
     restrict,
 )
-from .decomposition import (
-    Decomposition,
-    _tarjan_sccs,
-    chain_components,
-    restrict_graph_to_cr,
-)
+from .decomposition import _tarjan_sccs, restrict_graph_to_cr
 from .errors import (
     CannotExtract,
     InternalInvariantViolation,
@@ -58,15 +53,13 @@ DEFAULT_DEPTH_CAP = 32
 
 @dataclass(frozen=True)
 class InverseSequenceSpec:
-    """Finitely presented inverse sequence.  ``_memo`` holds its composed
-    images, decompositions and identity tail code for its lifetime."""
+    """Finitely presented inverse sequence: a plain value with no memo;
+    what is derived from it is memoised by value where it is derived."""
 
     levels: tuple[SftGraph, ...]
     codes: tuple[SlidingBlockCode, ...]
     tail: str = "identity"
     tail_block: int = 1
-    _memo: dict = field(default_factory=dict, init=False, repr=False,
-                        compare=False)
 
     def __post_init__(self) -> None:
         L = len(self.levels)
@@ -113,43 +106,26 @@ class InverseSequenceSpec:
         if self.tail == "identity":
             if n <= L - 1:
                 return self.codes[n - 1]
-            if "identity_code" not in self._memo:
-                self._memo["identity_code"] = identity_code(self.levels[L - 1])
-            return self._memo["identity_code"]
+            return identity_code(self.levels[L - 1])
         if n <= L:
             return self.codes[n - 1]
         p = self.tail_block
         return self.code(n - p)
 
-    def decomposition(self, n: int) -> Decomposition:
-        """Chain components of level n."""
-        key = ("decomposition", n)
-        if key not in self._memo:
-            self._memo[key] = chain_components(self.level(n))
-        return self._memo[key]
-
 
 def composed_image(seq: InverseSequenceSpec, m: int, n: int,
                    start: Optional[SftGraph] = None) -> SftGraph:
     """Canonical presentation of the image at level n of (a subsystem of)
-    level m, folded one code at a time so windows never grow.  Each step
-    is memoised and a query resumes from the deepest cached step; the
-    fold starts from a canonical presentation, which is safe because
-    ``code_image`` depends only on the language of its domain."""
+    level m, folded one code at a time so windows never grow.  The fold
+    starts from a canonical presentation, which is safe because
+    ``code_image`` depends only on the language of its domain; every step
+    is a ``code_image`` memo lookup, so folds from one start share their
+    common steps."""
     if m < n:
         raise SchemaError("need m >= n")
-    memo = seq._memo
-    k = n
-    while k <= m and (m, k, start) not in memo:
-        k += 1
-    if k > m:
-        k = m
-        memo[(m, m, start)] = canonical_presentation(
-            start if start is not None else seq.level(m))
-    g = memo[(m, k, start)]
-    for j in range(k - 1, n - 1, -1):
-        g = code_image(seq.code(j), domain=g)
-        memo[(m, j, start)] = g
+    g = canonical_presentation(start if start is not None else seq.level(m))
+    for j in range(m - 1, n - 1, -1):
+        g = code_image(seq.code(j), g)
     return g
 
 
@@ -185,6 +161,8 @@ def image_chain(seq: InverseSequenceSpec, n: int,
     """Descending chain of images at level n.  Monotonicity is re-verified
     and a violation is an internal error.  The chain is cut at the first
     repetition (declared stabilization) or at the cap."""
+    if depth_cap < 0:
+        raise SchemaError("image chain depth cap must be nonnegative")
     images: list[SftGraph] = []
     stabilized = None
     prev: Optional[SftGraph] = None

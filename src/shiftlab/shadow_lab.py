@@ -43,7 +43,6 @@ from .shift_core import (
     SftGraph,
     Word,
     from_forbidden_words,
-    word_distance,
     words_of_length,
 )
 
@@ -153,9 +152,14 @@ def check_triangle(sys: "FiniteSystem") -> None:
 def system_from_function(labels: Sequence[str],
                          metric: Callable[[str, str], Fraction],
                          mapping: Callable[[str], object]) -> FiniteSystem:
-    """mapping may return a single label or a sequence of labels."""
+    """mapping may return a single label or a sequence of labels; metric
+    values that already are Fractions are kept as they are."""
     labels = tuple(labels)
-    dist = {(p, q): Fraction(metric(p, q)) for p in labels for q in labels}
+    dist = {}
+    for p in labels:
+        for q in labels:
+            d = metric(p, q)
+            dist[(p, q)] = d if isinstance(d, Fraction) else Fraction(d)
     succ = {}
     for p in labels:
         img = mapping(p)
@@ -251,6 +255,8 @@ def brute_shadowing_check(sys: FiniteSystem, epsilon: Fraction, delta: Fraction,
     if horizon < 1:
         raise InvalidScales("horizon must be at least 1")
     if mode == "sampled":
+        if samples < 1:
+            raise InvalidScales("sampled mode needs at least one sample")
         return _sampled_check(sys, _successor_table(sys, delta), epsilon, delta,
                               horizon, samples, seed)
     if mode != "exhaustive":
@@ -395,10 +401,17 @@ def truncate_shift(g: SftGraph, depth: int) -> FiniteSystem:
         if not nxt:
             raise InternalInvariantViolation("truncated word has no successor")
         succ[lab] = nxt
-    return system_from_function(
-        labels,
-        lambda p, q: word_distance(lookup[p], lookup[q]),
-        lambda p: succ[p])
+    # One shared Fraction per common-prefix length; equal words are at 0.
+    scale = [Fraction(1, 2 ** j) for j in range(depth)] + [Fraction(0)]
+
+    def metric(p: str, q: str) -> Fraction:
+        u, v = lookup[p], lookup[q]
+        j = 0
+        while j < depth and u[j] == v[j]:
+            j += 1
+        return scale[j]
+
+    return system_from_function(labels, metric, lambda p: succ[p])
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +429,6 @@ def gap_shift_graph(k: int) -> SftGraph:
 
 def gap_entropy_oracle(k: int) -> float:
     """log of the largest root of x**(k+1) = x**k + 1, by bisection."""
-    import math
 
     def f(x: float) -> float:
         return x ** (k + 1) - x ** k - 1
@@ -436,6 +448,8 @@ def limit_gap_system(max_tail: int = 8) -> FiniteSystem:
     single fixed point z_inf and points z_m (a lone 1 preceded by m zeros)
     that march into it, with d(z_m, z_m') = 2**-min(m, m') and the map
     z_m -> z_(m-1), z_0 -> z_inf."""
+    if max_tail < 0:
+        raise PreconditionError("limit tail length must be nonnegative")
     labels = ["zinf"] + ["z%d" % m for m in range(max_tail + 1)]
 
     def depth(lab: str) -> Optional[int]:
@@ -521,6 +535,8 @@ def build_layered_example(base_depth: int = 4, endpoint_max: int = 3,
     base and the fiber map on each fiber, so chain components are exactly
     the fibers.
     """
+    if base_depth < 0:
+        raise PreconditionError("base depth must be nonnegative")
     words = list(itertools.product("01", repeat=base_depth))
     # Interval embedding: each refinement level splits with a geometric
     # contraction tied to the finest scale used so far.

@@ -221,12 +221,17 @@ class Follower:
         return state
 
 
-@functools.lru_cache(maxsize=256)
+# The one bound of the value memos (``follower``, ``canonical_presentation``,
+# ``decomposition.chain_components``, ``codes.identity_code`` and
+# ``codes.code_image``): 256 entries hold the distinct graphs of any
+# acceptance criterion (criterion 10 asks about 117) without growing forever.
+MEMO_SIZE = 256
+
+
+@functools.lru_cache(maxsize=MEMO_SIZE)
 def follower(g: SftGraph) -> Follower:
     """Subset construction over the essential part of ``g``, built once per
-    graph value.  The memo is bounded so that a long-running process does
-    not grow without limit; 256 entries hold the distinct graphs of any one
-    acceptance criterion (criterion 10 asks about 117)."""
+    graph value."""
     ge = essential(g)
     out: dict[str, dict[str, set[str]]] = {v: {} for v in ge.vertices}
     for (u, v, a) in ge.edges:
@@ -282,11 +287,12 @@ def _minimize(num_states: int, trans: Mapping[tuple[int, str], int],
         block, nblocks = newblock, len(sig)
 
 
+@functools.lru_cache(maxsize=MEMO_SIZE)
 def canonical_presentation(g: SftGraph) -> SftGraph:
     """Minimal deterministic essential presentation, with vertices renamed
     canonically by breadth-first discovery from the full-follower state.
     Two graphs present the same language iff their canonical presentations
-    are identical."""
+    are identical.  Built once per graph value."""
     f = follower(g)
     block, nblocks = _minimize(len(f.states), f.trans, g.alphabet)
     btrans: dict[tuple[int, str], int] = {}
@@ -318,40 +324,13 @@ def canonical_signature(g: SftGraph) -> str:
                        "a": list(c.alphabet)}, separators=(",", ":"))
 
 
-def _merged_alphabet(a: SftGraph, b: SftGraph) -> tuple[str, ...]:
-    return tuple(sorted(set(a.alphabet) | set(b.alphabet)))
-
-
-def language_subset(a: SftGraph, b: SftGraph) -> tuple[bool, Optional[Word]]:
-    """Is every word of ``a`` a word of ``b``?  On failure returns a
-    shortest witness word (in ``a`` but not ``b``)."""
-    ab = _merged_alphabet(a, b)
-    fa, fb = follower(a), follower(b)
-    ta, tb = fa.trans, fb.trans
-    start = (0, 0)
-    queue = deque([(start, ())])
-    seen = {start}
-    while queue:
-        (i, j), w = queue.popleft()
-        for s in ab:
-            ni = ta.get((i, s))
-            if ni is None:
-                continue
-            nj = tb.get((j, s))
-            if nj is None:
-                return False, w + (s,)
-            key = (ni, nj)
-            if key not in seen:
-                seen.add(key)
-                queue.append((key, w + (s,)))
-    return True, None
-
-
-def language_equal(a: SftGraph, b: SftGraph) -> tuple[bool, Optional[Word]]:
-    """Language equality with a shortest counterexample word on failure."""
-    ab = _merged_alphabet(a, b)
-    fa, fb = follower(a), follower(b)
-    ta, tb = fa.trans, fb.trans
+def _first_difference(a: SftGraph, b: SftGraph,
+                      both_ways: bool) -> tuple[bool, Optional[Word]]:
+    """Breadth-first search over pairs of follower states for a shortest
+    word of ``a`` missing from ``b`` (and, when ``both_ways``, of ``b``
+    missing from ``a``)."""
+    ab = sorted(set(a.alphabet) | set(b.alphabet))
+    ta, tb = follower(a).trans, follower(b).trans
     start = (0, 0)
     queue = deque([(start, ())])
     seen = {start}
@@ -360,7 +339,7 @@ def language_equal(a: SftGraph, b: SftGraph) -> tuple[bool, Optional[Word]]:
         for s in ab:
             ni = ta.get((i, s))
             nj = tb.get((j, s))
-            if ni is None and nj is None:
+            if ni is None and (nj is None or not both_ways):
                 continue
             if ni is None or nj is None:
                 return False, w + (s,)
@@ -369,6 +348,17 @@ def language_equal(a: SftGraph, b: SftGraph) -> tuple[bool, Optional[Word]]:
                 seen.add(key)
                 queue.append((key, w + (s,)))
     return True, None
+
+
+def language_subset(a: SftGraph, b: SftGraph) -> tuple[bool, Optional[Word]]:
+    """Is every word of ``a`` a word of ``b``?  On failure returns a
+    shortest witness word (in ``a`` but not ``b``)."""
+    return _first_difference(a, b, both_ways=False)
+
+
+def language_equal(a: SftGraph, b: SftGraph) -> tuple[bool, Optional[Word]]:
+    """Language equality with a shortest counterexample word on failure."""
+    return _first_difference(a, b, both_ways=True)
 
 
 def word_in_language(g: SftGraph, word: Sequence[str]) -> bool:

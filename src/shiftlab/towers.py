@@ -19,6 +19,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .decomposition import (
+    chain_components,
     class_of_word,
     cyclic_structure,
     entropy,
@@ -29,6 +30,7 @@ from .errors import (
     EmptyImageChain,
     InternalInvariantViolation,
     Mlc1Required,
+    NoEntropicComponent,
     NotIrreducible,
     SchemaError,
 )
@@ -64,17 +66,18 @@ class Tower:
 def _component_image(seq: InverseSequenceSpec, m: int, n: int,
                      cid: str) -> SftGraph:
     """Canonical image at level n of component cid of level m."""
-    return composed_image(seq, m, n, start=seq.decomposition(m).by_id(cid).graph)
+    start = chain_components(seq.level(m)).by_id(cid).graph
+    return composed_image(seq, m, n, start=start)
 
 
 def _component_ids(seq: InverseSequenceSpec, n: int) -> list[str]:
-    return [c.component_id for c in seq.decomposition(n).components]
+    return [c.component_id for c in chain_components(seq.level(n)).components]
 
 
 def containing_component(seq: InverseSequenceSpec, n: int,
                          sub: SftGraph) -> Optional[str]:
     """The first component of level n whose language contains sub's."""
-    for c in seq.decomposition(n).components:
+    for c in chain_components(seq.level(n)).components:
         ok, _ = language_subset(sub, c.graph)
         if ok:
             return c.component_id
@@ -88,12 +91,14 @@ def containing_component(seq: InverseSequenceSpec, n: int,
 def enumerate_towers(seq: InverseSequenceSpec, depth: int,
                      kind: str = "component") -> list[Tower]:
     """All towers to the given depth, in lexicographic entry order."""
+    if depth < 1:
+        raise SchemaError("tower depth must be at least 1")
     if kind == "component":
         partial: list[tuple[str, ...]] = [(cid,) for cid in _component_ids(seq, 1)]
         for n in range(2, depth + 1):
             nxt = []
             for tup in partial:
-                below = seq.decomposition(n - 1).by_id(tup[-1]).graph
+                below = chain_components(seq.level(n - 1)).by_id(tup[-1]).graph
                 for cid in _component_ids(seq, n):
                     ok, _ = language_subset(_component_image(seq, n, n - 1, cid), below)
                     if ok:
@@ -199,7 +204,7 @@ def select_max_tower(seq: InverseSequenceSpec, tower: Tower, n: int,
     c_n1 = tower.entries[n]
     # Step at level n: deeper component with maximal image under the
     # level-n entry, covering the image of the incumbent level-n+1 entry.
-    base = seq.decomposition(n).by_id(c_n).graph
+    base = chain_components(seq.level(n)).by_id(c_n).graph
     incumbent = _component_image(seq, n + 1, n, c_n1)
     cands = []
     for cid in _component_ids(seq, n + 1):
@@ -281,7 +286,7 @@ def verify_selection(seq: InverseSequenceSpec, before: Tower, after: Tower,
     for m in range(1, d):
         img = _component_image(seq, m + 1, m, after.entries[m])
         inside, _ = language_subset(
-            img, seq.decomposition(m).by_id(after.entries[m - 1]).graph)
+            img, chain_components(seq.level(m)).by_id(after.entries[m - 1]).graph)
         ok = ok and inside
     props["levelwise_containment"] = ok
     stable = True
@@ -311,7 +316,6 @@ def find_entropic_component(seq: InverseSequenceSpec, depth: int) -> EntropicRep
     level where the image of the chosen component has positive entropy;
     upgrade that tower from there and report the stabilized image entropy
     as the bound."""
-    from .errors import NoEntropicComponent
     cr = restrict_to_cr(seq)
     rep = check_mlc(cr)
     if not rep.all_mlc1:
@@ -345,7 +349,7 @@ def truncated_fiber(seq: InverseSequenceSpec, tower: Tower,
         raise SchemaError("tower is shallower than the truncated system")
     picks = []
     if tower.kind == "component":
-        graphs = [seq.decomposition(n).by_id(tower.entries[n - 1]).graph
+        graphs = [chain_components(seq.level(n)).by_id(tower.entries[n - 1]).graph
                   for n in range(1, system.depth + 1)]
         for i, p in enumerate(system.points):
             if all(word_in_language(g, w) for g, w in zip(graphs, p)):

@@ -203,9 +203,18 @@ class TestFailuresAreOneLine:
         (["mlc", "--in", _string_tail], 2),
         (["mlc", "--in", _list_rule], 2),
         (["shadow", "--family", "gap", "--k", "-1"], 2),
+        (["shadow", "--family", "limit", "--mode", "sampled", "--samples", "0"], 2),
+        (["shadow", "--family", "limit", "--mode", "sampled", "--samples", "-3"], 2),
+        (["shadow", "--family", "limit", "--tail", "-1"], 2),
+        (["towers", "--in", path("branching_sequence.json"), "--depth", "0"], 2),
+        (["towers", "--in", path("branching_sequence.json"), "--depth", "-2"], 2),
+        (["mlc", "--in", path("abc_sequence.json"), "--cap", "-3"], 2),
+        (["layered", "--base-depth", "-1"], 2),
         (["analyze", "--in", path("golden_mean.json")], 1),
     ], ids=["negative-eps-exp", "negative-delta-exp", "shadow-depth-0",
             "layered-fiber-depth-0", "string-tail", "list-rule", "negative-gap",
+            "zero-samples", "negative-samples", "negative-tail", "towers-depth-0",
+            "towers-negative-depth", "negative-cap", "negative-base-depth",
             "injected-runtime-error"])
     def test_exit_code_and_one_stderr_line(self, tmp_path, capsys, monkeypatch,
                                            argv, expected):

@@ -19,6 +19,8 @@ from shiftlab.fixtures import golden_mean_graph
 from shiftlab.shift_core import (
     SymbolicPoint,
     full_shift,
+    graph_from_json,
+    graph_to_json,
     language_equal,
     language_subset,
     point_in_shift,
@@ -161,3 +163,19 @@ class TestReadOnlyRule:
         flip = symbol_code(g, g, {"0": "1", "1": "0"})
         assert flip != identity_code(g)
         assert flip == symbol_code(g, g, {"1": "0", "0": "1"})
+
+
+class TestSharedByValue:
+    def test_identity_code(self):
+        g = golden_mean_graph()
+        copy = graph_from_json(graph_to_json(g))
+        assert copy is not g
+        assert identity_code(g) is identity_code(copy)
+
+    def test_code_image(self):
+        c = xor_code()
+        copy = code_from_json(code_to_json(c))
+        assert copy is not c
+        assert code_image(c) is code_image(copy)
+        sub = golden_mean_graph()
+        assert code_image(c, sub) is code_image(copy, graph_from_json(graph_to_json(sub)))

@@ -30,6 +30,8 @@ from shiftlab.fixtures import (
 from shiftlab.shift_core import (
     from_forbidden_words,
     full_shift,
+    graph_from_json,
+    graph_to_json,
     language_equal,
     make_graph,
     parse_word,
@@ -68,6 +70,12 @@ class TestChainComponents:
         dec = chain_components(g)
         # canonical presentation: two loops joined by a one-way edge
         assert len(dec.components) == 2
+
+    def test_shared_by_graph_value(self):
+        g = disjoint_union(golden_mean_graph(), three_cycle_graph())
+        copy = graph_from_json(graph_to_json(g))
+        assert copy is not g
+        assert chain_components(g) is chain_components(copy)
 
     def test_restrict_to_cr(self):
         g = make_graph(["a", "b"],

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from shiftlab import shadow_lab
 from shiftlab.errors import PreconditionError, TooLarge
-from shiftlab.fixtures import golden_mean_graph
+from shiftlab.fixtures import golden_mean_graph, random_graph
 from shiftlab.shadow_lab import (
     FiniteSystem,
     _fiber_chain_transitive,
@@ -34,6 +34,7 @@ from shiftlab.shift_core import (
     full_shift,
     language_equal,
     word_distance,
+    words_of_length,
 )
 
 BIN = ["0", "1"]
@@ -92,6 +93,31 @@ class TestTruncation:
         assert sysm.d("000", "001") == QUARTER
         assert sysm.d("000", "100") == 1
         check_triangle(sysm)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10 ** 6), st.integers(1, 7))
+    def test_metric_matches_word_distance_oracle(self, seed, depth):
+        """The old construction wrapped each word_distance in a new Fraction."""
+        g = random_graph(random.Random(seed), max_vertices=3)
+        sysm = truncate_shift(g, depth)
+        words = {"".join(w): w for w in words_of_length(g, depth)}
+        oracle = {(p, q): Fraction(word_distance(words[p], words[q]))
+                  for p in sysm.labels for q in sysm.labels}
+        assert list(sysm.dist.items()) == list(oracle.items())
+        assert all(type(d) is Fraction for d in sysm.dist.values())
+
+    def test_one_fraction_per_prefix_length(self):
+        sysm = truncate_shift(full_shift(BIN), 4)
+        assert sysm.d("0000", "0001") is sysm.d("1110", "1111")
+        assert sysm.d("0000", "0000") is sysm.d("1111", "1111")
+
+    def test_fraction_metric_values_are_kept(self):
+        half = Fraction(1, 2)
+        sysm = system_from_function(["a", "b"],
+                                    lambda p, q: half if p != q else 0,
+                                    lambda p: p)
+        assert sysm.d("a", "b") is half
+        assert type(sysm.d("a", "a")) is Fraction
 
 
 class TestShadowing:

@@ -1,6 +1,7 @@
 """Core shift-space machinery: graphs, languages, points, the metric."""
 
 import random
+from collections import deque
 from fractions import Fraction
 
 import pytest
@@ -328,6 +329,15 @@ class TestFollower:
         copy = graph_from_json(graph_to_json(g))
         assert copy is not g
         assert follower(g) is follower(copy)
+        assert canonical_presentation(g) is canonical_presentation(copy)
+
+    def test_memos_share_one_bound(self):
+        from shiftlab.codes import code_image, identity_code
+        from shiftlab.decomposition import chain_components
+        from shiftlab.shift_core import MEMO_SIZE
+        memos = [follower, canonical_presentation, chain_components,
+                 identity_code, code_image]
+        assert {f.cache_info().maxsize for f in memos} == {MEMO_SIZE}
 
     def test_read_only(self):
         f = follower(golden_mean_graph())
@@ -342,3 +352,76 @@ class TestFollower:
     def test_long_words_do_not_recurse(self):
         g = full_shift(["0"])
         assert words_of_length(g, 1500) == [("0",) * 1500]
+
+
+# ---------------------------------------------------------------------------
+# The shared product search against the two searches it replaced
+
+
+def _language_subset_oracle(a, b):
+    ab = tuple(sorted(set(a.alphabet) | set(b.alphabet)))
+    ta, tb = follower(a).trans, follower(b).trans
+    queue = deque([((0, 0), ())])
+    seen = {(0, 0)}
+    while queue:
+        (i, j), w = queue.popleft()
+        for s in ab:
+            ni = ta.get((i, s))
+            if ni is None:
+                continue
+            nj = tb.get((j, s))
+            if nj is None:
+                return False, w + (s,)
+            if (ni, nj) not in seen:
+                seen.add((ni, nj))
+                queue.append(((ni, nj), w + (s,)))
+    return True, None
+
+
+def _language_equal_oracle(a, b):
+    ab = tuple(sorted(set(a.alphabet) | set(b.alphabet)))
+    ta, tb = follower(a).trans, follower(b).trans
+    queue = deque([((0, 0), ())])
+    seen = {(0, 0)}
+    while queue:
+        (i, j), w = queue.popleft()
+        for s in ab:
+            ni = ta.get((i, s))
+            nj = tb.get((j, s))
+            if ni is None and nj is None:
+                continue
+            if ni is None or nj is None:
+                return False, w + (s,)
+            if (ni, nj) not in seen:
+                seen.add((ni, nj))
+                queue.append(((ni, nj), w + (s,)))
+    return True, None
+
+
+def graph_pairs():
+    def build(seed_a, seed_b, nv, same):
+        a = random_graph(random.Random(seed_a), symbols="01", max_vertices=nv)
+        if same:
+            return a, canonical_presentation(a)
+        return a, random_graph(random.Random(seed_b), symbols="01", max_vertices=nv)
+    return st.builds(build, st.integers(0, 10 ** 6), st.integers(0, 10 ** 6),
+                     st.integers(1, 4), st.booleans())
+
+
+class TestProductSearch:
+    @settings(max_examples=200, deadline=None)
+    @given(graph_pairs())
+    def test_matches_both_oracles(self, pair):
+        a, b = pair
+        for x, y in ((a, b), (b, a), (a, EMPTY), (EMPTY, a)):
+            assert language_subset(x, y) == _language_subset_oracle(x, y)
+            assert language_equal(x, y) == _language_equal_oracle(x, y)
+
+    def test_pairs_cover_every_outcome(self):
+        outcomes = set()
+        for seed in range(40):
+            a = random_graph(random.Random(seed), symbols="01", max_vertices=3)
+            b = random_graph(random.Random(seed + 1000), symbols="01", max_vertices=3)
+            outcomes.add((language_subset(a, b)[0], language_equal(a, b)[0]))
+            outcomes.add((language_subset(a, a)[0], language_equal(a, a)[0]))
+        assert outcomes == {(True, True), (True, False), (False, False)}
