@@ -1,20 +1,26 @@
 """Constructive scrambling machinery.
 
 Everything here is exact: periodic points are enumerated, separation radii
-are dyadic rationals, and the scrambled streams are explicit admissible
-sequences with block bookkeeping.  A tuple is r-distal (along orbits) when
-every pair stays at distance at least r at every common shift.  Streams
-alternate long blocks of exact agreement on a reference orbit with long
-blocks tracking the separated periodic orbits, with block lengths growing
-fast enough that each block dominates the whole prefix before it.
+are dyadic rationals, and the scrambled streams are admissible sequences
+with block bookkeeping.  A tuple is r-distal (along orbits) when every pair
+stays at distance at least r at every common shift.  Streams alternate long
+blocks of exact agreement on a reference orbit with long blocks tracking the
+separated periodic orbits, with block lengths growing fast enough that each
+block dominates the whole prefix before it.  A stream is stored as its
+segments (main blocks read off periodic points, short connector words), and
+its end states, admissibility and densities are computed per segment, so
+their cost does not grow with the stream length.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
-from dataclasses import dataclass
+import math
+import operator
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .decomposition import cyclic_structure, is_irreducible, mixing_constant, sync_length, class_of_word
 from .errors import (
@@ -38,7 +44,6 @@ from .shift_core import (
     follower,
     periodic_points,
     point_in_shift,
-    word_in_language,
 )
 
 
@@ -239,6 +244,10 @@ class Schedule:
     base_length: int = 16
     slack: int = 8
 
+    def __post_init__(self) -> None:
+        if self.base_length < 1:
+            raise InvalidSchedule("base_length must be at least 1")
+
     def lengths(self, num_blocks: int, connector_len: int) -> list[int]:
         out = [self.base_length]
         total = self.base_length
@@ -250,13 +259,123 @@ class Schedule:
 
 
 @dataclass(frozen=True)
+class Segment:
+    """``length`` symbols of a stream: a point read from index 0, or a
+    literal word of exactly that length."""
+
+    source: Union[SymbolicPoint, Word]
+    length: int
+
+    def __post_init__(self) -> None:
+        if self.length < 0 or (not isinstance(self.source, SymbolicPoint)
+                               and self.length != len(self.source)):
+            raise SchemaError("segment length must be non-negative and, for "
+                              "a literal word, its length")
+
+    @staticmethod
+    def literal(word: Iterable[str]) -> "Segment":
+        word = tuple(word)
+        return Segment(word, len(word))
+
+    def read(self, a: int, b: int) -> Word:
+        """Symbols a..b-1 of the segment."""
+        src = self.source
+        if isinstance(src, SymbolicPoint):
+            return tuple(map(src.symbol_at, range(a, b)))
+        return src[a:b]
+
+
+@dataclass(frozen=True)
+class Stream(Sequence[str]):
+    """Read-only view of a stream stored as segments.  ``len`` is O(1), an
+    index bisects the segment starts and a slice returns a tuple; nothing is
+    materialised.  Two views are equal when their segments are.  A stream
+    longer than ``sys.maxsize`` (about 20 blocks) has no ``len()``; its
+    length is ``starts[-1]``."""
+
+    segments: tuple[Segment, ...]
+    starts: tuple[int, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        # starts[k] is where segment k begins; starts[-1] is the length.
+        object.__setattr__(self, "starts", tuple(itertools.accumulate(
+            (s.length for s in self.segments), initial=0)))
+
+    def __len__(self) -> int:
+        return self.starts[-1]
+
+    def __iter__(self) -> Iterator[str]:
+        for seg in self.segments:
+            yield from seg.read(0, seg.length)
+
+    def __getitem__(self, key: Union[int, slice]) -> Union[str, Word]:
+        n = self.starts[-1]
+        if isinstance(key, slice):
+            a, b, step = key.indices(n)
+            if step != 1:
+                return tuple(self[i] for i in range(a, b, step))
+            return self._read(a, b)
+        i = operator.index(key)
+        if i < 0:
+            i += n
+        if not 0 <= i < n:
+            raise IndexError("stream index out of range")
+        return self._read(i, i + 1)[0]
+
+    def _read(self, a: int, b: int) -> Word:
+        starts, out = self.starts, []
+        k = bisect.bisect_right(starts, a) - 1
+        while a < b:
+            end = min(b, starts[k + 1])
+            out.extend(self.segments[k].read(a - starts[k], end - starts[k]))
+            a, k = end, k + 1
+        return tuple(out)
+
+
+@dataclass(frozen=True)
 class ScrambledTuple:
-    streams: tuple[tuple[str, ...], ...]
+    streams: tuple[Stream, ...]
     blocks: tuple[Block, ...]          # main blocks only, in order
     connector_length: int
     delta: Fraction
     radius: Fraction
     schedule_lengths: tuple[int, ...]
+
+
+Step = Callable[[Hashable, str], Optional[Hashable]]
+
+
+def _run(step: Step, state: Hashable, seg: Segment) -> Optional[Hashable]:
+    """State after reading the segment from ``state`` with a deterministic
+    step function, or None once a step returns None.  In a point, whole
+    periods are jumped once the state at a period boundary repeats."""
+    src = seg.source
+    if not isinstance(src, SymbolicPoint):
+        return _steps(step, state, src)
+    pre = src.preperiod[:seg.length]
+    state = _steps(step, state, pre)
+    whole, rest = divmod(seg.length - len(pre), len(src.period))
+    trail = [state]            # trail[k]: state after k whole periods
+    first = {state: 0}
+    for k in range(1, whole + 1):
+        state = _steps(step, state, src.period)
+        if state is None:
+            return None
+        if state in first:
+            j = first[state]
+            state = trail[j + (whole - j) % (k - j)]
+            break
+        first[state] = k
+        trail.append(state)
+    return _steps(step, state, src.period[:rest])
+
+
+def _steps(step: Step, state: Optional[Hashable], word: Word) -> Optional[Hashable]:
+    for sym in word:
+        if state is None:
+            break
+        state = step(state, sym)
+    return state
 
 
 def build_scrambled_tuple(g: SftGraph, distal: DistalTuple,
@@ -280,57 +399,60 @@ def build_scrambled_tuple(g: SftGraph, distal: DistalTuple,
         if lengths[k] < k * running:
             raise InvalidSchedule("block %d violates the domination rule" % (k + 1))
     out = follower(gc).out
+
+    def step(v: str, sym: str) -> Optional[str]:
+        nxt = out[v].get(sym)
+        return min(nxt) if nxt else None
+
     n = len(distal.points)
-    readers = [_reading_states(gc, p) for p in distal.points]
     starts = []
-    for i in range(n):
-        r0 = readers[i][0] if 0 in readers[i] else readers[i][len(distal.points[i].preperiod)]
+    for p in distal.points:
+        r0 = _reading_states(gc, p)[0]
         if not r0:
             raise NotInLanguage("distal point not readable")
         starts.append(min(r0))
-    ref = distal.points[0]
-    ref_start = starts[0]
-    streams: list[list[str]] = [[] for _ in range(n)]
-    states = [None] * n
+    segments: list[list[Segment]] = [[] for _ in range(n)]
+    states: list[Optional[str]] = [None] * n
     blocks: list[Block] = []
     pos = 0
     for k in range(1, num_blocks + 1):
         kind = "together" if k % 2 == 1 else "apart"
         length = lengths[k - 1]
         for i in range(n):
-            target_pt = ref if kind == "together" else distal.points[i]
-            target_state = ref_start if kind == "together" else starts[i]
+            target = 0 if kind == "together" else i
             if states[i] is not None:
-                word = _first_word(out, (states[i],), (target_state,), conn)
+                word = _first_word(out, (states[i],), (starts[target],), conn)
                 if word is None:
                     raise NotMixing("no path of length %d from %s to %s"
-                                    % (conn, states[i], target_state))
-                streams[i].extend(word)
-            content = target_pt.expand(length)
-            streams[i].extend(content)
-            states[i] = _walk(out, target_state, content)
+                                    % (conn, states[i], starts[target]))
+                segments[i].append(Segment.literal(word))
+            content = Segment(distal.points[target], length)
+            segments[i].append(content)
+            states[i] = _run(step, starts[target], content)
+            if states[i] is None:
+                raise InternalInvariantViolation("stream content not admissible")
         start = pos if k == 1 else pos + conn
         blocks.append(Block(kind, start, length))
         pos = start + length
-    tup = ScrambledTuple(tuple(tuple(s) for s in streams), tuple(blocks),
+    tup = ScrambledTuple(tuple(Stream(tuple(s)) for s in segments), tuple(blocks),
                          conn, distal.radius / 2, distal.radius, tuple(lengths))
     _verify_streams(gc, tup)
     return tup
 
 
-def _walk(out: Mapping, state: str, word: Sequence[str]) -> str:
-    for sym in word:
-        nxt = out[state].get(sym)
-        if not nxt:
-            raise InternalInvariantViolation("stream content not admissible")
-        state = min(nxt)
-    return state
-
-
 def _verify_streams(g: SftGraph, tup: ScrambledTuple) -> None:
+    """Follower-automaton walk over every stream, segment by segment."""
+    trans = follower(g).trans
+
+    def step(state: int, sym: str) -> Optional[int]:
+        return trans.get((state, sym))
+
     for s in tup.streams:
-        if not word_in_language(g, s):
-            raise InternalInvariantViolation("scrambled stream not admissible")
+        state: Optional[int] = 0
+        for seg in s.segments:
+            state = _run(step, state, seg)
+            if state is None:
+                raise InternalInvariantViolation("scrambled stream not admissible")
 
 
 # ---------------------------------------------------------------------------
@@ -352,9 +474,15 @@ def density_report(streams: Sequence[Sequence[str]], epsilon_exp: int,
                    delta: Fraction, horizons: Sequence[int]) -> list[DensityRow]:
     """Exact counts of indices where all pairs are 2**-epsilon_exp-close,
     and where all pairs are farther than delta.  Distances at an index are
-    read from the first future disagreement of the index pair."""
+    read from the first future disagreement of the index pair; indices at
+    or past the shortest stream's end count as agreement.  A plain symbol
+    sequence is read as a stream of one literal segment."""
     if epsilon_exp < 1 or delta <= 0 or delta >= 1:
         raise InvalidThresholds("need epsilon_exp >= 1 and 0 < delta < 1")
+    if len(streams) < 2:
+        raise InvalidThresholds("need at least two streams")
+    if any(h < 1 for h in horizons):
+        raise InvalidThresholds("horizons must be positive")
     # delta = 2**-t for dyadic t; far means first mismatch before t.
     dexp = 0
     d = delta
@@ -365,32 +493,86 @@ def density_report(streams: Sequence[Sequence[str]], epsilon_exp: int,
         raise InvalidThresholds("delta must be a power of two")
     if not horizons:
         return []
-    length = min(len(s) for s in streams)
-    pairs = list(itertools.combinations(range(len(streams)), 2))
-    INF = length + epsilon_exp + dexp + 2
-    nd_arrays = []
-    for (i, j) in pairs:
-        a, b = streams[i], streams[j]
-        nd = [0] * (length + 1)
-        nd[length] = INF
-        for t in range(length - 1, -1, -1):
-            nd[t] = t if a[t] != b[t] else nd[t + 1]
-        nd_arrays.append(nd)
+    views = [s if isinstance(s, Stream) else Stream((Segment.literal(s),))
+             for s in streams]
+    length = min(v.starts[-1] for v in views)
     maxh = max(horizons)
     if maxh > length:
         raise InvalidThresholds("horizon beyond stream length")
-    close_prefix = 0
-    far_prefix = 0
+    # Whether t is close or far depends only on the window [t, t + w].
+    w = max(epsilon_exp, dexp - 1)
     marks = sorted(set(horizons))
     mi = 0
+    close = far = 0
     out: dict[int, tuple[int, int]] = {}
-    for t in range(maxh):
-        close = all(nd[t] - t > epsilon_exp for nd in nd_arrays)
-        far = all(nd[t] - t < dexp for nd in nd_arrays)
-        close_prefix += close
-        far_prefix += far
-        while mi < len(marks) and t + 1 == marks[mi]:
-            out[marks[mi]] = (close_prefix, far_prefix)
+    for start, end, period in _spans(views, length, w, maxh):
+        # Flags repeat with period m over the span: count m of them, then
+        # whole periods and the remainder.
+        m = min(period, end - start)
+        close_pre, far_pre = _prefix_counts(views, start, start + m, length,
+                                            epsilon_exp, dexp, w)
+
+        def upto(k: int) -> tuple[int, int]:
+            q, r = divmod(k, m)
+            return close + q * close_pre[m] + close_pre[r], far + q * far_pre[m] + far_pre[r]
+
+        while mi < len(marks) and marks[mi] <= end:
+            out[marks[mi]] = upto(marks[mi] - start)
             mi += 1
+        close, far = upto(end - start)
     return [DensityRow(h, out[h][0], out[h][1]) for h in horizons]
 
+
+def _spans(views: Sequence[Stream], length: int, w: int,
+           maxh: int) -> Iterator[tuple[int, int, int]]:
+    """Split [0, maxh) into spans (start, end, period) over whose indices
+    the close/far flags repeat with the period; a span with no known period
+    gets its own length.
+
+    The segment boundaries of all streams cut [0, length) into pieces.  In a
+    piece where every stream reads a point, the symbols repeat with the lcm
+    of the periods once every preperiod is over, and so do the flags of
+    indices whose window stays inside the piece: all but the last w."""
+    cuts = sorted({c for v in views for c in v.starts if c < length} | {length})
+    seg_at = [0] * len(views)
+    for a, b in zip(cuts, cuts[1:]):
+        if a >= maxh:
+            return
+        reading = []
+        for i, v in enumerate(views):
+            while v.starts[seg_at[i] + 1] <= a:
+                seg_at[i] += 1
+            reading.append((v.segments[seg_at[i]].source, v.starts[seg_at[i]]))
+        if not all(isinstance(src, SymbolicPoint) for src, _off in reading):
+            yield a, min(b, maxh), b - a
+            continue
+        periodic_from = max([a] + [off + len(src.preperiod) for src, off in reading])
+        period = math.lcm(*(len(src.period) for src, _off in reading))
+        inner = max(a, b - w)
+        lo = min(periodic_from, inner)
+        for span in ((a, lo, lo - a), (lo, inner, period), (inner, b, b - inner)):
+            end = min(span[1], maxh)
+            if span[0] < end:
+                yield span[0], end, span[2]
+
+
+def _prefix_counts(views: Sequence[Stream], x: int, y: int, length: int,
+                   epsilon_exp: int, dexp: int, w: int) -> tuple[list[int], list[int]]:
+    """Numbers of close and of far indices in [x, x + k) for k = 0..y-x,
+    read off the symbols of [x, y + w) and the next-disagreement index of
+    every pair."""
+    e = min(y + w, length)
+    cols = [v[x:e] for v in views]
+    never = e - x + epsilon_exp + dexp + 2     # no disagreement in the window
+    close = [True] * (y - x)
+    far = [True] * (y - x)
+    for a, b in itertools.combinations(cols, 2):
+        nd = never
+        for t in range(e - x - 1, -1, -1):
+            if a[t] != b[t]:
+                nd = t
+            if t < y - x:
+                close[t] = close[t] and nd - t > epsilon_exp
+                far[t] = far[t] and nd - t < dexp
+    return (list(itertools.accumulate(close, initial=0)),
+            list(itertools.accumulate(far, initial=0)))
