@@ -14,6 +14,7 @@ stderr and no traceback.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -73,9 +74,9 @@ def _frac(x: Fraction) -> str:
     return "%d/%d" % (x.numerator, x.denominator)
 
 
-def _header(args, inputs: dict) -> dict:
+def _header(args) -> dict:
     h = {"version": __version__,
-         "input_digests": {k: _digest(v) for k, v in inputs.items()}}
+         "input_digests": {"in": _digest(args.infile)} if args.infile else {}}
     if getattr(args, "seed", None) is not None:
         h["seed"] = args.seed
     return h
@@ -85,9 +86,7 @@ def _header(args, inputs: dict) -> dict:
 # Subcommands
 
 
-def _cmd_analyze(args) -> int:
-    if args.selftest:
-        return _selftest_analyze()
+def _cmd_analyze(args) -> dict:
     g = shift_core.graph_from_json(_load_json(args.infile))
     dec = decomposition.chain_components(g)
     comps = []
@@ -100,22 +99,18 @@ def _cmd_analyze(args) -> int:
             "period": cs.period,
             "entropy": decomposition.entropy(c.graph),
         })
-    report = _header(args, {"in": args.infile})
-    report.update({
+    body = {
         "components": comps,
         "transient_vertices": sorted(dec.transient_vertices),
         "irreducible": decomposition.is_irreducible(g),
         "entropy": decomposition.entropy(g),
-    })
-    if report["irreducible"]:
-        report["mixing"] = decomposition.is_mixing(g)
-    _emit(report, args.out)
-    return 0
+    }
+    if body["irreducible"]:
+        body["mixing"] = decomposition.is_mixing(g)
+    return body
 
 
-def _cmd_mlc(args) -> int:
-    if args.selftest:
-        return _selftest_mlc()
+def _cmd_mlc(args) -> dict:
     seq = inverse_systems.sequence_from_json(_load_json(args.infile))
     rep = inverse_systems.check_mlc(seq, depth_cap=args.cap)
     levels = []
@@ -123,76 +118,51 @@ def _cmd_mlc(args) -> int:
         levels.append({"level": lv.level, "mlc1": lv.mlc1,
                        "witness": lv.witness, "status": lv.mlc_status,
                        "stabilized_at": lv.chain.stabilized_at})
-    report = _header(args, {"in": args.infile})
-    report.update({"cap": args.cap, "all_mlc1": rep.all_mlc1,
-                   "all_witnessed": rep.all_witnessed, "levels": levels})
-    _emit(report, args.out)
-    return 0
+    return {"cap": args.cap, "all_mlc1": rep.all_mlc1,
+            "all_witnessed": rep.all_witnessed, "levels": levels}
 
 
-def _cmd_towers(args) -> int:
-    if args.selftest:
-        return _selftest_towers()
+def _cmd_towers(args) -> dict:
     seq = inverse_systems.sequence_from_json(_load_json(args.infile))
     found = towers.enumerate_towers(seq, args.depth, kind=args.kind)
-    report = _header(args, {"in": args.infile})
-    report.update({
+    return {
         "depth": args.depth,
         "kind": args.kind,
         "towers": [list(t.entries) for t in found],
-    })
-    _emit(report, args.out)
-    return 0
+    }
 
 
-def _cmd_entropic(args) -> int:
-    if args.selftest:
-        return _selftest_entropic()
+def _cmd_entropic(args) -> dict:
     seq = inverse_systems.sequence_from_json(_load_json(args.infile))
     res = towers.find_entropic_component(seq, depth=args.depth)
-    report = _header(args, {"in": args.infile})
-    report.update({
+    return {
         "level": res.level,
         "component": res.tower.entries[res.level - 1],
         "entropy_bound": res.entropy_bound,
         "tower": list(res.selection.tower.entries),
         "tower_kind": res.selection.tower.kind,
         "properties": dict(res.selection.properties),
-    })
-    _emit(report, args.out)
-    return 0
+    }
 
 
-def _cmd_scramble(args) -> int:
-    if args.selftest:
-        return _selftest_scramble()
+def _cmd_scramble(args) -> dict:
     g = shift_core.graph_from_json(_load_json(args.infile))
     distal = chaos.find_r_distal_tuple(g, args.n)
     tup = chaos.build_scrambled_tuple(g, distal, num_blocks=args.blocks)
-    ends = [b.end for b in tup.blocks if b.end <= args.horizon]
-    kinds = [b.kind for b in tup.blocks if b.end <= args.horizon]
-    ks = [i + 1 for i, b in enumerate(tup.blocks) if b.end <= args.horizon]
-    rows = chaos.density_report(tup.streams, args.eps_exp, tup.delta, ends)
+    shown = [(k, b) for k, b in enumerate(tup.blocks, 1)
+             if args.horizon is None or b.end <= args.horizon]
+    rows = chaos.density_report(tup.streams, args.eps_exp, tup.delta,
+                                [b.end for _, b in shown])
     table = []
-    for k, kind, row in zip(ks, kinds, rows):
+    for (k, b), row in zip(shown, rows):
         fc, ff = row.fractions()
         need = 1 - Fraction(1, k)
         table.append({
-            "horizon": row.horizon, "block": k, "kind": kind,
+            "horizon": row.horizon, "block": k, "kind": b.kind,
             "frac_close": float(fc), "frac_far": float(ff),
-            "pass_close": bool(fc >= need) if kind == "together" else None,
-            "pass_far": bool(ff >= need) if kind == "apart" else None,
+            "pass_close": bool(fc >= need) if b.kind == "together" else None,
+            "pass_far": bool(ff >= need) if b.kind == "apart" else None,
         })
-    report = _header(args, {"in": args.infile})
-    report.update({
-        "n": args.n,
-        "distal_points": [str(p) for p in distal.points],
-        "radius": _frac(distal.radius),
-        "delta": _frac(tup.delta),
-        "epsilon_exp": args.eps_exp,
-        "block_lengths": list(tup.schedule_lengths),
-        "rows": table,
-    })
     if args.csv:
         lines = ["horizon,frac_close,frac_far,pass_close,pass_far"]
         for r in table:
@@ -201,8 +171,15 @@ def _cmd_scramble(args) -> int:
                 "" if r["pass_close"] is None else str(r["pass_close"]).lower(),
                 "" if r["pass_far"] is None else str(r["pass_far"]).lower()))
         _atomic_write(args.csv, "\n".join(lines) + "\n")
-    _emit(report, args.out)
-    return 0
+    return {
+        "n": args.n,
+        "distal_points": [str(p) for p in distal.points],
+        "radius": _frac(distal.radius),
+        "delta": _frac(tup.delta),
+        "epsilon_exp": args.eps_exp,
+        "block_lengths": list(tup.schedule_lengths),
+        "rows": table,
+    }
 
 
 def _shadow_system(args) -> shadow_lab.FiniteSystem:
@@ -220,9 +197,7 @@ def _shadow_system(args) -> shadow_lab.FiniteSystem:
     raise SchemaError("need --in or --family")
 
 
-def _cmd_shadow(args) -> int:
-    if args.selftest:
-        return _selftest_shadow()
+def _cmd_shadow(args) -> dict:
     if args.eps_exp < 0 or args.delta_exp < 0:
         raise InvalidScales("--eps-exp and --delta-exp must be nonnegative")
     sysm = _shadow_system(args)
@@ -231,31 +206,26 @@ def _cmd_shadow(args) -> int:
     rep = shadow_lab.brute_shadowing_check(sysm, eps, delta, args.horizon,
                                            mode=args.mode, samples=args.samples,
                                            seed=args.seed)
-    report = _header(args, {"in": args.infile} if args.infile else {})
-    report.update({
+    body = {
         "family": args.family, "points": len(sysm.labels),
         "epsilon": _frac(eps), "delta": _frac(delta),
         "horizon": args.horizon, "mode": rep.mode,
         "shadowed": rep.shadowed,
         "states_explored": rep.states_explored,
         "orbits_checked": rep.orbits_checked,
-    })
+    }
     if rep.counterexample is not None:
-        report["counterexample"] = list(rep.counterexample)
-        report["failure_trace"] = [list(t) for t in rep.failure_trace]
-    _emit(report, args.out)
-    return 0
+        body["counterexample"] = list(rep.counterexample)
+        body["failure_trace"] = [list(t) for t in rep.failure_trace]
+    return body
 
 
-def _cmd_layered(args) -> int:
-    if args.selftest:
-        return _selftest_layered()
+def _cmd_layered(args) -> dict:
     ex = shadow_lab.build_layered_example(base_depth=args.base_depth,
                                          fiber_depth=args.fiber_depth)
     census = shadow_lab.layered_census(ex)
     checks = shadow_lab.layered_fiber_shadowing(ex, horizon=args.horizon)
-    report = _header(args, {})
-    report.update({
+    return {
         "base_depth": args.base_depth,
         "fiber_depth": args.fiber_depth,
         "point_count": len(ex.labels),
@@ -266,9 +236,7 @@ def _cmd_layered(args) -> int:
         "fibers_transitive": census.fibers_transitive,
         "base_values_distinct": census.base_values_distinct,
         "fiber_shadowing": {k: v.shadowed for k, v in sorted(checks.items())},
-    })
-    _emit(report, args.out)
-    return 0
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -297,10 +265,10 @@ def _run_battery(name: str, cases) -> int:
     return 0 if failed == 0 else 1
 
 
-def _selftest_analyze() -> int:
+def _selftest_analyze() -> list:
     g = fixtures.golden_mean_graph()
     phi = (1 + math.sqrt(5)) / 2
-    return _run_battery("analyze", [
+    return [
         ("golden_mean_entropy",
          lambda: abs(decomposition.entropy(g) - math.log(phi)) < 1e-9),
         ("golden_mean_irreducible", lambda: decomposition.is_irreducible(g)),
@@ -310,76 +278,76 @@ def _selftest_analyze() -> int:
                      - math.log(2)) < 1e-12),
         ("two_cycle_period",
          lambda: decomposition.cyclic_structure(fixtures.two_cycle_graph()).period == 2),
-    ])
+    ]
 
 
-def _selftest_mlc() -> int:
+def _selftest_mlc() -> list:
     seq = fixtures.abc_sequence()
     rep = inverse_systems.check_mlc(seq, depth_cap=16)
-    return _run_battery("mlc", [
+    return [
         ("abc_not_mlc1", lambda: not rep.all_mlc1),
         ("abc_witness", lambda: all(lv.witness == lv.level + 2 for lv in rep.levels)),
         ("constant_mlc1",
          lambda: inverse_systems.check_mlc(fixtures.constant_sequence(
              fixtures.golden_mean_graph()), depth_cap=16).all_mlc1),
-    ])
+    ]
 
 
-def _selftest_towers() -> int:
+def _selftest_towers() -> list:
     seq = fixtures.branching_sequence()
     found = towers.enumerate_towers(seq, 3)
-    return _run_battery("towers", [
+    return [
         ("branching_depth3_unique", lambda: len(found) == 1),
         ("selection_properties",
          lambda: all(dict(towers.select_max_tower(
              fixtures.branching_sequence(),
              towers.Tower("component", ("K0", "K1")), 1, 4).properties).values())),
-    ])
+    ]
 
 
-def _selftest_entropic() -> int:
+def _selftest_entropic() -> list:
     phi = (1 + math.sqrt(5)) / 2
     res = towers.find_entropic_component(fixtures.mixed_sequence(), depth=4)
-    return _run_battery("entropic", [
+    return [
         ("mixed_bound", lambda: abs(res.entropy_bound - math.log(phi)) < 1e-9),
         ("cycles_only_rejected", lambda: _raises(
             lambda: towers.find_entropic_component(
                 fixtures.cycles_only_sequence(), depth=4))),
-    ])
+    ]
 
 
-def _selftest_scramble() -> int:
+def _selftest_scramble() -> list:
     g = fixtures.golden_mean_graph()
     d = chaos.find_r_distal_tuple(g, 2)
     tup = chaos.build_scrambled_tuple(g, d, num_blocks=4)
     ends = [b.end for b in tup.blocks]
     rows = chaos.density_report(tup.streams, 5, tup.delta, ends)
-    return _run_battery("scramble", [
+    return [
         ("radius_one", lambda: d.radius == 1),
         ("block3_close", lambda: rows[2].fractions()[0] >= Fraction(2, 3)),
         ("block4_far", lambda: rows[3].fractions()[1] >= Fraction(3, 4)),
-    ])
+    ]
 
 
-def _selftest_shadow() -> int:
+def _selftest_shadow() -> list:
     lim = shadow_lab.limit_gap_system(8)
     rep = shadow_lab.brute_shadowing_check(lim, Fraction(1, 4), Fraction(1, 16), 16)
     full = shadow_lab.truncate_shift(shift_core.full_shift(["0", "1"]), 4)
     rep2 = shadow_lab.brute_shadowing_check(full, Fraction(1, 2), Fraction(1, 4), 6)
-    return _run_battery("shadow", [
+    return [
         ("limit_counterexample", lambda: not rep.shadowed),
         ("full_truncation_shadows", lambda: rep2.shadowed),
-    ])
+    ]
 
 
-def _selftest_layered() -> int:
+def _selftest_layered() -> list:
     ex = shadow_lab.build_layered_example(base_depth=3, fiber_depth=8)
     census = shadow_lab.layered_census(ex)
-    return _run_battery("layered", [
+    return [
         ("fibers_invariant", lambda: census.fibers_invariant),
         ("fibers_transitive", lambda: census.fibers_transitive),
         ("components_match_words", lambda: census.component_count == 8),
-    ])
+    ]
 
 
 def _raises(fn) -> bool:
@@ -394,51 +362,50 @@ def _raises(fn) -> bool:
 # Argument parsing
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="shiftlab",
                                 description="Symbolic-dynamics analysis toolkit.")
     p.add_argument("--version", action="version", version="shiftlab " + __version__)
     sub = p.add_subparsers(dest="subcommand", required=True)
 
-    def common(sp, needs_in=True):
-        if needs_in:
+    def common(sp, infile="required"):
+        """infile: whether --in is "required" (unless --selftest), "optional"
+        or "absent" for this subcommand."""
+        if infile != "absent":
             sp.add_argument("--in", dest="infile", required=False, default=None,
                             help="input JSON fixture")
         sp.add_argument("--out", default=None, help="output JSON report")
         sp.add_argument("--selftest", action="store_true",
                         help="run the module fixture battery instead")
+        sp.set_defaults(infile=None, in_required=infile == "required")
 
     sp = sub.add_parser("analyze", help="chain components, entropy, periods")
     common(sp)
-    sp.set_defaults(fn=_cmd_analyze)
 
     sp = sub.add_parser("mlc", help="image chains and stabilization per level")
     common(sp)
     sp.add_argument("--cap", type=int, default=inverse_systems.DEFAULT_DEPTH_CAP)
-    sp.set_defaults(fn=_cmd_mlc)
 
     sp = sub.add_parser("towers", help="enumerate component towers")
     common(sp)
     sp.add_argument("--depth", type=int, default=3)
     sp.add_argument("--kind", choices=["component", "cyclic"], default="component")
-    sp.set_defaults(fn=_cmd_towers)
 
     sp = sub.add_parser("entropic", help="positive-entropy component search")
     common(sp)
     sp.add_argument("--depth", type=int, default=4)
-    sp.set_defaults(fn=_cmd_entropic)
 
     sp = sub.add_parser("scramble", help="scrambled streams and densities")
     common(sp)
     sp.add_argument("-n", type=int, default=2, help="tuple size")
     sp.add_argument("--blocks", type=int, default=8)
     sp.add_argument("--eps-exp", type=int, default=5)
-    sp.add_argument("--horizon", type=int, default=10 ** 6)
+    sp.add_argument("--horizon", type=int, default=None)
     sp.add_argument("--csv", default=None, help="density CSV output path")
-    sp.set_defaults(fn=_cmd_scramble)
 
     sp = sub.add_parser("shadow", help="brute-force shadowing check")
-    common(sp)
+    common(sp, infile="optional")
     sp.add_argument("--family", choices=["full", "gap", "limit"], default=None)
     sp.add_argument("--k", type=int, default=1, help="gap parameter")
     sp.add_argument("--tail", type=int, default=8, help="limit family tail length")
@@ -449,26 +416,29 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--mode", choices=["exhaustive", "sampled"], default="exhaustive")
     sp.add_argument("--samples", type=int, default=200)
     sp.add_argument("--seed", type=int, default=0)
-    sp.set_defaults(fn=_cmd_shadow)
 
     sp = sub.add_parser("layered", help="layered interval example census")
-    common(sp, needs_in=False)
+    common(sp, infile="absent")
     sp.add_argument("--base-depth", type=int, default=4)
     sp.add_argument("--fiber-depth", type=int, default=12)
     sp.add_argument("--horizon", type=int, default=8)
-    sp.set_defaults(fn=_cmd_layered)
 
     return p
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    name = args.subcommand
     try:
-        if not args.selftest and getattr(args, "infile", None) is None \
-                and args.subcommand not in ("shadow", "layered"):
+        if args.selftest:
+            return _run_battery(name, globals()["_selftest_" + name]())
+        if args.in_required and args.infile is None:
             raise SchemaError("--in is required for this subcommand")
-        return args.fn(args)
+        body = globals()["_cmd_" + name](args)
+        report = _header(args)
+        report.update(body)
+        _emit(report, args.out)
+        return 0
     except PreconditionError as e:
         sys.stderr.write("precondition failed: %s\n" % e)
         return 2

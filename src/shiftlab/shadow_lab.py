@@ -451,22 +451,19 @@ def limit_gap_system(max_tail: int = 8) -> FiniteSystem:
     if max_tail < 0:
         raise PreconditionError("limit tail length must be nonnegative")
     labels = ["zinf"] + ["z%d" % m for m in range(max_tail + 1)]
-
-    def depth(lab: str) -> Optional[int]:
-        return None if lab == "zinf" else int(lab[1:])
+    # z_m sits at labels[m + 1]; zinf lies deeper than every z_m, so two
+    # distinct points are at 2**-(smaller depth), one shared Fraction each.
+    depth = {lab: i - 1 for i, lab in enumerate(labels)}
+    depth["zinf"] = max_tail + 1
+    scale = [Fraction(1, 2 ** m) for m in range(max_tail + 1)]
+    zero = Fraction(0)
 
     def metric(p: str, q: str) -> Fraction:
-        if p == q:
-            return Fraction(0)
-        dp, dq = depth(p), depth(q)
-        vals = [v for v in (dp, dq) if v is not None]
-        return Fraction(1, 2 ** min(vals))
+        return zero if p == q else scale[min(depth[p], depth[q])]
 
     def mapping(p: str) -> str:
-        dp = depth(p)
-        if dp is None or dp == 0:
-            return "zinf"
-        return "z%d" % (dp - 1)
+        dp = depth[p]
+        return "zinf" if dp == 0 or dp > max_tail else labels[dp]
 
     return system_from_function(labels, metric, mapping)
 
@@ -560,7 +557,6 @@ def build_layered_example(base_depth: int = 4, endpoint_max: int = 3,
     fiber_systems: dict[str, FiniteSystem] = {}
     strata_points: dict[tuple[str, int], list[str]] = {}
     all_labels = []
-    dist_pairs = {}
     image = {}
     fiber_of = {}
     fiber_cache: dict[int, FiniteSystem] = {}

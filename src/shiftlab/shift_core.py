@@ -294,28 +294,14 @@ def canonical_presentation(g: SftGraph) -> SftGraph:
     Two graphs present the same language iff their canonical presentations
     are identical.  Built once per graph value."""
     f = follower(g)
+    # Follower states are numbered breadth-first from the full state and
+    # _minimize numbers blocks by first appearance in state order, so the
+    # block ids already are the breadth-first ranks of the blocks.
     block, nblocks = _minimize(len(f.states), f.trans, g.alphabet)
-    btrans: dict[tuple[int, str], int] = {}
-    for (s, a), t in f.trans.items():
-        btrans[(block[s], a)] = block[t]
-    # Canonical BFS naming from the block of the full state.
-    order = [block[0]]
-    seen = {block[0]}
-    i = 0
-    while i < len(order):
-        b = order[i]
-        i += 1
-        for a in g.alphabet:
-            if (b, a) in btrans and btrans[(b, a)] not in seen:
-                seen.add(btrans[(b, a)])
-                order.append(btrans[(b, a)])
-    rank = {b: k for k, b in enumerate(order)}
-    names = {b: "c%d" % rank[b] for b in order}
-    edges = tuple(sorted(
-        (names[b], names[t], a)
-        for (b, a), t in btrans.items() if b in rank and t in rank))
-    verts = tuple(names[b] for b in order)
-    return essential(SftGraph(verts, edges, g.alphabet))
+    names = tuple("c%d" % b for b in range(nblocks))
+    edges = tuple(sorted({(names[block[s]], names[block[t]], a)
+                          for (s, a), t in f.trans.items()}))
+    return essential(SftGraph(names, edges, g.alphabet))
 
 
 def canonical_signature(g: SftGraph) -> str:

@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from shiftlab.cli import main
+from shiftlab.cli import _build_parser, main
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -127,6 +127,15 @@ class TestScramble:
         assert code == 0
         assert json.loads(out)["rows"] == []
 
+    def test_default_horizon_reports_every_block(self, capsys):
+        # The eighth block ends at 1,337,920, past the old default of 10**6.
+        code, out, _ = run(capsys, "scramble", "--in", path("golden_mean.json"),
+                           "-n", "2", "--blocks", "8")
+        assert code == 0
+        rows = json.loads(out)["rows"]
+        assert [r["block"] for r in rows] == list(range(1, 9))
+        assert rows[-1]["horizon"] == 1337920
+
 
 class TestShadow:
     def test_full_family_passes(self, capsys):
@@ -227,3 +236,64 @@ class TestFailuresAreOneLine:
         assert code == expected
         assert len(err.splitlines()) == 1, err
         assert "Traceback" not in err
+
+
+class TestSharedParser:
+    """main builds its parser once per process and reuses it."""
+
+    ARGVS = [
+        ["shadow", "--family", "limit", "--mode", "sampled", "--seed", "7"],
+        ["shadow", "--family", "limit", "--mode", "sampled"],
+        ["scramble", "--in", path("golden_mean.json"), "--blocks", "3", "--horizon", "100"],
+        ["scramble", "--in", path("golden_mean.json"), "--blocks", "3"],
+        ["mlc", "--cap", "x"],
+        ["shadow", "--in", path("golden_mean.json"), "--depth", "4"],
+        ["shadow", "--family", "full", "--depth", "4"],
+        ["towers", "--in", path("branching_sequence.json"), "--kind", "cyclic"],
+        ["towers", "--in", path("branching_sequence.json")],
+        ["towers"],
+        ["towers", "--selftest"],
+        ["layered", "--base-depth", "1", "--fiber-depth", "6"],
+        ["analyze", "--in", path("golden_mean.json")],
+    ]
+
+    @staticmethod
+    def outcome(capsys, argv):
+        try:
+            code = main(list(argv))
+        except SystemExit as e:
+            code = ("exit", e.code)
+        out = capsys.readouterr()
+        return code, out.out, out.err
+
+    def test_sequence_matches_each_run_alone(self, capsys):
+        _build_parser.cache_clear()
+        in_sequence = [self.outcome(capsys, argv) for argv in self.ARGVS]
+        alone = []
+        for argv in self.ARGVS:
+            _build_parser.cache_clear()
+            alone.append(self.outcome(capsys, argv))
+        assert in_sequence == alone
+        assert json.loads(in_sequence[0][1])["seed"] == 7
+        assert json.loads(in_sequence[1][1])["seed"] == 0
+
+    def test_parser_built_once(self, capsys):
+        _build_parser.cache_clear()
+        for argv in self.ARGVS:
+            self.outcome(capsys, argv)
+        info = _build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, len(self.ARGVS) - 1)
+
+    def test_help_and_usage_errors_match_recorded_text(self, capsys, monkeypatch):
+        """cli_text.json holds --help and usage-error output at 80 columns
+        from the CLI as it was before the parser was built once."""
+        monkeypatch.setenv("COLUMNS", "80")
+        with open(path("cli_text.json"), encoding="utf-8") as f:
+            recorded = json.load(f)
+        assert {c["argv"][0] for c in recorded} >= {
+            "--help", "analyze", "mlc", "towers", "entropic", "scramble",
+            "shadow", "layered"}
+        for case in recorded:
+            code, out, err = self.outcome(capsys, case["argv"])
+            assert (code, out, err) == (("exit", case["code"]), case["out"],
+                                        case["err"]), case["argv"]

@@ -106,10 +106,33 @@ class TestTruncation:
         assert list(sysm.dist.items()) == list(oracle.items())
         assert all(type(d) is Fraction for d in sysm.dist.values())
 
+    @pytest.mark.parametrize("tail", [0, 1, 8, 34])
+    def test_limit_system_matches_label_parsing_oracle(self, tail):
+        """The old construction parsed both labels' depths for every pair
+        and made a new Fraction each time."""
+        def depth(lab):
+            return None if lab == "zinf" else int(lab[1:])
+
+        def metric(p, q):
+            if p == q:
+                return Fraction(0)
+            return Fraction(1, 2 ** min(v for v in (depth(p), depth(q)) if v is not None))
+
+        def mapping(p):
+            return "zinf" if depth(p) in (None, 0) else "z%d" % (depth(p) - 1)
+
+        lim = limit_gap_system(tail)
+        assert lim.labels == ("zinf",) + tuple("z%d" % m for m in range(tail + 1))
+        assert list(lim.dist.items()) == [((p, q), metric(p, q))
+                                          for p in lim.labels for q in lim.labels]
+        assert dict(lim.successors) == {p: (mapping(p),) for p in lim.labels}
+
     def test_one_fraction_per_prefix_length(self):
         sysm = truncate_shift(full_shift(BIN), 4)
         assert sysm.d("0000", "0001") is sysm.d("1110", "1111")
         assert sysm.d("0000", "0000") is sysm.d("1111", "1111")
+        lim = limit_gap_system(8)
+        assert lim.d("z3", "z5") is lim.d("zinf", "z3")
 
     def test_fraction_metric_values_are_kept(self):
         half = Fraction(1, 2)

@@ -12,6 +12,7 @@ from shiftlab.fixtures import golden_mean_graph, random_graph, two_cycle_graph
 from shiftlab.shift_core import (
     SftGraph,
     SymbolicPoint,
+    _minimize,
     canonical_presentation,
     canonical_signature,
     count_words,
@@ -80,7 +81,49 @@ class TestGraphs:
             make_graph(["a"], [("a", "a", "0"), ("a", "a", "0")], alphabet=BIN)
 
 
+def _canonical_oracle(g):
+    """The breadth-first renaming pass over minimized blocks that
+    canonical_presentation ran before it named blocks by their ids."""
+    f = follower(g)
+    block, _ = _minimize(len(f.states), f.trans, g.alphabet)
+    btrans = {(block[s], a): block[t] for (s, a), t in f.trans.items()}
+    order, seen = [block[0]], {block[0]}
+    i = 0
+    while i < len(order):
+        b = order[i]
+        i += 1
+        for a in g.alphabet:
+            t = btrans.get((b, a))
+            if t is not None and t not in seen:
+                seen.add(t)
+                order.append(t)
+    names = {b: "c%d" % k for k, b in enumerate(order)}
+    edges = tuple(sorted((names[b], names[t], a) for (b, a), t in btrans.items()
+                         if b in names and t in names))
+    return essential(SftGraph(tuple(names[b] for b in order), edges, g.alphabet))
+
+
+def _labelled_cycle(labels):
+    n = len(labels)
+    return make_graph(["v%d" % i for i in range(n)],
+                      [("v%d" % i, "v%d" % ((i + 1) % n), a) for i, a in enumerate(labels)],
+                      alphabet=BIN)
+
+
 class TestCanonicalPresentation:
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(
+        st.builds(lambda seed, nv: random_graph(random.Random(seed), symbols="0123",
+                                                max_vertices=nv),
+                  st.integers(0, 10 ** 6), st.integers(1, 7)),
+        st.lists(st.sampled_from(BIN), min_size=1, max_size=59).map(_labelled_cycle)))
+    def test_matches_bfs_renaming_oracle(self, g):
+        assert canonical_presentation(g) == _canonical_oracle(g)
+
+    def test_long_cycle_and_empty_shift_match_oracle(self):
+        for g in (_labelled_cycle("0" * 58 + "1"), EMPTY):
+            assert canonical_presentation(g) == _canonical_oracle(g)
+
     def test_canonical_is_deterministic(self):
         g = make_graph(["a", "b"],
                        [("a", "a", "0"), ("a", "b", "0"), ("b", "a", "1")],
