@@ -184,6 +184,8 @@ def _cmd_scramble(args) -> dict:
 
 def _shadow_system(args) -> shadow_lab.FiniteSystem:
     if args.infile:
+        if args.family is not None:
+            raise SchemaError("give --in or --family, not both")
         g = shift_core.graph_from_json(_load_json(args.infile))
         return shadow_lab.truncate_shift(g, args.depth)
     if args.family == "full":

@@ -2,16 +2,16 @@
 
 A code has a window width w >= 1 and looks only forward: output symbol i
 is a function of input symbols i..i+w-1.  Codes carry their domain and
-codomain presentations and are validated exactly at construction: a
-product walk of the domain block graph against the codomain follower
-automaton proves that every admissible input maps to an admissible
-output, whatever its length.
+codomain presentations.  The image of a code is read off one exact graph,
+the higher block presentation of the domain (vertices are its paths of
+w-1 edges, edges its paths of w edges) relabelled through the rule.  A
+code is valid when the rule covers every admissible window and its image
+language lies in the codomain language; both are checked at construction.
 """
 
 from __future__ import annotations
 
 import functools
-from collections import deque
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
@@ -29,7 +29,6 @@ from .shift_core import (
     Word,
     canonical_presentation,
     essential,
-    follower,
     graph_from_json,
     graph_to_json,
     language_subset,
@@ -77,44 +76,12 @@ class SlidingBlockCode:
 
 
 def _check_well_defined(code: SlidingBlockCode) -> None:
-    """Every admissible window of the domain must have a rule entry and
-    every admissible input word must map into the codomain language.  The
-    latter is exact: simulate the domain block walk against the codomain
-    follower automaton over all reachable pairs."""
-    dom = essential(code.domain)
-    w = code.window
-    for block in words_of_length(dom, w):
-        if block not in code.rule:
-            raise NotInLanguage("rule missing admissible block %r" % (block,))
-    cod = follower(code.codomain)
-    if cod.is_empty:
-        if not dom.vertices:
-            return
-        raise NotInLanguage("codomain is empty but domain is not")
-    fdom = follower(dom)
-    if fdom.is_empty:
-        return
-    dtrans, ctrans = fdom.trans, cod.trans
-    # Pair (domain follower state with w-1 symbol history, codomain state).
-    start_pairs = [(fdom.walk(hist), hist, 0) for hist in words_of_length(dom, w - 1)]
-    seen = set(start_pairs)
-    queue = deque(start_pairs)
-    while queue:
-        di, hist, ci = queue.popleft()
-        for a in dom.alphabet:
-            if (di, a) not in dtrans:
-                continue
-            block = hist + (a,)
-            out = code.rule.get(block)
-            if out is None:
-                raise NotInLanguage("rule missing admissible block %r" % (block,))
-            if (ci, out) not in ctrans:
-                raise NotInLanguage(
-                    "image leaves the codomain language at block %r" % (block,))
-            node = (dtrans[(di, a)], block[1:], ctrans[(ci, out)])
-            if node not in seen:
-                seen.add(node)
-                queue.append(node)
+    """The image must lie in the codomain; ``code_image`` itself raises
+    when the rule misses an admissible window."""
+    ok, witness = language_subset(code_image(code), code.codomain)
+    if not ok:
+        raise NotInLanguage("image leaves the codomain language at word %s"
+                            % word_str(witness or ()))
 
 
 @functools.lru_cache(maxsize=MEMO_SIZE)
@@ -158,28 +125,32 @@ def compose(outer: SlidingBlockCode, inner: SlidingBlockCode) -> SlidingBlockCod
 @functools.lru_cache(maxsize=MEMO_SIZE)
 def code_image(code: SlidingBlockCode, domain: Optional[SftGraph] = None) -> SftGraph:
     """Canonical presentation of the image of the (restricted) domain:
-    transport labels through the rule on the block graph, then
-    determinize and minimize.  Built once per (code, domain) value."""
+    relabel the higher block presentation of its essential part through
+    the rule, then determinize and minimize.  A path of k >= 1 edges is
+    named by its edge indices and the 0-edge path at a vertex by the
+    vertex, so a window-1 image relabels the domain graph itself.  Built
+    once per (code, domain) value."""
     dom = essential(domain if domain is not None else code.domain)
-    if not dom.vertices:
-        return SftGraph((), (), code.codomain.alphabet)
-    w = code.window
-    if w == 1:
-        edges = tuple(dict.fromkeys(
-            (u, v, code.rule[(a,)]) for (u, v, a) in dom.edges))
-        labeled = SftGraph(dom.vertices, edges, code.codomain.alphabet)
-        return canonical_presentation(labeled)
-    states = words_of_length(dom, w - 1)
-    stateset = set(states)
-    names = {s: word_str(s) for s in states}
+    # Paths of w-1 edges by last vertex, each as (edge indices, label word).
+    ending = {v: [((), ())] for v in dom.vertices}
+    for _ in range(code.window - 1):
+        grown: dict[str, list] = {v: [] for v in dom.vertices}
+        for i, (u, v, a) in enumerate(dom.edges):
+            grown[v].extend((p + (i,), word + (a,)) for p, word in ending[u])
+        ending = grown
+
+    def name(path: tuple[int, ...], vertex: str) -> str:
+        return ".".join(map(str, path)) if path else vertex
+
     edges = []
-    for block in words_of_length(dom, w):
-        u, v = block[:-1], block[1:]
-        if u in stateset and v in stateset:
-            edges.append((names[u], names[v], code.rule[block]))
-    labeled = SftGraph(tuple(names[s] for s in states),
-                       tuple(dict.fromkeys(edges)),
-                       code.codomain.alphabet)
+    for i, (u, v, a) in enumerate(dom.edges):
+        for p, word in ending[u]:
+            block = word + (a,)
+            if block not in code.rule:
+                raise NotInLanguage("rule missing admissible block %r" % (block,))
+            edges.append((name(p, u), name((p + (i,))[1:], v), code.rule[block]))
+    vertices = tuple(name(p, v) for v, paths in ending.items() for p, _w in paths)
+    labeled = SftGraph(vertices, tuple(dict.fromkeys(edges)), code.codomain.alphabet)
     return canonical_presentation(labeled)
 
 

@@ -31,7 +31,6 @@ from .shift_core import (
     Word,
     canonical_presentation,
     essential,
-    word_in_language,
     words_of_length,
 )
 
@@ -281,13 +280,12 @@ class ChainWitness:
 
 
 def _k_block_arcs(g: SftGraph, k: int) -> tuple[list[Word], dict[Word, list[Word]]]:
+    """The k-block graph: each admissible (k+1)-word b is an arc from
+    b[:-1] to b[1:], listed in sorted order."""
     words = words_of_length(g, k)
-    wordset = set(words)
     arcs: dict[Word, list[Word]] = {w: [] for w in words}
-    for w in words:
-        for v in words:
-            if w[1:] == v[:-1] and word_in_language(g, w + (v[-1],)):
-                arcs[w].append(v)
+    for b in words_of_length(g, k + 1):
+        arcs[b[:-1]].append(b[1:])
     return words, arcs
 
 

@@ -110,7 +110,7 @@ class InverseSequenceSpec:
         if n <= L:
             return self.codes[n - 1]
         p = self.tail_block
-        return self.code(n - p)
+        return self.codes[L - p + ((n - L - 1) % p)]
 
 
 def composed_image(seq: InverseSequenceSpec, m: int, n: int,

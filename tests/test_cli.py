@@ -219,12 +219,13 @@ class TestFailuresAreOneLine:
         (["towers", "--in", path("branching_sequence.json"), "--depth", "-2"], 2),
         (["mlc", "--in", path("abc_sequence.json"), "--cap", "-3"], 2),
         (["layered", "--base-depth", "-1"], 2),
+        (["shadow", "--in", path("golden_mean.json"), "--family", "limit"], 2),
         (["analyze", "--in", path("golden_mean.json")], 1),
     ], ids=["negative-eps-exp", "negative-delta-exp", "shadow-depth-0",
             "layered-fiber-depth-0", "string-tail", "list-rule", "negative-gap",
             "zero-samples", "negative-samples", "negative-tail", "towers-depth-0",
             "towers-negative-depth", "negative-cap", "negative-base-depth",
-            "injected-runtime-error"])
+            "shadow-in-and-family", "injected-runtime-error"])
     def test_exit_code_and_one_stderr_line(self, tmp_path, capsys, monkeypatch,
                                            argv, expected):
         def boom(args):

@@ -1,5 +1,8 @@
 """Sliding block codes: application, composition, images."""
 
+import random
+from collections import deque
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -15,15 +18,21 @@ from shiftlab.codes import (
     symbol_code,
 )
 from shiftlab.errors import CompositionMismatch, NotInLanguage
-from shiftlab.fixtures import golden_mean_graph
+from shiftlab.fixtures import golden_mean_graph, random_graph
+from shiftlab.inverse_systems import InverseSequenceSpec
+from shiftlab.shadow_lab import gap_shift_graph
 from shiftlab.shift_core import (
+    SftGraph,
     SymbolicPoint,
+    essential,
+    follower,
     full_shift,
     graph_from_json,
     graph_to_json,
     language_equal,
     language_subset,
     point_in_shift,
+    words_of_length,
 )
 
 BIN = ["0", "1"]
@@ -179,3 +188,119 @@ class TestSharedByValue:
         assert code_image(c) is code_image(copy)
         sub = golden_mean_graph()
         assert code_image(c, sub) is code_image(copy, graph_from_json(graph_to_json(sub)))
+
+
+def _check_well_defined_oracle(domain, codomain, window, rule):
+    """Product walk of the domain follower automaton, the last window-1
+    input symbols and the codomain follower automaton: raises
+    NotInLanguage when an admissible window has no rule entry or an
+    admissible input word maps outside the codomain language."""
+    dom = essential(domain)
+    w = window
+    for block in words_of_length(dom, w):
+        if block not in rule:
+            raise NotInLanguage("rule missing admissible block %r" % (block,))
+    cod = follower(codomain)
+    if cod.is_empty:
+        if not dom.vertices:
+            return
+        raise NotInLanguage("codomain is empty but domain is not")
+    fdom = follower(dom)
+    if fdom.is_empty:
+        return
+    dtrans, ctrans = fdom.trans, cod.trans
+    start_pairs = [(fdom.walk(hist), hist, 0) for hist in words_of_length(dom, w - 1)]
+    seen = set(start_pairs)
+    queue = deque(start_pairs)
+    while queue:
+        di, hist, ci = queue.popleft()
+        for a in dom.alphabet:
+            if (di, a) not in dtrans:
+                continue
+            block = hist + (a,)
+            out = rule.get(block)
+            if out is None:
+                raise NotInLanguage("rule missing admissible block %r" % (block,))
+            if (ci, out) not in ctrans:
+                raise NotInLanguage(
+                    "image leaves the codomain language at block %r" % (block,))
+            node = (dtrans[(di, a)], block[1:], ctrans[(ci, out)])
+            if node not in seen:
+                seen.add(node)
+                queue.append(node)
+
+
+def _domains():
+    """Random presentations, many non-deterministic, and gap shifts, whose
+    memory k is longer than most windows."""
+    return st.one_of(
+        st.builds(lambda seed, nv: random_graph(random.Random(seed), max_vertices=nv),
+                  st.integers(0, 10 ** 6), st.integers(1, 4)),
+        st.integers(0, 4).map(gap_shift_graph))
+
+
+def _random_rule(rng, domain, window, outputs):
+    return {b: rng.choice(outputs) for b in words_of_length(domain, window)}
+
+
+class TestExactImage:
+    def test_gap_shift_window_two_identity(self):
+        # ab -> a is the identity on the gap-3 shift; a graph on 1-words
+        # would present the golden mean shift and admit 101.
+        g = gap_shift_graph(3)
+        c = SlidingBlockCode(g, g, 2, {b: b[0] for b in words_of_length(g, 2)})
+        assert language_equal(code_image(c), g) == (True, None)
+        seq = InverseSequenceSpec((g, g), (c,))
+        assert seq.code(1) is c
+        assert compose(c, c).window == 3
+        assert compose(identity_code(g), c).window == 2
+
+    @settings(max_examples=150, deadline=None)
+    @given(_domains(), st.integers(1, 3), st.integers(0, 10 ** 6))
+    def test_image_words_are_images_of_domain_words(self, dom, w, seed):
+        rng = random.Random(seed)
+        cod = full_shift(["a", "b"])
+        c = SlidingBlockCode(dom, cod, w, _random_rule(rng, dom, w, cod.alphabet))
+        img = code_image(c)
+        for n in range(1, 6):
+            expected = {c.word_map(x) for x in words_of_length(dom, n + w - 1)}
+            assert set(words_of_length(img, n)) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(_domains(), st.integers(1, 3), st.integers(0, 10 ** 6))
+    def test_construction_raises_iff_oracle_raises(self, dom, w, seed):
+        rng = random.Random(seed)
+        cod = random_graph(rng, symbols="ab", max_vertices=2)
+        rule = _random_rule(rng, dom, w, cod.alphabet)
+        for block in list(rule):
+            if rng.random() < 0.05:
+                del rule[block]
+        try:
+            _check_well_defined_oracle(dom, cod, w, rule)
+            expected = None
+        except NotInLanguage:
+            expected = NotInLanguage
+        try:
+            SlidingBlockCode(dom, cod, w, rule)
+            got = None
+        except NotInLanguage:
+            got = NotInLanguage
+        assert got is expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(_domains(), st.integers(0, 10 ** 6))
+    def test_window_one_graph_is_the_relabelled_domain(self, dom, seed):
+        # Same labelled graph value as before paths were introduced, so
+        # window-1 images share canonical_presentation memo entries.
+        rng = random.Random(seed)
+        cod = full_shift(["a", "b"])
+        c = SlidingBlockCode(dom, cod, 1, _random_rule(rng, dom, 1, cod.alphabet))
+        seen = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("shiftlab.codes.canonical_presentation",
+                       lambda g: seen.append(g) or g)
+            code_image.__wrapped__(c)
+        ess = essential(dom)
+        old = SftGraph(ess.vertices, tuple(dict.fromkeys(
+            (u, v, c.rule[(a,)]) for (u, v, a) in ess.edges)), cod.alphabet)
+        assert seen == [old]

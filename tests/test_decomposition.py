@@ -1,11 +1,13 @@
 """Chain components, cyclic structure, entropy, exact chain reachability."""
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from shiftlab.decomposition import (
+    _k_block_arcs,
     chain_components,
     chain_equivalent,
     class_of_word,
@@ -23,6 +25,7 @@ from shiftlab.errors import NotMixing
 from shiftlab.fixtures import (
     disjoint_union,
     golden_mean_graph,
+    random_graph,
     three_cycle_graph,
     two_cycle_graph,
     two_fixed_points_graph,
@@ -35,6 +38,8 @@ from shiftlab.shift_core import (
     language_equal,
     make_graph,
     parse_word,
+    word_in_language,
+    words_of_length,
 )
 
 BIN = ["0", "1"]
@@ -167,3 +172,28 @@ class TestChainReachability:
         w = delta_chain_reachable(g, ("a",), ("a",), 1, length_mod=(2, 0))
         assert w is not None
         assert (len(w.steps) - 1) % 2 == 0
+
+
+def _k_block_arcs_oracle(g, k):
+    """The pairwise k-block graph: v follows w when they overlap in k-1
+    symbols and w + v[-1] is admissible."""
+    words = words_of_length(g, k)
+    arcs = {w: [] for w in words}
+    for w in words:
+        for v in words:
+            if w[1:] == v[:-1] and word_in_language(g, w + (v[-1],)):
+                arcs[w].append(v)
+    return words, arcs
+
+
+class TestKBlockArcs:
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 10 ** 6), st.integers(1, 4), st.integers(1, 4))
+    def test_matches_pairwise_oracle(self, seed, nv, k):
+        g = random_graph(random.Random(seed), max_vertices=nv)
+        assert _k_block_arcs(g, k) == _k_block_arcs_oracle(g, k)
+
+    def test_full_shift_and_golden_mean(self):
+        for g in (full_shift(BIN), golden_mean_graph()):
+            for k in range(1, 7):
+                assert _k_block_arcs(g, k) == _k_block_arcs_oracle(g, k)

@@ -1,5 +1,6 @@
 """Inverse sequences: image chains, stabilization, extraction, truncations."""
 
+import functools
 import random
 
 import pytest
@@ -17,9 +18,10 @@ from shiftlab.fixtures import (
     mixed_sequence,
     random_sequence,
 )
-from shiftlab.codes import code_image, identity_code
+from shiftlab.codes import code_image, identity_code, symbol_code
 from shiftlab.decomposition import _tarjan_sccs, chain_components
 from shiftlab.inverse_systems import (
+    InverseSequenceSpec,
     check_mlc,
     composed_image,
     extract_mlc1_subsequence,
@@ -30,7 +32,12 @@ from shiftlab.inverse_systems import (
     sequence_to_json,
     truncated_limit,
 )
-from shiftlab.shift_core import canonical_presentation, language_equal, language_subset
+from shiftlab.shift_core import (
+    canonical_presentation,
+    full_shift,
+    language_equal,
+    language_subset,
+)
 
 
 MEMOS = (canonical_presentation, chain_components, identity_code, code_image)
@@ -119,6 +126,35 @@ class TestImageMemo:
         check_mlc(a, depth_cap=4)
         chain_components(a.level(2))
         assert a == b and repr(a) == repr(b)
+
+
+def _periodic_binary(tail_block):
+    """Three full 2-shift levels joined by three distinct codes, with a
+    periodic tail of the given block length."""
+    g = full_shift(["0", "1"])
+    codes = (identity_code(g), symbol_code(g, g, {"0": "1", "1": "0"}),
+             symbol_code(g, g, {"0": "0", "1": "0"}))
+    return InverseSequenceSpec((g, g, g), codes, "periodic", tail_block)
+
+
+def _code_oracle(seq, n):
+    """The recursive definition of a periodic tail: code(n) = code(n - p)."""
+    if n <= len(seq.codes):
+        return seq.codes[n - 1]
+    return _code_oracle(seq, n - seq.tail_block)
+
+
+class TestPeriodicTail:
+    @pytest.mark.parametrize("make", [abc_sequence] + [
+        functools.partial(_periodic_binary, p) for p in (1, 2, 3)],
+        ids=["abc", "binary_p1", "binary_p2", "binary_p3"])
+    def test_code_matches_recursive_definition(self, make):
+        seq = make()
+        for n in range(1, 61):
+            assert seq.code(n) is _code_oracle(seq, n)
+        # Deep tails must not recurse once per tail block.
+        for n in (5000, 10 ** 6, 10 ** 6 + 1):
+            assert seq.code(n) is seq.code(n - seq.tail_block)
 
 
 class TestMlc:
