@@ -31,6 +31,7 @@ from .shift_core import (
     Word,
     canonical_presentation,
     essential,
+    follower,
     words_of_length,
 )
 
@@ -359,45 +360,38 @@ def chain_equivalent(g: SftGraph, u: Sequence[str], v: Sequence[str], k: int,
             and delta_chain_reachable(g, v, u, k, length_mod) is not None)
 
 
-def reading_vertices(g: SftGraph, word: Sequence[str]) -> tuple[str, ...]:
-    """Vertices from which the word labels some outgoing path."""
-    ge = essential(g)
-    alive = set(ge.vertices)
-    w = tuple(word)
-    for j in range(len(w) - 1, -1, -1):
-        alive = {u for (u, v, a) in ge.edges if a == w[j] and v in alive}
-    return tuple(sorted(alive))
-
-
 def sync_length(g: SftGraph, cap: Optional[int] = None) -> Optional[int]:
     """Smallest K such that, for every admissible K-word, all vertices that
     can read it lie in a single cyclic class.  None if no K up to the cap
-    works (then per-point classes are not resolved by this presentation)."""
+    works (then per-point classes are not resolved by this presentation).
+    Decided on the follower states reachable by exactly K symbols, as in
+    :func:`class_of_word`."""
     cs = cyclic_structure(g)
     if cs.period == 1:
         return 0
-    ge = essential(g)
+    f = follower(g)
     if cap is None:
-        cap = 2 * len(ge.vertices) + 2
+        cap = 2 * len(f.states[0]) + 2
+    layer = {0}
     for k in range(cap + 1):
-        good = True
-        for w in words_of_length(ge, k):
-            cls = {cs.class_of_vertex(v) for v in reading_vertices(ge, w)}
-            if len(cls) > 1:
-                good = False
-                break
-        if good:
+        if all(len({cs.class_of_vertex(v) for v in f.states[i]}) == 1 for i in layer):
             return k
+        layer = {j for (i, _a), j in f.trans.items() if i in layer}
     return None
 
 
 def class_of_word(g: SftGraph, cs: CyclicStructure, word: Sequence[str]) -> int:
     """Cyclic class of the cylinder determined by the word, when every
-    vertex reading the word agrees on it."""
-    vs = reading_vertices(g, word)
-    if not vs:
-        raise NotInLanguage("word not admissible: %r" % (tuple(word),))
-    cls = {cs.class_of_vertex(v) for v in vs}
+    vertex reading the word agrees on it.  The follower state after the
+    word holds the ends of the paths it labels; they all have length
+    |word|, so the ends share a class exactly when the starts do, and the
+    start class is the end class minus |word| mod the period."""
+    w = tuple(word)
+    f = follower(g)
+    end = f.walk(w)
+    if end is None:
+        raise NotInLanguage("word not admissible: %r" % (w,))
+    cls = {cs.class_of_vertex(v) for v in f.states[end]}
     if len(cls) != 1:
-        raise NotIrreducible("presentation does not resolve the class of %r" % (tuple(word),))
-    return cls.pop()
+        raise NotIrreducible("presentation does not resolve the class of %r" % (w,))
+    return (cls.pop() - len(w)) % cs.period

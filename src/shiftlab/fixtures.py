@@ -38,13 +38,15 @@ def two_fixed_points_graph() -> SftGraph:
     return make_graph(["a", "b"], [("a", "a", "a"), ("b", "b", "b")])
 
 
-def disjoint_union(a: SftGraph, b: SftGraph) -> SftGraph:
-    av = tuple("L." + v for v in a.vertices)
-    bv = tuple("R." + v for v in b.vertices)
-    ae = tuple(("L." + u, "L." + v, s) for (u, v, s) in a.edges)
-    be = tuple(("R." + u, "R." + v, s) for (u, v, s) in b.edges)
+def disjoint_union(a: SftGraph, b: SftGraph, left: str = "L.", right: str = "R.") -> SftGraph:
+    """Both graphs side by side, each vertex name of ``a`` prefixed by
+    ``left`` and of ``b`` by ``right``; the alphabet is the sorted union."""
+    verts, edges = [], []
+    for g, pre in ((a, left), (b, right)):
+        verts.extend(pre + v for v in g.vertices)
+        edges.extend((pre + u, pre + v, s) for (u, v, s) in g.edges)
     alphabet = tuple(sorted(set(a.alphabet) | set(b.alphabet)))
-    return SftGraph(av + bv, ae + be, alphabet)
+    return SftGraph(tuple(verts), tuple(edges), alphabet)
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +135,7 @@ def cantor_product_sequence(depth: int = 4) -> InverseSequenceSpec:
             tag = "".join(u)
             fiber = gap_shift_graph(switch_level(u))
             tagged = _tagged_fiber(tag, fiber)
-            parts = tagged if parts is None else _plain_union(parts, tagged)
+            parts = tagged if parts is None else disjoint_union(parts, tagged, "", "")
         levels.append(parts)
     codes = []
     for n in range(1, depth):
@@ -145,11 +147,6 @@ def cantor_product_sequence(depth: int = 4) -> InverseSequenceSpec:
             mapping[sym] = "%s:%s" % (tag[:-1], fib)
         codes.append(symbol_code(upper, lower, mapping))
     return InverseSequenceSpec(tuple(levels), tuple(codes), "identity")
-
-
-def _plain_union(a: SftGraph, b: SftGraph) -> SftGraph:
-    alphabet = tuple(sorted(set(a.alphabet) | set(b.alphabet)))
-    return SftGraph(a.vertices + b.vertices, a.edges + b.edges, alphabet)
 
 
 # ---------------------------------------------------------------------------
@@ -191,16 +188,9 @@ def random_sequence(seed: int) -> InverseSequenceSpec:
         lower = canonical_presentation(relabeled)
         if rng.random() < 0.5:
             extra = random_graph(rng, prefix="x%d" % n)
-            lower = _rename_union(lower, extra)
+            lower = disjoint_union(lower, extra, "", "u.")
         code = symbol_code(upper, lower, phi)
         levels.insert(0, lower)
         codes.insert(0, code)
         upper = lower
     return InverseSequenceSpec(tuple(levels), tuple(codes), "identity")
-
-
-def _rename_union(a: SftGraph, b: SftGraph) -> SftGraph:
-    bv = tuple("u." + v for v in b.vertices)
-    be = tuple(("u." + u, "u." + v, s) for (u, v, s) in b.edges)
-    alphabet = tuple(sorted(set(a.alphabet) | set(b.alphabet)))
-    return SftGraph(a.vertices + bv, a.edges + be, alphabet)

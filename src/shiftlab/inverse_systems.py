@@ -409,15 +409,13 @@ def truncated_limit(seq: InverseSequenceSpec, depth: int, word_length: int,
                         raise TooLarge("truncated limit exceeds %d points" % max_points)
         partial = nxt
     points = tuple(sorted(partial))
-    succ: list[tuple[int, ...]] = []
-    index = {p: i for i, p in enumerate(points)}
-    for p in points:
-        row = []
-        for q in points:
-            if all(qn[: T - 1] == pn[1:] for pn, qn in zip(p, q)):
-                row.append(index[q])
-        succ.append(tuple(row))
-    return TruncatedSystem(depth, T, points, tuple(succ))
+    # The successors of p are the points whose heads are p's tails; indices
+    # are filed in point order, so every row is ascending.
+    by_head: dict[tuple[Word, ...], list[int]] = {}
+    for i, q in enumerate(points):
+        by_head.setdefault(tuple(qn[: T - 1] for qn in q), []).append(i)
+    succ = tuple(tuple(by_head.get(tuple(pn[1:] for pn in p), ())) for p in points)
+    return TruncatedSystem(depth, T, points, succ)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,10 @@ Conventions, fixed once here and relied on everywhere else:
   language is the set of label words of all finite paths.  The shift space
   it presents is the set of label sequences of infinite paths.
 * A presentation is essential when every vertex has at least one incoming
-  and one outgoing edge.  All constructors normalize to essential form.
+  and one outgoing edge.  ``SftGraph`` and ``make_graph`` store a graph as
+  given; ``full_shift``, ``from_forbidden_words``, ``determinize`` and
+  ``canonical_presentation`` return essential graphs, and every language
+  question is answered on the essential part (see :func:`essential`).
 """
 
 from __future__ import annotations
@@ -114,24 +117,33 @@ def make_graph(vertices: Iterable[str], edges: Iterable[tuple[str, str, str]],
 
 
 def essential(g: SftGraph) -> SftGraph:
-    """Iteratively remove vertices lacking an incoming or outgoing edge."""
-    alive = set(g.vertices)
-    changed = True
-    while changed:
-        changed = False
-        outs = {v: 0 for v in alive}
-        ins = {v: 0 for v in alive}
-        for (u, v, a) in g.edges:
-            if u in alive and v in alive:
-                outs[u] += 1
-                ins[v] += 1
-        for v in list(alive):
-            if outs[v] == 0 or ins[v] == 0:
-                alive.discard(v)
-                changed = True
+    """Remove, one at a time, the vertices left without an incoming or an
+    outgoing edge, updating the degrees of their neighbours as they go."""
+    preds: dict[str, list[str]] = {v: [] for v in g.vertices}
+    succs: dict[str, list[str]] = {v: [] for v in g.vertices}
+    for (u, v, _a) in g.edges:
+        succs[u].append(v)
+        preds[v].append(u)
+    ins = {v: len(p) for v, p in preds.items()}
+    outs = {v: len(s) for v, s in succs.items()}
+    dead: set[str] = set()
+    todo = [v for v in g.vertices if not ins[v] or not outs[v]]
+    while todo:
+        v = todo.pop()
+        if v in dead:
+            continue
+        dead.add(v)
+        for w in succs[v]:
+            ins[w] -= 1
+            if not ins[w]:
+                todo.append(w)
+        for u in preds[v]:
+            outs[u] -= 1
+            if not outs[u]:
+                todo.append(u)
     return SftGraph(
-        tuple(v for v in g.vertices if v in alive),
-        tuple(e for e in g.edges if e[0] in alive and e[1] in alive),
+        tuple(v for v in g.vertices if v not in dead),
+        tuple(e for e in g.edges if e[0] not in dead and e[1] not in dead),
         g.alphabet,
     )
 

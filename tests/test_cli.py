@@ -2,6 +2,7 @@
 
 import json
 import os
+import time
 
 import pytest
 
@@ -113,6 +114,22 @@ class TestScramble:
                              "--blocks", "4", "--out", str(target))
             assert code == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_unresolved_classes_exit_2_quickly(self, tmp_path, capsys):
+        # The full 2-shift on a complete bipartite graph, 5 vertices a side:
+        # period 2, and no word length pins down the class of a point.
+        left = ["a%d" % i for i in range(5)]
+        right = ["b%d" % i for i in range(5)]
+        edges = [[u, v, s] for x, y in ((left, right), (right, left))
+                 for u in x for v in y for s in "01"]
+        graph = tmp_path / "bipartite.json"
+        graph.write_text(json.dumps({"alphabet": ["0", "1"],
+                                     "vertices": left + right, "edges": edges}))
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "scramble", "--in", str(graph))
+        assert time.perf_counter() - t0 < 2.0
+        assert code == 2 and out == ""
+        assert err == "precondition failed: presentation does not resolve cyclic classes\n"
 
     def test_zero_blocks_is_exit_2(self, capsys):
         code, _, err = run(capsys, "scramble", "--in", path("golden_mean.json"),

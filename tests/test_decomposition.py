@@ -1,7 +1,9 @@
 """Chain components, cyclic structure, entropy, exact chain reachability."""
 
+import itertools
 import math
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,7 +23,7 @@ from shiftlab.decomposition import (
     restrict_graph_to_cr,
     sync_length,
 )
-from shiftlab.errors import NotMixing
+from shiftlab.errors import NotInLanguage, NotIrreducible, NotMixing
 from shiftlab.fixtures import (
     disjoint_union,
     golden_mean_graph,
@@ -31,6 +33,8 @@ from shiftlab.fixtures import (
     two_fixed_points_graph,
 )
 from shiftlab.shift_core import (
+    SftGraph,
+    essential,
     from_forbidden_words,
     full_shift,
     graph_from_json,
@@ -197,3 +201,122 @@ class TestKBlockArcs:
         for g in (full_shift(BIN), golden_mean_graph()):
             for k in range(1, 7):
                 assert _k_block_arcs(g, k) == _k_block_arcs_oracle(g, k)
+
+
+def _reading_vertices_oracle(g, word):
+    """Vertices from which the word labels some outgoing path, found by
+    scanning every edge backwards once per symbol."""
+    ge = essential(g)
+    alive = set(ge.vertices)
+    w = tuple(word)
+    for j in range(len(w) - 1, -1, -1):
+        alive = {u for (u, v, a) in ge.edges if a == w[j] and v in alive}
+    return tuple(sorted(alive))
+
+
+def _sync_length_oracle(g, cap=None):
+    """sync_length by reading every admissible word of each length."""
+    cs = cyclic_structure(g)
+    if cs.period == 1:
+        return 0
+    ge = essential(g)
+    if cap is None:
+        cap = 2 * len(ge.vertices) + 2
+    for k in range(cap + 1):
+        good = True
+        for w in words_of_length(ge, k):
+            cls = {cs.class_of_vertex(v) for v in _reading_vertices_oracle(ge, w)}
+            if len(cls) > 1:
+                good = False
+                break
+        if good:
+            return k
+    return None
+
+
+def _class_of_word_oracle(g, cs, word):
+    """class_of_word from the vertices that can read the word."""
+    vs = _reading_vertices_oracle(g, word)
+    if not vs:
+        raise NotInLanguage("word not admissible: %r" % (tuple(word),))
+    cls = {cs.class_of_vertex(v) for v in vs}
+    if len(cls) != 1:
+        raise NotIrreducible("presentation does not resolve the class of %r" % (tuple(word),))
+    return cls.pop()
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:  # compared by type and message
+        return type(exc), str(exc)
+
+
+def _cyclic_graph(rng, classes, symbols):
+    """Random irreducible graph with the given number of cyclic classes:
+    a spine cycle through the first vertex of each class, every vertex
+    joined to the spine both ways, and random edges from each class to
+    the next.  The edges leaving a class carry labels from a random subset
+    of the symbols, so some presentations resolve their classes and some
+    do not."""
+    sizes = [rng.randint(1, 2) for _ in range(classes)]
+    layers = [["c%dv%d" % (i, j) for j in range(n)] for i, n in enumerate(sizes)]
+    labels = [rng.sample(symbols, rng.randint(1, len(symbols))) for _ in layers]
+    edges = set()
+    for i, layer in enumerate(layers):
+        nxt = layers[(i + 1) % classes]
+        for v in layer:
+            edges.add((layers[i - 1][0], v, rng.choice(labels[i - 1])))
+            edges.add((v, nxt[0], rng.choice(labels[i])))
+            for u in nxt:
+                for a in labels[i]:
+                    if rng.random() < 0.3:
+                        edges.add((v, u, a))
+    verts = [v for layer in layers for v in layer]
+    return SftGraph(tuple(verts), tuple(sorted(edges)), tuple(symbols))
+
+
+def _bipartite_full_shift(n):
+    """The full 2-shift on a complete bipartite graph with n vertices a
+    side: period 2, and every word is read from every vertex, so no word
+    length resolves the classes."""
+    left = ["a%d" % i for i in range(n)]
+    right = ["b%d" % i for i in range(n)]
+    edges = tuple((u, v, s) for x, y in ((left, right), (right, left))
+                  for u in x for v in y for s in BIN)
+    return SftGraph(tuple(left + right), edges, tuple(BIN))
+
+
+class TestClassesFromFollower:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 10 ** 6), st.integers(1, 4), st.sampled_from(["01", "012", "0123"]))
+    def test_matches_reading_oracle(self, seed, classes, symbols):
+        g = _cyclic_graph(random.Random(seed), classes, symbols)
+        cs = cyclic_structure(g)
+        assert cs.period == classes
+        # The oracle lists every admissible word of each length up to the
+        # cap; a cap of 6 keeps that to a few thousand words per length.
+        cap = min(2 * len(g.vertices) + 2, 6)
+        assert sync_length(g, cap) == _sync_length_oracle(g, cap)
+        for n in range(6):
+            for w in itertools.product(symbols, repeat=n):
+                assert (_outcome(class_of_word, g, cs, w)
+                        == _outcome(_class_of_word_oracle, g, cs, w))
+
+    def test_fixtures_match_reading_oracle(self):
+        for g in (golden_mean_graph(), two_cycle_graph(), three_cycle_graph()):
+            cs = cyclic_structure(g)
+            assert sync_length(g) == _sync_length_oracle(g)
+            for n in range(5):
+                for w in itertools.product(g.alphabet, repeat=n):
+                    assert (_outcome(class_of_word, g, cs, w)
+                            == _outcome(_class_of_word_oracle, g, cs, w))
+
+    def test_unresolved_bipartite_presentation_is_fast(self):
+        for n in (3, 5):
+            g = _bipartite_full_shift(n)
+            assert cyclic_structure(g).period == 2
+            t0 = time.perf_counter()
+            assert sync_length(g) is None
+            assert time.perf_counter() - t0 < 2.0
+        assert _sync_length_oracle(_bipartite_full_shift(3)) is None

@@ -290,6 +290,26 @@ class TestTruncatedLimit:
         with pytest.raises(TooLarge):
             truncated_limit(cantor_product_sequence(4), 4, 10, max_points=100)
 
+    @pytest.mark.parametrize("make, depth, length", [
+        (lambda: cantor_product_sequence(3), 3, 4),
+        (lambda: cantor_product_sequence(4), 4, 5),
+        (lambda: cantor_product_sequence(4), 2, 1),
+        (abc_sequence, 3, 4),
+        (branching_sequence, 3, 4),
+    ] + [(functools.partial(random_sequence, seed), 3, 6) for seed in range(10)],
+        ids=["cantor_product_3", "cantor_product_4", "cantor_product_4_length_1",
+             "abc", "branching"] + ["random_%d" % seed for seed in range(10)])
+    def test_successors_match_all_pairs_oracle(self, make, depth, length):
+        """The successor rows the all-pairs scan built: q follows p when
+        every coordinate of q extends p's coordinate minus its first symbol."""
+        sysm = truncated_limit(make(), depth, length)
+        T = sysm.word_length
+        expected = tuple(
+            tuple(j for j, q in enumerate(sysm.points)
+                  if all(qn[: T - 1] == pn[1:] for pn, qn in zip(p, q)))
+            for p in sysm.points)
+        assert sysm.successors == expected
+
 
 class TestJson:
     def test_round_trip(self):

@@ -1,6 +1,7 @@
 """Core shift-space machinery: graphs, languages, points, the metric."""
 
 import random
+import time
 from collections import deque
 from fractions import Fraction
 
@@ -76,9 +77,68 @@ class TestGraphs:
         ge = essential(g)
         assert set(ge.vertices) == {"a"}
 
+    def test_essential_prunes_long_tail_quickly(self):
+        # A 4,000-vertex path into a loop: the round-by-round pruning needed
+        # one full recount per tail vertex.
+        n = 4000
+        verts = ["t%d" % i for i in range(n)] + ["loop"]
+        edges = [("t%d" % i, "t%d" % (i + 1), "0") for i in range(n - 1)]
+        edges += [("t%d" % (n - 1), "loop", "0"), ("loop", "loop", "1")]
+        g = make_graph(verts, edges, alphabet=BIN)
+        t0 = time.perf_counter()
+        ge = essential(g)
+        assert time.perf_counter() - t0 < 1.0
+        assert ge == SftGraph(("loop",), (("loop", "loop", "1"),), tuple(BIN))
+
     def test_duplicate_edge_rejected(self):
         with pytest.raises(PreconditionError):
             make_graph(["a"], [("a", "a", "0"), ("a", "a", "0")], alphabet=BIN)
+
+
+def _essential_oracle(g):
+    """Pruning in full rounds: recount every degree, drop every vertex
+    without an incoming or outgoing edge, repeat until nothing changes."""
+    alive = set(g.vertices)
+    changed = True
+    while changed:
+        changed = False
+        outs = {v: 0 for v in alive}
+        ins = {v: 0 for v in alive}
+        for (u, v, a) in g.edges:
+            if u in alive and v in alive:
+                outs[u] += 1
+                ins[v] += 1
+        for v in list(alive):
+            if outs[v] == 0 or ins[v] == 0:
+                alive.discard(v)
+                changed = True
+    return SftGraph(
+        tuple(v for v in g.vertices if v in alive),
+        tuple(e for e in g.edges if e[0] in alive and e[1] in alive),
+        g.alphabet,
+    )
+
+
+def _loose_graph(rng, nv):
+    """Random graph stored as drawn, dead ends and sources included."""
+    verts = tuple("v%d" % i for i in range(nv))
+    edges = tuple((u, v, a) for u in verts for v in verts for a in BIN
+                  if rng.random() < 0.15)
+    return SftGraph(verts, edges, tuple(BIN))
+
+
+class TestEssential:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 10 ** 6), st.integers(0, 8))
+    def test_matches_round_oracle(self, seed, nv):
+        g = _loose_graph(random.Random(seed), nv)
+        assert essential(g) == _essential_oracle(g)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(0, 10 ** 6), st.integers(1, 5))
+    def test_matches_round_oracle_on_random_graph(self, seed, nv):
+        g = random_graph(random.Random(seed), max_vertices=nv)
+        assert essential(g) == _essential_oracle(g) == g
 
 
 def _canonical_oracle(g):
