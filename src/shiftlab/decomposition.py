@@ -13,7 +13,8 @@ from __future__ import annotations
 import functools
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Hashable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -165,16 +166,19 @@ def is_irreducible(g: SftGraph) -> bool:
 class CyclicStructure:
     """Period m and ordered vertex classes of an irreducible graph; every
     edge runs from class i to class i+1 mod m.  Class 0 is the class
-    holding the smallest vertex name."""
+    holding the smallest vertex name.  ``vertex_class`` is the read-only
+    vertex -> class map, built once from ``classes``."""
 
     period: int
     classes: tuple[tuple[str, ...], ...]
+    vertex_class: Mapping[str, int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        index = {v: i for i, cls in enumerate(self.classes) for v in cls}
+        object.__setattr__(self, "vertex_class", MappingProxyType(index))
 
     def class_of_vertex(self, v: str) -> int:
-        for i, cls in enumerate(self.classes):
-            if v in cls:
-                return i
-        raise KeyError(v)
+        return self.vertex_class[v]
 
 
 def cyclic_structure(g: SftGraph) -> CyclicStructure:
@@ -198,11 +202,12 @@ def cyclic_structure(g: SftGraph) -> CyclicStructure:
         m = math.gcd(m, dist[u] + 1 - dist[v])
     if m == 0:
         m = 1
-    raw = [tuple(sorted(v for v in ge.vertices if dist[v] % m == i)) for i in range(m)]
+    raw: list[list[str]] = [[] for _ in range(m)]
+    for v in ge.vertices:
+        raw[dist[v] % m].append(v)
     # Rotate so the class containing the least vertex name comes first.
-    least = min(ge.vertices)
-    k = next(i for i, cls in enumerate(raw) if least in cls)
-    classes = tuple(raw[(k + i) % m] for i in range(m))
+    k = dist[min(ge.vertices)] % m
+    classes = tuple(tuple(sorted(raw[(k + i) % m])) for i in range(m))
     return CyclicStructure(m, classes)
 
 
@@ -353,13 +358,6 @@ def delta_chain_reachable(
     return ChainWitness(tuple(reversed(path)))
 
 
-def chain_equivalent(g: SftGraph, u: Sequence[str], v: Sequence[str], k: int,
-                     length_mod: Optional[tuple[int, int]] = None) -> bool:
-    """Mutual chain reachability of two cylinders at resolution 2**-k."""
-    return (delta_chain_reachable(g, u, v, k, length_mod) is not None
-            and delta_chain_reachable(g, v, u, k, length_mod) is not None)
-
-
 def sync_length(g: SftGraph, cap: Optional[int] = None) -> Optional[int]:
     """Smallest K such that, for every admissible K-word, all vertices that
     can read it lie in a single cyclic class.  None if no K up to the cap
@@ -372,11 +370,18 @@ def sync_length(g: SftGraph, cap: Optional[int] = None) -> Optional[int]:
     f = follower(g)
     if cap is None:
         cap = 2 * len(f.states[0]) + 2
+    succ: list[list[int]] = [[] for _ in f.states]
+    for (i, _a), j in f.trans.items():
+        succ[i].append(j)
+    cls = cs.vertex_class
+    # Every successor of a state within one class lies within the next
+    # class, so only the states of a layer spanning two classes are kept.
     layer = {0}
     for k in range(cap + 1):
-        if all(len({cs.class_of_vertex(v) for v in f.states[i]}) == 1 for i in layer):
+        layer = {i for i in layer if len({cls[v] for v in f.states[i]}) > 1}
+        if not layer:
             return k
-        layer = {j for (i, _a), j in f.trans.items() if i in layer}
+        layer = {j for i in layer for j in succ[i]}
     return None
 
 

@@ -281,22 +281,48 @@ def determinize(g: SftGraph) -> SftGraph:
 
 def _minimize(num_states: int, trans: Mapping[tuple[int, str], int],
               alphabet: Sequence[str]) -> tuple[list[int], int]:
-    """Moore minimization of a partial DFA in which every state is
-    accepting.  Returns (block id per state, block count)."""
-    block = [0] * num_states
-    nblocks = 1
-    while True:
-        sig = {}
-        newblock = [0] * num_states
-        for s in range(num_states):
-            key = (block[s], tuple(
-                block[trans[(s, a)]] if (s, a) in trans else -1 for a in alphabet))
-            if key not in sig:
-                sig[key] = len(sig)
-            newblock[s] = sig[key]
-        if len(sig) == nblocks:
-            return newblock, nblocks
-        block, nblocks = newblock, len(sig)
+    """Hopcroft partition refinement of a partial DFA in which every state
+    is accepting, in O(|alphabet| n log n) time.  The automaton is
+    completed by one rejecting sink, so the initial partition is {states,
+    sink}.  A worklist holds (block, symbol) splitters: a block split while
+    in it is queued as both halves, otherwise only its smaller half is.
+    Returns (block id per state, block count), blocks numbered by first
+    appearance in state order."""
+    if num_states <= 1:
+        return [0] * num_states, num_states
+    sink = num_states
+    # pre[k][t]: the states whose transition on alphabet[k] leads to t
+    # (t = sink when it is missing); the sink's own loops never split a
+    # block, so they are left out.
+    pre = [[[] for _ in range(num_states + 1)] for _ in alphabet]
+    for s in range(num_states):
+        for k, a in enumerate(alphabet):
+            pre[k][trans.get((s, a), sink)].append(s)
+    blocks = [set(range(num_states)), {sink}]
+    block_of = [0] * num_states + [1]
+    symbols = range(len(alphabet))
+    work = {(1, k) for k in symbols}
+    while work:
+        b, k = work.pop()
+        into = pre[k]
+        hit: dict[int, list[int]] = {}
+        for t in blocks[b]:
+            for s in into[t]:
+                hit.setdefault(block_of[s], []).append(s)
+        for y, moved in hit.items():
+            rest = blocks[y]
+            if len(moved) == len(rest):
+                continue
+            rest.difference_update(moved)
+            z = len(blocks)
+            blocks.append(set(moved))
+            for s in moved:
+                block_of[s] = z
+            small = y if len(rest) <= len(moved) else z
+            for c in symbols:
+                work.add((z, c) if (y, c) in work else (small, c))
+    ids: dict[int, int] = {}
+    return [ids.setdefault(block_of[s], len(ids)) for s in range(num_states)], len(ids)
 
 
 @functools.lru_cache(maxsize=MEMO_SIZE)
@@ -371,19 +397,6 @@ def words_of_length(g: SftGraph, length: int) -> list[Word]:
         layer = [(trans[(i, a)], w + (a,))
                  for i, w in layer for a in g.alphabet if (i, a) in trans]
     return sorted(w for _i, w in layer)
-
-
-def count_words(g: SftGraph, length: int) -> int:
-    trans = follower(g).trans
-    counts = {0: 1}
-    for _ in range(length):
-        nxt: dict[int, int] = {}
-        for i, c in counts.items():
-            for a in g.alphabet:
-                if (i, a) in trans:
-                    nxt[trans[(i, a)]] = nxt.get(trans[(i, a)], 0) + c
-        counts = nxt
-    return sum(counts.values())
 
 
 # ---------------------------------------------------------------------------

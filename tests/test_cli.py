@@ -7,6 +7,8 @@ import time
 import pytest
 
 from shiftlab.cli import _build_parser, main
+from shiftlab.decomposition import chain_components
+from shiftlab.shift_core import canonical_presentation, follower
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -19,6 +21,20 @@ def run(capsys, *argv):
 
 def path(name):
     return os.path.join(DATA, name)
+
+
+@pytest.fixture
+def marked_cycle(tmp_path):
+    """A 1000-cycle labelled 0 except for one edge labelled 1, written as a
+    graph file, with the graph memos emptied so that a run starts cold."""
+    n = 1000
+    verts = ["v%d" % i for i in range(n)]
+    edges = [[verts[i], verts[(i + 1) % n], "1" if i == 0 else "0"] for i in range(n)]
+    graph = tmp_path / "cycle.json"
+    graph.write_text(json.dumps({"alphabet": ["0", "1"], "vertices": verts, "edges": edges}))
+    for memo in (follower, canonical_presentation, chain_components):
+        memo.cache_clear()
+    return str(graph)
 
 
 class TestAnalyze:
@@ -48,6 +64,15 @@ class TestAnalyze:
     def test_unknown_flag_rejected(self):
         with pytest.raises(SystemExit):
             main(["analyze", "--in", path("golden_mean.json"), "--bogus"])
+
+    def test_long_cycle_within_budget(self, marked_cycle, capsys):
+        t0 = time.perf_counter()
+        code, out, _ = run(capsys, "analyze", "--in", marked_cycle)
+        assert time.perf_counter() - t0 < 3.0
+        assert code == 0
+        rep = json.loads(out)
+        assert rep["irreducible"] and not rep["mixing"]
+        assert [c["period"] for c in rep["components"]] == [1000]
 
 
 class TestMlc:
@@ -130,6 +155,13 @@ class TestScramble:
         assert time.perf_counter() - t0 < 2.0
         assert code == 2 and out == ""
         assert err == "precondition failed: presentation does not resolve cyclic classes\n"
+
+    def test_long_cycle_exits_2_within_budget(self, marked_cycle, capsys):
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "scramble", "--in", marked_cycle)
+        assert time.perf_counter() - t0 < 2.0
+        assert code == 2 and out == ""
+        assert err == "precondition failed: no 2-tuple up to period 8\n"
 
     def test_zero_blocks_is_exit_2(self, capsys):
         code, _, err = run(capsys, "scramble", "--in", path("golden_mean.json"),

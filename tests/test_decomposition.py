@@ -1,5 +1,6 @@
 """Chain components, cyclic structure, entropy, exact chain reachability."""
 
+import dataclasses
 import itertools
 import math
 import random
@@ -9,9 +10,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from shiftlab.decomposition import (
+    CyclicStructure,
     _k_block_arcs,
     chain_components,
-    chain_equivalent,
     class_of_word,
     cyclic_structure,
     delta_chain_reachable,
@@ -122,6 +123,41 @@ class TestCyclicStructure:
         c2 = class_of_word(g, cs, ("b",))
         assert {c1, c2} == {0, 1}
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 10 ** 6), st.integers(1, 5))
+    def test_matches_scan_oracle(self, seed, classes):
+        g = _cyclic_graph(random.Random(seed), classes, "01")
+        cs = cyclic_structure(g)
+        assert cs == _cyclic_structure_oracle(g)
+        for v in g.vertices:
+            assert cs.class_of_vertex(v) == _class_of_vertex_oracle(cs, v)
+        with pytest.raises(KeyError) as got:
+            cs.class_of_vertex("missing")
+        with pytest.raises(KeyError) as want:
+            _class_of_vertex_oracle(cs, "missing")
+        assert got.value.args == want.value.args
+
+    def test_vertex_map_is_read_only_and_not_compared(self):
+        cs = cyclic_structure(two_cycle_graph())
+        again = CyclicStructure(cs.period, cs.classes)
+        assert cs == again and hash(cs) == hash(again)
+        assert cs.vertex_class == again.vertex_class
+        assert [f.name for f in dataclasses.fields(cs) if f.compare] == ["period", "classes"]
+        assert repr(cs) == "CyclicStructure(period=2, classes=%r)" % (cs.classes,)
+        with pytest.raises(TypeError):
+            cs.vertex_class["a"] = 0
+
+    def test_long_cycle_is_fast(self):
+        # One class per vertex: a scan per class or per lookup is quadratic.
+        n = 6000
+        g = SftGraph(tuple("v%d" % i for i in range(n)),
+                     tuple(("v%d" % i, "v%d" % ((i + 1) % n), "0") for i in range(n)),
+                     ("0",))
+        t0 = time.perf_counter()
+        cs = cyclic_structure(g)
+        assert [cs.class_of_vertex(v) for v in g.vertices] == list(range(n))
+        assert time.perf_counter() - t0 < 1.0
+
     def test_mixing_predicates(self):
         assert is_mixing(golden_mean_graph())
         assert not is_mixing(two_cycle_graph())
@@ -168,7 +204,8 @@ class TestChainReachability:
 
     def test_not_reachable_across_components(self):
         g = disjoint_union(golden_mean_graph(), three_cycle_graph())
-        assert not chain_equivalent(g, ("0",), ("x",), 1)
+        assert delta_chain_reachable(g, ("0",), ("x",), 1) is None
+        assert delta_chain_reachable(g, ("x",), ("0",), 1) is None
 
     def test_length_congruence_constraint(self):
         g = two_cycle_graph()
@@ -203,6 +240,35 @@ class TestKBlockArcs:
                 assert _k_block_arcs(g, k) == _k_block_arcs_oracle(g, k)
 
 
+def _class_of_vertex_oracle(cs, v):
+    """class_of_vertex by scanning the classes in order."""
+    for i, cls in enumerate(cs.classes):
+        if v in cls:
+            return i
+    raise KeyError(v)
+
+
+def _cyclic_structure_oracle(g):
+    """cyclic_structure with one scan of all vertices per class."""
+    ge = essential(g)
+    root = ge.vertices[0]
+    dist = {root: 0}
+    queue = [root]
+    for u in queue:
+        for (x, v, _a) in ge.edges:
+            if x == u and v not in dist:
+                dist[v] = dist[u] + 1
+                queue.append(v)
+    m = 0
+    for (u, v, _a) in ge.edges:
+        m = math.gcd(m, dist[u] + 1 - dist[v])
+    m = m or 1
+    raw = [tuple(sorted(v for v in ge.vertices if dist[v] % m == i)) for i in range(m)]
+    least = min(ge.vertices)
+    k = next(i for i, cls in enumerate(raw) if least in cls)
+    return CyclicStructure(m, tuple(raw[(k + i) % m] for i in range(m)))
+
+
 def _reading_vertices_oracle(g, word):
     """Vertices from which the word labels some outgoing path, found by
     scanning every edge backwards once per symbol."""
@@ -225,7 +291,7 @@ def _sync_length_oracle(g, cap=None):
     for k in range(cap + 1):
         good = True
         for w in words_of_length(ge, k):
-            cls = {cs.class_of_vertex(v) for v in _reading_vertices_oracle(ge, w)}
+            cls = {_class_of_vertex_oracle(cs, v) for v in _reading_vertices_oracle(ge, w)}
             if len(cls) > 1:
                 good = False
                 break
@@ -239,7 +305,7 @@ def _class_of_word_oracle(g, cs, word):
     vs = _reading_vertices_oracle(g, word)
     if not vs:
         raise NotInLanguage("word not admissible: %r" % (tuple(word),))
-    cls = {cs.class_of_vertex(v) for v in vs}
+    cls = {_class_of_vertex_oracle(cs, v) for v in vs}
     if len(cls) != 1:
         raise NotIrreducible("presentation does not resolve the class of %r" % (tuple(word),))
     return cls.pop()

@@ -16,7 +16,6 @@ from shiftlab.shift_core import (
     _minimize,
     canonical_presentation,
     canonical_signature,
-    count_words,
     distance,
     essential,
     follower,
@@ -48,11 +47,11 @@ def binary_points():
 class TestGraphs:
     def test_full_shift_counts(self):
         g = full_shift(BIN)
-        assert [count_words(g, n) for n in range(1, 6)] == [2, 4, 8, 16, 32]
+        assert [len(words_of_length(g, n)) for n in range(1, 6)] == [2, 4, 8, 16, 32]
 
     def test_golden_mean_counts_are_fibonacci(self):
         g = golden_mean_graph()
-        counts = [count_words(g, n) for n in range(1, 10)]
+        counts = [len(words_of_length(g, n)) for n in range(1, 10)]
         assert counts == [2, 3, 5, 8, 13, 21, 34, 55, 89]
 
     def test_forbidden_word_removed(self):
@@ -141,11 +140,30 @@ class TestEssential:
         assert essential(g) == _essential_oracle(g) == g
 
 
+def _moore_oracle(num_states, trans, alphabet):
+    """Moore refinement, which _minimize ran before Hopcroft's: split every
+    block by the blocks its states move to, until no block splits."""
+    block = [0] * num_states
+    nblocks = 1
+    while True:
+        sig = {}
+        newblock = [0] * num_states
+        for s in range(num_states):
+            key = (block[s], tuple(
+                block[trans[(s, a)]] if (s, a) in trans else -1 for a in alphabet))
+            if key not in sig:
+                sig[key] = len(sig)
+            newblock[s] = sig[key]
+        if len(sig) == nblocks:
+            return newblock, nblocks
+        block, nblocks = newblock, len(sig)
+
+
 def _canonical_oracle(g):
-    """The breadth-first renaming pass over minimized blocks that
+    """The breadth-first renaming pass over Moore-minimized blocks that
     canonical_presentation ran before it named blocks by their ids."""
     f = follower(g)
-    block, _ = _minimize(len(f.states), f.trans, g.alphabet)
+    block, _ = _moore_oracle(len(f.states), f.trans, g.alphabet)
     btrans = {(block[s], a): block[t] for (s, a), t in f.trans.items()}
     order, seen = [block[0]], {block[0]}
     i = 0
@@ -168,6 +186,52 @@ def _labelled_cycle(labels):
     return make_graph(["v%d" % i for i in range(n)],
                       [("v%d" % i, "v%d" % ((i + 1) % n), a) for i, a in enumerate(labels)],
                       alphabet=BIN)
+
+
+def _marked_cycle(n, marked):
+    """An n-cycle labelled 0 except on the edges whose index is marked."""
+    return _labelled_cycle(["1" if i in marked else "0" for i in range(n)])
+
+
+def _random_dfa(rng, num_states, alphabet):
+    """Partial DFA with random transitions, reachable or not."""
+    trans = {(s, a): rng.randrange(num_states) for s in range(num_states)
+             for a in alphabet if rng.random() < 0.7}
+    return num_states, trans, alphabet
+
+
+class TestMinimize:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 10 ** 6), st.sampled_from(["01", "012", "0123"]),
+           st.integers(1, 8))
+    def test_matches_moore_on_random_graphs(self, seed, symbols, nv):
+        g = random_graph(random.Random(seed), symbols=symbols, max_vertices=nv)
+        f = follower(g)
+        args = (len(f.states), f.trans, g.alphabet)
+        assert _minimize(*args) == _moore_oracle(*args)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(1, 300), st.sets(st.integers(0, 299), max_size=4))
+    def test_matches_moore_on_marked_cycles(self, n, marked):
+        g = _marked_cycle(n, {i % n for i in marked})
+        f = follower(g)
+        args = (len(f.states), f.trans, g.alphabet)
+        assert _minimize(*args) == _moore_oracle(*args)
+        assert canonical_presentation(g) == _canonical_oracle(g)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 10 ** 6), st.integers(0, 8), st.sampled_from(["0", "01", "012"]))
+    def test_matches_moore_on_partial_dfas(self, seed, num_states, symbols):
+        args = _random_dfa(random.Random(seed), num_states, tuple(symbols))
+        assert _minimize(*args) == _moore_oracle(*args)
+
+    def test_long_cycle_is_fast(self):
+        # Moore refinement needs one round per vertex on a marked cycle.
+        f = follower(_marked_cycle(1000, {0}))
+        t0 = time.perf_counter()
+        block, nblocks = _minimize(len(f.states), f.trans, ("0", "1"))
+        assert time.perf_counter() - t0 < 1.0
+        assert nblocks == len(f.states) == len(set(block))
 
 
 class TestCanonicalPresentation:
