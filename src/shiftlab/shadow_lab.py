@@ -16,6 +16,12 @@ bitmask (bit i is ``labels[i]``).  The metric checks run on that matrix,
 each epsilon- or delta-ball is one bitmask computed once per threshold per
 call, and survivor sets are bitmasks too, so the checks stay exact without
 any ``Fraction`` arithmetic in their loops.
+
+Shift truncations and the limit system are prefix metrics: two points at
+common prefix length k are 2**-k apart.  They build the integer matrix
+straight from the prefix lengths, with no per-pair Python step, and their
+``dist`` is a lazy read-only view of that matrix as exact ``Fraction``s.
+Both refuse more than ``MAX_TRUNCATION_POINTS`` points.
 """
 
 from __future__ import annotations
@@ -23,12 +29,13 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from collections.abc import ItemsView, Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 from operator import or_
 from types import MappingProxyType
-from typing import Callable, Mapping, NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -42,14 +49,19 @@ from .errors import (
 from .shift_core import (
     SftGraph,
     Word,
+    follower,
     from_forbidden_words,
     words_of_length,
 )
 
-# Elements of the largest temporary the triangle check builds: it works on
-# blocks of rows, so an explicit check on a large space stays quadratic in
+# Elements of the largest temporary the triangle check and the prefix
+# metric build: both work on blocks of rows, so they stay quadratic in
 # memory.
 _TRIANGLE_BLOCK = 1 << 20
+
+# Most points a truncation or limit system may have: the full 2-shift at
+# depth 12 still builds, and every point costs a row of the n x n metric.
+MAX_TRUNCATION_POINTS = 4096
 
 
 class _Index(NamedTuple):
@@ -70,7 +82,11 @@ class FiniteSystem:
     each point has a nonempty set of successors.  A truncated shift keeps
     every admissible extension as a successor; a genuine self-map has
     singleton successor sets.  The metric and successors are stored as
-    read-only copies, since the integer index is derived from them."""
+    read-only copies, since the integer index is derived from them.
+    Truncations and the limit system build their integer metric from word
+    prefix lengths instead and pass it as a ``_MetricView`` over the same
+    labels: the matrix becomes the index as it is, checked like any other,
+    and ``dist`` is a lazy exact view that reads ``Fraction``s off it."""
 
     labels: tuple[str, ...]
     dist: Mapping[tuple[str, str], Fraction] = field(compare=False)
@@ -85,10 +101,14 @@ class FiniteSystem:
             succ = self.successors.get(p)
             if not succ or any(q not in seen for q in succ):
                 raise PreconditionError("successors not defined into the space at %r" % p)
-        dm, scale = _scaled_metric(self.labels, self.dist)
+        if isinstance(self.dist, _MetricView) and self.dist.labels == self.labels:
+            dm, scale = self.dist.dm, self.dist.scale
+            _check_metric(self.labels, dm)
+        else:
+            dm, scale = _scaled_metric(self.labels, self.dist)
+            object.__setattr__(self, "dist", MappingProxyType(dict(self.dist)))
         pos = {p: i for i, p in enumerate(self.labels)}
         successors = {p: tuple(self.successors[p]) for p in self.labels}
-        object.__setattr__(self, "dist", MappingProxyType(dict(self.dist)))
         object.__setattr__(self, "successors", MappingProxyType(successors))
         object.__setattr__(self, "_index", _Index(
             MappingProxyType(pos),
@@ -118,6 +138,15 @@ def _scaled_metric(labels: Sequence[str],
     ints = [-1 if d is None else d.numerator * (scale // d.denominator) for d in vals]
     wide = 2 * max(map(abs, ints), default=0) > np.iinfo(np.int64).max
     dm = np.array(ints, dtype=object if wide else np.int64).reshape(n, n)
+    _check_metric(labels, dm)
+    dm.flags.writeable = False
+    return dm, scale
+
+
+def _check_metric(labels: Sequence[str], dm: np.ndarray) -> None:
+    """Raise on the first bad entry of an integer metric, as _scaled_metric
+    describes."""
+    n = len(labels)
     missing = dm < 0
     diagonal = (dm == 0) != np.eye(n, dtype=bool)
     bad = np.flatnonzero(missing | diagonal | (dm != dm.T))
@@ -130,8 +159,81 @@ def _scaled_metric(labels: Sequence[str],
             raise PreconditionError("metric must vanish exactly on the diagonal")
         raise PreconditionError("metric not symmetric at (%r, %r)"
                                 % (labels[i], labels[j]))
+
+
+class _Fractions(dict):
+    """Scaled integer -> the one shared Fraction it stands for."""
+
+    def __init__(self, scale: int):
+        super().__init__()
+        self.scale = scale
+
+    def __missing__(self, k: int) -> Fraction:
+        f = self[k] = Fraction(k, self.scale)
+        return f
+
+
+class _MetricView(Mapping):
+    """Read-only view of an integer metric matrix as exact distances keyed
+    by label pairs, in row-major label order, with one shared ``Fraction``
+    per distinct value."""
+
+    def __init__(self, labels: tuple[str, ...], dm: np.ndarray, scale: int):
+        self.labels, self.dm, self.scale = labels, dm, scale
+        self._pos = {p: i for i, p in enumerate(labels)}
+        self._frac = _Fractions(scale)
+
+    def __getitem__(self, key) -> Fraction:
+        try:
+            p, q = key
+            i, j = self._pos[p], self._pos[q]
+        except (KeyError, TypeError, ValueError):
+            raise KeyError(key) from None
+        return self._frac[int(self.dm[i, j])]
+
+    def __iter__(self):
+        return ((p, q) for p in self.labels for q in self.labels)
+
+    def __len__(self) -> int:
+        return len(self.labels) ** 2
+
+    def items(self):
+        return _ListedItems(self)
+
+
+class _ListedItems(ItemsView):
+    """Items of a _MetricView, read off one ``tolist`` of its matrix."""
+
+    def __iter__(self):
+        view = self._mapping
+        for p, row in zip(view.labels, view.dm.tolist()):
+            for q, k in zip(view.labels, row):
+                yield (p, q), view._frac[k]
+
+
+def _prefix_metric(labels: tuple[str, ...], top: int,
+                   rows: Callable[[int, int], np.ndarray]) -> _MetricView:
+    """The metric 2**-k between distinct words with common prefix length k,
+    scaled by 2**top.  rows(lo, hi) gives the prefix lengths of points
+    lo..hi-1 against every point, at most top off the diagonal; it is
+    called on blocks of rows, so no temporary outgrows _TRIANGLE_BLOCK
+    elements.  Two of the words, if there are two, differ in their first
+    symbol, so the largest entry is 2**top, and scale and dtype are what
+    _scaled_metric gives for the same distances."""
+    n = len(labels)
+    wide = 2 << top > np.iinfo(np.int64).max
+    # powers[k] is the scaled distance at prefix length k, and the mark
+    # top + 1 maps to 0, the distance of a point to itself.
+    powers = np.array([1 << (top - k) for k in range(top + 1)] + [0],
+                      dtype=object if wide else np.int64)
+    dm = np.empty((n, n), dtype=powers.dtype)
+    block = max(1, _TRIANGLE_BLOCK // n)
+    for lo in range(0, n, block):
+        hi = min(n, lo + block)
+        dm[lo:hi] = powers[rows(lo, hi)]
+    np.fill_diagonal(dm, 0)
     dm.flags.writeable = False
-    return dm, scale
+    return _MetricView(labels, dm, 1 << top)
 
 
 def check_triangle(sys: "FiniteSystem") -> None:
@@ -374,44 +476,74 @@ def _shadowed(sys: FiniteSystem, near: list[int], image: Callable[[int], int],
 # Truncated shifts as finite systems
 
 
+def _check_size(points: int) -> None:
+    if points > MAX_TRUNCATION_POINTS:
+        raise TooLarge("truncation exceeds %d points" % MAX_TRUNCATION_POINTS)
+
+
+def _count_words(g: SftGraph, length: int) -> int:
+    """Admissible words of the given length, counted as paths from the
+    start of the follower automaton, or the first count of a shorter
+    length past MAX_TRUNCATION_POINTS.  Every state has a successor, so
+    the counts never fall as the length grows."""
+    f = follower(g)
+    counts = [1] + [0] * (len(f.states) - 1)
+    for _ in range(length):
+        if sum(counts) > MAX_TRUNCATION_POINTS:
+            break
+        nxt = [0] * len(counts)
+        for (i, _a), j in f.trans.items():
+            nxt[j] += counts[i]
+        counts = nxt
+    return sum(counts)
+
+
+def _common_prefix(u: Word, v: Word) -> int:
+    return next((j for j, (a, b) in enumerate(zip(u, v)) if a != b), len(u))
+
+
 def truncate_shift(g: SftGraph, depth: int) -> FiniteSystem:
     """Admissible depth-words with the cylinder word metric.  Successors of
     a word drop its first symbol and append every admissible continuation,
     so orbits of the truncation are exactly the shift orbits as far as the
-    truncation can see."""
+    truncation can see.  Raises TooLarge above MAX_TRUNCATION_POINTS words,
+    before listing them."""
     if depth < 1:
         raise PreconditionError("truncation depth must be at least 1")
+    _check_size(_count_words(g, depth))
     words = words_of_length(g, depth)
     if not words:
         raise PreconditionError("no admissible words at this depth")
-    wordset = {w for w in words}
     sep = "." if any(len(a) > 1 for a in g.alphabet) else ""
-    labels = []
-    lookup = {}
-    for w in sorted(words):
-        lab = sep.join(w)
-        labels.append(lab)
-        lookup[lab] = w
-    rev = {w: lab for lab, w in lookup.items()}
+    labels = tuple(sep.join(w) for w in words)
+    at = {w: i for i, w in enumerate(words)}
     succ = {}
-    for lab, w in lookup.items():
+    for lab, w in zip(labels, words):
         tail = w[1:]
-        nxt = [rev[tail + (sym,)] for sym in sorted(g.alphabet)
-               if tail + (sym,) in wordset]
+        nxt = sorted(labels[at[tail + (sym,)]] for sym in g.alphabet
+                     if tail + (sym,) in at)
         if not nxt:
             raise InternalInvariantViolation("truncated word has no successor")
         succ[lab] = nxt
-    # One shared Fraction per common-prefix length; equal words are at 0.
-    scale = [Fraction(1, 2 ** j) for j in range(depth)] + [Fraction(0)]
+    # Sorted words: the common prefix of words i < j is the least common
+    # prefix of the adjacent pairs between them, a running minimum of h.
+    h = np.array([_common_prefix(u, v) for u, v in zip(words, words[1:])],
+                 dtype=np.min_scalar_type(depth + 1))
+    top = int(h.max(initial=0))
+    n = len(words)
 
-    def metric(p: str, q: str) -> Fraction:
-        u, v = lookup[p], lookup[q]
-        j = 0
-        while j < depth and u[j] == v[j]:
-            j += 1
-        return scale[j]
+    def rows(lo: int, hi: int) -> np.ndarray:
+        r = np.arange(lo, hi)[:, None]
+        t = np.arange(n - 1)
+        mark = np.full((hi - lo, 1), top + 1, dtype=h.dtype)
+        # right[r, t] = min h[r..t] for t >= r; left[r, t] = min h[t..r-1]
+        # for t < r; everything else is the self mark top + 1.
+        right = np.minimum.accumulate(np.where(t >= r, h, mark), axis=1)
+        left = np.minimum.accumulate(np.where(t < r, h, mark)[:, ::-1], axis=1)[:, ::-1]
+        return np.minimum(np.hstack([left, mark]), np.hstack([mark, right]))
 
-    return system_from_function(labels, metric, lambda p: succ[p])
+    dist = _prefix_metric(labels, top, rows)
+    return FiniteSystem(labels, dist, succ)
 
 
 # ---------------------------------------------------------------------------
@@ -450,22 +582,15 @@ def limit_gap_system(max_tail: int = 8) -> FiniteSystem:
     z_m -> z_(m-1), z_0 -> z_inf."""
     if max_tail < 0:
         raise PreconditionError("limit tail length must be nonnegative")
-    labels = ["zinf"] + ["z%d" % m for m in range(max_tail + 1)]
-    # z_m sits at labels[m + 1]; zinf lies deeper than every z_m, so two
-    # distinct points are at 2**-(smaller depth), one shared Fraction each.
-    depth = {lab: i - 1 for i, lab in enumerate(labels)}
-    depth["zinf"] = max_tail + 1
-    scale = [Fraction(1, 2 ** m) for m in range(max_tail + 1)]
-    zero = Fraction(0)
-
-    def metric(p: str, q: str) -> Fraction:
-        return zero if p == q else scale[min(depth[p], depth[q])]
-
-    def mapping(p: str) -> str:
-        dp = depth[p]
-        return "zinf" if dp == 0 or dp > max_tail else labels[dp]
-
-    return system_from_function(labels, metric, mapping)
+    _check_size(max_tail + 2)
+    labels = ("zinf",) + tuple("z%d" % m for m in range(max_tail + 1))
+    # z_m is the word 0^m 1 and z_inf the all-zero word, so two points
+    # share the prefix of the shallower one, with z_inf deepest of all.
+    depth = np.array([max_tail + 1] + list(range(max_tail + 1)))
+    succ = {lab: (labels[i - 1] if i > 1 else "zinf",) for i, lab in enumerate(labels)}
+    dist = _prefix_metric(labels, max_tail,
+                          lambda lo, hi: np.minimum.outer(depth[lo:hi], depth))
+    return FiniteSystem(labels, dist, succ)
 
 
 def limit_gap_pseudo_orbit(horizon: int, top: int = 4) -> tuple[str, ...]:

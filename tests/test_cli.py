@@ -203,6 +203,16 @@ class TestShadow:
         assert rep["shadowed"] is False
         assert rep["counterexample"]
 
+    @pytest.mark.parametrize("argv", [["--family", "full", "--depth", "40"],
+                                      ["--family", "limit", "--tail", "100000"]],
+                             ids=["full-depth-40", "limit-tail-100000"])
+    def test_oversized_truncation_exits_2_quickly(self, capsys, argv):
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "shadow", *argv)
+        assert time.perf_counter() - t0 < 2.0
+        assert code == 2 and out == ""
+        assert err == "precondition failed: truncation exceeds 4096 points\n"
+
     def test_seed_recorded_in_sampled_mode(self, capsys):
         code, out, _ = run(capsys, "shadow", "--family", "limit",
                            "--eps-exp", "2", "--delta-exp", "4",

@@ -2,8 +2,11 @@
 
 import itertools
 import random
+import time
 from fractions import Fraction
+from types import MappingProxyType
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -33,6 +36,7 @@ from shiftlab.shift_core import (
     from_forbidden_words,
     full_shift,
     language_equal,
+    make_graph,
     word_distance,
     words_of_length,
 )
@@ -133,6 +137,9 @@ class TestTruncation:
         assert sysm.d("0000", "0000") is sysm.d("1111", "1111")
         lim = limit_gap_system(8)
         assert lim.d("z3", "z5") is lim.d("zinf", "z3")
+        # A walk over every item hands out the same objects.
+        values = [d for _k, d in truncate_shift(full_shift(BIN), 5).dist.items()]
+        assert len({id(d) for d in values}) == len(set(values)) == 6
 
     def test_fraction_metric_values_are_kept(self):
         half = Fraction(1, 2)
@@ -589,6 +596,10 @@ class TestReadOnlySystem:
         with pytest.raises(TypeError):
             sysm.dist[("zinf", "z0")] = Fraction(1)
         with pytest.raises(TypeError):
+            del sysm.dist[("zinf", "z0")]
+        with pytest.raises(ValueError):
+            sysm._index.dm[0, 1] = 7
+        with pytest.raises(TypeError):
             sysm.successors["zinf"] = ("z0",)
 
     def test_caller_dicts_are_copied(self):
@@ -601,3 +612,227 @@ class TestReadOnlySystem:
         assert sysm.d("a", "b") == 1
         assert sysm.successors["a"] == ("b",)
         assert is_pseudo_orbit(sysm, Fraction(1, 2), ("a", "b", "a"))
+
+
+# ---------------------------------------------------------------------------
+# The closure-metric constructions that the prefix-length builders replaced,
+# kept as oracles: one Fraction per pair through system_from_function.
+
+
+def oracle_truncate_shift(g, depth):
+    if depth < 1:
+        raise PreconditionError("truncation depth must be at least 1")
+    words = words_of_length(g, depth)
+    if not words:
+        raise PreconditionError("no admissible words at this depth")
+    wordset = set(words)
+    sep = "." if any(len(a) > 1 for a in g.alphabet) else ""
+    labels = [sep.join(w) for w in sorted(words)]
+    lookup = dict(zip(labels, sorted(words)))
+    rev = {w: lab for lab, w in lookup.items()}
+    succ = {lab: [rev[w[1:] + (sym,)] for sym in sorted(g.alphabet)
+                  if w[1:] + (sym,) in wordset]
+            for lab, w in lookup.items()}
+    scale = [Fraction(1, 2 ** j) for j in range(depth)] + [Fraction(0)]
+
+    def metric(p, q):
+        u, v = lookup[p], lookup[q]
+        j = 0
+        while j < depth and u[j] == v[j]:
+            j += 1
+        return scale[j]
+
+    return system_from_function(labels, metric, lambda p: succ[p])
+
+
+def oracle_limit_gap_system(max_tail):
+    labels = ["zinf"] + ["z%d" % m for m in range(max_tail + 1)]
+    depth = {lab: i - 1 for i, lab in enumerate(labels)}
+    depth["zinf"] = max_tail + 1
+    scale = [Fraction(1, 2 ** m) for m in range(max_tail + 1)]
+    zero = Fraction(0)
+
+    def metric(p, q):
+        return zero if p == q else scale[min(depth[p], depth[q])]
+
+    def mapping(p):
+        dp = depth[p]
+        return "zinf" if dp == 0 or dp > max_tail else labels[dp]
+
+    return system_from_function(labels, metric, mapping)
+
+
+def assert_same_system(new, old):
+    assert new.labels == old.labels
+    assert list(new.successors.items()) == list(old.successors.items())
+    assert list(new.dist.items()) == list(old.dist.items())
+    assert new._index.by_label == old._index.by_label
+    assert new._index.pos == old._index.pos
+    assert new._index.succ == old._index.succ
+    assert new._index.scale == old._index.scale
+    assert new._index.dm.dtype == old._index.dm.dtype
+    assert (new._index.dm == old._index.dm).all()
+    assert not new._index.dm.flags.writeable
+
+
+def assert_same_reports(new, old, rng):
+    eps = Fraction(1, 2 ** rng.randint(0, 4))
+    delta = Fraction(1, 2 ** rng.randint(0, 5))
+    horizon = rng.randint(1, 6)
+    for mode in ("exhaustive", "sampled"):
+        kw = dict(mode=mode, samples=rng.randint(1, 30), seed=rng.randrange(100))
+        assert brute_shadowing_check(new, eps, delta, horizon, **kw) == \
+            brute_shadowing_check(old, eps, delta, horizon, **kw)
+
+
+# "At most one 1": a loop of 0s, one 1 across, and a loop of 0s after it.
+AT_MOST_ONE_1 = make_graph(["a", "b"], [("a", "a", "0"), ("a", "b", "1"), ("b", "b", "0")])
+
+
+class TestPrefixMetricOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(st.randoms(use_true_random=False), st.integers(1, 7))
+    def test_truncation_matches_closure_oracle(self, rng, depth):
+        g = random_graph(rng, max_vertices=4)
+        new = truncate_shift(g, depth)
+        old = oracle_truncate_shift(g, depth)
+        assert_same_system(new, old)
+        assert_same_reports(new, old, rng)
+        assert shadow_lab._count_words(g, depth) == len(new.labels)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.randoms(use_true_random=False), st.integers(0, 40))
+    def test_limit_system_matches_closure_oracle(self, rng, tail):
+        new = limit_gap_system(tail)
+        old = oracle_limit_gap_system(tail)
+        assert_same_system(new, old)
+        assert_same_reports(new, old, rng)
+
+    def test_dotted_labels_keep_word_order(self):
+        # "1-" sorts after "1" as a symbol, but "1-.x" sorts before "1.x" as
+        # a label, so label order is not index order here.
+        g = full_shift(["1", "1-", "10", "2"])
+        for depth in (2, 3):
+            new = truncate_shift(g, depth)
+            assert_same_system(new, oracle_truncate_shift(g, depth))
+            assert new._index.by_label != tuple(range(len(new.labels)))
+            assert [new.labels[i] for i in new._index.by_label] == sorted(new.labels)
+        sysm = truncate_shift(g, 2)
+        old = oracle_truncate_shift(g, 2)
+        assert_same_reports(sysm, old, random.Random(3))
+
+    def test_depth_seventy_metric_is_wider_than_int64(self):
+        new = truncate_shift(AT_MOST_ONE_1, 70)
+        assert len(new.labels) == 71
+        assert new._index.dm.dtype == object
+        assert new._index.scale == 2 ** 69
+        assert new.d("0" * 69 + "1", "0" * 70) == Fraction(1, 2 ** 69)
+        assert_same_system(new, oracle_truncate_shift(AT_MOST_ONE_1, 70))
+
+    def test_int64_up_to_the_widest_fit(self):
+        # 2**61 is the largest entry with twice it still an int64.
+        for depth, dtype in ((62, np.int64), (63, object)):
+            new = truncate_shift(AT_MOST_ONE_1, depth)
+            assert new._index.dm.dtype == dtype
+            assert_same_system(new, oracle_truncate_shift(AT_MOST_ONE_1, depth))
+        assert limit_gap_system(61)._index.dm.dtype == np.int64
+        assert limit_gap_system(62)._index.dm.dtype == object
+        assert_same_system(limit_gap_system(62), oracle_limit_gap_system(62))
+
+    def test_single_point_truncation(self):
+        g = make_graph(["a"], [("a", "a", "0")])
+        new = truncate_shift(g, 3)
+        assert_same_system(new, oracle_truncate_shift(g, 3))
+        assert new._index.scale == 1
+
+    def test_row_blocks_cover_a_large_truncation(self, monkeypatch):
+        # Blocks of a few rows, so the block edges fall inside the matrix.
+        monkeypatch.setattr(shadow_lab, "_TRIANGLE_BLOCK", 5 * 64 + 3)
+        g = from_forbidden_words("012", [("1", "1"), ("2", "0", "2")])
+        for depth in (4, 5):
+            assert_same_system(truncate_shift(g, depth), oracle_truncate_shift(g, depth))
+        assert_same_system(limit_gap_system(30), oracle_limit_gap_system(30))
+
+    def test_full_depth_ten_within_budget(self):
+        g = full_shift(BIN)
+        words_of_length(g, 1)           # the follower automaton is memoised
+        t0 = time.perf_counter()
+        sysm = truncate_shift(g, 10)
+        assert time.perf_counter() - t0 < 1.0
+        assert len(sysm.labels) == 1024
+
+
+class TestMetricView:
+    def test_view_reads_like_the_dict(self):
+        new = truncate_shift(golden_mean_graph(), 4)
+        old = oracle_truncate_shift(golden_mean_graph(), 4)
+        assert len(new.dist) == len(old.dist) == len(new.labels) ** 2
+        assert list(new.dist) == list(old.dist)
+        assert list(new.dist.keys()) == list(old.dist.keys())
+        assert list(new.dist.values()) == list(old.dist.values())
+        assert new.dist == old.dist and dict(new.dist) == dict(old.dist)
+        assert ("0000", "0101") in new.dist and ("0000", "1111") not in new.dist
+        assert (("0000", "0101"), Fraction(1, 2)) in new.dist.items()
+        for bad in (("0000", "zz"), ("0000",), "0000", None, (["0000"], "0000")):
+            assert bad not in new.dist
+            assert new.dist.get(bad) is None
+            with pytest.raises(KeyError):
+                new.dist[bad]
+
+    def test_items_do_not_read_entries_one_by_one(self, monkeypatch):
+        sysm = limit_gap_system(5)
+        oracle = list(oracle_limit_gap_system(5).dist.items())
+
+        def no_reads(self, key):
+            raise AssertionError("per-entry read")
+
+        monkeypatch.setattr(shadow_lab._MetricView, "__getitem__", no_reads)
+        assert list(sysm.dist.items()) == oracle
+
+    def test_rebuilding_from_a_view(self):
+        sysm = truncate_shift(golden_mean_graph(), 3)
+        again = FiniteSystem(sysm.labels, sysm.dist, sysm.successors)
+        assert again.dist is sysm.dist
+        assert_same_system(again, sysm)
+        # Other labels, or another order, go through the dict path.
+        order = tuple(reversed(sysm.labels))
+        flipped = FiniteSystem(order, sysm.dist, sysm.successors)
+        assert isinstance(flipped.dist, MappingProxyType)
+        assert all(flipped.d(p, q) == sysm.d(p, q) for p in order for q in order)
+        other = sysm.labels[:-1] + ("zz",)
+        with pytest.raises(PreconditionError, match="metric missing"):
+            FiniteSystem(other, sysm.dist, {p: (p,) for p in other})
+
+
+class TestTruncationCap:
+    def test_cap_counts_before_listing(self, monkeypatch):
+        monkeypatch.setattr(shadow_lab, "MAX_TRUNCATION_POINTS", 64)
+
+        def no_listing(g, n):
+            raise AssertionError("listed the words")
+
+        assert len(truncate_shift(full_shift(BIN), 6).labels) == 64
+        monkeypatch.setattr(shadow_lab, "words_of_length", no_listing)
+        for depth in (7, 40, 10 ** 6):
+            with pytest.raises(TooLarge, match="exceeds 64 points"):
+                truncate_shift(full_shift(BIN), depth)
+
+    def test_limit_system_cap(self, monkeypatch):
+        monkeypatch.setattr(shadow_lab, "MAX_TRUNCATION_POINTS", 64)
+        assert len(limit_gap_system(62).labels) == 64
+        with pytest.raises(TooLarge, match="exceeds 64 points"):
+            limit_gap_system(63)
+
+    def test_default_cap_admits_full_depth_twelve(self):
+        assert shadow_lab.MAX_TRUNCATION_POINTS >= 4096
+        assert shadow_lab._count_words(full_shift(BIN), 12) == 4096
+        with pytest.raises(TooLarge):
+            truncate_shift(full_shift(BIN), 13)
+        with pytest.raises(TooLarge):
+            limit_gap_system(10 ** 10)
+
+    def test_count_is_exact_and_stops_early(self):
+        assert shadow_lab._count_words(golden_mean_graph(), 10) == 144
+        assert shadow_lab._count_words(AT_MOST_ONE_1, 1000) == 1001
+        # Past the cap the count stops at the first length that exceeds it.
+        assert shadow_lab._count_words(full_shift(BIN), 10 ** 9) == 8192
