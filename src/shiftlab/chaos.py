@@ -33,6 +33,7 @@ from .errors import (
     NotIrreducible,
     NotMixing,
     SchemaError,
+    TooLarge,
 )
 from .shift_core import (
     SftGraph,
@@ -45,6 +46,12 @@ from .shift_core import (
     periodic_points,
     point_in_shift,
 )
+
+
+# Most n-subsets of one cyclic class that the distal search compares at
+# one period: the full 2-shift has C(16, 10) = 8,008 ten-subsets at period
+# 4, and C(32, 17), about 5.7e8, seventeen-subsets at period 5.
+MAX_DISTAL_CANDIDATES = 10 ** 5
 
 
 @dataclass(frozen=True)
@@ -70,7 +77,8 @@ def find_r_distal_tuple(g: SftGraph, n: int, max_period: int = 8) -> DistalTuple
     """n distinct periodic points of a common period in a common cyclic
     class, chosen at the smallest feasible period and, there, with the
     largest orbit separation.  Ties go to the lexicographically first
-    point tuple."""
+    point tuple.  Raises TooLarge, before comparing any, when one class at
+    one period has more than MAX_DISTAL_CANDIDATES n-subsets."""
     if n < 2:
         raise NoDistalTuple("need n >= 2")
     ge = essential(g)
@@ -93,10 +101,17 @@ def find_r_distal_tuple(g: SftGraph, n: int, max_period: int = 8) -> DistalTuple
             group = sorted(by_class[cls], key=str)
             if len(group) < n:
                 continue
-            for combo in itertools.combinations(group, n):
-                r = orbit_separation(combo, period)
+            if math.comb(len(group), n) > MAX_DISTAL_CANDIDATES:
+                raise TooLarge("distal search exceeds %d candidate tuples"
+                               % MAX_DISTAL_CANDIDATES)
+            # A tuple's separation is the least over its pairs, so each
+            # pair's is computed once per period.
+            sep = {(i, j): orbit_separation((group[i], group[j]), period)
+                   for i, j in itertools.combinations(range(len(group)), 2)}
+            for combo in itertools.combinations(range(len(group)), n):
+                r = min(sep[pair] for pair in itertools.combinations(combo, 2))
                 if best is None or r > best[0]:
-                    best = (r, combo, cls)
+                    best = (r, tuple(group[i] for i in combo), cls)
         if best is not None and best[0] > 0:
             return DistalTuple(best[1], best[0], period, best[2])
     raise NoDistalTuple("no %d-tuple up to period %d" % (n, max_period))

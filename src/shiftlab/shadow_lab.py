@@ -15,13 +15,14 @@ common multiple of its denominators, and each successor set as an ``int``
 bitmask (bit i is ``labels[i]``).  The metric checks run on that matrix,
 each epsilon- or delta-ball is one bitmask computed once per threshold per
 call, and survivor sets are bitmasks too, so the checks stay exact without
-any ``Fraction`` arithmetic in their loops.
+any ``Fraction`` arithmetic in their loops.  Every system's ``dist`` is a
+lazy read-only view of that matrix as exact ``Fraction``s; a metric given
+as a mapping is read into such a view once.
 
 Shift truncations and the limit system are prefix metrics: two points at
 common prefix length k are 2**-k apart.  They build the integer matrix
-straight from the prefix lengths, with no per-pair Python step, and their
-``dist`` is a lazy read-only view of that matrix as exact ``Fraction``s.
-Both refuse more than ``MAX_TRUNCATION_POINTS`` points.
+straight from the prefix lengths, with no per-pair Python step.  Both
+refuse more than ``MAX_TRUNCATION_POINTS`` points.
 """
 
 from __future__ import annotations
@@ -51,12 +52,12 @@ from .shift_core import (
     Word,
     follower,
     from_forbidden_words,
+    full_shift,
     words_of_length,
 )
 
-# Elements of the largest temporary the triangle check and the prefix
-# metric build: both work on blocks of rows, so they stay quadratic in
-# memory.
+# Elements of the largest temporary the triangle check builds: it works on
+# blocks of rows, so it stays quadratic in memory.
 _TRIANGLE_BLOCK = 1 << 20
 
 # Most points a truncation or limit system may have: the full 2-shift at
@@ -81,12 +82,11 @@ class FiniteSystem:
     the metric is a symmetric rational matrix keyed by label pairs, and
     each point has a nonempty set of successors.  A truncated shift keeps
     every admissible extension as a successor; a genuine self-map has
-    singleton successor sets.  The metric and successors are stored as
-    read-only copies, since the integer index is derived from them.
-    Truncations and the limit system build their integer metric from word
-    prefix lengths instead and pass it as a ``_MetricView`` over the same
-    labels: the matrix becomes the index as it is, checked like any other,
-    and ``dist`` is a lazy exact view that reads ``Fraction``s off it."""
+    singleton successor sets.  ``dist`` is always a ``_MetricView``: a view
+    over the same labels is kept as it is, and any other mapping is read
+    once into a new view, so later changes to the caller's mapping change
+    nothing.  The view's integer matrix becomes the index, checked the same
+    way on either path.  Successors are stored as a read-only copy."""
 
     labels: tuple[str, ...]
     dist: Mapping[tuple[str, str], Fraction] = field(compare=False)
@@ -101,19 +101,18 @@ class FiniteSystem:
             succ = self.successors.get(p)
             if not succ or any(q not in seen for q in succ):
                 raise PreconditionError("successors not defined into the space at %r" % p)
-        if isinstance(self.dist, _MetricView) and self.dist.labels == self.labels:
-            dm, scale = self.dist.dm, self.dist.scale
-            _check_metric(self.labels, dm)
-        else:
-            dm, scale = _scaled_metric(self.labels, self.dist)
-            object.__setattr__(self, "dist", MappingProxyType(dict(self.dist)))
-        pos = {p: i for i, p in enumerate(self.labels)}
+        view = self.dist
+        if not (isinstance(view, _MetricView) and view.labels == self.labels):
+            view = _MetricView.of(self.labels, view)
+        _check_metric(self.labels, view.dm)
+        object.__setattr__(self, "dist", view)
+        pos = view.pos
         successors = {p: tuple(self.successors[p]) for p in self.labels}
         object.__setattr__(self, "successors", MappingProxyType(successors))
         object.__setattr__(self, "_index", _Index(
-            MappingProxyType(pos),
+            pos,
             tuple(sorted(range(len(self.labels)), key=self.labels.__getitem__)),
-            scale, dm,
+            view.scale, view.dm,
             tuple(reduce(or_, (1 << pos[q] for q in successors[p])) for p in self.labels)))
         # The cubic triangle check is opt-in via check_triangle; it runs
         # automatically only on small spaces.
@@ -124,28 +123,16 @@ class FiniteSystem:
         return self.dist[(p, q)]
 
 
-def _scaled_metric(labels: Sequence[str],
-                   dist: Mapping[tuple[str, str], Fraction]) -> tuple[np.ndarray, int]:
-    """The metric as an integer matrix: each distance times the least
-    common multiple of all denominators, as int64 when twice the largest
-    entry fits and as exact Python ints otherwise.  Raises on the first bad
-    entry in row-major order: missing or negative, nonzero on the diagonal
-    or zero off it, or unequal to its transpose."""
-    n = len(labels)
-    vals = [dist.get((p, q)) for p in labels for q in labels]
-    scale = math.lcm(*{d.denominator for d in vals if d is not None})
-    # A missing entry becomes -1, so it reads as negative below.
-    ints = [-1 if d is None else d.numerator * (scale // d.denominator) for d in vals]
-    wide = 2 * max(map(abs, ints), default=0) > np.iinfo(np.int64).max
-    dm = np.array(ints, dtype=object if wide else np.int64).reshape(n, n)
-    _check_metric(labels, dm)
-    dm.flags.writeable = False
-    return dm, scale
+def _dtype(largest: int) -> type:
+    """int64 when twice the largest scaled distance fits, exact Python
+    ints otherwise."""
+    return object if 2 * largest > np.iinfo(np.int64).max else np.int64
 
 
 def _check_metric(labels: Sequence[str], dm: np.ndarray) -> None:
-    """Raise on the first bad entry of an integer metric, as _scaled_metric
-    describes."""
+    """Raise on the first bad entry of an integer metric in row-major
+    order: negative (a missing entry reads as -1), nonzero on the diagonal
+    or zero off it, or unequal to its transpose."""
     n = len(labels)
     missing = dm < 0
     diagonal = (dm == 0) != np.eye(n, dtype=bool)
@@ -161,32 +148,35 @@ def _check_metric(labels: Sequence[str], dm: np.ndarray) -> None:
                                 % (labels[i], labels[j]))
 
 
-class _Fractions(dict):
-    """Scaled integer -> the one shared Fraction it stands for."""
-
-    def __init__(self, scale: int):
-        super().__init__()
-        self.scale = scale
-
-    def __missing__(self, k: int) -> Fraction:
-        f = self[k] = Fraction(k, self.scale)
-        return f
-
-
 class _MetricView(Mapping):
-    """Read-only view of an integer metric matrix as exact distances keyed
-    by label pairs, in row-major label order, with one shared ``Fraction``
-    per distinct value."""
+    """Read-only view of an integer metric matrix, the distances times
+    scale, as exact distances keyed by label pairs, in row-major label
+    order.  frac maps each scaled value to the one distance object handed
+    out for it."""
 
-    def __init__(self, labels: tuple[str, ...], dm: np.ndarray, scale: int):
-        self.labels, self.dm, self.scale = labels, dm, scale
-        self._pos = {p: i for i, p in enumerate(labels)}
-        self._frac = _Fractions(scale)
+    def __init__(self, labels: tuple[str, ...], dm: np.ndarray, scale: int,
+                 frac: dict[int, Fraction]):
+        self.labels, self.dm, self.scale, self._frac = labels, dm, scale, frac
+        self.pos = MappingProxyType({p: i for i, p in enumerate(labels)})
+
+    @classmethod
+    def of(cls, labels: tuple[str, ...],
+           dist: Mapping[tuple[str, str], Fraction]) -> "_MetricView":
+        """A mapping's metric over labels, scaled by the least common
+        multiple of its denominators, handing out the mapping's own value
+        objects.  A missing entry becomes -1."""
+        vals = [dist.get((p, q)) for p in labels for q in labels]
+        scale = math.lcm(*{d.denominator for d in vals if d is not None})
+        ints = [-1 if d is None else d.numerator * (scale // d.denominator) for d in vals]
+        dm = np.array(ints, dtype=_dtype(max(map(abs, ints), default=0)))
+        dm = dm.reshape(len(labels), len(labels))
+        dm.flags.writeable = False
+        return cls(labels, dm, scale, dict(zip(ints, vals)))
 
     def __getitem__(self, key) -> Fraction:
         try:
             p, q = key
-            i, j = self._pos[p], self._pos[q]
+            i, j = self.pos[p], self.pos[q]
         except (KeyError, TypeError, ValueError):
             raise KeyError(key) from None
         return self._frac[int(self.dm[i, j])]
@@ -211,29 +201,19 @@ class _ListedItems(ItemsView):
                 yield (p, q), view._frac[k]
 
 
-def _prefix_metric(labels: tuple[str, ...], top: int,
-                   rows: Callable[[int, int], np.ndarray]) -> _MetricView:
-    """The metric 2**-k between distinct words with common prefix length k,
-    scaled by 2**top.  rows(lo, hi) gives the prefix lengths of points
-    lo..hi-1 against every point, at most top off the diagonal; it is
-    called on blocks of rows, so no temporary outgrows _TRIANGLE_BLOCK
-    elements.  Two of the words, if there are two, differ in their first
-    symbol, so the largest entry is 2**top, and scale and dtype are what
-    _scaled_metric gives for the same distances."""
-    n = len(labels)
-    wide = 2 << top > np.iinfo(np.int64).max
+def _prefix_metric(labels: tuple[str, ...], top: int, lcp: np.ndarray) -> _MetricView:
+    """The metric 2**-k between distinct words with common prefix length
+    k, scaled by 2**top.  lcp holds the prefix lengths, at most top off the
+    diagonal and at most top + 1 on it.  Two of the words, if there are
+    two, differ in their first symbol, so the largest entry is 2**top, and
+    scale and dtype are what _MetricView.of gives for the same distances."""
     # powers[k] is the scaled distance at prefix length k, and the mark
     # top + 1 maps to 0, the distance of a point to itself.
-    powers = np.array([1 << (top - k) for k in range(top + 1)] + [0],
-                      dtype=object if wide else np.int64)
-    dm = np.empty((n, n), dtype=powers.dtype)
-    block = max(1, _TRIANGLE_BLOCK // n)
-    for lo in range(0, n, block):
-        hi = min(n, lo + block)
-        dm[lo:hi] = powers[rows(lo, hi)]
+    powers = [1 << (top - k) for k in range(top + 1)] + [0]
+    dm = np.array(powers, dtype=_dtype(1 << top))[lcp]
     np.fill_diagonal(dm, 0)
     dm.flags.writeable = False
-    return _MetricView(labels, dm, 1 << top)
+    return _MetricView(labels, dm, 1 << top, {k: Fraction(k, 1 << top) for k in powers})
 
 
 def check_triangle(sys: "FiniteSystem") -> None:
@@ -530,19 +510,10 @@ def truncate_shift(g: SftGraph, depth: int) -> FiniteSystem:
     h = np.array([_common_prefix(u, v) for u, v in zip(words, words[1:])],
                  dtype=np.min_scalar_type(depth + 1))
     top = int(h.max(initial=0))
-    n = len(words)
-
-    def rows(lo: int, hi: int) -> np.ndarray:
-        r = np.arange(lo, hi)[:, None]
-        t = np.arange(n - 1)
-        mark = np.full((hi - lo, 1), top + 1, dtype=h.dtype)
-        # right[r, t] = min h[r..t] for t >= r; left[r, t] = min h[t..r-1]
-        # for t < r; everything else is the self mark top + 1.
-        right = np.minimum.accumulate(np.where(t >= r, h, mark), axis=1)
-        left = np.minimum.accumulate(np.where(t < r, h, mark)[:, ::-1], axis=1)[:, ::-1]
-        return np.minimum(np.hstack([left, mark]), np.hstack([mark, right]))
-
-    dist = _prefix_metric(labels, top, rows)
+    lcp = np.full((len(words), len(words)), top + 1, dtype=h.dtype)
+    for i in range(len(h)):
+        lcp[i, i + 1:] = np.minimum.accumulate(h[i:])
+    dist = _prefix_metric(labels, top, np.minimum(lcp, lcp.T))
     return FiniteSystem(labels, dist, succ)
 
 
@@ -588,8 +559,7 @@ def limit_gap_system(max_tail: int = 8) -> FiniteSystem:
     # share the prefix of the shallower one, with z_inf deepest of all.
     depth = np.array([max_tail + 1] + list(range(max_tail + 1)))
     succ = {lab: (labels[i - 1] if i > 1 else "zinf",) for i, lab in enumerate(labels)}
-    dist = _prefix_metric(labels, max_tail,
-                          lambda lo, hi: np.minimum.outer(depth[lo:hi], depth))
+    dist = _prefix_metric(labels, max_tail, np.minimum.outer(depth, depth))
     return FiniteSystem(labels, dist, succ)
 
 
@@ -655,10 +625,14 @@ def build_layered_example(base_depth: int = 4, endpoint_max: int = 3,
     carry a truncated gap-k fiber and scales (2**-k, 2**-k / 4); all other
     words carry the finite limit system.  The map is the identity on the
     base and the fiber map on each fiber, so chain components are exactly
-    the fibers.
+    the fibers.  Raises TooLarge above MAX_TRUNCATION_POINTS base words,
+    before listing them.
     """
     if base_depth < 0:
         raise PreconditionError("base depth must be nonnegative")
+    # The base is the depth-base_depth truncation of the full 2-shift, so
+    # it is capped like one, before any word is listed.
+    _check_size(_count_words(full_shift(["0", "1"]), base_depth))
     words = list(itertools.product("01", repeat=base_depth))
     # Interval embedding: each refinement level splits with a geometric
     # contraction tied to the finest scale used so far.

@@ -390,13 +390,29 @@ def word_in_language(g: SftGraph, word: Sequence[str]) -> bool:
 
 
 def words_of_length(g: SftGraph, length: int) -> list[Word]:
-    """All admissible words of exactly the given length, sorted."""
-    trans = follower(g).trans
-    layer: list[tuple[int, Word]] = [(0, ())]
-    for _ in range(length):
-        layer = [(trans[(i, a)], w + (a,))
-                 for i, w in layer for a in g.alphabet if (i, a) in trans]
-    return sorted(w for _i, w in layer)
+    """All admissible words of exactly the given length, sorted.  A
+    depth-first walk of the follower automaton takes symbols in sorted
+    order, so the words come out sorted and each costs its own length."""
+    if length <= 0:
+        return [()]
+    f = follower(g)
+    moves = [[(a, f.trans[(i, a)]) for a in sorted(g.alphabet) if (i, a) in f.trans]
+             for i in range(len(f.states))]
+    words: list[Word] = []
+    path: list[str] = []
+    stack = [iter(moves[0])]
+    while stack:
+        for a, j in stack[-1]:
+            path.append(a)
+            if len(path) < length:
+                stack.append(iter(moves[j]))
+                break
+            words.append(tuple(path))
+            path.pop()
+        else:
+            stack.pop()
+            del path[-1:]
+    return words
 
 
 # ---------------------------------------------------------------------------

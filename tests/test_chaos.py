@@ -9,9 +9,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from shiftlab import chaos
 from shiftlab.chaos import (
     Block,
     DensityRow,
+    DistalTuple,
     Schedule,
     ScrambledTuple,
     Segment,
@@ -25,24 +27,34 @@ from shiftlab.chaos import (
     find_r_distal_tuple,
     orbit_separation,
 )
-from shiftlab.decomposition import cyclic_structure, is_irreducible, mixing_constant
+from shiftlab.decomposition import (
+    class_of_word,
+    cyclic_structure,
+    is_irreducible,
+    mixing_constant,
+    sync_length,
+)
 from shiftlab.errors import (
     InternalInvariantViolation,
     InvalidSchedule,
     InvalidThresholds,
     NoDistalTuple,
     NotChainProximal,
+    NotIrreducible,
     NotMixing,
     PreconditionError,
     SchemaError,
+    TooLarge,
 )
 from shiftlab.fixtures import golden_mean_graph, random_graph, two_cycle_graph
 from shiftlab.shift_core import (
     SymbolicPoint,
     canonical_presentation,
     distance,
+    essential,
     follower,
     full_shift,
+    periodic_points,
     point_in_shift,
     word_in_language,
 )
@@ -85,6 +97,75 @@ class TestDistal:
     def test_too_many_points_rejected(self):
         with pytest.raises(NoDistalTuple):
             find_r_distal_tuple(golden_mean_graph(), 40, max_period=3)
+
+
+# The search that the per-pair separation table replaced, kept as an
+# oracle: orbit_separation over every n-subset of each class.
+def distal_oracle(g, n, max_period=8):
+    if n < 2:
+        raise NoDistalTuple("need n >= 2")
+    ge = essential(g)
+    if not is_irreducible(ge):
+        raise NotIrreducible("distal search needs an irreducible graph")
+    cs = cyclic_structure(ge)
+    k_sync = sync_length(ge)
+    if k_sync is None:
+        raise NotIrreducible("presentation does not resolve cyclic classes")
+    for period in range(1, max_period + 1):
+        if cs.period > 1 and period % cs.period != 0:
+            continue
+        by_class = {}
+        for p in periodic_points(ge, period):
+            cls = class_of_word(ge, cs, p.expand(max(k_sync, 1))) if cs.period > 1 else 0
+            by_class.setdefault(cls, []).append(p)
+        best = None
+        for cls in sorted(by_class):
+            group = sorted(by_class[cls], key=str)
+            if len(group) < n:
+                continue
+            for combo in itertools.combinations(group, n):
+                r = orbit_separation(combo, period)
+                if best is None or r > best[0]:
+                    best = (r, combo, cls)
+        if best is not None and best[0] > 0:
+            return DistalTuple(best[1], best[0], period, best[2])
+    raise NoDistalTuple("no %d-tuple up to period %d" % (n, max_period))
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except PreconditionError as e:
+        return type(e), str(e)
+
+
+class TestDistalPairTable:
+    @settings(max_examples=150, deadline=None)
+    @given(st.randoms(use_true_random=False), st.integers(2, 4), st.integers(1, 4))
+    def test_matches_subset_oracle(self, rng, n, max_period):
+        g = random_graph(rng, max_vertices=3)
+        assert _outcome(find_r_distal_tuple, g, n, max_period) == \
+            _outcome(distal_oracle, g, n, max_period)
+
+    def test_mixing_cases_match_subset_oracle(self):
+        for seed in range(20):
+            for n in (2, 3, 4):
+                g, found = mixing_case(seed, n)
+                assert found == distal_oracle(g, n, 4)
+
+    def test_cap_counts_subsets_before_comparing(self, monkeypatch):
+        # Period 3 is the first with five points of the full 2-shift, and
+        # it has C(8, 5) = 56 five-subsets.
+        monkeypatch.setattr(chaos, "MAX_DISTAL_CANDIDATES", 56)
+        assert find_r_distal_tuple(full_shift(BIN), 5).common_period == 3
+
+        def no_comparing(points, period):
+            raise AssertionError("compared a subset")
+
+        monkeypatch.setattr(chaos, "MAX_DISTAL_CANDIDATES", 55)
+        monkeypatch.setattr(chaos, "orbit_separation", no_comparing)
+        with pytest.raises(TooLarge, match="exceeds 55 candidate tuples"):
+            find_r_distal_tuple(full_shift(BIN), 5)
 
 
 class TestJoin:

@@ -1,5 +1,6 @@
 """CLI contract: exit codes, schemas, reproducibility, selftests."""
 
+import hashlib
 import json
 import os
 import time
@@ -163,6 +164,24 @@ class TestScramble:
         assert code == 2 and out == ""
         assert err == "precondition failed: no 2-tuple up to period 8\n"
 
+    def test_ten_point_distal_search_within_budget(self, capsys):
+        # 8,008 ten-subsets at period 4.  The digest was recorded from the
+        # search that recomputed every subset's separation from scratch.
+        t0 = time.perf_counter()
+        code, out, _ = run(capsys, "scramble", "--in", path("full2.json"), "-n", "10")
+        assert time.perf_counter() - t0 < 2.0
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == \
+            "91f0faa52a30ee6a7833751e0ba208100d7e37052bf3754ad193c9fec9f1cf6e"
+
+    def test_oversized_distal_search_exits_2_quickly(self, capsys):
+        # C(32, 17), about 5.7e8 seventeen-subsets at period 5.
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "scramble", "--in", path("full2.json"), "-n", "17")
+        assert time.perf_counter() - t0 < 2.0
+        assert code == 2 and out == ""
+        assert err == "precondition failed: distal search exceeds 100000 candidate tuples\n"
+
     def test_zero_blocks_is_exit_2(self, capsys):
         code, _, err = run(capsys, "scramble", "--in", path("golden_mean.json"),
                            "-n", "2", "--blocks", "0", "--eps-exp", "2")
@@ -231,6 +250,14 @@ class TestLayered:
         assert rep["component_count"] == 8
         assert rep["fibers_invariant"] and rep["fibers_transitive"]
         assert all(rep["fiber_shadowing"].values())
+
+    @pytest.mark.parametrize("depth", ["30", "1000000000"])
+    def test_oversized_base_exits_2_quickly(self, capsys, depth):
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "layered", "--base-depth", depth)
+        assert time.perf_counter() - t0 < 2.0
+        assert code == 2 and out == ""
+        assert err == "precondition failed: truncation exceeds 4096 points\n"
 
 
 class TestSelftests:

@@ -4,7 +4,6 @@ import itertools
 import random
 import time
 from fractions import Fraction
-from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -753,6 +752,15 @@ class TestPrefixMetricOracle:
             assert_same_system(truncate_shift(g, depth), oracle_truncate_shift(g, depth))
         assert_same_system(limit_gap_system(30), oracle_limit_gap_system(30))
 
+    def test_one_loop_depth_200000_within_budget(self):
+        # One word of 200,000 symbols, which a listing that copies each
+        # prefix would build in time quadratic in the depth.
+        g = make_graph(["a"], [("a", "a", "0")])
+        t0 = time.perf_counter()
+        sysm = truncate_shift(g, 200000)
+        assert time.perf_counter() - t0 < 2.0
+        assert sysm.labels == ("0" * 200000,)
+
     def test_full_depth_ten_within_budget(self):
         g = full_shift(BIN)
         words_of_length(g, 1)           # the follower automaton is memoised
@@ -794,14 +802,28 @@ class TestMetricView:
         again = FiniteSystem(sysm.labels, sysm.dist, sysm.successors)
         assert again.dist is sysm.dist
         assert_same_system(again, sysm)
-        # Other labels, or another order, go through the dict path.
+        # Other labels, or another order, are read into a new view.
         order = tuple(reversed(sysm.labels))
         flipped = FiniteSystem(order, sysm.dist, sysm.successors)
-        assert isinstance(flipped.dist, MappingProxyType)
+        assert isinstance(flipped.dist, shadow_lab._MetricView)
+        assert flipped.dist is not sysm.dist
         assert all(flipped.d(p, q) == sysm.d(p, q) for p in order for q in order)
         other = sysm.labels[:-1] + ("zz",)
         with pytest.raises(PreconditionError, match="metric missing"):
             FiniteSystem(other, sysm.dist, {p: (p,) for p in other})
+
+
+    def test_a_dict_metric_becomes_a_view(self):
+        labels, dist = random_metric(random.Random(5), 6)
+        sysm = FiniteSystem(tuple(labels), dist, {p: (p,) for p in labels})
+        assert isinstance(sysm.dist, shadow_lab._MetricView)
+        pairs = [((p, q), dist[(p, q)]) for p in labels for q in labels]
+        assert list(sysm.dist.items()) == pairs
+        for key in list(dist):
+            dist[key] = Fraction(99)
+        dist.clear()
+        assert list(sysm.dist.items()) == pairs
+        assert all(sysm.d(p, q) == d for (p, q), d in pairs)
 
 
 class TestTruncationCap:

@@ -521,6 +521,34 @@ class TestFollower:
         assert words_of_length(g, 1500) == [("0",) * 1500]
 
 
+# The layer-by-layer listing that the depth-first walk replaced, kept as an
+# oracle: every layer extends each word by tuple concatenation.
+def _words_of_length_oracle(g, length):
+    trans = follower(g).trans
+    layer = [(0, ())]
+    for _ in range(length):
+        layer = [(trans[(i, a)], w + (a,))
+                 for i, w in layer for a in g.alphabet if (i, a) in trans]
+    return sorted(w for _i, w in layer)
+
+
+class TestWordsOfLength:
+    @settings(max_examples=200, deadline=None)
+    @given(st.randoms(use_true_random=False), st.integers(0, 8), st.booleans())
+    def test_matches_layer_oracle(self, rng, length, flip):
+        g = random_graph(rng, max_vertices=4)
+        if flip:
+            g = SftGraph(g.vertices, g.edges, g.alphabet[::-1])
+        assert words_of_length(g, length) == _words_of_length_oracle(g, length)
+
+    @pytest.mark.parametrize("g", [EMPTY, full_shift(["1", "1-", "10", "2"]),
+                                   full_shift(["2", "10", "1-", "1"])],
+                             ids=["empty", "dotted", "dotted-reversed"])
+    def test_edge_shifts_match_layer_oracle(self, g):
+        for length in range(9):
+            assert words_of_length(g, length) == _words_of_length_oracle(g, length)
+
+
 # ---------------------------------------------------------------------------
 # The shared product search against the two searches it replaced
 
