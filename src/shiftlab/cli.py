@@ -50,16 +50,20 @@ def _load_json(path: str):
 
 
 def _atomic_write(path: str, data: str) -> None:
-    d = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", text=True)
+    """Write through a temporary file beside path.  A path that cannot be
+    written is a precondition failure, and leaves no temporary file."""
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
+                                   prefix=".tmp-", text=True)
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as f:
             f.write(data)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as e:
+        raise PreconditionError("cannot write %s: %s" % (path, e.strerror)) from None
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def _emit(report: dict, out_path) -> None:

@@ -215,16 +215,15 @@ def is_mixing(g: SftGraph) -> bool:
     return is_irreducible(g) and cyclic_structure(g).period == 1
 
 
-def mixing_constant(g: SftGraph, cap: Optional[int] = None) -> int:
+def mixing_constant(g: SftGraph) -> int:
     """Least L with a path of length exactly L between every ordered
     vertex pair (equivalently the adjacency matrix power is positive).
-    Raises NotMixing if no such L up to the cap exists."""
+    Raises NotMixing if no such L up to the cap 4n**2 + 4 exists."""
     ge = essential(g)
     n = len(ge.vertices)
     if n == 0:
         raise EmptyShift("mixing constant of an empty graph")
-    if cap is None:
-        cap = 4 * n * n + 4
+    cap = 4 * n * n + 4
     idx = {v: i for i, v in enumerate(ge.vertices)}
     a = np.zeros((n, n), dtype=bool)
     for (u, v, _s) in ge.edges:
@@ -301,7 +300,6 @@ def delta_chain_reachable(
     target: Sequence[str],
     k: int,
     length_mod: Optional[tuple[int, int]] = None,
-    max_length: Optional[int] = None,
 ) -> Optional[ChainWitness]:
     """Is there a chain from the source cylinder to the target cylinder in
     which every step moves by at most 2**-k?  At this resolution such
@@ -321,8 +319,7 @@ def delta_chain_reachable(
     if src not in arcs or tgt not in arcs:
         raise NotInLanguage("cylinder word not admissible")
     m, r = length_mod if length_mod else (1, 0)
-    if max_length is None:
-        max_length = m * len(words) + abs(r) + len(words) + 1
+    max_length = m * len(words) + abs(r) + len(words) + 1
     start = (src, 0 % m)
     parent: dict[tuple[Word, int], Optional[tuple[Word, int]]] = {start: None}
     frontier = [start]

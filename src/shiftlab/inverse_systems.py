@@ -40,11 +40,11 @@ from .shift_core import (
     SftGraph,
     Word,
     canonical_presentation,
+    common_prefix,
     graph_from_json,
     graph_to_json,
     language_equal,
     language_subset,
-    word_distance,
     words_of_length,
 )
 
@@ -287,8 +287,7 @@ class ExtractResult:
 
 
 def extract_mlc1_subsequence(seq: InverseSequenceSpec,
-                             depth_cap: int = DEFAULT_DEPTH_CAP,
-                             max_terms: int = 8) -> ExtractResult:
+                             depth_cap: int = DEFAULT_DEPTH_CAP) -> ExtractResult:
     """Chase stabilization witnesses: starting from level 1, repeatedly
     jump to the depth at which the image chain of the current level
     stabilizes.  The retained levels, connected by the composed codes,
@@ -297,9 +296,10 @@ def extract_mlc1_subsequence(seq: InverseSequenceSpec,
     Raises CannotExtract if some chain fails to stabilize within the cap
     or no finite tail presentation is detected.
     """
+    max_terms = 8
     kept: list[int] = []
     current = 1
-    for _ in range(max_terms + 2):
+    while len(kept) < max_terms:
         chain = image_chain(seq, current, depth_cap)
         if chain.stabilized_at is None:
             raise CannotExtract(
@@ -309,8 +309,6 @@ def extract_mlc1_subsequence(seq: InverseSequenceSpec,
             nxt = current + 1
         kept.append(nxt)
         current = nxt
-        if len(kept) >= max_terms:
-            break
     # Tail detection over the retained indices.
     L = seq.prefix_length
     incs = [b - a for a, b in zip(kept, kept[1:])]
@@ -365,13 +363,13 @@ class TruncatedSystem:
         return {p: i for i, p in enumerate(self.points)}
 
     def metric(self, i: int, j: int) -> Fraction:
-        a, b = self.points[i], self.points[j]
-        best = Fraction(0)
-        for n in range(self.depth):
-            d = Fraction(1, 2 ** n) * word_distance(a[n], b[n])
-            if d > best:
-                best = d
-        return best
+        """The largest level distance 2**-n * word_distance: 2**-k for the
+        least k = n + common prefix over the levels n where the points
+        differ, and 0 when they differ nowhere."""
+        k = min((n + common_prefix(u, v)
+                 for n, (u, v) in enumerate(zip(self.points[i], self.points[j]))
+                 if u != v), default=None)
+        return Fraction(0) if k is None else Fraction(1, 2 ** k)
 
     def chain_component_ids(self) -> list[int]:
         """Component index per point under the successor relation

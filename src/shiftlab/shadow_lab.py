@@ -9,6 +9,10 @@ shadowing-orbit states that are still alive, so the work is bounded by
 the number of distinct (point, survivor set) pairs instead of the raw tree
 of pseudo-orbits.
 
+Every check reads one step table, ``_step_masks`` (the legal delta-steps
+from each point as a bitmask), and, outside the search, one survivor walk,
+``_lost_at`` (``alive = image(alive) & ball`` along a pseudo-orbit's tube).
+
 Distances are ``Fraction`` values at the API, but every system carries an
 integer index built once at construction: the metric times the least
 common multiple of its denominators, and each successor set as an ``int``
@@ -22,7 +26,8 @@ as a mapping is read into such a view once.
 Shift truncations and the limit system are prefix metrics: two points at
 common prefix length k are 2**-k apart.  They build the integer matrix
 straight from the prefix lengths, with no per-pair Python step.  Both
-refuse more than ``MAX_TRUNCATION_POINTS`` points.
+refuse more than ``MAX_TRUNCATION_POINTS`` points, and a truncation also
+refuses more than ``MAX_TRUNCATION_SYMBOLS`` symbols (points times depth).
 """
 
 from __future__ import annotations
@@ -50,6 +55,7 @@ from .errors import (
 from .shift_core import (
     SftGraph,
     Word,
+    common_prefix,
     follower,
     from_forbidden_words,
     full_shift,
@@ -63,6 +69,10 @@ _TRIANGLE_BLOCK = 1 << 20
 # Most points a truncation or limit system may have: the full 2-shift at
 # depth 12 still builds, and every point costs a row of the n x n metric.
 MAX_TRUNCATION_POINTS = 4096
+
+# Most symbols, points times depth, a truncation may list: few long words
+# pass the point cap, but each symbol costs time and memory to list.
+MAX_TRUNCATION_SYMBOLS = 1 << 19
 
 
 class _Index(NamedTuple):
@@ -311,13 +321,6 @@ class ShadowingReport:
     orbits_checked: int = 0
 
 
-def _successor_table(sys: FiniteSystem, delta: Fraction) -> dict[str, list[str]]:
-    """The steps of _step_masks as lists of labels, in label order."""
-    labels = sys.labels
-    return {labels[i]: [labels[j] for j in _bits(m)]
-            for i, m in enumerate(_step_masks(sys, delta))}
-
-
 def brute_shadowing_check(sys: FiniteSystem, epsilon: Fraction, delta: Fraction,
                           horizon: int, mode: str = "exhaustive",
                           samples: int = 200, seed: int = 0,
@@ -336,18 +339,18 @@ def brute_shadowing_check(sys: FiniteSystem, epsilon: Fraction, delta: Fraction,
         raise InvalidScales("epsilon and delta must be positive")
     if horizon < 1:
         raise InvalidScales("horizon must be at least 1")
-    if mode == "sampled":
-        if samples < 1:
-            raise InvalidScales("sampled mode needs at least one sample")
-        return _sampled_check(sys, _successor_table(sys, delta), epsilon, delta,
-                              horizon, samples, seed)
-    if mode != "exhaustive":
+    if mode == "sampled" and samples < 1:
+        raise InvalidScales("sampled mode needs at least one sample")
+    if mode not in ("exhaustive", "sampled"):
         raise PreconditionError("mode must be 'exhaustive' or 'sampled'")
-    labels = sys.labels
     near = _balls(sys, epsilon)
     image = _image_map(sys)
-    steps = [sorted(_bits(m), key=labels.__getitem__)
-             for m in _step_masks(sys, delta)]
+    steps = _step_masks(sys, delta)
+    if mode == "sampled":
+        return _sampled_check(sys, near, image, steps, epsilon, delta,
+                              horizon, samples, seed)
+    labels = sys.labels
+    steps = [sorted(_bits(m), key=labels.__getitem__) for m in steps]
     # BFS over (pseudo-orbit head, survivor mask); paths expand in sorted
     # label order so the first failure found at the shortest depth is the
     # lexicographically least counterexample.
@@ -381,75 +384,64 @@ def brute_shadowing_check(sys: FiniteSystem, epsilon: Fraction, delta: Fraction,
                            states_explored=explored)
 
 
+def _lost_at(image: Callable[[int], int], tube: Sequence[int], alive: int) -> int:
+    """First index t at which no orbit started in the mask alive is still
+    inside the balls tube[0..t], or -1 if one always is."""
+    for t, ball in enumerate(tube):
+        alive = (image(alive) if t else alive) & ball
+        if not alive:
+            return t
+    return -1
+
+
 def _failure_trace(sys: FiniteSystem, near: list[int],
                    image: Callable[[int], int],
                    path: tuple[str, ...]) -> tuple[tuple[str, int], ...]:
-    """For each starting point, the first index where every true orbit
-    from it has left the epsilon-tube (balls near) around the
-    pseudo-orbit."""
+    """For each starting point, in label order, the first index where
+    every true orbit from it has left the epsilon-tube (balls near) around
+    the pseudo-orbit."""
     ix = sys._index
     tube = [near[ix.pos[p]] for p in path]
-    out = []
-    for start in ix.by_label:
-        alive = (1 << start) & tube[0]
-        fail = 0 if not alive else -1
-        for t in range(1, len(path)):
-            if not alive:
-                break
-            alive = image(alive) & tube[t]
-            if not alive:
-                fail = t
-        out.append((sys.labels[start], fail))
-    return tuple(out)
+    return tuple((sys.labels[s], _lost_at(image, tube, 1 << s)) for s in ix.by_label)
 
 
-def _sampled_check(sys: FiniteSystem, succ: dict, epsilon: Fraction,
-                   delta: Fraction, horizon: int, samples: int,
-                   seed: int) -> ShadowingReport:
+def _sampled_check(sys: FiniteSystem, near: list[int],
+                   image: Callable[[int], int], steps: list[int],
+                   epsilon: Fraction, delta: Fraction, horizon: int,
+                   samples: int, seed: int) -> ShadowingReport:
+    """Seeded random pseudo-orbits: a uniform start, then uniform steps
+    among each point's step mask read in index order."""
     rng = random.Random(seed)
-    near = _balls(sys, epsilon)
-    image = _image_map(sys)
-    checked = 0
-    for _ in range(samples):
-        path = [rng.choice(sys.labels)]
+    choices = [list(_bits(m)) for m in steps]
+    points = range(len(sys.labels))
+    for checked in range(1, samples + 1):
+        path = [rng.choice(points)]
         for _ in range(horizon - 1):
-            nxt = succ[path[-1]]
-            if not nxt:
-                break
-            path.append(rng.choice(nxt))
-        checked += 1
-        if not _shadowed(sys, near, image, path):
+            path.append(rng.choice(choices[path[-1]]))
+        tube = [near[p] for p in path]
+        if _lost_at(image, tube, tube[0]) >= 0:
+            counterexample = tuple(sys.labels[p] for p in path)
             return ShadowingReport(False, epsilon, delta, horizon, "sampled",
-                                   counterexample=tuple(path),
+                                   counterexample=counterexample,
                                    failure_trace=_failure_trace(sys, near, image,
-                                                                tuple(path)),
+                                                                counterexample),
                                    orbits_checked=checked)
     return ShadowingReport(True, epsilon, delta, horizon, "sampled",
-                           orbits_checked=checked)
+                           orbits_checked=samples)
 
 
 def is_pseudo_orbit(sys: FiniteSystem, delta: Fraction,
                     path: Sequence[str]) -> bool:
-    ix = sys._index
-    ball = _balls(sys, delta)
-    return all(ix.succ[ix.pos[path[t]]] & ball[ix.pos[path[t + 1]]]
-               for t in range(len(path) - 1))
+    pos = sys._index.pos
+    steps = _step_masks(sys, delta)
+    return all(steps[pos[p]] >> pos[q] & 1 for p, q in zip(path, path[1:]))
 
 
 def is_shadowed(sys: FiniteSystem, epsilon: Fraction,
                 path: Sequence[str]) -> bool:
-    return _shadowed(sys, _balls(sys, epsilon), _image_map(sys), path)
-
-
-def _shadowed(sys: FiniteSystem, near: list[int], image: Callable[[int], int],
-              path: Sequence[str]) -> bool:
-    pos = sys._index.pos
-    alive = near[pos[path[0]]]
-    for p in path[1:]:
-        alive = image(alive) & near[pos[p]]
-        if not alive:
-            return False
-    return bool(alive)
+    near = _balls(sys, epsilon)
+    tube = [near[sys._index.pos[p]] for p in path]
+    return _lost_at(_image_map(sys), tube, tube[0]) < 0
 
 
 # ---------------------------------------------------------------------------
@@ -478,19 +470,20 @@ def _count_words(g: SftGraph, length: int) -> int:
     return sum(counts)
 
 
-def _common_prefix(u: Word, v: Word) -> int:
-    return next((j for j, (a, b) in enumerate(zip(u, v)) if a != b), len(u))
-
-
 def truncate_shift(g: SftGraph, depth: int) -> FiniteSystem:
     """Admissible depth-words with the cylinder word metric.  Successors of
     a word drop its first symbol and append every admissible continuation,
     so orbits of the truncation are exactly the shift orbits as far as the
-    truncation can see.  Raises TooLarge above MAX_TRUNCATION_POINTS words,
-    before listing them."""
+    truncation can see.  Raises TooLarge above MAX_TRUNCATION_POINTS words
+    or MAX_TRUNCATION_SYMBOLS symbols, before listing them."""
     if depth < 1:
         raise PreconditionError("truncation depth must be at least 1")
-    _check_size(_count_words(g, depth))
+    # A depth past the symbol cap is counted no further than the first
+    # length past it: at least one word that long is already too many.
+    points = _count_words(g, min(depth, MAX_TRUNCATION_SYMBOLS + 1))
+    _check_size(points)
+    if points * depth > MAX_TRUNCATION_SYMBOLS:
+        raise TooLarge("truncation exceeds %d symbols" % MAX_TRUNCATION_SYMBOLS)
     words = words_of_length(g, depth)
     if not words:
         raise PreconditionError("no admissible words at this depth")
@@ -507,7 +500,7 @@ def truncate_shift(g: SftGraph, depth: int) -> FiniteSystem:
         succ[lab] = nxt
     # Sorted words: the common prefix of words i < j is the least common
     # prefix of the adjacent pairs between them, a running minimum of h.
-    h = np.array([_common_prefix(u, v) for u, v in zip(words, words[1:])],
+    h = np.array([common_prefix(u, v) for u, v in zip(words, words[1:])],
                  dtype=np.min_scalar_type(depth + 1))
     top = int(h.max(initial=0))
     lcp = np.full((len(words), len(words)), top + 1, dtype=h.dtype)
@@ -614,22 +607,22 @@ def switch_level(word: Word) -> int:
     return j
 
 
-def build_layered_example(base_depth: int = 4, endpoint_max: int = 3,
-                          fiber_depth: int = 12,
-                          limit_tail: int = 8) -> LayeredExample:
+def build_layered_example(base_depth: int = 4,
+                          fiber_depth: int = 12) -> LayeredExample:
     """Product of a Cantor-style embedded base with per-point fibers.
 
     The base is the set of binary words of a fixed depth, embedded in the
     unit interval so that successive refinements shrink geometrically.
-    Words whose last symbol switch happens at position k <= endpoint_max
-    carry a truncated gap-k fiber and scales (2**-k, 2**-k / 4); all other
-    words carry the finite limit system.  The map is the identity on the
-    base and the fiber map on each fiber, so chain components are exactly
-    the fibers.  Raises TooLarge above MAX_TRUNCATION_POINTS base words,
+    Words whose last symbol switch happens at position k <= 3 carry a
+    truncated gap-k fiber and scales (2**-k, 2**-k / 4); all other words
+    carry the finite limit system with tail 8.  The map is the identity on
+    the base and the fiber map on each fiber, so chain components are
+    exactly the fibers.  Raises TooLarge above MAX_TRUNCATION_POINTS base words,
     before listing them.
     """
     if base_depth < 0:
         raise PreconditionError("base depth must be nonnegative")
+    endpoint_max, limit_tail = 3, 8
     # The base is the depth-base_depth truncation of the full 2-shift, so
     # it is capped like one, before any word is listed.
     _check_size(_count_words(full_shift(["0", "1"]), base_depth))
@@ -725,13 +718,14 @@ def _fiber_chain_transitive(f: FiniteSystem) -> bool:
     ix = f._index
     positive = ix.dm[~np.eye(len(f.labels), dtype=bool)]
     delta = Fraction(int(positive.min()), ix.scale) if positive.size else Fraction(1)
+    steps = {i: list(_bits(m)) for i, m in enumerate(_step_masks(f, delta))}
     # One strongly connected component chains every point to every point:
     # through another point, or, in a one-point space, by the map itself.
-    return len(_tarjan_sccs(f.labels, _successor_table(f, delta))) <= 1
+    return len(_tarjan_sccs(range(len(f.labels)), steps)) <= 1
 
 
-def layered_fiber_shadowing(ex: LayeredExample, horizon: int = 8,
-                            mode: str = "exhaustive") -> dict[str, ShadowingReport]:
+def layered_fiber_shadowing(ex: LayeredExample,
+                            horizon: int = 8) -> dict[str, ShadowingReport]:
     """Per-fiber shadowing at that stratum's scales.  Interior fibers reuse
     the coarsest endpoint scales."""
     out = {}
@@ -743,7 +737,7 @@ def layered_fiber_shadowing(ex: LayeredExample, horizon: int = 8,
         # Fibers within a stratum are identical systems, so one check
         # covers them all.
         rep = brute_shadowing_check(ex.fiber_systems[s.base_points[0]],
-                                    eps, delta, horizon, mode=mode)
+                                    eps, delta, horizon)
         for w in s.base_points:
             key = ("A%d" % s.index if s.kind == "endpoint" else "interior") + ":" + w
             out[key] = rep

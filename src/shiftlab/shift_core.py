@@ -52,15 +52,19 @@ def parse_word(text: str) -> Word:
     return tuple(text)
 
 
-def word_distance(u: Sequence[str], v: Sequence[str]) -> Fraction:
-    """Cylinder distance between two finite words of equal length, read as
-    truncated points.  Identical words give 0."""
+def common_prefix(u: Sequence[str], v: Sequence[str]) -> int:
+    """Length of the longest common prefix of two words."""
     for j, (a, b) in enumerate(zip(u, v)):
         if a != b:
-            return Fraction(1, 2 ** j)
-    if len(u) != len(v):
-        return Fraction(1, 2 ** min(len(u), len(v)))
-    return Fraction(0)
+            return j
+    return min(len(u), len(v))
+
+
+def word_distance(u: Sequence[str], v: Sequence[str]) -> Fraction:
+    """Cylinder distance between two finite words, read as truncated
+    points: 2**-k at common prefix length k.  Identical words give 0."""
+    k = common_prefix(u, v)
+    return Fraction(0) if k == len(u) == len(v) else Fraction(1, 2 ** k)
 
 
 # ---------------------------------------------------------------------------

@@ -371,14 +371,7 @@ def truncated_fiber(seq: InverseSequenceSpec, tower: Tower,
 def fiber_hausdorff_gap(system: TruncatedSystem, inner: list[int],
                         outer: list[int]) -> Fraction:
     """sup over inner points of the distance to the nearest outer point."""
-    worst = Fraction(0)
-    for i in inner:
-        best = None
-        for j in outer:
-            d = system.metric(i, j)
-            if best is None or d < best:
-                best = d
-        if best is None:
-            raise SchemaError("empty target fiber")
-        worst = max(worst, best)
-    return worst
+    if inner and not outer:
+        raise SchemaError("empty target fiber")
+    return max((min(system.metric(i, j) for j in outer) for i in inner),
+               default=Fraction(0))

@@ -232,6 +232,19 @@ class TestShadow:
         assert code == 2 and out == ""
         assert err == "precondition failed: truncation exceeds 4096 points\n"
 
+    @pytest.mark.parametrize("depth", ["1000000", "100000000"])
+    def test_one_loop_past_symbol_cap_exits_2_quickly(self, tmp_path, capsys, depth):
+        # One word per depth passes the point cap at any depth; the symbol
+        # cap refuses it before the word is listed.
+        loop = tmp_path / "loop.json"
+        loop.write_text(json.dumps({"alphabet": ["0"], "vertices": ["a"],
+                                    "edges": [["a", "a", "0"]]}))
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "shadow", "--in", str(loop), "--depth", depth)
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 2 and out == ""
+        assert err == "precondition failed: truncation exceeds 524288 symbols\n"
+
     def test_seed_recorded_in_sampled_mode(self, capsys):
         code, out, _ = run(capsys, "shadow", "--family", "limit",
                            "--eps-exp", "2", "--delta-exp", "4",
@@ -323,6 +336,22 @@ class TestFailuresAreOneLine:
         assert code == expected
         assert len(err.splitlines()) == 1, err
         assert "Traceback" not in err
+
+
+class TestUnwritableOutput:
+    @pytest.mark.parametrize("argv, target", [
+        (["analyze", "--in", path("golden_mean.json"), "--out"], "missing/x.json"),
+        (["analyze", "--in", path("golden_mean.json"), "--out"], "adir"),
+        (["scramble", "--in", path("golden_mean.json"), "--blocks", "2", "--csv"],
+         "missing/d.csv"),
+    ], ids=["out-missing-directory", "out-is-a-directory", "csv-missing-directory"])
+    def test_exit_2_with_one_line_and_no_file_left(self, tmp_path, capsys, argv, target):
+        (tmp_path / "adir").mkdir()
+        code, out, err = run(capsys, *argv, str(tmp_path / target))
+        assert code == 2 and out == ""
+        assert err.startswith("precondition failed: cannot write %s: " % (tmp_path / target))
+        assert len(err.splitlines()) == 1 and ".tmp-" not in err
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["adir"]
 
 
 class TestSharedParser:

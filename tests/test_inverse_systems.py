@@ -2,6 +2,7 @@
 
 import functools
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -37,6 +38,7 @@ from shiftlab.shift_core import (
     full_shift,
     language_equal,
     language_subset,
+    word_distance,
 )
 
 
@@ -246,6 +248,18 @@ class TestTruncatedLimit:
         for i in range(len(sysm.points)):
             for j in range(len(sysm.points)):
                 assert (sysm.metric(i, j) == 0) == (i == j)
+
+    @pytest.mark.parametrize("seq", [abc_sequence(), branching_sequence(),
+                                     cantor_product_sequence(3)],
+                             ids=["abc", "branching", "cantor-product-3"])
+    def test_metric_matches_level_product_oracle(self, seq):
+        # The per-level Fraction product that the closed form replaced.
+        sysm = truncated_limit(seq, 3, 4)
+        for i, a in enumerate(sysm.points):
+            for j, b in enumerate(sysm.points):
+                expected = max(Fraction(1, 2 ** n) * word_distance(a[n], b[n])
+                               for n in range(sysm.depth))
+                assert sysm.metric(i, j) == expected
 
     def test_compatibility_of_coordinates(self):
         from shiftlab.inverse_systems import composed_code

@@ -15,7 +15,6 @@ from shiftlab.fixtures import golden_mean_graph, random_graph
 from shiftlab.shadow_lab import (
     FiniteSystem,
     _fiber_chain_transitive,
-    _successor_table,
     brute_shadowing_check,
     build_layered_example,
     check_triangle,
@@ -296,7 +295,7 @@ class TestLayeredExample:
 def closure_chain_transitive(f):
     positive = [f.d(p, q) for p in f.labels for q in f.labels if p != q]
     delta = min(positive) if positive else Fraction(1)
-    succ = _successor_table(f, delta)
+    succ = oracle_successor_table(f, delta)
     reach = {p: set(succ[p]) for p in f.labels}
     changed = True
     while changed:
@@ -508,7 +507,9 @@ class TestIntegerIndexOracle:
             kw = dict(mode=mode, samples=rng.randint(1, 20), seed=rng.randrange(100))
             assert brute_shadowing_check(sysm, eps, delta, horizon, **kw) == \
                 oracle_brute_shadowing_check(sysm, eps, delta, horizon, **kw)
-        assert _successor_table(sysm, delta) == oracle_successor_table(sysm, delta)
+        assert {sysm.labels[i]: [sysm.labels[j] for j in shadow_lab._bits(m)]
+                for i, m in enumerate(shadow_lab._step_masks(sysm, delta))} == \
+            oracle_successor_table(sysm, delta)
         path = tuple(rng.choice(sysm.labels) for _ in range(horizon))
         assert is_shadowed(sysm, eps, path) == oracle_is_shadowed(sysm, eps, path)
         assert is_pseudo_orbit(sysm, delta, path) == oracle_is_pseudo_orbit(sysm, delta, path)

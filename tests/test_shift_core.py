@@ -16,6 +16,7 @@ from shiftlab.shift_core import (
     _minimize,
     canonical_presentation,
     canonical_signature,
+    common_prefix,
     distance,
     essential,
     follower,
@@ -317,6 +318,19 @@ class TestWords:
         assert word_distance(parse_word("0101"), parse_word("0101")) == 0
         assert word_distance(parse_word("0101"), parse_word("0111")) == Fraction(1, 4)
         assert word_distance(parse_word("10"), parse_word("00")) == 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.sampled_from(BIN), max_size=5), st.lists(st.sampled_from(BIN), max_size=5))
+    def test_word_distance_matches_symbol_loop(self, u, v):
+        # The symbol loop that word_distance ran before common_prefix.
+        expected = Fraction(0) if u == v else Fraction(1, 2 ** min(len(u), len(v)))
+        for j, (a, b) in enumerate(zip(u, v)):
+            if a != b:
+                expected = Fraction(1, 2 ** j)
+                break
+        assert word_distance(u, v) == expected
+        k = common_prefix(u, v)
+        assert u[:k] == v[:k] and (k == min(len(u), len(v)) or u[k] != v[k])
 
 
 class TestSymbolicPoints:

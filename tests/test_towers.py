@@ -1,12 +1,14 @@
 """Tower enumeration, greedy upgrades, entropic search, fibers."""
 
 import math
+from fractions import Fraction
 
 import pytest
 
 from shiftlab.errors import (
     InternalInvariantViolation,
     NoEntropicComponent,
+    SchemaError,
 )
 from shiftlab.fixtures import (
     abc_sequence,
@@ -145,6 +147,31 @@ class TestFibers:
         t = enumerate_towers(seq, 3)[0]
         fiber = truncated_fiber(seq, t, sysm)
         assert fiber_hausdorff_gap(sysm, fiber, fiber) == 0
+
+    def test_hausdorff_gap_matches_nearest_point_loop(self):
+        # The nearest-point loop that the one max-min replaced.
+        def oracle(sysm, inner, outer):
+            worst = Fraction(0)
+            for i in inner:
+                best = None
+                for j in outer:
+                    d = sysm.metric(i, j)
+                    if best is None or d < best:
+                        best = d
+                if best is None:
+                    raise SchemaError("empty target fiber")
+                worst = max(worst, best)
+            return worst
+
+        seq = cantor_product_sequence(3)
+        sysm = truncated_limit(seq, 3, 4)
+        fibers = [truncated_fiber(seq, t, sysm) for t in enumerate_towers(seq, 3)]
+        for inner in fibers + [[]]:
+            for outer in fibers:
+                assert fiber_hausdorff_gap(sysm, inner, outer) == oracle(sysm, inner, outer)
+        assert fiber_hausdorff_gap(sysm, [], []) == 0
+        with pytest.raises(SchemaError, match="empty target fiber"):
+            fiber_hausdorff_gap(sysm, fibers[0], [])
 
 
 class TestApproximation:
