@@ -181,6 +181,7 @@ class CyclicStructure:
         return self.vertex_class[v]
 
 
+@functools.lru_cache(maxsize=MEMO_SIZE)
 def cyclic_structure(g: SftGraph) -> CyclicStructure:
     ge = essential(g)
     if not ge.vertices:
@@ -250,6 +251,7 @@ def has_positive_entropy(g: SftGraph) -> bool:
     return False
 
 
+@functools.lru_cache(maxsize=MEMO_SIZE)
 def entropy(g: SftGraph) -> float:
     """Topological entropy: natural log of the spectral radius of the
     adjacency matrix of the canonical deterministic presentation.  Exactly

@@ -7,11 +7,16 @@ stays within epsilon of it coordinatewise.  The exhaustive checker walks
 pseudo-orbits breadth first while tracking, for each one, the set of
 shadowing-orbit states that are still alive, so the work is bounded by
 the number of distinct (point, survivor set) pairs instead of the raw tree
-of pseudo-orbits.
+of pseudo-orbits.  A head's children depend only on its step mask and the
+image of its survivor set, so each such pair is expanded once per depth:
+a later head with the same pair adds only the dead children recorded by
+the first, since all of its live children are already seen.
 
 Every check reads one step table, ``_step_masks`` (the legal delta-steps
 from each point as a bitmask), and, outside the search, one survivor walk,
 ``_lost_at`` (``alive = image(alive) & ball`` along a pseudo-orbit's tube).
+Each distinct step mask's bits are listed once, by ``_bit_lists``, for the
+search, the sampler and the fiber chain-transitivity check.
 
 Distances are ``Fraction`` values at the API, but every system carries an
 integer index built once at construction: the metric times the least
@@ -282,6 +287,11 @@ def _balls(sys: FiniteSystem, radius: Fraction) -> list[int]:
             for row in np.packbits(within, axis=1, bitorder="little")]
 
 
+def _bit_lists(masks: Sequence[int]) -> dict[int, list[int]]:
+    """Set-bit indices of each distinct mask, ascending, listed once."""
+    return {m: list(_bits(m)) for m in set(masks)}
+
+
 def _image_map(sys: FiniteSystem) -> Callable[[int], int]:
     """Image of a point mask under the successor relation, memoised for
     the lifetime of the returned function (one call of a checker)."""
@@ -350,7 +360,8 @@ def brute_shadowing_check(sys: FiniteSystem, epsilon: Fraction, delta: Fraction,
         return _sampled_check(sys, near, image, steps, epsilon, delta,
                               horizon, samples, seed)
     labels = sys.labels
-    steps = [sorted(_bits(m), key=labels.__getitem__) for m in steps]
+    ordered = {m: sorted(bits, key=labels.__getitem__)
+               for m, bits in _bit_lists(steps).items()}
     # BFS over (pseudo-orbit head, survivor mask); paths expand in sorted
     # label order so the first failure found at the shortest depth is the
     # lexicographically least counterexample.
@@ -359,6 +370,10 @@ def brute_shadowing_check(sys: FiniteSystem, epsilon: Fraction, delta: Fraction,
     for depth in range(1, horizon + 1):
         next_frontier = []
         seen: set[tuple[int, int]] = set()
+        # A head's children depend only on its step mask and the image of
+        # its survivors.  Once one head with that pair is expanded, every
+        # live child is in seen, so a later head adds only the dead ones.
+        expanded: dict[tuple[int, int], list[int]] = {}
         for (p, alive, path) in frontier:
             if not alive:
                 return ShadowingReport(
@@ -369,12 +384,20 @@ def brute_shadowing_check(sys: FiniteSystem, epsilon: Fraction, delta: Fraction,
             if depth == horizon:
                 continue
             img = image(alive)
-            for q in steps[p]:
+            pair = (steps[p], img)
+            dead = expanded.get(pair)
+            first = dead is None
+            if first:
+                dead = expanded[pair] = []
+            for q in ordered[steps[p]] if first else dead:
                 nxt_alive = img & near[q]
-                key = (q, nxt_alive)
-                if nxt_alive and key in seen:
-                    continue
-                seen.add(key)
+                if nxt_alive:
+                    key = (q, nxt_alive)
+                    if key in seen:
+                        continue
+                    seen.add(key)
+                elif first:
+                    dead.append(q)
                 explored += 1
                 if explored > state_cap:
                     raise TooLarge("exhaustive search exceeded %d states" % state_cap)
@@ -412,7 +435,8 @@ def _sampled_check(sys: FiniteSystem, near: list[int],
     """Seeded random pseudo-orbits: a uniform start, then uniform steps
     among each point's step mask read in index order."""
     rng = random.Random(seed)
-    choices = [list(_bits(m)) for m in steps]
+    lists = _bit_lists(steps)
+    choices = [lists[m] for m in steps]
     points = range(len(sys.labels))
     for checked in range(1, samples + 1):
         path = [rng.choice(points)]
@@ -457,16 +481,25 @@ def _count_words(g: SftGraph, length: int) -> int:
     """Admissible words of the given length, counted as paths from the
     start of the follower automaton, or the first count of a shorter
     length past MAX_TRUNCATION_POINTS.  Every state has a successor, so
-    the counts never fall as the length grows."""
+    the counts never fall as the length grows.  The count vectors follow
+    one another deterministically, so once one repeats they cycle, and
+    a cycle of counts that never fall is constant: the count stops there.
+    A repeat is found against one saved vector, moved to each power-of-two
+    length (Brent's cycle detection)."""
     f = follower(g)
     counts = [1] + [0] * (len(f.states) - 1)
-    for _ in range(length):
+    saved, checkpoint = counts, 1
+    for step in range(1, length + 1):
         if sum(counts) > MAX_TRUNCATION_POINTS:
             break
         nxt = [0] * len(counts)
         for (i, _a), j in f.trans.items():
             nxt[j] += counts[i]
         counts = nxt
+        if counts == saved:
+            break
+        if step == checkpoint:
+            saved, checkpoint = counts, 2 * checkpoint
     return sum(counts)
 
 
@@ -718,7 +751,9 @@ def _fiber_chain_transitive(f: FiniteSystem) -> bool:
     ix = f._index
     positive = ix.dm[~np.eye(len(f.labels), dtype=bool)]
     delta = Fraction(int(positive.min()), ix.scale) if positive.size else Fraction(1)
-    steps = {i: list(_bits(m)) for i, m in enumerate(_step_masks(f, delta))}
+    masks = _step_masks(f, delta)
+    lists = _bit_lists(masks)
+    steps = {i: lists[m] for i, m in enumerate(masks)}
     # One strongly connected component chains every point to every point:
     # through another point, or, in a one-point space, by the map itself.
     return len(_tarjan_sccs(range(len(f.labels)), steps)) <= 1

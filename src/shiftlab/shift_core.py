@@ -238,7 +238,8 @@ class Follower:
 
 
 # The one bound of the value memos (``follower``, ``canonical_presentation``,
-# ``decomposition.chain_components``, ``codes.identity_code`` and
+# ``decomposition.chain_components``, ``decomposition.cyclic_structure``,
+# ``decomposition.entropy``, ``codes.identity_code`` and
 # ``codes.code_image``): 256 entries hold the distinct graphs of any
 # acceptance criterion (criterion 10 asks about 117) without growing forever.
 MEMO_SIZE = 256

@@ -8,7 +8,7 @@ import time
 import pytest
 
 from shiftlab.cli import _build_parser, main
-from shiftlab.decomposition import chain_components
+from shiftlab.decomposition import chain_components, cyclic_structure, entropy
 from shiftlab.shift_core import canonical_presentation, follower
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -33,7 +33,8 @@ def marked_cycle(tmp_path):
     edges = [[verts[i], verts[(i + 1) % n], "1" if i == 0 else "0"] for i in range(n)]
     graph = tmp_path / "cycle.json"
     graph.write_text(json.dumps({"alphabet": ["0", "1"], "vertices": verts, "edges": edges}))
-    for memo in (follower, canonical_presentation, chain_components):
+    for memo in (follower, canonical_presentation, chain_components,
+                 cyclic_structure, entropy):
         memo.cache_clear()
     return str(graph)
 
@@ -221,6 +222,17 @@ class TestShadow:
         rep = json.loads(out)
         assert rep["shadowed"] is False
         assert rep["counterexample"]
+
+    def test_full_depth_twelve_within_budget(self, capsys):
+        # 4,096 points, the most a truncation may have, at the default
+        # scales (epsilon 1/2, delta 1/4, horizon 8).
+        t0 = time.perf_counter()
+        code, out, _ = run(capsys, "shadow", "--family", "full", "--depth", "12")
+        assert time.perf_counter() - t0 < 5.0
+        assert code == 0
+        rep = json.loads(out)
+        assert rep["shadowed"] is True
+        assert rep["states_explored"] == 28672
 
     @pytest.mark.parametrize("argv", [["--family", "full", "--depth", "40"],
                                       ["--family", "limit", "--tail", "100000"]],

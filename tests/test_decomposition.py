@@ -193,6 +193,23 @@ class TestEntropy:
             return
         assert entropy(g) <= math.log(2) + 1e-12
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_memoised_by_value(self, rng):
+        # An equal graph built apart hits the memo, and the memoised values
+        # are the ones a cold computation gives, bit for bit.
+        g = random_graph(rng, max_vertices=5)
+        copy = SftGraph(tuple(g.vertices), tuple(g.edges), tuple(g.alphabet))
+        assert copy is not g
+        if essential(g).vertices:
+            h = entropy(g)
+            assert entropy(copy) is h
+            assert h.hex() == entropy.__wrapped__(copy).hex()
+        if is_irreducible(g):
+            cs = cyclic_structure(g)
+            assert cyclic_structure(copy) is cs
+            assert cs == cyclic_structure.__wrapped__(copy)
+
 
 class TestChainReachability:
     def test_reachable_within_component(self):

@@ -463,6 +463,54 @@ def oracle_brute_shadowing_check(sys, epsilon, delta, horizon, mode="exhaustive"
                   states_explored=explored)
 
 
+def oracle_per_head_search(sys, epsilon, delta, horizon, state_cap=10 ** 7):
+    """The exhaustive search as it was before heads were grouped by (step
+    mask, survivor image): every head walks its whole step list, sorted by
+    label point by point."""
+    epsilon, delta = Fraction(epsilon), Fraction(delta)
+    near = shadow_lab._balls(sys, epsilon)
+    image = shadow_lab._image_map(sys)
+    labels = sys.labels
+    steps = [sorted(shadow_lab._bits(m), key=labels.__getitem__)
+             for m in shadow_lab._step_masks(sys, delta)]
+    frontier = [(p, near[p], (labels[p],)) for p in sys._index.by_label]
+    explored = 0
+    for depth in range(1, horizon + 1):
+        next_frontier = []
+        seen = set()
+        for (p, alive, path) in frontier:
+            if not alive:
+                return shadow_lab.ShadowingReport(
+                    False, epsilon, delta, horizon, "exhaustive",
+                    counterexample=path,
+                    failure_trace=shadow_lab._failure_trace(sys, near, image, path),
+                    states_explored=explored)
+            if depth == horizon:
+                continue
+            img = image(alive)
+            for q in steps[p]:
+                nxt_alive = img & near[q]
+                key = (q, nxt_alive)
+                if nxt_alive and key in seen:
+                    continue
+                seen.add(key)
+                explored += 1
+                if explored > state_cap:
+                    raise TooLarge("exhaustive search exceeded %d states" % state_cap)
+                next_frontier.append((q, nxt_alive, path + (labels[q],)))
+        frontier = next_frontier
+    return shadow_lab.ShadowingReport(True, epsilon, delta, horizon, "exhaustive",
+                                      states_explored=explored)
+
+
+def search_outcome(search, *args, **kw):
+    """A search's report, or the text of the TooLarge it raised."""
+    try:
+        return search(*args, **kw)
+    except TooLarge as e:
+        return "TooLarge: %s" % e
+
+
 def random_metric(rng, n):
     """n labels in shuffled order ("p10" sorts before "p2", so index order
     is not label order) and a metric on them: a word ultrametric, a line
@@ -771,6 +819,69 @@ class TestPrefixMetricOracle:
         assert len(sysm.labels) == 1024
 
 
+def grouped_search_case(rng, kind):
+    """A system of the given kind with scales, a horizon and a state cap,
+    some of them small enough to stop the search."""
+    if kind == "random":
+        sysm, eps, delta, horizon = random_shadow_case(rng)
+    else:
+        if kind == "truncation":
+            sysm = truncate_shift(random_graph(rng, max_vertices=4), rng.randint(1, 7))
+        elif kind == "limit":
+            sysm = limit_gap_system(rng.randint(0, 20))
+        else:
+            sysm = truncate_shift(gap_shift_graph(rng.randint(0, 4)), rng.randint(1, 8))
+        eps = Fraction(1, 2 ** rng.randint(0, 5))
+        delta = Fraction(1, 2 ** rng.randint(0, 6))
+        horizon = rng.randint(1, 8)
+    cap = rng.choice([1, 2, 3, 5, 8, 20, 60, 200, 10 ** 7])
+    return sysm, eps, delta, horizon, cap
+
+
+class TestGroupedSearchOracle:
+    @pytest.mark.parametrize("kind", ["random", "truncation", "limit", "gap"])
+    @settings(max_examples=150, deadline=None)
+    @given(rng=st.randoms(use_true_random=False))
+    def test_matches_per_head_search(self, kind, rng):
+        sysm, eps, delta, horizon, cap = grouped_search_case(rng, kind)
+        assert search_outcome(brute_shadowing_check, sysm, eps, delta, horizon,
+                              state_cap=cap) == \
+            search_outcome(oracle_per_head_search, sysm, eps, delta, horizon,
+                           state_cap=cap)
+
+    def test_every_outcome_occurs(self):
+        rng = random.Random(1)
+        outcomes = set()
+        for i in range(400):
+            case = grouped_search_case(rng, ("random", "truncation", "limit", "gap")[i % 4])
+            sysm, eps, delta, horizon, cap = case
+            out = search_outcome(brute_shadowing_check, sysm, eps, delta, horizon,
+                                 state_cap=cap)
+            assert out == search_outcome(oracle_per_head_search, sysm, eps, delta,
+                                         horizon, state_cap=cap)
+            outcomes.add(out if isinstance(out, str) else out.shadowed)
+        assert {True, False} <= outcomes
+        assert any(isinstance(o, str) for o in outcomes)
+
+    def test_grouped_heads_on_a_full_truncation(self):
+        # Full depth 8: most heads share a (step mask, survivor image) pair
+        # with an earlier head, and every report field still matches.
+        sysm = truncate_shift(full_shift(BIN), 8)
+        for eps, delta in ((HALF, QUARTER), (QUARTER, Fraction(1, 16)), (HALF, HALF)):
+            for cap in (10, 700, 10 ** 7):
+                assert search_outcome(brute_shadowing_check, sysm, eps, delta, 8,
+                                      state_cap=cap) == \
+                    search_outcome(oracle_per_head_search, sysm, eps, delta, 8,
+                                   state_cap=cap)
+
+    def test_full_depth_eleven_within_budget(self):
+        sysm = truncate_shift(full_shift(BIN), 11)
+        t0 = time.perf_counter()
+        rep = brute_shadowing_check(sysm, HALF, QUARTER, 8)
+        assert time.perf_counter() - t0 < 1.0
+        assert rep.shadowed and rep.states_explored == 14336
+
+
 class TestMetricView:
     def test_view_reads_like_the_dict(self):
         new = truncate_shift(golden_mean_graph(), 4)
@@ -859,3 +970,20 @@ class TestTruncationCap:
         assert shadow_lab._count_words(AT_MOST_ONE_1, 1000) == 1001
         # Past the cap the count stops at the first length that exceeds it.
         assert shadow_lab._count_words(full_shift(BIN), 10 ** 9) == 8192
+
+    def test_count_stops_at_a_repeated_count_vector(self):
+        # A 1000-cycle labelled 0 but for one edge labelled 1: the 1 fixes
+        # the start of any word of 1000 symbols or more, so there are
+        # exactly 1000 of them, and n + 1 words of each length n < 1000.
+        n = 1000
+        verts = ["v%d" % i for i in range(n)]
+        g = make_graph(verts, [(verts[i], verts[(i + 1) % n], "1" if i == 0 else "0")
+                               for i in range(n)])
+        for length in (1, 10, 999):
+            assert shadow_lab._count_words(g, length) == length + 1
+        t0 = time.perf_counter()
+        assert shadow_lab._count_words(g, 10 ** 9) == n
+        assert time.perf_counter() - t0 < 5.0
+        assert shadow_lab._count_words(g, 1000) == shadow_lab._count_words(g, 5000) == n
+        loop = make_graph(["a"], [("a", "a", "0")])
+        assert shadow_lab._count_words(loop, 10 ** 18) == 1

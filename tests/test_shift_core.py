@@ -514,10 +514,10 @@ class TestFollower:
 
     def test_memos_share_one_bound(self):
         from shiftlab.codes import code_image, identity_code
-        from shiftlab.decomposition import chain_components
+        from shiftlab.decomposition import chain_components, cyclic_structure, entropy
         from shiftlab.shift_core import MEMO_SIZE
         memos = [follower, canonical_presentation, chain_components,
-                 identity_code, code_image]
+                 cyclic_structure, entropy, identity_code, code_image]
         assert {f.cache_info().maxsize for f in memos} == {MEMO_SIZE}
 
     def test_read_only(self):
