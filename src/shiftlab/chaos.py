@@ -181,7 +181,7 @@ def chain_proximal_join(g: SftGraph, y: SymbolicPoint, z: SymbolicPoint,
     end = f.walk(z.expand(K))
     if end is None:
         raise NotInLanguage("prefix of z not admissible")
-    front = set(f.states[end])
+    front = set(f.vertices(end))
     readers = _reading_states(ge, y)
     pre, per = len(y.preperiod), len(y.period)
 

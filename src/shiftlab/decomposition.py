@@ -368,16 +368,23 @@ def sync_length(g: SftGraph, cap: Optional[int] = None) -> Optional[int]:
         return 0
     f = follower(g)
     if cap is None:
-        cap = 2 * len(f.states[0]) + 2
+        cap = 2 * len(f.names) + 2
     succ: list[list[int]] = [[] for _ in f.states]
     for (i, _a), j in f.trans.items():
         succ[i].append(j)
-    cls = cs.vertex_class
+    # others[k]: the mask of every vertex outside the class of vertex k.
+    cls = [cs.vertex_class[v] for v in f.names]
+    within = [0] * cs.period
+    for k, c in enumerate(cls):
+        within[c] |= 1 << k
+    others = [within[c] ^ f.states[0] for c in cls]
+    states = f.states
     # Every successor of a state within one class lies within the next
     # class, so only the states of a layer spanning two classes are kept.
     layer = {0}
     for k in range(cap + 1):
-        layer = {i for i in layer if len({cls[v] for v in f.states[i]}) > 1}
+        layer = {i for i in layer
+                 if states[i] & others[(states[i] & -states[i]).bit_length() - 1]}
         if not layer:
             return k
         layer = {j for i in layer for j in succ[i]}
@@ -395,7 +402,7 @@ def class_of_word(g: SftGraph, cs: CyclicStructure, word: Sequence[str]) -> int:
     end = f.walk(w)
     if end is None:
         raise NotInLanguage("word not admissible: %r" % (w,))
-    cls = {cs.class_of_vertex(v) for v in f.states[end]}
+    cls = {cs.class_of_vertex(v) for v in f.vertices(end)}
     if len(cls) != 1:
         raise NotIrreducible("presentation does not resolve the class of %r" % (w,))
     return (cls.pop() - len(w)) % cs.period

@@ -33,6 +33,7 @@ from .errors import (
     InvalidAlphabet,
     NotInLanguage,
     SchemaError,
+    TooLarge,
 )
 
 Word = tuple[str, ...]
@@ -210,22 +211,29 @@ def from_forbidden_words(alphabet: Iterable[str], forbidden: Iterable[Sequence[s
 class Follower:
     """Follower-set automaton of the essential part of a graph.
 
-    ``states`` are vertex sets in breadth-first discovery order; state 0 is
-    the full vertex set.  ``trans`` maps (state, symbol) to a state; every
-    state is accepting and a missing transition means the word leaves the
-    language.  ``out`` is the labeled out-map, vertex -> symbol -> targets.
-    An empty shift has the single state ``frozenset()`` and no transitions.
-    Both maps are read-only: :func:`follower` shares one instance among all
-    callers asking about the same graph value.
+    ``states`` are vertex sets in breadth-first discovery order, each an
+    ``int`` mask whose bit k stands for ``names[k]``, the essential
+    vertices in ``essential(g).vertices`` order; :meth:`vertices` decodes
+    one.  State 0 is the full vertex set.  ``trans`` maps (state, symbol)
+    to a state; every state is accepting and a missing transition means the
+    word leaves the language.  ``out`` is the labeled out-map, vertex ->
+    symbol -> targets.  An empty shift has the single state ``0`` and no
+    transitions.  Both maps are read-only: :func:`follower` shares one
+    instance among all callers asking about the same graph value.
     """
 
-    states: tuple[frozenset[str], ...]
+    states: tuple[int, ...]
     trans: Mapping[tuple[int, str], int]
     out: Mapping[str, Mapping[str, frozenset[str]]]
+    names: tuple[str, ...]
 
     @property
     def is_empty(self) -> bool:
         return not self.states[0]
+
+    def vertices(self, i: int) -> frozenset[str]:
+        """The vertex set of state ``i``."""
+        return frozenset(itertools.compress(self.names, map(int, bin(self.states[i])[:1:-1])))
 
     def walk(self, word: Iterable[str], state: int = 0) -> Optional[int]:
         """State after reading ``word``, or None if it leaves the language."""
@@ -244,35 +252,62 @@ class Follower:
 # acceptance criterion (criterion 10 asks about 117) without growing forever.
 MEMO_SIZE = 256
 
+# A follower automaton can have 2**n states on n vertices; discovery stops
+# with TooLarge past this many.  The marked 4000-cycle has about 8,000.
+MAX_FOLLOWER_STATES = 1 << 16
+
 
 @functools.lru_cache(maxsize=MEMO_SIZE)
 def follower(g: SftGraph) -> Follower:
     """Subset construction over the essential part of ``g``, built once per
-    graph value."""
+    graph value.  A state's image under a symbol is the OR, over the
+    nonzero bytes of its mask, of a table entry per (byte position, byte
+    value) holding the successors of those up-to-8 vertices; entries are
+    filled on first use.  Raises TooLarge past ``MAX_FOLLOWER_STATES``."""
     ge = essential(g)
-    out: dict[str, dict[str, set[str]]] = {v: {} for v in ge.vertices}
+    names = ge.vertices
+    bit = {v: k for k, v in enumerate(names)}
+    out: dict[str, dict[str, set[str]]] = {v: {} for v in names}
+    succ = {a: [0] * len(names) for a in ge.alphabet}
     for (u, v, a) in ge.edges:
         out[u].setdefault(a, set()).add(v)
+        succ[a][bit[u]] |= 1 << bit[v]
     frozen = {v: MappingProxyType({a: frozenset(t) for a, t in m.items()})
               for v, m in out.items()}
-    start = frozenset(ge.vertices)
+    # Per symbol a: succ[a] and a table from p << 8 | b to the successors
+    # under a of the vertices 8p + j for the bits j set in b.
+    tables = [(a, succ[a], {}) for a in ge.alphabet]
+    nbytes = (len(names) + 7) >> 3
+    start = (1 << len(names)) - 1
     states = [start]
     index = {start: 0}
     trans: dict[tuple[int, str], int] = {}
-    queue = deque([start])
-    while queue:
-        s = queue.popleft()
-        i = index[s]
-        for a in ge.alphabet:
-            nxt = frozenset().union(*(frozen[v].get(a, ()) for v in s))
+    for i, s in enumerate(states):
+        keys = [p << 8 | b for p, b in enumerate(s.to_bytes(nbytes, "little")) if b]
+        for a, row, table in tables:
+            nxt = 0
+            for key in keys:
+                m = table.get(key)
+                if m is None:
+                    m, b, k = 0, key & 255, (key >> 8) << 3
+                    while b:
+                        if b & 1:
+                            m |= row[k]
+                        b >>= 1
+                        k += 1
+                    table[key] = m
+                nxt |= m
             if not nxt:
                 continue
-            if nxt not in index:
-                index[nxt] = len(states)
+            j = index.get(nxt)
+            if j is None:
+                if len(states) >= MAX_FOLLOWER_STATES:
+                    raise TooLarge("follower automaton exceeds %d states"
+                                   % MAX_FOLLOWER_STATES)
+                j = index[nxt] = len(states)
                 states.append(nxt)
-                queue.append(nxt)
-            trans[(i, a)] = index[nxt]
-    return Follower(tuple(states), MappingProxyType(trans), MappingProxyType(frozen))
+            trans[(i, a)] = j
+    return Follower(tuple(states), MappingProxyType(trans), MappingProxyType(frozen), names)
 
 
 def determinize(g: SftGraph) -> SftGraph:

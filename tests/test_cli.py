@@ -24,19 +24,22 @@ def path(name):
     return os.path.join(DATA, name)
 
 
-@pytest.fixture
-def marked_cycle(tmp_path):
-    """A 1000-cycle labelled 0 except for one edge labelled 1, written as a
+def cold_marked_cycle(directory, n):
+    """An n-cycle labelled 0 except for one edge labelled 1, written as a
     graph file, with the graph memos emptied so that a run starts cold."""
-    n = 1000
     verts = ["v%d" % i for i in range(n)]
     edges = [[verts[i], verts[(i + 1) % n], "1" if i == 0 else "0"] for i in range(n)]
-    graph = tmp_path / "cycle.json"
+    graph = directory / "cycle.json"
     graph.write_text(json.dumps({"alphabet": ["0", "1"], "vertices": verts, "edges": edges}))
     for memo in (follower, canonical_presentation, chain_components,
                  cyclic_structure, entropy):
         memo.cache_clear()
     return str(graph)
+
+
+@pytest.fixture
+def marked_cycle(tmp_path):
+    return cold_marked_cycle(tmp_path, 1000)
 
 
 class TestAnalyze:
@@ -75,6 +78,22 @@ class TestAnalyze:
         rep = json.loads(out)
         assert rep["irreducible"] and not rep["mixing"]
         assert [c["period"] for c in rep["components"]] == [1000]
+
+    def test_marked_4000_cycle_within_budget(self, tmp_path, capsys):
+        graph = cold_marked_cycle(tmp_path, 4000)
+        t0 = time.perf_counter()
+        code, out, _ = run(capsys, "analyze", "--in", graph)
+        assert time.perf_counter() - t0 < 8.0
+        assert code == 0
+        assert [c["period"] for c in json.loads(out)["components"]] == [4000]
+
+    def test_follower_state_cap_is_exit_2(self, capsys):
+        # Its follower automaton has 2**20 states.
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "analyze", "--in", path("subset_blowup.json"))
+        assert time.perf_counter() - t0 < 2.0
+        assert code == 2 and out == ""
+        assert err == "precondition failed: follower automaton exceeds 65536 states\n"
 
 
 class TestMlc:

@@ -386,6 +386,22 @@ class TestClassesFromFollower:
                 assert (_outcome(class_of_word, g, cs, w)
                         == _outcome(_class_of_word_oracle, g, cs, w))
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(2, 12), st.sets(st.integers(0, 11)))
+    def test_marked_cycles_match_reading_oracle(self, n, marked):
+        # An n-cycle has period n; with no marked edge, or every edge
+        # marked, no word length resolves its classes.
+        verts = ["v%d" % i for i in range(n)]
+        g = make_graph(verts, [(verts[i], verts[(i + 1) % n], "1" if i in marked else "0")
+                               for i in range(n)], alphabet=BIN)
+        cs = cyclic_structure(g)
+        assert cs.period == n
+        assert sync_length(g) == _sync_length_oracle(g)
+        for k in range(7):
+            for w in itertools.product(BIN, repeat=k):
+                assert (_outcome(class_of_word, g, cs, w)
+                        == _outcome(_class_of_word_oracle, g, cs, w))
+
     def test_fixtures_match_reading_oracle(self):
         for g in (golden_mean_graph(), two_cycle_graph(), three_cycle_graph()):
             cs = cyclic_structure(g)

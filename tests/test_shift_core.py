@@ -8,7 +8,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from shiftlab.errors import NotInLanguage, PreconditionError
+from shiftlab import shift_core
+from shiftlab.errors import NotInLanguage, PreconditionError, TooLarge
 from shiftlab.fixtures import golden_mean_graph, random_graph, two_cycle_graph
 from shiftlab.shift_core import (
     SftGraph,
@@ -478,19 +479,40 @@ def points_over(symbols):
 EMPTY = SftGraph(("a",), (), ("0",))
 
 
+def _assert_matches_oracle(g):
+    states, trans = _subset_automaton_oracle(g)
+    f = follower(g)
+    assert tuple(f.vertices(i) for i in range(len(f.states))) == tuple(states)
+    assert dict(f.trans) == trans
+
+
+def _read_back(k):
+    """Vertices q0..qk: q0 loops on both symbols, q0 -1-> q1, and every
+    other qi steps on both symbols to q(i+1), with qk stepping back to q0.
+    A state records which of the last k symbols were 1, so the follower
+    automaton has exactly 2**k states."""
+    q = ["q%d" % i for i in range(k + 1)]
+    edges = [("q0", "q0", "0"), ("q0", "q0", "1"), ("q0", "q1", "1")]
+    edges += [(q[i], q[(i + 1) % (k + 1)], a) for i in range(1, k + 1) for a in BIN]
+    return make_graph(q, edges, alphabet=BIN)
+
+
 class TestFollower:
     @settings(max_examples=150, deadline=None)
     @given(seeded_graphs())
     def test_matches_oracle_exactly(self, g):
-        states, trans = _subset_automaton_oracle(g)
-        f = follower(g)
-        assert f.states == tuple(states)
-        assert dict(f.trans) == trans
+        _assert_matches_oracle(g)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 60), st.sets(st.integers(0, 59), min_size=1))
+    def test_marked_cycles_match_oracle(self, n, marked):
+        _assert_matches_oracle(_marked_cycle(n, {i % n for i in marked}))
 
     def test_empty_shift_matches_oracle(self):
         states, trans = _subset_automaton_oracle(EMPTY)
         f = follower(EMPTY)
-        assert f.states == tuple(states) == (frozenset(),)
+        assert f.states == (0,)
+        assert f.vertices(0) == states[0] == frozenset()
         assert dict(f.trans) == trans == {}
         assert f.is_empty
 
@@ -533,6 +555,26 @@ class TestFollower:
     def test_long_words_do_not_recurse(self):
         g = full_shift(["0"])
         assert words_of_length(g, 1500) == [("0",) * 1500]
+
+
+class TestFollowerCap:
+    def test_cap_raises_as_soon_as_discovery_passes_it(self, monkeypatch):
+        monkeypatch.setattr(shift_core, "MAX_FOLLOWER_STATES", 64)
+        follower.cache_clear()
+        assert len(follower(_read_back(6)).states) == 64
+        # 2 * 33 - 1 = 65 states, then 2**7 and 2**24.
+        for g in (_marked_cycle(33, {0}), _read_back(7), _read_back(24)):
+            t0 = time.perf_counter()
+            with pytest.raises(TooLarge, match="^follower automaton exceeds 64 states$"):
+                follower(g)
+            # Building the 2**24 states first would take minutes.
+            assert time.perf_counter() - t0 < 0.5
+
+    def test_default_cap_admits_the_marked_4000_cycle(self):
+        f = follower(_marked_cycle(4000, {0}))
+        assert len(f.states) == 7999 < shift_core.MAX_FOLLOWER_STATES
+        assert f.vertices(0) == frozenset("v%d" % i for i in range(4000))
+        assert f.vertices(f.trans[(0, "1")]) == {"v1"}
 
 
 # The layer-by-layer listing that the depth-first walk replaced, kept as an
