@@ -7,6 +7,8 @@ the higher block presentation of the domain (vertices are its paths of
 w-1 edges, edges its paths of w edges) relabelled through the rule.  A
 code is valid when the rule covers every admissible window and its image
 language lies in the codomain language; both are checked at construction.
+A domain with more than ``MAX_CODE_IMAGE_PATHS`` paths of w-1 edges raises
+TooLarge.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from .errors import (
     CompositionMismatch,
     NotInLanguage,
     SchemaError,
+    TooLarge,
 )
 from .shift_core import (
     MEMO_SIZE,
@@ -122,6 +125,12 @@ def compose(outer: SlidingBlockCode, inner: SlidingBlockCode) -> SlidingBlockCod
     return SlidingBlockCode(inner.domain, outer.codomain, w, rule)
 
 
+# code_image lists every path of window - 1 edges of the domain, and a
+# non-deterministic domain has far more paths than words; listing stops with
+# TooLarge past this many.
+MAX_CODE_IMAGE_PATHS = 1 << 16
+
+
 @functools.lru_cache(maxsize=MEMO_SIZE)
 def code_image(code: SlidingBlockCode, domain: Optional[SftGraph] = None) -> SftGraph:
     """Canonical presentation of the image of the (restricted) domain:
@@ -129,14 +138,20 @@ def code_image(code: SlidingBlockCode, domain: Optional[SftGraph] = None) -> Sft
     the rule, then determinize and minimize.  A path of k >= 1 edges is
     named by its edge indices and the 0-edge path at a vertex by the
     vertex, so a window-1 image relabels the domain graph itself.  Built
-    once per (code, domain) value."""
+    once per (code, domain) value.  Raises TooLarge as soon as more than
+    ``MAX_CODE_IMAGE_PATHS`` paths of one length are listed."""
     dom = essential(domain if domain is not None else code.domain)
     # Paths of w-1 edges by last vertex, each as (edge indices, label word).
     ending = {v: [((), ())] for v in dom.vertices}
     for _ in range(code.window - 1):
         grown: dict[str, list] = {v: [] for v in dom.vertices}
+        listed = 0
         for i, (u, v, a) in enumerate(dom.edges):
             grown[v].extend((p + (i,), word + (a,)) for p, word in ending[u])
+            listed += len(ending[u])
+            if listed > MAX_CODE_IMAGE_PATHS:
+                raise TooLarge("code image exceeds %d domain paths"
+                               % MAX_CODE_IMAGE_PATHS)
         ending = grown
 
     def name(path: tuple[int, ...], vertex: str) -> str:

@@ -390,21 +390,27 @@ class TruncatedSystem:
 
 def truncated_limit(seq: InverseSequenceSpec, depth: int, word_length: int,
                     max_points: int = 10 ** 6) -> TruncatedSystem:
-    """Exhaustive enumeration of compatible word tuples."""
+    """Exhaustive enumeration of compatible word tuples, joined level by
+    level from the deepest one up.  The image of a length-T word under
+    ``code(n)`` has length k = max(T - window + 1, 0), and the level-n
+    words it admits are those with that image as their length-k prefix; so
+    the sorted level-n words are grouped once by prefix, and each partial
+    tuple extends by its image's group, in sorted word order.  Raises
+    TooLarge once a level has more than ``max_points`` tuples."""
     T = word_length
     level_words = {n: words_of_length(seq.level(n), T) for n in range(1, depth + 1)}
     partial: list[tuple[Word, ...]] = [(w,) for w in level_words[depth]]
     for n in range(depth - 1, 0, -1):
         code = seq.code(n)
+        k = max(T - code.window + 1, 0)
+        by_prefix: dict[Word, list[Word]] = {}
+        for w in level_words[n]:
+            by_prefix.setdefault(w[:k], []).append(w)
         nxt: list[tuple[Word, ...]] = []
         for tup in partial:
-            upper = tup[0]
-            det = code.word_map(upper)
-            for w in level_words[n]:
-                if w[: len(det)] == det[: len(w)]:
-                    nxt.append((w,) + tup)
-                    if len(nxt) > max_points:
-                        raise TooLarge("truncated limit exceeds %d points" % max_points)
+            nxt.extend((w,) + tup for w in by_prefix.get(code.word_map(tup[0]), ()))
+            if len(nxt) > max_points:
+                raise TooLarge("truncated limit exceeds %d points" % max_points)
         partial = nxt
     points = tuple(sorted(partial))
     # The successors of p are the points whose heads are p's tails; indices

@@ -7,9 +7,9 @@ import time
 
 import pytest
 
+from memos import clear_value_memos
 from shiftlab.cli import _build_parser, main
-from shiftlab.decomposition import chain_components, cyclic_structure, entropy
-from shiftlab.shift_core import canonical_presentation, follower
+from shiftlab.shift_core import follower
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -31,9 +31,7 @@ def cold_marked_cycle(directory, n):
     edges = [[verts[i], verts[(i + 1) % n], "1" if i == 0 else "0"] for i in range(n)]
     graph = directory / "cycle.json"
     graph.write_text(json.dumps({"alphabet": ["0", "1"], "vertices": verts, "edges": edges}))
-    for memo in (follower, canonical_presentation, chain_components,
-                 cyclic_structure, entropy):
-        memo.cache_clear()
+    clear_value_memos()
     return str(graph)
 
 
@@ -86,6 +84,9 @@ class TestAnalyze:
         assert time.perf_counter() - t0 < 8.0
         assert code == 0
         assert [c["period"] for c in json.loads(out)["components"]] == [4000]
+        # The one component is the whole canonical presentation, which is
+        # its own canonical presentation: its follower is never built.
+        assert follower.cache_info().misses == 1
 
     def test_follower_state_cap_is_exit_2(self, capsys):
         # Its follower automaton has 2**20 states.
@@ -115,6 +116,15 @@ class TestMlc:
         code, out, err = run(capsys, "mlc", "--in", str(cp3))
         assert code == 0, err
         assert json.loads(out)["all_mlc1"]
+
+    def test_code_image_path_cap_is_exit_2(self, capsys):
+        # A window-20 code over a 2-vertex domain with out-degree 2 lists
+        # 2**20 paths of 19 edges.
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "mlc", "--in", path("code_image_blowup.json"))
+        assert time.perf_counter() - t0 < 2.0
+        assert code == 2 and out == ""
+        assert err == "precondition failed: code image exceeds 65536 domain paths\n"
 
 
 class TestTowers:

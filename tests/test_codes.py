@@ -1,6 +1,7 @@
 """Sliding block codes: application, composition, images."""
 
 import random
+import time
 from collections import deque
 
 import pytest
@@ -17,13 +18,15 @@ from shiftlab.codes import (
     restrict,
     symbol_code,
 )
-from shiftlab.errors import CompositionMismatch, NotInLanguage
+from shiftlab import codes
+from shiftlab.errors import CompositionMismatch, NotInLanguage, TooLarge
 from shiftlab.fixtures import golden_mean_graph, random_graph
 from shiftlab.inverse_systems import InverseSequenceSpec
 from shiftlab.shadow_lab import gap_shift_graph
 from shiftlab.shift_core import (
     SftGraph,
     SymbolicPoint,
+    canonical_presentation,
     essential,
     follower,
     full_shift,
@@ -304,3 +307,30 @@ class TestExactImage:
         old = SftGraph(ess.vertices, tuple(dict.fromkeys(
             (u, v, c.rule[(a,)]) for (u, v, a) in ess.edges)), cod.alphabet)
         assert seen == [old]
+
+
+def _doubled_zero_code(window):
+    """A valid code from a 2-vertex graph whose four edges all read 0 onto
+    the 1-vertex 0-loop: one word of each length, but 2**(k+1) paths of k
+    edges."""
+    dom = SftGraph(("x", "y"), (("x", "x", "0"), ("x", "y", "0"),
+                                ("y", "x", "0"), ("y", "y", "0")), ("0",))
+    return SlidingBlockCode(dom, full_shift(["0"]), window, {("0",) * window: "0"})
+
+
+class TestCodeImagePathCap:
+    def test_cap_raises_while_the_paths_are_listed(self, monkeypatch):
+        monkeypatch.setattr(codes, "MAX_CODE_IMAGE_PATHS", 64)
+        # 64 paths of 5 edges are admitted, 128 of 6 are not.
+        assert code_image(_doubled_zero_code(6)) == canonical_presentation(full_shift(["0"]))
+        for window in (7, 40):
+            t0 = time.perf_counter()
+            with pytest.raises(TooLarge, match="^code image exceeds 64 domain paths$"):
+                _doubled_zero_code(window)
+            # Listing all 2**40 paths first would never end.
+            assert time.perf_counter() - t0 < 0.5
+
+    def test_default_cap(self):
+        assert codes.MAX_CODE_IMAGE_PATHS == 1 << 16
+        with pytest.raises(TooLarge, match="^code image exceeds 65536 domain paths$"):
+            _doubled_zero_code(17)

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from memos import clear_value_memos
 from shiftlab.errors import CannotExtract, Mlc1Required, SchemaError, TooLarge
 from shiftlab.fixtures import (
     abc_sequence,
@@ -23,6 +24,7 @@ from shiftlab.codes import code_image, identity_code, symbol_code
 from shiftlab.decomposition import _tarjan_sccs, chain_components
 from shiftlab.inverse_systems import (
     InverseSequenceSpec,
+    TruncatedSystem,
     check_mlc,
     composed_image,
     extract_mlc1_subsequence,
@@ -39,10 +41,8 @@ from shiftlab.shift_core import (
     language_equal,
     language_subset,
     word_distance,
+    words_of_length,
 )
-
-
-MEMOS = (canonical_presentation, chain_components, identity_code, code_image)
 
 
 def _composed_image_oracle(seq, m, n, start=None):
@@ -66,8 +66,7 @@ def _check_memo_against_oracle(seq, orders, depth=7):
     expected = {(m, n, i): _composed_image_oracle(seq, m, n, starts[m][i])
                 for (m, n, i) in queries}
     for order in orders:
-        for memo in MEMOS:
-            memo.cache_clear()
+        clear_value_memos()
         for q in order(queries):
             m, n, i = q
             assert composed_image(seq, m, n, starts[m][i]) == expected[q], q
@@ -236,6 +235,65 @@ class TestExtraction:
         assert all(a < b for a, b in zip(res.index_map, res.index_map[1:]))
 
 
+def _truncated_limit_oracle(seq, depth, word_length, max_points=10 ** 6):
+    """The join that scanned every level word for every partial tuple."""
+    T = word_length
+    level_words = {n: words_of_length(seq.level(n), T) for n in range(1, depth + 1)}
+    partial = [(w,) for w in level_words[depth]]
+    for n in range(depth - 1, 0, -1):
+        code = seq.code(n)
+        nxt = []
+        for tup in partial:
+            det = code.word_map(tup[0])
+            for w in level_words[n]:
+                if w[: len(det)] == det[: len(w)]:
+                    nxt.append((w,) + tup)
+                    if len(nxt) > max_points:
+                        raise TooLarge("truncated limit exceeds %d points" % max_points)
+        partial = nxt
+    points = tuple(sorted(partial))
+    succ = tuple(tuple(j for j, q in enumerate(points)
+                       if all(qn[: T - 1] == pn[1:] for pn, qn in zip(p, q)))
+                 for p in points)
+    return TruncatedSystem(depth, T, points, succ)
+
+
+def _least_admitted(build, seq, depth, length):
+    """The least max_points for which build does not raise TooLarge."""
+    lo, hi = 0, 10 ** 6
+    while lo < hi:
+        mid = (lo + hi) // 2
+        try:
+            build(seq, depth, length, max_points=mid)
+        except TooLarge:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
+
+
+def _assert_join_matches_oracle(seq, depth, length):
+    """Equal systems, and TooLarge below the same max_points."""
+    sysm = truncated_limit(seq, depth, length)
+    assert sysm == _truncated_limit_oracle(seq, depth, length)
+    least = _least_admitted(truncated_limit, seq, depth, length)
+    assert least == _least_admitted(_truncated_limit_oracle, seq, depth, length)
+    assert least >= len(sysm.points)
+
+
+# (sequence, depth, word length); at length 1 the level words are joined
+# on the empty prefix.
+TRUNCATION_CASES = [
+    (lambda: cantor_product_sequence(3), 3, 4),
+    (lambda: cantor_product_sequence(4), 4, 5),
+    (lambda: cantor_product_sequence(4), 2, 1),
+    (abc_sequence, 3, 4),
+    (branching_sequence, 3, 4),
+] + [(functools.partial(random_sequence, seed), 3, 6) for seed in range(10)]
+TRUNCATION_IDS = ["cantor_product_3", "cantor_product_4", "cantor_product_4_length_1",
+                  "abc", "branching"] + ["random_%d" % seed for seed in range(10)]
+
+
 class TestTruncatedLimit:
     def test_abc_limit_is_three_fixed_points(self):
         sysm = truncated_limit(abc_sequence(), 3, 4)
@@ -304,15 +362,8 @@ class TestTruncatedLimit:
         with pytest.raises(TooLarge):
             truncated_limit(cantor_product_sequence(4), 4, 10, max_points=100)
 
-    @pytest.mark.parametrize("make, depth, length", [
-        (lambda: cantor_product_sequence(3), 3, 4),
-        (lambda: cantor_product_sequence(4), 4, 5),
-        (lambda: cantor_product_sequence(4), 2, 1),
-        (abc_sequence, 3, 4),
-        (branching_sequence, 3, 4),
-    ] + [(functools.partial(random_sequence, seed), 3, 6) for seed in range(10)],
-        ids=["cantor_product_3", "cantor_product_4", "cantor_product_4_length_1",
-             "abc", "branching"] + ["random_%d" % seed for seed in range(10)])
+    @pytest.mark.parametrize("make, depth, length", TRUNCATION_CASES,
+                             ids=TRUNCATION_IDS)
     def test_successors_match_all_pairs_oracle(self, make, depth, length):
         """The successor rows the all-pairs scan built: q follows p when
         every coordinate of q extends p's coordinate minus its first symbol."""
@@ -323,6 +374,17 @@ class TestTruncatedLimit:
                   if all(qn[: T - 1] == pn[1:] for pn, qn in zip(p, q)))
             for p in sysm.points)
         assert sysm.successors == expected
+
+    @pytest.mark.parametrize("make, depth, length", TRUNCATION_CASES,
+                             ids=TRUNCATION_IDS)
+    def test_prefix_join_matches_all_words_oracle(self, make, depth, length):
+        _assert_join_matches_oracle(make(), depth, length)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_sequences_match_all_words_oracle(self, seed):
+        seq = random_sequence(seed)
+        for depth, length in ((2, 4), (3, 6), (4, 3)):
+            _assert_join_matches_oracle(seq, depth, length)
 
 
 class TestJson:

@@ -1,5 +1,7 @@
 """Core shift-space machinery: graphs, languages, points, the metric."""
 
+import importlib
+import pkgutil
 import random
 import time
 from collections import deque
@@ -8,12 +10,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from memos import VALUE_MEMOS, clear_value_memos
 from shiftlab import shift_core
 from shiftlab.errors import NotInLanguage, PreconditionError, TooLarge
 from shiftlab.fixtures import golden_mean_graph, random_graph, two_cycle_graph
 from shiftlab.shift_core import (
     SftGraph,
     SymbolicPoint,
+    _first_difference,
     _minimize,
     canonical_presentation,
     canonical_signature,
@@ -236,15 +240,34 @@ class TestMinimize:
         assert nblocks == len(f.states) == len(set(block))
 
 
-class TestCanonicalPresentation:
-    @settings(max_examples=200, deadline=None)
-    @given(st.one_of(
+def canonical_inputs():
+    return st.one_of(
         st.builds(lambda seed, nv: random_graph(random.Random(seed), symbols="0123",
                                                 max_vertices=nv),
                   st.integers(0, 10 ** 6), st.integers(1, 7)),
-        st.lists(st.sampled_from(BIN), min_size=1, max_size=59).map(_labelled_cycle)))
+        st.lists(st.sampled_from(BIN), min_size=1, max_size=59).map(_labelled_cycle))
+
+
+class TestCanonicalPresentation:
+    @settings(max_examples=200, deadline=None)
+    @given(canonical_inputs())
     def test_matches_bfs_renaming_oracle(self, g):
         assert canonical_presentation(g) == _canonical_oracle(g)
+
+    @settings(max_examples=150, deadline=None)
+    @given(canonical_inputs())
+    def test_idempotent_without_a_second_follower(self, g):
+        clear_value_memos()
+        c = canonical_presentation(g)
+        assert follower.cache_info().misses == 1
+        # An equal graph built apart misses the memo and is recognised by
+        # value as a canonical presentation.
+        twin = SftGraph(tuple(c.vertices), tuple(c.edges), tuple(c.alphabet))
+        assert canonical_presentation(twin) == c
+        assert canonical_presentation(c) == c
+        assert follower.cache_info().misses == 1
+        # The unmemoised construction agrees: the map is idempotent.
+        assert _canonical_oracle(twin) == c
 
     def test_long_cycle_and_empty_shift_match_oracle(self):
         for g in (_labelled_cycle("0" * 58 + "1"), EMPTY):
@@ -535,12 +558,22 @@ class TestFollower:
         assert canonical_presentation(g) is canonical_presentation(copy)
 
     def test_memos_share_one_bound(self):
-        from shiftlab.codes import code_image, identity_code
-        from shiftlab.decomposition import chain_components, cyclic_structure, entropy
-        from shiftlab.shift_core import MEMO_SIZE
-        memos = [follower, canonical_presentation, chain_components,
-                 cyclic_structure, entropy, identity_code, code_image]
-        assert {f.cache_info().maxsize for f in memos} == {MEMO_SIZE}
+        assert {f.cache_info().maxsize for f in VALUE_MEMOS} == {shift_core.MEMO_SIZE}
+
+    def test_every_memo_of_the_package_is_listed(self):
+        # A memo left out of VALUE_MEMOS would survive the clearing fixtures.
+        import shiftlab
+        from shiftlab import cli
+        found = {}
+        for info in pkgutil.iter_modules(shiftlab.__path__, "shiftlab."):
+            module = importlib.import_module(info.name)
+            for name, obj in vars(module).items():
+                if hasattr(obj, "cache_info") and obj is not cli._build_parser:
+                    found[id(obj)] = (info.name, name, obj)
+        assert {id(m) for m in VALUE_MEMOS} == set(found), sorted(
+            (mod, name) for mod, name, _obj in found.values())
+        for _mod, _name, obj in found.values():
+            assert obj.cache_info().maxsize == shift_core.MEMO_SIZE
 
     def test_read_only(self):
         f = follower(golden_mean_graph())
@@ -667,6 +700,25 @@ class TestProductSearch:
         for x, y in ((a, b), (b, a), (a, EMPTY), (EMPTY, a)):
             assert language_subset(x, y) == _language_subset_oracle(x, y)
             assert language_equal(x, y) == _language_equal_oracle(x, y)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(graph_pairs(), min_size=1, max_size=3), st.randoms(use_true_random=False))
+    def test_memo_matches_unmemoised_search(self, pairs, rng):
+        search = _first_difference.__wrapped__
+        empty = SftGraph((), (), ("0", "1"))
+        asks = []
+        for a, b in pairs:
+            twin = SftGraph(tuple(a.vertices), tuple(a.edges), tuple(a.alphabet))
+            asks += [(a, b), (b, a), (twin, b), (b, twin), (a, twin), (a, a),
+                     (a, EMPTY), (EMPTY, a), (empty, b), (EMPTY, empty)]
+        asks *= 2
+        rng.shuffle(asks)
+        clear_value_memos()
+        for x, y in asks:
+            assert language_subset(x, y) == search(x, y, False)
+            assert language_equal(x, y) == search(x, y, True)
+        # Every question is asked at least twice, so at least half hit.
+        assert _first_difference.cache_info().hits >= len(asks)
 
     def test_pairs_cover_every_outcome(self):
         outcomes = set()
