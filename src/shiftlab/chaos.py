@@ -53,6 +53,9 @@ from .shift_core import (
 # 4, and C(32, 17), about 5.7e8, seventeen-subsets at period 5.
 MAX_DISTAL_CANDIDATES = 10 ** 5
 
+# Largest common period the distal search tries.
+MAX_DISTAL_PERIOD = 8
+
 
 @dataclass(frozen=True)
 class DistalTuple:
@@ -73,12 +76,13 @@ def orbit_separation(points: Sequence[SymbolicPoint], period: int) -> Fraction:
     return best if best is not None else Fraction(0)
 
 
-def find_r_distal_tuple(g: SftGraph, n: int, max_period: int = 8) -> DistalTuple:
+def find_r_distal_tuple(g: SftGraph, n: int) -> DistalTuple:
     """n distinct periodic points of a common period in a common cyclic
-    class, chosen at the smallest feasible period and, there, with the
-    largest orbit separation.  Ties go to the lexicographically first
-    point tuple.  Raises TooLarge, before comparing any, when one class at
-    one period has more than MAX_DISTAL_CANDIDATES n-subsets."""
+    class, chosen at the smallest feasible period up to MAX_DISTAL_PERIOD
+    and, there, with the largest orbit separation.  Ties go to the
+    lexicographically first point tuple.  Raises TooLarge, before
+    comparing any, when one class at one period has more than
+    MAX_DISTAL_CANDIDATES n-subsets."""
     if n < 2:
         raise NoDistalTuple("need n >= 2")
     ge = essential(g)
@@ -88,7 +92,7 @@ def find_r_distal_tuple(g: SftGraph, n: int, max_period: int = 8) -> DistalTuple
     k_sync = sync_length(ge)
     if k_sync is None:
         raise NotIrreducible("presentation does not resolve cyclic classes")
-    for period in range(1, max_period + 1):
+    for period in range(1, MAX_DISTAL_PERIOD + 1):
         if cs.period > 1 and period % cs.period != 0:
             continue
         pts = periodic_points(ge, period)
@@ -114,7 +118,7 @@ def find_r_distal_tuple(g: SftGraph, n: int, max_period: int = 8) -> DistalTuple
                     best = (r, tuple(group[i] for i in combo), cls)
         if best is not None and best[0] > 0:
             return DistalTuple(best[1], best[0], period, best[2])
-    raise NoDistalTuple("no %d-tuple up to period %d" % (n, max_period))
+    raise NoDistalTuple("no %d-tuple up to period %d" % (n, MAX_DISTAL_PERIOD))
 
 
 # ---------------------------------------------------------------------------

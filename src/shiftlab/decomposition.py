@@ -5,7 +5,8 @@ contain at least one cycle, taken on the canonical deterministic
 presentation so that duplicated follower sets cannot split a component.
 The cyclic structure of an irreducible graph is its partition into
 classes advanced cyclically by the shift; the class count is the gcd of
-all cycle lengths.
+all cycle lengths.  The class of a cylinder is read off the follower
+state its word reaches.
 """
 
 from __future__ import annotations
@@ -24,16 +25,13 @@ from .errors import (
     NotInLanguage,
     NotIrreducible,
     NotMixing,
-    TooLarge,
 )
 from .shift_core import (
     MEMO_SIZE,
     SftGraph,
-    Word,
     canonical_presentation,
     essential,
     follower,
-    words_of_length,
 )
 
 
@@ -177,9 +175,6 @@ class CyclicStructure:
         index = {v: i for i, cls in enumerate(self.classes) for v in cls}
         object.__setattr__(self, "vertex_class", MappingProxyType(index))
 
-    def class_of_vertex(self, v: str) -> int:
-        return self.vertex_class[v]
-
 
 @functools.lru_cache(maxsize=MEMO_SIZE)
 def cyclic_structure(g: SftGraph) -> CyclicStructure:
@@ -275,86 +270,7 @@ def entropy(g: SftGraph) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Exact chain reachability at resolution 2**-K
-
-
-@dataclass(frozen=True)
-class ChainWitness:
-    steps: tuple[Word, ...]
-
-    def __len__(self) -> int:
-        return len(self.steps) - 1
-
-
-def _k_block_arcs(g: SftGraph, k: int) -> tuple[list[Word], dict[Word, list[Word]]]:
-    """The k-block graph: each admissible (k+1)-word b is an arc from
-    b[:-1] to b[1:], listed in sorted order."""
-    words = words_of_length(g, k)
-    arcs: dict[Word, list[Word]] = {w: [] for w in words}
-    for b in words_of_length(g, k + 1):
-        arcs[b[:-1]].append(b[1:])
-    return words, arcs
-
-
-def delta_chain_reachable(
-    g: SftGraph,
-    source: Sequence[str],
-    target: Sequence[str],
-    k: int,
-    length_mod: Optional[tuple[int, int]] = None,
-) -> Optional[ChainWitness]:
-    """Is there a chain from the source cylinder to the target cylinder in
-    which every step moves by at most 2**-k?  At this resolution such
-    chains are exactly the paths of the k-block graph, whose vertices are
-    the admissible k-words.
-
-    ``length_mod = (m, r)`` restricts to chain lengths congruent to r mod m.
-    Returns a witness (the sequence of k-words) or None.
-    """
-    if k <= 0:
-        raise TooLarge("resolution exponent must be positive")
-    src = tuple(source)[:k]
-    tgt = tuple(target)[:k]
-    if len(src) < k or len(tgt) < k:
-        raise NotInLanguage("source and target must have length >= k")
-    words, arcs = _k_block_arcs(g, k)
-    if src not in arcs or tgt not in arcs:
-        raise NotInLanguage("cylinder word not admissible")
-    m, r = length_mod if length_mod else (1, 0)
-    max_length = m * len(words) + abs(r) + len(words) + 1
-    start = (src, 0 % m)
-    parent: dict[tuple[Word, int], Optional[tuple[Word, int]]] = {start: None}
-    frontier = [start]
-    depth = {start: 0}
-    goal = None
-    if src == tgt and r % m == 0:
-        goal = start
-    while frontier and goal is None:
-        nxt = []
-        for node in frontier:
-            w, ph = node
-            if depth[node] >= max_length:
-                continue
-            for v in arcs[w]:
-                child = (v, (ph + 1) % m)
-                if child not in parent:
-                    parent[child] = node
-                    depth[child] = depth[node] + 1
-                    if v == tgt and child[1] == r % m and depth[child] > 0:
-                        goal = child
-                        break
-                    nxt.append(child)
-            if goal:
-                break
-        frontier = nxt
-    if goal is None:
-        return None
-    path = []
-    node: Optional[tuple[Word, int]] = goal
-    while node is not None:
-        path.append(node[0])
-        node = parent[node]
-    return ChainWitness(tuple(reversed(path)))
+# Cyclic classes of cylinders
 
 
 def sync_length(g: SftGraph, cap: Optional[int] = None) -> Optional[int]:
@@ -402,7 +318,7 @@ def class_of_word(g: SftGraph, cs: CyclicStructure, word: Sequence[str]) -> int:
     end = f.walk(w)
     if end is None:
         raise NotInLanguage("word not admissible: %r" % (w,))
-    cls = {cs.class_of_vertex(v) for v in f.vertices(end)}
+    cls = {cs.vertex_class[v] for v in f.vertices(end)}
     if len(cls) != 1:
         raise NotIrreducible("presentation does not resolve the class of %r" % (w,))
     return (cls.pop() - len(w)) % cs.period

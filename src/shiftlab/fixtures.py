@@ -34,10 +34,6 @@ def three_cycle_graph() -> SftGraph:
                       [("a", "b", "y"), ("b", "c", "z"), ("c", "a", "x")])
 
 
-def two_fixed_points_graph() -> SftGraph:
-    return make_graph(["a", "b"], [("a", "a", "a"), ("b", "b", "b")])
-
-
 def disjoint_union(a: SftGraph, b: SftGraph, left: str = "L.", right: str = "R.") -> SftGraph:
     """Both graphs side by side, each vertex name of ``a`` prefixed by
     ``left`` and of ``b`` by ``right``; the alphabet is the sorted union."""

@@ -50,6 +50,9 @@ from .shift_core import (
 
 DEFAULT_DEPTH_CAP = 32
 
+# Most tuples one level of a truncated limit may hold.
+MAX_LIMIT_POINTS = 10 ** 6
+
 
 @dataclass(frozen=True)
 class InverseSequenceSpec:
@@ -363,8 +366,8 @@ class TruncatedSystem:
         return {p: i for i, p in enumerate(self.points)}
 
     def metric(self, i: int, j: int) -> Fraction:
-        """The largest level distance 2**-n * word_distance: 2**-k for the
-        least k = n + common prefix over the levels n where the points
+        """The largest level distance 2**-n * d(level-n words): 2**-k for
+        the least k = n + common prefix over the levels n where the points
         differ, and 0 when they differ nowhere."""
         k = min((n + common_prefix(u, v)
                  for n, (u, v) in enumerate(zip(self.points[i], self.points[j]))
@@ -388,15 +391,14 @@ class TruncatedSystem:
         return comp
 
 
-def truncated_limit(seq: InverseSequenceSpec, depth: int, word_length: int,
-                    max_points: int = 10 ** 6) -> TruncatedSystem:
+def truncated_limit(seq: InverseSequenceSpec, depth: int, word_length: int) -> TruncatedSystem:
     """Exhaustive enumeration of compatible word tuples, joined level by
     level from the deepest one up.  The image of a length-T word under
     ``code(n)`` has length k = max(T - window + 1, 0), and the level-n
     words it admits are those with that image as their length-k prefix; so
     the sorted level-n words are grouped once by prefix, and each partial
     tuple extends by its image's group, in sorted word order.  Raises
-    TooLarge once a level has more than ``max_points`` tuples."""
+    TooLarge once a level has more than MAX_LIMIT_POINTS tuples."""
     T = word_length
     level_words = {n: words_of_length(seq.level(n), T) for n in range(1, depth + 1)}
     partial: list[tuple[Word, ...]] = [(w,) for w in level_words[depth]]
@@ -409,8 +411,8 @@ def truncated_limit(seq: InverseSequenceSpec, depth: int, word_length: int,
         nxt: list[tuple[Word, ...]] = []
         for tup in partial:
             nxt.extend((w,) + tup for w in by_prefix.get(code.word_map(tup[0]), ()))
-            if len(nxt) > max_points:
-                raise TooLarge("truncated limit exceeds %d points" % max_points)
+            if len(nxt) > MAX_LIMIT_POINTS:
+                raise TooLarge("truncated limit exceeds %d points" % MAX_LIMIT_POINTS)
         partial = nxt
     points = tuple(sorted(partial))
     # The successors of p are the points whose heads are p's tails; indices

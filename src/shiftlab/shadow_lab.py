@@ -19,14 +19,15 @@ Each distinct step mask's bits are listed once, by ``_bit_lists``, for the
 search, the sampler and the fiber chain-transitivity check.
 
 Distances are ``Fraction`` values at the API, but every system carries an
-integer index built once at construction: the metric times the least
-common multiple of its denominators, and each successor set as an ``int``
-bitmask (bit i is ``labels[i]``).  The metric checks run on that matrix,
-each epsilon- or delta-ball is one bitmask computed once per threshold per
-call, and survivor sets are bitmasks too, so the checks stay exact without
-any ``Fraction`` arithmetic in their loops.  Every system's ``dist`` is a
-lazy read-only view of that matrix as exact ``Fraction``s; a metric given
-as a mapping is read into such a view once.
+integer form built once at construction: the metric times the least
+common multiple of its denominators (``dist.dm``, ``dist.scale``), and
+each successor set as an ``int`` bitmask (bit i is ``labels[i]``).  The
+metric checks run on that matrix, each epsilon- or delta-ball is one
+bitmask computed once per threshold per call, and survivor sets are
+bitmasks too, so the checks stay exact without any ``Fraction``
+arithmetic in their loops.  Every system's ``dist`` is a lazy read-only
+view of that matrix as exact ``Fraction``s; a metric given as a mapping
+is read into such a view once.
 
 Shift truncations and the limit system are prefix metrics: two points at
 common prefix length k are 2**-k apart.  They build the integer matrix
@@ -46,7 +47,7 @@ from fractions import Fraction
 from functools import reduce
 from operator import or_
 from types import MappingProxyType
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -80,17 +81,6 @@ MAX_TRUNCATION_POINTS = 4096
 MAX_TRUNCATION_SYMBOLS = 1 << 19
 
 
-class _Index(NamedTuple):
-    """Integer form of a finite system, derived once from its labels,
-    metric and successors."""
-
-    pos: Mapping[str, int]          # label -> index
-    by_label: tuple[int, ...]       # indices in sorted-label order
-    scale: int                      # least common multiple of the denominators
-    dm: np.ndarray                  # distances times scale, read-only
-    succ: tuple[int, ...]           # successor bitmask of each index
-
-
 @dataclass(frozen=True)
 class FiniteSystem:
     """Finite metric space with a successor relation.  Points are labels,
@@ -100,13 +90,15 @@ class FiniteSystem:
     singleton successor sets.  ``dist`` is always a ``_MetricView``: a view
     over the same labels is kept as it is, and any other mapping is read
     once into a new view, so later changes to the caller's mapping change
-    nothing.  The view's integer matrix becomes the index, checked the same
-    way on either path.  Successors are stored as a read-only copy."""
+    nothing.  The view's integer matrix is checked the same way on either
+    path.  Successors are stored as a read-only copy and as ``_succ``, one
+    bitmask per index; ``_by_label`` lists the indices in label order."""
 
     labels: tuple[str, ...]
     dist: Mapping[tuple[str, str], Fraction] = field(compare=False)
     successors: Mapping[str, tuple[str, ...]] = field(compare=False)
-    _index: _Index = field(init=False, repr=False, compare=False)
+    _by_label: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _succ: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         seen = set(self.labels)
@@ -124,11 +116,10 @@ class FiniteSystem:
         pos = view.pos
         successors = {p: tuple(self.successors[p]) for p in self.labels}
         object.__setattr__(self, "successors", MappingProxyType(successors))
-        object.__setattr__(self, "_index", _Index(
-            pos,
-            tuple(sorted(range(len(self.labels)), key=self.labels.__getitem__)),
-            view.scale, view.dm,
-            tuple(reduce(or_, (1 << pos[q] for q in successors[p])) for p in self.labels)))
+        object.__setattr__(self, "_by_label", tuple(
+            sorted(range(len(self.labels)), key=self.labels.__getitem__)))
+        object.__setattr__(self, "_succ", tuple(
+            reduce(or_, (1 << pos[q] for q in successors[p])) for p in self.labels))
         # The cubic triangle check is opt-in via check_triangle; it runs
         # automatically only on small spaces.
         if len(self.labels) <= 40:
@@ -234,7 +225,7 @@ def _prefix_metric(labels: tuple[str, ...], top: int, lcp: np.ndarray) -> _Metri
 def check_triangle(sys: "FiniteSystem") -> None:
     """Raise through the middle point q of the first (p, q, r), in
     lexicographic index order, with d(p, r) > d(p, q) + d(q, r)."""
-    dm = sys._index.dm
+    dm = sys.dist.dm
     n = len(dm)
     block = max(1, _TRIANGLE_BLOCK // max(1, n * n))
     for lo in range(0, n, block):
@@ -244,24 +235,6 @@ def check_triangle(sys: "FiniteSystem") -> None:
         if hit.size:
             raise PreconditionError(
                 "triangle inequality fails through %r" % sys.labels[hit[0] % n])
-
-
-def system_from_function(labels: Sequence[str],
-                         metric: Callable[[str, str], Fraction],
-                         mapping: Callable[[str], object]) -> FiniteSystem:
-    """mapping may return a single label or a sequence of labels; metric
-    values that already are Fractions are kept as they are."""
-    labels = tuple(labels)
-    dist = {}
-    for p in labels:
-        for q in labels:
-            d = metric(p, q)
-            dist[(p, q)] = d if isinstance(d, Fraction) else Fraction(d)
-    succ = {}
-    for p in labels:
-        img = mapping(p)
-        succ[p] = (img,) if isinstance(img, str) else tuple(sorted(img))
-    return FiniteSystem(labels, dist, succ)
 
 
 # ---------------------------------------------------------------------------
@@ -280,9 +253,9 @@ def _balls(sys: FiniteSystem, radius: Fraction) -> list[int]:
     """Bitmask of the closed radius-ball around each point.  A scaled
     distance k is at most radius * scale exactly when it is at most the
     floor of that product."""
-    ix = sys._index
+    view = sys.dist
     r = Fraction(radius)
-    within = ix.dm <= r.numerator * ix.scale // r.denominator
+    within = view.dm <= r.numerator * view.scale // r.denominator
     return [int.from_bytes(row.tobytes(), "little")
             for row in np.packbits(within, axis=1, bitorder="little")]
 
@@ -295,7 +268,7 @@ def _bit_lists(masks: Sequence[int]) -> dict[int, list[int]]:
 def _image_map(sys: FiniteSystem) -> Callable[[int], int]:
     """Image of a point mask under the successor relation, memoised for
     the lifetime of the returned function (one call of a checker)."""
-    succ = sys._index.succ
+    succ = sys._succ
     memo: dict[int, int] = {}
 
     def image(mask: int) -> int:
@@ -311,7 +284,7 @@ def _step_masks(sys: FiniteSystem, delta: Fraction) -> list[int]:
     """Mask of the legal delta-pseudo-orbit steps from each point: q
     follows p when q lands within delta of some successor of p."""
     ball = _balls(sys, delta)
-    return [reduce(or_, (ball[y] for y in _bits(s)), 0) for s in sys._index.succ]
+    return [reduce(or_, (ball[y] for y in _bits(s)), 0) for s in sys._succ]
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +338,7 @@ def brute_shadowing_check(sys: FiniteSystem, epsilon: Fraction, delta: Fraction,
     # BFS over (pseudo-orbit head, survivor mask); paths expand in sorted
     # label order so the first failure found at the shortest depth is the
     # lexicographically least counterexample.
-    frontier = [(p, near[p], (labels[p],)) for p in sys._index.by_label]
+    frontier = [(p, near[p], (labels[p],)) for p in sys._by_label]
     explored = 0
     for depth in range(1, horizon + 1):
         next_frontier = []
@@ -423,9 +396,9 @@ def _failure_trace(sys: FiniteSystem, near: list[int],
     """For each starting point, in label order, the first index where
     every true orbit from it has left the epsilon-tube (balls near) around
     the pseudo-orbit."""
-    ix = sys._index
-    tube = [near[ix.pos[p]] for p in path]
-    return tuple((sys.labels[s], _lost_at(image, tube, 1 << s)) for s in ix.by_label)
+    pos = sys.dist.pos
+    tube = [near[pos[p]] for p in path]
+    return tuple((sys.labels[s], _lost_at(image, tube, 1 << s)) for s in sys._by_label)
 
 
 def _sampled_check(sys: FiniteSystem, near: list[int],
@@ -456,7 +429,7 @@ def _sampled_check(sys: FiniteSystem, near: list[int],
 
 def is_pseudo_orbit(sys: FiniteSystem, delta: Fraction,
                     path: Sequence[str]) -> bool:
-    pos = sys._index.pos
+    pos = sys.dist.pos
     steps = _step_masks(sys, delta)
     return all(steps[pos[p]] >> pos[q] & 1 for p, q in zip(path, path[1:]))
 
@@ -464,7 +437,7 @@ def is_pseudo_orbit(sys: FiniteSystem, delta: Fraction,
 def is_shadowed(sys: FiniteSystem, epsilon: Fraction,
                 path: Sequence[str]) -> bool:
     near = _balls(sys, epsilon)
-    tube = [near[sys._index.pos[p]] for p in path]
+    tube = [near[sys.dist.pos[p]] for p in path]
     return _lost_at(_image_map(sys), tube, tube[0]) < 0
 
 
@@ -556,22 +529,6 @@ def gap_shift_graph(k: int) -> SftGraph:
     return from_forbidden_words(["0", "1"], forbidden)
 
 
-def gap_entropy_oracle(k: int) -> float:
-    """log of the largest root of x**(k+1) = x**k + 1, by bisection."""
-
-    def f(x: float) -> float:
-        return x ** (k + 1) - x ** k - 1
-
-    lo, hi = 1.0, 2.0
-    for _ in range(200):
-        mid = (lo + hi) / 2
-        if f(mid) > 0:
-            hi = mid
-        else:
-            lo = mid
-    return math.log((lo + hi) / 2)
-
-
 def limit_gap_system(max_tail: int = 8) -> FiniteSystem:
     """Finite stand-in for the k -> infinity member of the gap family: a
     single fixed point z_inf and points z_m (a lone 1 preceded by m zeros)
@@ -589,9 +546,10 @@ def limit_gap_system(max_tail: int = 8) -> FiniteSystem:
     return FiniteSystem(labels, dist, succ)
 
 
-def limit_gap_pseudo_orbit(horizon: int, top: int = 4) -> tuple[str, ...]:
-    """Cyclic pseudo-orbit that repeatedly walks z_top down to z_0 and
-    jumps back up instead of falling into the fixed point."""
+def limit_gap_pseudo_orbit(horizon: int) -> tuple[str, ...]:
+    """Cyclic pseudo-orbit that repeatedly walks z4 down to z0 and jumps
+    back up instead of falling into the fixed point."""
+    top = 4
     cycle = ["z%d" % m for m in range(top, -1, -1)]
     out = []
     while len(out) < horizon:
@@ -748,9 +706,9 @@ def layered_census(ex: LayeredExample) -> LayeredCensus:
 
 def _fiber_chain_transitive(f: FiniteSystem) -> bool:
     """Chain transitive at the fiber's own finest positive distance."""
-    ix = f._index
-    positive = ix.dm[~np.eye(len(f.labels), dtype=bool)]
-    delta = Fraction(int(positive.min()), ix.scale) if positive.size else Fraction(1)
+    view = f.dist
+    positive = view.dm[~np.eye(len(f.labels), dtype=bool)]
+    delta = Fraction(int(positive.min()), view.scale) if positive.size else Fraction(1)
     masks = _step_masks(f, delta)
     lists = _bit_lists(masks)
     steps = {i: lists[m] for i, m in enumerate(masks)}

@@ -23,7 +23,7 @@ import itertools
 import json
 import math
 import weakref
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
@@ -62,13 +62,6 @@ def common_prefix(u: Sequence[str], v: Sequence[str]) -> int:
     return min(len(u), len(v))
 
 
-def word_distance(u: Sequence[str], v: Sequence[str]) -> Fraction:
-    """Cylinder distance between two finite words, read as truncated
-    points: 2**-k at common prefix length k.  Identical words give 0."""
-    k = common_prefix(u, v)
-    return Fraction(0) if k == len(u) == len(v) else Fraction(1, 2 ** k)
-
-
 # ---------------------------------------------------------------------------
 # Graph presentations
 
@@ -77,8 +70,9 @@ def word_distance(u: Sequence[str], v: Sequence[str]) -> Fraction:
 class SftGraph:
     """Labeled directed multigraph presenting a shift space.
 
-    ``edges`` is a tuple of (source, target, label).  The graph is stored
-    as given; use :func:`essential` to prune stranded vertices and
+    ``edges`` is a tuple of (source, target, label), vertex names and
+    labeled edges distinct.  The graph is stored as given; use
+    :func:`essential` to prune stranded vertices and
     :func:`canonical_presentation` for the minimal deterministic form.
     """
 
@@ -88,6 +82,9 @@ class SftGraph:
 
     def __post_init__(self) -> None:
         vs = set(self.vertices)
+        if len(vs) != len(self.vertices):
+            dup = next(v for v, k in Counter(self.vertices).items() if k > 1)
+            raise SchemaError("duplicate vertex %r" % dup)
         ab = set(self.alphabet)
         if len(self.alphabet) != len(ab):
             raise InvalidAlphabet("duplicate symbols in alphabet")
@@ -98,17 +95,6 @@ class SftGraph:
                 raise SchemaError("edge endpoint not among vertices: %r" % ((u, v, a),))
             if a not in ab:
                 raise InvalidAlphabet("edge label %r not in alphabet" % a)
-
-    def is_empty(self) -> bool:
-        return not essential(self).vertices
-
-    def is_deterministic(self) -> bool:
-        seen = set()
-        for (u, _v, a) in self.edges:
-            if (u, a) in seen:
-                return False
-            seen.add((u, a))
-        return True
 
 
 def make_graph(vertices: Iterable[str], edges: Iterable[tuple[str, str, str]],
@@ -227,10 +213,6 @@ class Follower:
     trans: Mapping[tuple[int, str], int]
     out: Mapping[str, Mapping[str, frozenset[str]]]
     names: tuple[str, ...]
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.states[0]
 
     def vertices(self, i: int) -> frozenset[str]:
         """The vertex set of state ``i``."""
@@ -502,10 +484,6 @@ class SymbolicPoint:
     @staticmethod
     def periodic(period: Sequence[str]) -> "SymbolicPoint":
         return SymbolicPoint((), tuple(period))
-
-    @staticmethod
-    def eventually(preperiod: Sequence[str], period: Sequence[str]) -> "SymbolicPoint":
-        return SymbolicPoint(tuple(preperiod), tuple(period))
 
     def symbol_at(self, i: int) -> str:
         if i < len(self.preperiod):

@@ -12,6 +12,7 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import gap_entropy_oracle
 from shiftlab import chaos, decomposition, inverse_systems, shadow_lab, towers
 from shiftlab.fixtures import (
     abc_sequence,
@@ -49,7 +50,7 @@ def test_criterion_01_entropy_oracle():
     worst = 0.0
     for k in range(1, 6):
         e = decomposition.entropy(shadow_lab.gap_shift_graph(k))
-        o = shadow_lab.gap_entropy_oracle(k)
+        o = gap_entropy_oracle(k)
         worst = max(worst, abs(e - o))
     elapsed = time.monotonic() - t0
     ok = worst < 1e-9 and elapsed < 1.0

@@ -5,6 +5,7 @@ import random
 import sys
 import time
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -95,8 +96,9 @@ class TestDistal:
         assert orbit_separation(d.points, d.common_period) == d.radius
 
     def test_too_many_points_rejected(self):
-        with pytest.raises(NoDistalTuple):
-            find_r_distal_tuple(golden_mean_graph(), 40, max_period=3)
+        with mock.patch.object(chaos, "MAX_DISTAL_PERIOD", 3), \
+                pytest.raises(NoDistalTuple):
+            find_r_distal_tuple(golden_mean_graph(), 40)
 
 
 # The search that the per-pair separation table replaced, kept as an
@@ -144,8 +146,9 @@ class TestDistalPairTable:
     @given(st.randoms(use_true_random=False), st.integers(2, 4), st.integers(1, 4))
     def test_matches_subset_oracle(self, rng, n, max_period):
         g = random_graph(rng, max_vertices=3)
-        assert _outcome(find_r_distal_tuple, g, n, max_period) == \
-            _outcome(distal_oracle, g, n, max_period)
+        with mock.patch.object(chaos, "MAX_DISTAL_PERIOD", max_period):
+            got = _outcome(find_r_distal_tuple, g, n)
+        assert got == _outcome(distal_oracle, g, n, max_period)
 
     def test_mixing_cases_match_subset_oracle(self):
         for seed in range(20):
@@ -408,7 +411,8 @@ def mixing_case(seed, n):
         if not is_irreducible(gc) or cyclic_structure(gc).period != 1:
             continue
         try:
-            return g, find_r_distal_tuple(g, n, max_period=4)
+            with mock.patch.object(chaos, "MAX_DISTAL_PERIOD", 4):
+                return g, find_r_distal_tuple(g, n)
         except PreconditionError:
             continue
 

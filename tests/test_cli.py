@@ -96,6 +96,19 @@ class TestAnalyze:
         assert code == 2 and out == ""
         assert err == "precondition failed: follower automaton exceeds 65536 states\n"
 
+    def test_repeated_vertex_name_is_exit_2(self, tmp_path, capsys):
+        # Alphabet a, a.b, b.c, c: the words (a, b.c) and (a.b, c) would
+        # both name the vertex a.b.c, merging two states of the shift.
+        code, out, err = run(capsys, "analyze", "--in", path("dotted_forbidden.json"))
+        assert code == 2 and out == ""
+        assert err == "precondition failed: duplicate vertex 'a.b.c'\n"
+        graph = tmp_path / "repeated.json"
+        graph.write_text(json.dumps({"alphabet": ["0"], "vertices": ["a", "b", "a"],
+                                     "edges": [["a", "b", "0"], ["b", "a", "0"]]}))
+        code, out, err = run(capsys, "analyze", "--in", str(graph))
+        assert code == 2 and out == ""
+        assert err == "precondition failed: duplicate vertex 'a'\n"
+
 
 class TestMlc:
     def test_abc_witnesses(self, capsys):

@@ -204,12 +204,12 @@ def _check_well_defined_oracle(domain, codomain, window, rule):
         if block not in rule:
             raise NotInLanguage("rule missing admissible block %r" % (block,))
     cod = follower(codomain)
-    if cod.is_empty:
+    if not cod.states[0]:
         if not dom.vertices:
             return
         raise NotInLanguage("codomain is empty but domain is not")
     fdom = follower(dom)
-    if fdom.is_empty:
+    if not fdom.states[0]:
         return
     dtrans, ctrans = fdom.trans, cod.trans
     start_pairs = [(fdom.walk(hist), hist, 0) for hist in words_of_length(dom, w - 1)]

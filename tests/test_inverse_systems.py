@@ -3,11 +3,14 @@
 import functools
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from memos import clear_value_memos
+from oracles import word_distance
+from shiftlab import inverse_systems
 from shiftlab.errors import CannotExtract, Mlc1Required, SchemaError, TooLarge
 from shiftlab.fixtures import (
     abc_sequence,
@@ -40,7 +43,6 @@ from shiftlab.shift_core import (
     full_shift,
     language_equal,
     language_subset,
-    word_distance,
     words_of_length,
 )
 
@@ -258,13 +260,19 @@ def _truncated_limit_oracle(seq, depth, word_length, max_points=10 ** 6):
     return TruncatedSystem(depth, T, points, succ)
 
 
-def _least_admitted(build, seq, depth, length):
-    """The least max_points for which build does not raise TooLarge."""
+def _limit_under_cap(seq, depth, length, cap):
+    """truncated_limit with MAX_LIMIT_POINTS patched to cap."""
+    with mock.patch.object(inverse_systems, "MAX_LIMIT_POINTS", cap):
+        return truncated_limit(seq, depth, length)
+
+
+def _least_admitted(build):
+    """The least point cap for which build(cap) does not raise TooLarge."""
     lo, hi = 0, 10 ** 6
     while lo < hi:
         mid = (lo + hi) // 2
         try:
-            build(seq, depth, length, max_points=mid)
+            build(mid)
         except TooLarge:
             lo = mid + 1
         else:
@@ -273,11 +281,12 @@ def _least_admitted(build, seq, depth, length):
 
 
 def _assert_join_matches_oracle(seq, depth, length):
-    """Equal systems, and TooLarge below the same max_points."""
+    """Equal systems, and TooLarge below the same point cap."""
     sysm = truncated_limit(seq, depth, length)
     assert sysm == _truncated_limit_oracle(seq, depth, length)
-    least = _least_admitted(truncated_limit, seq, depth, length)
-    assert least == _least_admitted(_truncated_limit_oracle, seq, depth, length)
+    least = _least_admitted(functools.partial(_limit_under_cap, seq, depth, length))
+    assert least == _least_admitted(
+        functools.partial(_truncated_limit_oracle, seq, depth, length))
     assert least >= len(sysm.points)
 
 
@@ -360,7 +369,7 @@ class TestTruncatedLimit:
 
     def test_guard_against_explosion(self):
         with pytest.raises(TooLarge):
-            truncated_limit(cantor_product_sequence(4), 4, 10, max_points=100)
+            _limit_under_cap(cantor_product_sequence(4), 4, 10, 100)
 
     @pytest.mark.parametrize("make, depth, length", TRUNCATION_CASES,
                              ids=TRUNCATION_IDS)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import gap_entropy_oracle, system_from_function, word_distance
 from shiftlab import shadow_lab
 from shiftlab.errors import PreconditionError, TooLarge
 from shiftlab.fixtures import golden_mean_graph, random_graph
@@ -18,7 +19,6 @@ from shiftlab.shadow_lab import (
     brute_shadowing_check,
     build_layered_example,
     check_triangle,
-    gap_entropy_oracle,
     gap_shift_graph,
     is_pseudo_orbit,
     is_shadowed,
@@ -26,7 +26,6 @@ from shiftlab.shadow_lab import (
     layered_fiber_shadowing,
     limit_gap_pseudo_orbit,
     limit_gap_system,
-    system_from_function,
     truncate_shift,
 )
 from shiftlab.decomposition import entropy
@@ -35,7 +34,6 @@ from shiftlab.shift_core import (
     full_shift,
     language_equal,
     make_graph,
-    word_distance,
     words_of_length,
 )
 
@@ -473,7 +471,7 @@ def oracle_per_head_search(sys, epsilon, delta, horizon, state_cap=10 ** 7):
     labels = sys.labels
     steps = [sorted(shadow_lab._bits(m), key=labels.__getitem__)
              for m in shadow_lab._step_masks(sys, delta)]
-    frontier = [(p, near[p], (labels[p],)) for p in sys._index.by_label]
+    frontier = [(p, near[p], (labels[p],)) for p in sys._by_label]
     explored = 0
     for depth in range(1, horizon + 1):
         next_frontier = []
@@ -624,8 +622,8 @@ class TestIntegerIndexOracle:
         dist = {(a, b): abs(x[a] - x[b]) for a in labels for b in labels}
         nxt = {a: (labels[(i + 1) % len(labels)],) for i, a in enumerate(labels)}
         sysm = FiniteSystem(tuple(labels), dist, nxt)
-        assert sysm._index.dm.dtype == object
-        assert sysm._index.scale > 2 ** 63
+        assert sysm.dist.dm.dtype == object
+        assert sysm.dist.scale > 2 ** 63
         check_triangle(sysm)
         for eps, delta, horizon in [(Fraction(1, 40), Fraction(1, 400), 6),
                                     (Fraction(1, 5), Fraction(1, 9), 8)]:
@@ -646,7 +644,7 @@ class TestReadOnlySystem:
         with pytest.raises(TypeError):
             del sysm.dist[("zinf", "z0")]
         with pytest.raises(ValueError):
-            sysm._index.dm[0, 1] = 7
+            sysm.dist.dm[0, 1] = 7
         with pytest.raises(TypeError):
             sysm.successors["zinf"] = ("z0",)
 
@@ -714,13 +712,13 @@ def assert_same_system(new, old):
     assert new.labels == old.labels
     assert list(new.successors.items()) == list(old.successors.items())
     assert list(new.dist.items()) == list(old.dist.items())
-    assert new._index.by_label == old._index.by_label
-    assert new._index.pos == old._index.pos
-    assert new._index.succ == old._index.succ
-    assert new._index.scale == old._index.scale
-    assert new._index.dm.dtype == old._index.dm.dtype
-    assert (new._index.dm == old._index.dm).all()
-    assert not new._index.dm.flags.writeable
+    assert new._by_label == old._by_label
+    assert new.dist.pos == old.dist.pos
+    assert new._succ == old._succ
+    assert new.dist.scale == old.dist.scale
+    assert new.dist.dm.dtype == old.dist.dm.dtype
+    assert (new.dist.dm == old.dist.dm).all()
+    assert not new.dist.dm.flags.writeable
 
 
 def assert_same_reports(new, old, rng):
@@ -763,8 +761,8 @@ class TestPrefixMetricOracle:
         for depth in (2, 3):
             new = truncate_shift(g, depth)
             assert_same_system(new, oracle_truncate_shift(g, depth))
-            assert new._index.by_label != tuple(range(len(new.labels)))
-            assert [new.labels[i] for i in new._index.by_label] == sorted(new.labels)
+            assert new._by_label != tuple(range(len(new.labels)))
+            assert [new.labels[i] for i in new._by_label] == sorted(new.labels)
         sysm = truncate_shift(g, 2)
         old = oracle_truncate_shift(g, 2)
         assert_same_reports(sysm, old, random.Random(3))
@@ -772,8 +770,8 @@ class TestPrefixMetricOracle:
     def test_depth_seventy_metric_is_wider_than_int64(self):
         new = truncate_shift(AT_MOST_ONE_1, 70)
         assert len(new.labels) == 71
-        assert new._index.dm.dtype == object
-        assert new._index.scale == 2 ** 69
+        assert new.dist.dm.dtype == object
+        assert new.dist.scale == 2 ** 69
         assert new.d("0" * 69 + "1", "0" * 70) == Fraction(1, 2 ** 69)
         assert_same_system(new, oracle_truncate_shift(AT_MOST_ONE_1, 70))
 
@@ -781,17 +779,17 @@ class TestPrefixMetricOracle:
         # 2**61 is the largest entry with twice it still an int64.
         for depth, dtype in ((62, np.int64), (63, object)):
             new = truncate_shift(AT_MOST_ONE_1, depth)
-            assert new._index.dm.dtype == dtype
+            assert new.dist.dm.dtype == dtype
             assert_same_system(new, oracle_truncate_shift(AT_MOST_ONE_1, depth))
-        assert limit_gap_system(61)._index.dm.dtype == np.int64
-        assert limit_gap_system(62)._index.dm.dtype == object
+        assert limit_gap_system(61).dist.dm.dtype == np.int64
+        assert limit_gap_system(62).dist.dm.dtype == object
         assert_same_system(limit_gap_system(62), oracle_limit_gap_system(62))
 
     def test_single_point_truncation(self):
         g = make_graph(["a"], [("a", "a", "0")])
         new = truncate_shift(g, 3)
         assert_same_system(new, oracle_truncate_shift(g, 3))
-        assert new._index.scale == 1
+        assert new.dist.scale == 1
 
     def test_row_blocks_cover_a_large_truncation(self, monkeypatch):
         # Blocks of a few rows, so the block edges fall inside the matrix.

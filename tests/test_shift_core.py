@@ -11,8 +11,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from memos import VALUE_MEMOS, clear_value_memos
+from oracles import word_distance
 from shiftlab import shift_core
-from shiftlab.errors import NotInLanguage, PreconditionError, TooLarge
+from shiftlab.errors import NotInLanguage, PreconditionError, SchemaError, TooLarge
 from shiftlab.fixtures import golden_mean_graph, random_graph, two_cycle_graph
 from shiftlab.shift_core import (
     SftGraph,
@@ -35,7 +36,6 @@ from shiftlab.shift_core import (
     parse_word,
     periodic_points,
     point_in_shift,
-    word_distance,
     word_in_language,
     word_str,
     words_of_length,
@@ -98,6 +98,16 @@ class TestGraphs:
     def test_duplicate_edge_rejected(self):
         with pytest.raises(PreconditionError):
             make_graph(["a"], [("a", "a", "0"), ("a", "a", "0")], alphabet=BIN)
+
+    def test_duplicate_vertex_rejected(self):
+        with pytest.raises(SchemaError, match="^duplicate vertex 'b'$"):
+            SftGraph(("a", "b", "c", "b"), (("a", "a", "0"),), ("0",))
+        with pytest.raises(SchemaError, match="^duplicate vertex 'a'$"):
+            graph_from_json({"alphabet": ["0"], "vertices": ["a", "a"],
+                             "edges": [["a", "a", "0"]]})
+        # Words ("a", "b.c") and ("a.b", "c") are both named "a.b.c".
+        with pytest.raises(SchemaError, match="^duplicate vertex 'a.b.c'$"):
+            from_forbidden_words(["a", "a.b", "b.c", "c"], [("c", "c", "c")])
 
 
 def _essential_oracle(g):
@@ -278,7 +288,8 @@ class TestCanonicalPresentation:
                        [("a", "a", "0"), ("a", "b", "0"), ("b", "a", "1")],
                        alphabet=BIN)
         gc = canonical_presentation(g)
-        assert gc.is_deterministic()
+        starts = [(u, a) for (u, _v, a) in gc.edges]
+        assert len(set(starts)) == len(starts)
         assert language_equal(g, gc)[0]
 
     def test_signature_invariant_under_renaming(self):
@@ -537,7 +548,6 @@ class TestFollower:
         assert f.states == (0,)
         assert f.vertices(0) == states[0] == frozenset()
         assert dict(f.trans) == trans == {}
-        assert f.is_empty
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())
