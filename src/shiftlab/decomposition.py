@@ -214,20 +214,33 @@ def is_mixing(g: SftGraph) -> bool:
 def mixing_constant(g: SftGraph) -> int:
     """Least L with a path of length exactly L between every ordered
     vertex pair (equivalently the adjacency matrix power is positive).
-    Raises NotMixing if no such L up to the cap 4n**2 + 4 exists."""
+    Raises NotMixing if no such L up to the cap 4n**2 + 4 exists.  Rows
+    of the adjacency powers are vertex bitmasks: a row of the next power
+    is the OR of the adjacency rows of the vertices in the row before,
+    worked out once per distinct row per power."""
     ge = essential(g)
     n = len(ge.vertices)
     if n == 0:
         raise EmptyShift("mixing constant of an empty graph")
     cap = 4 * n * n + 4
     idx = {v: i for i, v in enumerate(ge.vertices)}
-    a = np.zeros((n, n), dtype=bool)
+    adj = [0] * n
     for (u, v, _s) in ge.edges:
-        a[idx[u], idx[v]] = True
-    power = np.eye(n, dtype=bool)
+        adj[idx[u]] |= 1 << idx[v]
+    full = (1 << n) - 1
+    power = [1 << i for i in range(n)]
     for ell in range(1, cap + 1):
-        power = power @ a
-        if power.all():
+        step: dict[int, int] = {}
+        for row in power:
+            if row not in step:
+                out, rest = 0, row
+                while rest:
+                    low = rest & -rest
+                    out |= adj[low.bit_length() - 1]
+                    rest ^= low
+                step[row] = out
+        power = [step[row] for row in power]
+        if all(row == full for row in power):
             return ell
     raise NotMixing("no positive adjacency power up to %d" % cap)
 
@@ -273,18 +286,17 @@ def entropy(g: SftGraph) -> float:
 # Cyclic classes of cylinders
 
 
-def sync_length(g: SftGraph, cap: Optional[int] = None) -> Optional[int]:
+def sync_length(g: SftGraph) -> Optional[int]:
     """Smallest K such that, for every admissible K-word, all vertices that
-    can read it lie in a single cyclic class.  None if no K up to the cap
-    works (then per-point classes are not resolved by this presentation).
+    can read it lie in a single cyclic class.  None if no K up to 2n + 2
+    works, n the essential vertices of g (then per-point classes are not
+    resolved by this presentation).
     Decided on the follower states reachable by exactly K symbols, as in
     :func:`class_of_word`."""
     cs = cyclic_structure(g)
     if cs.period == 1:
         return 0
     f = follower(g)
-    if cap is None:
-        cap = 2 * len(f.names) + 2
     succ: list[list[int]] = [[] for _ in f.states]
     for (i, _a), j in f.trans.items():
         succ[i].append(j)
@@ -298,7 +310,7 @@ def sync_length(g: SftGraph, cap: Optional[int] = None) -> Optional[int]:
     # Every successor of a state within one class lies within the next
     # class, so only the states of a layer spanning two classes are kept.
     layer = {0}
-    for k in range(cap + 1):
+    for k in range(2 * len(f.names) + 3):
         layer = {i for i in layer
                  if states[i] & others[(states[i] & -states[i]).bit_length() - 1]}
         if not layer:

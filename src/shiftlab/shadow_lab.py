@@ -1,16 +1,18 @@
-"""Brute-force shadowing experiments on finite metric systems.
+"""Brute-force shadowing experiments on finite systems of words.
 
-A finite system is a finite set of points with an exact rational metric and
-a self-map.  A delta-pseudo-orbit is a sequence where each step lands
-within delta of the true image; it is epsilon-shadowed when some true orbit
-stays within epsilon of it coordinatewise.  The exhaustive checker walks
-pseudo-orbits breadth first while tracking, for each one, the set of
-shadowing-orbit states that are still alive, so the work is bounded by
-the number of distinct (point, survivor set) pairs instead of the raw tree
-of pseudo-orbits.  A head's children depend only on its step mask and the
-image of its survivor set, so each such pair is expanded once per depth:
-a later head with the same pair adds only the dead children recorded by
-the first, since all of its live children are already seen.
+A finite system is a finite set of points, each a distinct word, under
+the cylinder metric (two words at common prefix length k are 2**-k
+apart), with a successor relation.  A delta-pseudo-orbit is a sequence
+where each step lands within delta of a true successor; it is
+epsilon-shadowed when some true orbit stays within epsilon of it
+coordinatewise.  The exhaustive checker walks pseudo-orbits breadth first
+while tracking, for each one, the set of shadowing-orbit states that are
+still alive, so the work is bounded by the number of distinct (point,
+survivor set) pairs instead of the raw tree of pseudo-orbits.  A head's
+children depend only on its step mask and the image of its survivor set,
+so each such pair is expanded once per depth: a later head with the same
+pair adds only the dead children recorded by the first, since all of its
+live children are already seen.
 
 Every check reads one step table, ``_step_masks`` (the legal delta-steps
 from each point as a bitmask), and, outside the search, one survivor walk,
@@ -18,38 +20,36 @@ from each point as a bitmask), and, outside the search, one survivor walk,
 Each distinct step mask's bits are listed once, by ``_bit_lists``, for the
 search, the sampler and the fiber chain-transitivity check.
 
-Distances are ``Fraction`` values at the API, but every system carries an
-integer form built once at construction: the metric times the least
-common multiple of its denominators (``dist.dm``, ``dist.scale``), and
-each successor set as an ``int`` bitmask (bit i is ``labels[i]``).  The
-metric checks run on that matrix, each epsilon- or delta-ball is one
-bitmask computed once per threshold per call, and survivor sets are
-bitmasks too, so the checks stay exact without any ``Fraction``
-arithmetic in their loops.  Every system's ``dist`` is a lazy read-only
-view of that matrix as exact ``Fraction``s; a metric given as a mapping
-is read into such a view once.
+Distances are ``Fraction`` values at the API, but a system stores only its
+words sorted (``_order``) and the common prefix lengths of adjacent sorted
+words (``_lcp``).  The cylinder metric is an ultrametric and sorted words
+sharing a prefix are contiguous, so each epsilon-ball is the run of sorted
+words joined by adjacent prefix lengths of at least k, the least k with
+2**-k <= epsilon: one bitmask (bit i is ``labels[i]``) per run, found in
+one pass per threshold per call.  Successor and survivor sets are bitmasks
+too, so the checks stay exact without any ``Fraction`` arithmetic in their
+loops.  ``dist`` is a read-only view that works each distance out from the
+two words when it is read.
 
-Shift truncations and the limit system are prefix metrics: two points at
-common prefix length k are 2**-k apart.  They build the integer matrix
-straight from the prefix lengths, with no per-pair Python step.  Both
-refuse more than ``MAX_TRUNCATION_POINTS`` points, and a truncation also
-refuses more than ``MAX_TRUNCATION_SYMBOLS`` symbols (points times depth).
+Shift truncations are their admissible words, and the limit system is the
+words 0^(T+1) and 0^m 1 0^(T-m).  Both refuse more than
+``MAX_TRUNCATION_POINTS`` points, a truncation also refuses more than
+``MAX_TRUNCATION_SYMBOLS`` symbols (points times depth), and a sampled
+check refuses more than ``MAX_SAMPLED_STEPS`` steps (samples times
+horizon).
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 import random
-from collections.abc import ItemsView, Mapping
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 from operator import or_
 from types import MappingProxyType
 from typing import Callable, Optional, Sequence
-
-import numpy as np
 
 from .decomposition import _tarjan_sccs
 from .errors import (
@@ -68,173 +68,97 @@ from .shift_core import (
     words_of_length,
 )
 
-# Elements of the largest temporary the triangle check builds: it works on
-# blocks of rows, so it stays quadratic in memory.
-_TRIANGLE_BLOCK = 1 << 20
-
 # Most points a truncation or limit system may have: the full 2-shift at
-# depth 12 still builds, and every point costs a row of the n x n metric.
+# depth 12 still builds.  Balls and survivor sets are n-bit masks, one per
+# point or search state, so their memory grows as n**2.
 MAX_TRUNCATION_POINTS = 4096
 
 # Most symbols, points times depth, a truncation may list: few long words
 # pass the point cap, but each symbol costs time and memory to list.
 MAX_TRUNCATION_SYMBOLS = 1 << 19
 
+# Most steps, samples times horizon, a sampled check may draw: each step
+# costs a random draw and a survivor-walk step.
+MAX_SAMPLED_STEPS = 1 << 20
+
 
 @dataclass(frozen=True)
 class FiniteSystem:
-    """Finite metric space with a successor relation.  Points are labels,
-    the metric is a symmetric rational matrix keyed by label pairs, and
-    each point has a nonempty set of successors.  A truncated shift keeps
-    every admissible extension as a successor; a genuine self-map has
-    singleton successor sets.  ``dist`` is always a ``_MetricView``: a view
-    over the same labels is kept as it is, and any other mapping is read
-    once into a new view, so later changes to the caller's mapping change
-    nothing.  The view's integer matrix is checked the same way on either
-    path.  Successors are stored as a read-only copy and as ``_succ``, one
-    bitmask per index; ``_by_label`` lists the indices in label order."""
+    """Finite set of distinct words, keyed by label, under the cylinder
+    metric, with a successor relation: each point has a nonempty set of
+    successors.  A truncated shift keeps every admissible extension as a
+    successor; a genuine self-map has singleton successor sets.
+    Successors are stored as a read-only copy and as ``_succ``, one
+    bitmask per index; ``_by_label`` lists the indices in label order,
+    ``_order`` in word order, and ``_lcp`` holds the common prefix lengths
+    of the adjacent words in that order."""
 
     labels: tuple[str, ...]
-    dist: Mapping[tuple[str, str], Fraction] = field(compare=False)
+    words: tuple[Sequence[str], ...] = field(compare=False)
     successors: Mapping[str, tuple[str, ...]] = field(compare=False)
+    _pos: Mapping[str, int] = field(init=False, repr=False, compare=False)
     _by_label: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _order: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _lcp: tuple[int, ...] = field(init=False, repr=False, compare=False)
     _succ: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        seen = set(self.labels)
-        if len(seen) != len(self.labels):
+        pos = {p: i for i, p in enumerate(self.labels)}
+        if len(pos) != len(self.labels):
             raise PreconditionError("duplicate point labels")
+        words = tuple(self.words)
+        if len(words) != len(self.labels):
+            raise PreconditionError("need one word per point label")
+        if len(set(words)) != len(words):
+            raise PreconditionError("two points share a word, so their distance is 0")
         for p in self.labels:
             succ = self.successors.get(p)
-            if not succ or any(q not in seen for q in succ):
+            if not succ or any(q not in pos for q in succ):
                 raise PreconditionError("successors not defined into the space at %r" % p)
-        view = self.dist
-        if not (isinstance(view, _MetricView) and view.labels == self.labels):
-            view = _MetricView.of(self.labels, view)
-        _check_metric(self.labels, view.dm)
-        object.__setattr__(self, "dist", view)
-        pos = view.pos
         successors = {p: tuple(self.successors[p]) for p in self.labels}
+        order = sorted(range(len(words)), key=words.__getitem__)
+        object.__setattr__(self, "words", words)
         object.__setattr__(self, "successors", MappingProxyType(successors))
+        object.__setattr__(self, "_pos", MappingProxyType(pos))
         object.__setattr__(self, "_by_label", tuple(
             sorted(range(len(self.labels)), key=self.labels.__getitem__)))
+        object.__setattr__(self, "_order", tuple(order))
+        object.__setattr__(self, "_lcp", tuple(
+            common_prefix(words[i], words[j]) for i, j in zip(order, order[1:])))
         object.__setattr__(self, "_succ", tuple(
             reduce(or_, (1 << pos[q] for q in successors[p])) for p in self.labels))
-        # The cubic triangle check is opt-in via check_triangle; it runs
-        # automatically only on small spaces.
-        if len(self.labels) <= 40:
-            check_triangle(self)
+
+    @property
+    def dist(self) -> Mapping[tuple[str, str], Fraction]:
+        return _Distances(self)
 
     def d(self, p: str, q: str) -> Fraction:
-        return self.dist[(p, q)]
+        i, j = self._pos[p], self._pos[q]
+        if i == j:
+            return Fraction(0)
+        return Fraction(1, 1 << common_prefix(self.words[i], self.words[j]))
 
 
-def _dtype(largest: int) -> type:
-    """int64 when twice the largest scaled distance fits, exact Python
-    ints otherwise."""
-    return object if 2 * largest > np.iinfo(np.int64).max else np.int64
+class _Distances(Mapping):
+    """Read-only distances of a system keyed by label pairs, in row-major
+    label order, each worked out from the two words when it is read."""
 
-
-def _check_metric(labels: Sequence[str], dm: np.ndarray) -> None:
-    """Raise on the first bad entry of an integer metric in row-major
-    order: negative (a missing entry reads as -1), nonzero on the diagonal
-    or zero off it, or unequal to its transpose."""
-    n = len(labels)
-    missing = dm < 0
-    diagonal = (dm == 0) != np.eye(n, dtype=bool)
-    bad = np.flatnonzero(missing | diagonal | (dm != dm.T))
-    if bad.size:
-        i, j = divmod(int(bad[0]), n)
-        if missing[i, j]:
-            raise PreconditionError("metric missing or negative at (%r, %r)"
-                                    % (labels[i], labels[j]))
-        if diagonal[i, j]:
-            raise PreconditionError("metric must vanish exactly on the diagonal")
-        raise PreconditionError("metric not symmetric at (%r, %r)"
-                                % (labels[i], labels[j]))
-
-
-class _MetricView(Mapping):
-    """Read-only view of an integer metric matrix, the distances times
-    scale, as exact distances keyed by label pairs, in row-major label
-    order.  frac maps each scaled value to the one distance object handed
-    out for it."""
-
-    def __init__(self, labels: tuple[str, ...], dm: np.ndarray, scale: int,
-                 frac: dict[int, Fraction]):
-        self.labels, self.dm, self.scale, self._frac = labels, dm, scale, frac
-        self.pos = MappingProxyType({p: i for i, p in enumerate(labels)})
-
-    @classmethod
-    def of(cls, labels: tuple[str, ...],
-           dist: Mapping[tuple[str, str], Fraction]) -> "_MetricView":
-        """A mapping's metric over labels, scaled by the least common
-        multiple of its denominators, handing out the mapping's own value
-        objects.  A missing entry becomes -1."""
-        vals = [dist.get((p, q)) for p in labels for q in labels]
-        scale = math.lcm(*{d.denominator for d in vals if d is not None})
-        ints = [-1 if d is None else d.numerator * (scale // d.denominator) for d in vals]
-        dm = np.array(ints, dtype=_dtype(max(map(abs, ints), default=0)))
-        dm = dm.reshape(len(labels), len(labels))
-        dm.flags.writeable = False
-        return cls(labels, dm, scale, dict(zip(ints, vals)))
+    def __init__(self, sys: FiniteSystem):
+        self._sys = sys
 
     def __getitem__(self, key) -> Fraction:
         try:
             p, q = key
-            i, j = self.pos[p], self.pos[q]
+            return self._sys.d(p, q)
         except (KeyError, TypeError, ValueError):
             raise KeyError(key) from None
-        return self._frac[int(self.dm[i, j])]
 
     def __iter__(self):
-        return ((p, q) for p in self.labels for q in self.labels)
+        labels = self._sys.labels
+        return ((p, q) for p in labels for q in labels)
 
     def __len__(self) -> int:
-        return len(self.labels) ** 2
-
-    def items(self):
-        return _ListedItems(self)
-
-
-class _ListedItems(ItemsView):
-    """Items of a _MetricView, read off one ``tolist`` of its matrix."""
-
-    def __iter__(self):
-        view = self._mapping
-        for p, row in zip(view.labels, view.dm.tolist()):
-            for q, k in zip(view.labels, row):
-                yield (p, q), view._frac[k]
-
-
-def _prefix_metric(labels: tuple[str, ...], top: int, lcp: np.ndarray) -> _MetricView:
-    """The metric 2**-k between distinct words with common prefix length
-    k, scaled by 2**top.  lcp holds the prefix lengths, at most top off the
-    diagonal and at most top + 1 on it.  Two of the words, if there are
-    two, differ in their first symbol, so the largest entry is 2**top, and
-    scale and dtype are what _MetricView.of gives for the same distances."""
-    # powers[k] is the scaled distance at prefix length k, and the mark
-    # top + 1 maps to 0, the distance of a point to itself.
-    powers = [1 << (top - k) for k in range(top + 1)] + [0]
-    dm = np.array(powers, dtype=_dtype(1 << top))[lcp]
-    np.fill_diagonal(dm, 0)
-    dm.flags.writeable = False
-    return _MetricView(labels, dm, 1 << top, {k: Fraction(k, 1 << top) for k in powers})
-
-
-def check_triangle(sys: "FiniteSystem") -> None:
-    """Raise through the middle point q of the first (p, q, r), in
-    lexicographic index order, with d(p, r) > d(p, q) + d(q, r)."""
-    dm = sys.dist.dm
-    n = len(dm)
-    block = max(1, _TRIANGLE_BLOCK // max(1, n * n))
-    for lo in range(0, n, block):
-        rows = dm[lo:lo + block]
-        fails = rows[:, None, :] > rows[:, :, None] + dm[None, :, :]
-        hit = np.flatnonzero(fails.any(axis=2))
-        if hit.size:
-            raise PreconditionError(
-                "triangle inequality fails through %r" % sys.labels[hit[0] % n])
+        return len(self._sys.labels) ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -250,14 +174,30 @@ def _bits(mask: int):
 
 
 def _balls(sys: FiniteSystem, radius: Fraction) -> list[int]:
-    """Bitmask of the closed radius-ball around each point.  A scaled
-    distance k is at most radius * scale exactly when it is at most the
-    floor of that product."""
-    view = sys.dist
+    """Bitmask of the closed radius-ball around each point: the run of
+    sorted words around it joined by adjacent prefix lengths of at least
+    k, the least k >= 0 with 2**-k <= radius.  A radius of 0 keeps each
+    point alone, and a negative one keeps nothing."""
     r = Fraction(radius)
-    within = view.dm <= r.numerator * view.scale // r.denominator
-    return [int.from_bytes(row.tobytes(), "little")
-            for row in np.packbits(within, axis=1, bitorder="little")]
+    n = len(sys.labels)
+    if r <= 0:
+        return [1 << i if r == 0 else 0 for i in range(n)]
+    # 2**-k <= a/b exactly when b <= a * 2**k, which holds first at the
+    # difference of the bit lengths or one past it.
+    a, b = r.numerator, r.denominator
+    k = max(0, b.bit_length() - a.bit_length())
+    if a << k < b:
+        k += 1
+    balls = [0] * n
+    run: list[int] = []
+    for j, i in enumerate(sys._order):
+        run.append(i)
+        if j == n - 1 or sys._lcp[j] < k:
+            mask = reduce(or_, (1 << x for x in run))
+            for x in run:
+                balls[x] = mask
+            run = []
+    return balls
 
 
 def _bit_lists(masks: Sequence[int]) -> dict[int, list[int]]:
@@ -326,6 +266,8 @@ def brute_shadowing_check(sys: FiniteSystem, epsilon: Fraction, delta: Fraction,
         raise InvalidScales("sampled mode needs at least one sample")
     if mode not in ("exhaustive", "sampled"):
         raise PreconditionError("mode must be 'exhaustive' or 'sampled'")
+    if mode == "sampled" and samples * horizon > MAX_SAMPLED_STEPS:
+        raise TooLarge("sampled check exceeds %d steps" % MAX_SAMPLED_STEPS)
     near = _balls(sys, epsilon)
     image = _image_map(sys)
     steps = _step_masks(sys, delta)
@@ -396,7 +338,7 @@ def _failure_trace(sys: FiniteSystem, near: list[int],
     """For each starting point, in label order, the first index where
     every true orbit from it has left the epsilon-tube (balls near) around
     the pseudo-orbit."""
-    pos = sys.dist.pos
+    pos = sys._pos
     tube = [near[pos[p]] for p in path]
     return tuple((sys.labels[s], _lost_at(image, tube, 1 << s)) for s in sys._by_label)
 
@@ -429,7 +371,7 @@ def _sampled_check(sys: FiniteSystem, near: list[int],
 
 def is_pseudo_orbit(sys: FiniteSystem, delta: Fraction,
                     path: Sequence[str]) -> bool:
-    pos = sys.dist.pos
+    pos = sys._pos
     steps = _step_masks(sys, delta)
     return all(steps[pos[p]] >> pos[q] & 1 for p, q in zip(path, path[1:]))
 
@@ -437,7 +379,7 @@ def is_pseudo_orbit(sys: FiniteSystem, delta: Fraction,
 def is_shadowed(sys: FiniteSystem, epsilon: Fraction,
                 path: Sequence[str]) -> bool:
     near = _balls(sys, epsilon)
-    tube = [near[sys.dist.pos[p]] for p in path]
+    tube = [near[sys._pos[p]] for p in path]
     return _lost_at(_image_map(sys), tube, tube[0]) < 0
 
 
@@ -504,16 +446,7 @@ def truncate_shift(g: SftGraph, depth: int) -> FiniteSystem:
         if not nxt:
             raise InternalInvariantViolation("truncated word has no successor")
         succ[lab] = nxt
-    # Sorted words: the common prefix of words i < j is the least common
-    # prefix of the adjacent pairs between them, a running minimum of h.
-    h = np.array([common_prefix(u, v) for u, v in zip(words, words[1:])],
-                 dtype=np.min_scalar_type(depth + 1))
-    top = int(h.max(initial=0))
-    lcp = np.full((len(words), len(words)), top + 1, dtype=h.dtype)
-    for i in range(len(h)):
-        lcp[i, i + 1:] = np.minimum.accumulate(h[i:])
-    dist = _prefix_metric(labels, top, np.minimum(lcp, lcp.T))
-    return FiniteSystem(labels, dist, succ)
+    return FiniteSystem(labels, words, succ)
 
 
 # ---------------------------------------------------------------------------
@@ -538,12 +471,13 @@ def limit_gap_system(max_tail: int = 8) -> FiniteSystem:
         raise PreconditionError("limit tail length must be nonnegative")
     _check_size(max_tail + 2)
     labels = ("zinf",) + tuple("z%d" % m for m in range(max_tail + 1))
-    # z_m is the word 0^m 1 and z_inf the all-zero word, so two points
-    # share the prefix of the shallower one, with z_inf deepest of all.
-    depth = np.array([max_tail + 1] + list(range(max_tail + 1)))
+    # z_m is the word 0^m 1 0^(T-m) and z_inf the all-zero word 0^(T+1),
+    # so two points share the prefix of the shallower one, with z_inf
+    # deepest of all.
+    words = ("0" * (max_tail + 1),) + tuple(
+        "0" * m + "1" + "0" * (max_tail - m) for m in range(max_tail + 1))
     succ = {lab: (labels[i - 1] if i > 1 else "zinf",) for i, lab in enumerate(labels)}
-    dist = _prefix_metric(labels, max_tail, np.minimum.outer(depth, depth))
-    return FiniteSystem(labels, dist, succ)
+    return FiniteSystem(labels, words, succ)
 
 
 def limit_gap_pseudo_orbit(horizon: int) -> tuple[str, ...]:
@@ -706,9 +640,7 @@ def layered_census(ex: LayeredExample) -> LayeredCensus:
 
 def _fiber_chain_transitive(f: FiniteSystem) -> bool:
     """Chain transitive at the fiber's own finest positive distance."""
-    view = f.dist
-    positive = view.dm[~np.eye(len(f.labels), dtype=bool)]
-    delta = Fraction(int(positive.min()), view.scale) if positive.size else Fraction(1)
+    delta = Fraction(1, 1 << max(f._lcp, default=0))
     masks = _step_masks(f, delta)
     lists = _bit_lists(masks)
     steps = {i: lists[m] for i, m in enumerate(masks)}

@@ -1,5 +1,5 @@
 """Reference constructions that only the tests call: the cylinder distance
-of two words, a finite system built pair by pair from Python functions,
+of two words, a finite system built point by point from Python functions,
 and the gap-shift entropy by bisection."""
 
 import math
@@ -16,20 +16,15 @@ def word_distance(u, v):
     return Fraction(0) if k == len(u) == len(v) else Fraction(1, 2 ** k)
 
 
-def system_from_function(labels, metric, mapping):
-    """mapping may return a single label or a sequence of labels; metric
-    values that already are Fractions are kept as they are."""
+def system_from_function(labels, word, mapping):
+    """word(p) is the word of point p; mapping may return a single label
+    or a sequence of labels."""
     labels = tuple(labels)
-    dist = {}
-    for p in labels:
-        for q in labels:
-            d = metric(p, q)
-            dist[(p, q)] = d if isinstance(d, Fraction) else Fraction(d)
     succ = {}
     for p in labels:
         img = mapping(p)
         succ[p] = (img,) if isinstance(img, str) else tuple(sorted(img))
-    return FiniteSystem(labels, dist, succ)
+    return FiniteSystem(labels, [word(p) for p in labels], succ)
 
 
 def gap_entropy_oracle(k):

@@ -5,12 +5,8 @@ PASS/FAIL line (run pytest with -s to see them), and enforces the stated
 tolerance and runtime budget.
 """
 
-import itertools
-import math
 import time
 from fractions import Fraction
-
-import pytest
 
 from oracles import gap_entropy_oracle
 from shiftlab import chaos, decomposition, inverse_systems, shadow_lab, towers

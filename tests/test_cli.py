@@ -299,6 +299,17 @@ class TestShadow:
         assert code == 2 and out == ""
         assert err == "precondition failed: truncation exceeds 524288 symbols\n"
 
+    def test_sampled_step_cap_exits_2_quickly(self, capsys):
+        # 200 samples of 100,000 steps on a system that shadows them all
+        # would draw every step; the cap refuses them before the first.
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "shadow", "--family", "full", "--depth", "6",
+                             "--mode", "sampled", "--samples", "200",
+                             "--horizon", "100000")
+        assert time.perf_counter() - t0 < 2.0
+        assert code == 2 and out == ""
+        assert err == "precondition failed: sampled check exceeds 1048576 steps\n"
+
     def test_seed_recorded_in_sampled_mode(self, capsys):
         code, out, _ = run(capsys, "shadow", "--family", "limit",
                            "--eps-exp", "2", "--delta-exp", "4",

@@ -6,6 +6,7 @@ import math
 import random
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -22,7 +23,7 @@ from shiftlab.decomposition import (
     restrict_graph_to_cr,
     sync_length,
 )
-from shiftlab.errors import NotInLanguage, NotIrreducible, NotMixing
+from shiftlab.errors import EmptyShift, NotInLanguage, NotIrreducible, NotMixing
 from shiftlab.fixtures import (
     disjoint_union,
     golden_mean_graph,
@@ -321,6 +322,59 @@ def _bipartite_full_shift(n):
     return SftGraph(tuple(left + right), edges, tuple(BIN))
 
 
+def _mixing_constant_oracle(g):
+    """mixing_constant by boolean numpy matrix powers."""
+    ge = essential(g)
+    n = len(ge.vertices)
+    if n == 0:
+        raise EmptyShift("mixing constant of an empty graph")
+    cap = 4 * n * n + 4
+    idx = {v: i for i, v in enumerate(ge.vertices)}
+    a = np.zeros((n, n), dtype=bool)
+    for (u, v, _s) in ge.edges:
+        a[idx[u], idx[v]] = True
+    power = np.eye(n, dtype=bool)
+    for ell in range(1, cap + 1):
+        power = power @ a
+        if power.all():
+            return ell
+    raise NotMixing("no positive adjacency power up to %d" % cap)
+
+
+def _mixing_case(rng):
+    """A random graph (mixing or not, reducible or not), a graph with 1
+    to 4 cyclic classes, or a long cycle with one chord, whose mixing
+    constant is large."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        return random_graph(rng, max_vertices=rng.randint(1, 8))
+    if kind == 1:
+        return _cyclic_graph(rng, rng.randint(1, 4), "01")
+    n = rng.randint(2, 12)
+    verts = ["v%d" % i for i in range(n)]
+    edges = [(verts[i], verts[(i + 1) % n], "0") for i in range(n)]
+    edges.append((verts[rng.randrange(n)], verts[rng.randrange(n)], "1"))
+    return make_graph(verts, edges, alphabet=BIN)
+
+
+class TestMixingConstantOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_matches_matrix_powers(self, rng):
+        g = _mixing_case(rng)
+        assert _outcome(mixing_constant, g) == _outcome(_mixing_constant_oracle, g)
+
+    def test_both_outcomes_occur(self):
+        rng = random.Random(0)
+        outcomes = set()
+        for _ in range(200):
+            g = _mixing_case(rng)
+            out = _outcome(mixing_constant, g)
+            assert out == _outcome(_mixing_constant_oracle, g)
+            outcomes.add(out[0] if isinstance(out, tuple) else "mixing")
+        assert outcomes == {"mixing", NotMixing}
+
+
 class TestClassesFromFollower:
     @settings(max_examples=150, deadline=None)
     @given(st.integers(0, 10 ** 6), st.integers(1, 4), st.sampled_from(["01", "012", "0123"]))
@@ -328,10 +382,16 @@ class TestClassesFromFollower:
         g = _cyclic_graph(random.Random(seed), classes, symbols)
         cs = cyclic_structure(g)
         assert cs.period == classes
-        # The oracle lists every admissible word of each length up to the
+        # The oracle lists every admissible word of each length up to its
         # cap; a cap of 6 keeps that to a few thousand words per length.
-        cap = min(2 * len(g.vertices) + 2, 6)
-        assert sync_length(g, cap) == _sync_length_oracle(g, cap)
+        # With two or more classes there are at least two vertices, so
+        # sync_length's own cap, 2n + 2, is at least 6.
+        k = _sync_length_oracle(g, 6)
+        if k is not None:
+            assert sync_length(g) == k
+        else:
+            found = sync_length(g)
+            assert found is None or found > 6
         for n in range(6):
             for w in itertools.product(symbols, repeat=n):
                 assert (_outcome(class_of_word, g, cs, w)

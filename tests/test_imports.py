@@ -1,5 +1,6 @@
-"""Every name a shiftlab module imports is used in that module, every
-import sits at module level, and every public name has a caller."""
+"""Every name a shiftlab or test module imports is used in that module,
+every shiftlab import sits at module level, and every public name has a
+caller."""
 
 import ast
 import os
@@ -11,6 +12,10 @@ ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 SRC = os.path.join(ROOT, "src", "shiftlab")
 MODULES = sorted(f for f in os.listdir(SRC) if f.endswith(".py"))
 BENCH = os.path.join(ROOT, "bench")
+TESTS = os.path.join(ROOT, "tests")
+# The package modules and the test modules, for the unused-import check.
+IMPORTING = ([(SRC, m) for m in MODULES]
+             + [(TESTS, f) for f in sorted(os.listdir(TESTS)) if f.endswith(".py")])
 
 
 def unused_imports(source: str) -> list[str]:
@@ -62,9 +67,10 @@ def _read(module: str, directory: str = SRC) -> str:
         return f.read()
 
 
-@pytest.mark.parametrize("module", MODULES)
-def test_no_unused_imports(module):
-    assert unused_imports(_read(module)) == []
+@pytest.mark.parametrize("directory, module", IMPORTING,
+                         ids=[m if d == SRC else "tests/" + m for d, m in IMPORTING])
+def test_no_unused_imports(directory, module):
+    assert unused_imports(_read(module, directory)) == []
 
 
 @pytest.mark.parametrize("module", MODULES)

@@ -11,16 +11,14 @@ from hypothesis import given, settings, strategies as st
 from memos import clear_value_memos
 from oracles import word_distance
 from shiftlab import inverse_systems
-from shiftlab.errors import CannotExtract, Mlc1Required, SchemaError, TooLarge
+from shiftlab.errors import SchemaError, TooLarge
 from shiftlab.fixtures import (
     abc_sequence,
     branching_sequence,
     cantor_product_sequence,
     constant_sequence,
-    cycles_only_sequence,
     golden_mean_graph,
     merging_sequence,
-    mixed_sequence,
     random_sequence,
 )
 from shiftlab.codes import code_image, identity_code, symbol_code
@@ -329,7 +327,6 @@ class TestTruncatedLimit:
                 assert sysm.metric(i, j) == expected
 
     def test_compatibility_of_coordinates(self):
-        from shiftlab.inverse_systems import composed_code
         seq = branching_sequence()
         sysm = truncated_limit(seq, 3, 4)
         for pt in sysm.points:

@@ -5,7 +5,6 @@ import random
 import time
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -18,7 +17,6 @@ from shiftlab.shadow_lab import (
     _fiber_chain_transitive,
     brute_shadowing_check,
     build_layered_example,
-    check_triangle,
     gap_shift_graph,
     is_pseudo_orbit,
     is_shadowed,
@@ -44,32 +42,29 @@ QUARTER = Fraction(1, 4)
 
 class TestFiniteSystem:
     def test_metric_validation(self):
-        with pytest.raises(PreconditionError):
-            system_from_function(["a", "b"],
-                                 lambda p, q: Fraction(0),
-                                 lambda p: "a")
+        # Two points with one word would be at distance 0.
+        with pytest.raises(PreconditionError, match="share a word"):
+            system_from_function(["a", "b"], lambda p: "0", lambda p: "a")
 
-    def test_asymmetric_metric_rejected(self):
-        dist = {("a", "a"): Fraction(0), ("b", "b"): Fraction(0),
-                ("a", "b"): Fraction(1), ("b", "a"): Fraction(2)}
-        with pytest.raises(PreconditionError):
-            FiniteSystem(("a", "b"), dist, {"a": ("a",), "b": ("b",)})
+    def test_one_word_per_label(self):
+        with pytest.raises(PreconditionError, match="one word per point"):
+            FiniteSystem(("a", "b"), ["0"], {"a": ("a",), "b": ("b",)})
+        with pytest.raises(PreconditionError, match="duplicate point labels"):
+            FiniteSystem(("a", "a"), ["0", "1"], {"a": ("a",)})
 
     def test_successor_outside_space_rejected(self):
-        dist = {("a", "a"): Fraction(0)}
         with pytest.raises(PreconditionError):
-            FiniteSystem(("a",), dist, {"a": ("zz",)})
+            FiniteSystem(("a",), ["0"], {"a": ("zz",)})
 
-    def test_triangle_check(self):
-        dist = {("a", "a"): Fraction(0), ("b", "b"): Fraction(0),
-                ("c", "c"): Fraction(0)}
-        for (p, q, d) in [("a", "b", Fraction(1)), ("b", "c", Fraction(1)),
-                          ("a", "c", Fraction(3))]:
-            dist[(p, q)] = d
-            dist[(q, p)] = d
-        with pytest.raises(PreconditionError):
-            FiniteSystem(("a", "b", "c"), dist,
-                         {v: (v,) for v in "abc"})
+    @settings(max_examples=100, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_triangle_check(self, rng):
+        # The cylinder metric is an ultrametric, so no system needs a
+        # triangle check of its own.
+        sysm = random_word_system(rng, rng.randint(1, 10), 1)
+        d, labels = sysm.d, sysm.labels
+        assert all(d(p, r) <= max(d(p, q), d(q, r))
+                   for p in labels for q in labels for r in labels)
 
 
 class TestTruncation:
@@ -92,7 +87,6 @@ class TestTruncation:
         sysm = truncate_shift(full_shift(BIN), 3)
         assert sysm.d("000", "001") == QUARTER
         assert sysm.d("000", "100") == 1
-        check_triangle(sysm)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 10 ** 6), st.integers(1, 7))
@@ -106,7 +100,7 @@ class TestTruncation:
         assert list(sysm.dist.items()) == list(oracle.items())
         assert all(type(d) is Fraction for d in sysm.dist.values())
 
-    @pytest.mark.parametrize("tail", [0, 1, 8, 34])
+    @pytest.mark.parametrize("tail", [0, 1, 8, 34, 70])
     def test_limit_system_matches_label_parsing_oracle(self, tail):
         """The old construction parsed both labels' depths for every pair
         and made a new Fraction each time."""
@@ -126,24 +120,6 @@ class TestTruncation:
         assert list(lim.dist.items()) == [((p, q), metric(p, q))
                                           for p in lim.labels for q in lim.labels]
         assert dict(lim.successors) == {p: (mapping(p),) for p in lim.labels}
-
-    def test_one_fraction_per_prefix_length(self):
-        sysm = truncate_shift(full_shift(BIN), 4)
-        assert sysm.d("0000", "0001") is sysm.d("1110", "1111")
-        assert sysm.d("0000", "0000") is sysm.d("1111", "1111")
-        lim = limit_gap_system(8)
-        assert lim.d("z3", "z5") is lim.d("zinf", "z3")
-        # A walk over every item hands out the same objects.
-        values = [d for _k, d in truncate_shift(full_shift(BIN), 5).dist.items()]
-        assert len({id(d) for d in values}) == len(set(values)) == 6
-
-    def test_fraction_metric_values_are_kept(self):
-        half = Fraction(1, 2)
-        sysm = system_from_function(["a", "b"],
-                                    lambda p, q: half if p != q else 0,
-                                    lambda p: p)
-        assert sysm.d("a", "b") is half
-        assert type(sysm.d("a", "a")) is Fraction
 
 
 class TestShadowing:
@@ -176,7 +152,6 @@ class TestShadowing:
         rep = brute_shadowing_check(lim, QUARTER, Fraction(1, 16), 16)
         # nothing shorter fails, and nothing smaller of the same length
         cex = rep.counterexample
-        import itertools
         n = len(cex)
         better = []
         for cand in itertools.product(sorted(lim.labels), repeat=n):
@@ -213,6 +188,20 @@ class TestShadowing:
         sysm = truncate_shift(full_shift(BIN), 6)
         with pytest.raises(TooLarge):
             brute_shadowing_check(sysm, HALF, QUARTER, 8, state_cap=10)
+
+    def test_sampled_step_cap(self, monkeypatch):
+        monkeypatch.setattr(shadow_lab, "MAX_SAMPLED_STEPS", 100)
+        sysm = truncate_shift(full_shift(BIN), 4)
+        rep = brute_shadowing_check(sysm, HALF, QUARTER, 10, mode="sampled", samples=10)
+        assert rep.shadowed and rep.orbits_checked == 10
+        for samples, horizon in ((11, 10), (10, 11), (10 ** 9, 10 ** 9)):
+            t0 = time.perf_counter()
+            with pytest.raises(TooLarge, match="sampled check exceeds 100 steps"):
+                brute_shadowing_check(sysm, HALF, QUARTER, horizon, mode="sampled",
+                                      samples=samples)
+            assert time.perf_counter() - t0 < 0.5
+        # The exhaustive search draws nothing, so samples do not count.
+        assert brute_shadowing_check(sysm, HALF, QUARTER, 11, samples=10 ** 9).shadowed
 
 
 class TestGapFamily:
@@ -309,18 +298,8 @@ def closure_chain_transitive(f):
 
 
 def random_system(rng):
-    """A small finite system under a word ultrametric or a line metric,
-    with random nonempty successor sets."""
-    n = rng.randint(1, 6)
-    if rng.random() < 0.5:
-        words = rng.sample(["".join(w) for w in itertools.product("01", repeat=3)], n)
-        metric = word_distance
-    else:
-        words = ["p%d" % i for i in range(n)]
-        metric = lambda p, q: Fraction(abs(int(p[1:]) - int(q[1:])))
-    return system_from_function(
-        words, metric,
-        lambda p: rng.sample(words, rng.randint(1, min(2, n))))
+    """A small random word system with one or two successors a point."""
+    return random_word_system(rng, rng.randint(1, 6), 2)
 
 
 class TestChainTransitiveOracle:
@@ -342,31 +321,8 @@ class TestChainTransitiveOracle:
 
 
 # ---------------------------------------------------------------------------
-# The Fraction/frozenset implementations that the integer index and the
-# bitmask checker replaced, kept as oracles.
-
-
-def oracle_check_triangle(labels, dist):
-    for p in labels:
-        for q in labels:
-            for r in labels:
-                if dist[(p, r)] > dist[(p, q)] + dist[(q, r)]:
-                    raise PreconditionError(
-                        "triangle inequality fails through %r" % q)
-
-
-def oracle_check_metric(labels, dist):
-    for p in labels:
-        for q in labels:
-            d = dist.get((p, q))
-            if d is None or d < 0:
-                raise PreconditionError("metric missing or negative at (%r, %r)" % (p, q))
-            if (d == 0) != (p == q):
-                raise PreconditionError("metric must vanish exactly on the diagonal")
-            if d != dist.get((q, p)):
-                raise PreconditionError("metric not symmetric at (%r, %r)" % (p, q))
-    if len(labels) <= 40:
-        oracle_check_triangle(labels, dist)
+# The Fraction/frozenset implementations that the bitmask checker
+# replaced, kept as oracles.
 
 
 def oracle_successor_table(sys, delta):
@@ -509,31 +465,35 @@ def search_outcome(search, *args, **kw):
         return "TooLarge: %s" % e
 
 
-def random_metric(rng, n):
-    """n labels in shuffled order ("p10" sorts before "p2", so index order
-    is not label order) and a metric on them: a word ultrametric, a line
-    metric with rational coordinates, or the maximum of the two."""
+def random_word_system(rng, n, most_successors):
+    """n points with labels in shuffled order ("p10" sorts before "p2", so
+    index order is not label order), distinct words over 2 or 3 symbols of
+    lengths 0 to 4 in random order (so one word may be a prefix of
+    another, and word order is neither), and random nonempty successor
+    sets of at most most_successors points."""
     labels = ["p%d" % i for i in rng.sample(range(12), n)]
-    words = dict(zip(labels, rng.sample(list(itertools.product("01", repeat=4)), n)))
-    coords = sorted({Fraction(a, b) for a in range(9) for b in (1, 3, 4)})
-    xs = dict(zip(labels, rng.sample(coords, n)))
-    kind = rng.randrange(3)
-
-    def metric(p, q):
-        word = word_distance(words[p], words[q])
-        line = abs(xs[p] - xs[q])
-        return (word, line, max(word, line))[kind]
-
-    return labels, {(p, q): Fraction(metric(p, q)) for p in labels for q in labels}
+    symbols = rng.choice(["01", "012"])
+    words = []
+    while len(words) < n:
+        w = "".join(rng.choice(symbols) for _ in range(rng.randint(0, 4)))
+        if w not in words:
+            words.append(w)
+    succ = {p: tuple(rng.sample(labels, rng.randint(1, min(most_successors, n))))
+            for p in labels}
+    return FiniteSystem(tuple(labels), words, succ)
 
 
-def random_shadow_case(rng):
-    n = rng.randint(1, 7)
-    labels, dist = random_metric(rng, n)
-    succ = {p: tuple(rng.sample(labels, rng.randint(1, min(3, n)))) for p in labels}
-    scales = [Fraction(1, 2 ** k) for k in range(5)] + [Fraction(1, 3), Fraction(5, 4)]
-    return (FiniteSystem(tuple(labels), dist, succ), rng.choice(scales),
-            rng.choice(scales), rng.randint(1, 6))
+def oracle_check_words(labels, words):
+    """FiniteSystem's checks of its labels and words, with a zero
+    distance off the diagonal found pair by pair."""
+    if len(set(labels)) != len(labels):
+        raise PreconditionError("duplicate point labels")
+    if len(words) != len(labels):
+        raise PreconditionError("need one word per point label")
+    for i, u in enumerate(words):
+        for j, v in enumerate(words):
+            if i != j and word_distance(u, v) == 0:
+                raise PreconditionError("two points share a word, so their distance is 0")
 
 
 def error_text(fn):
@@ -542,6 +502,12 @@ def error_text(fn):
     except PreconditionError as e:
         return str(e)
     return None
+
+
+def random_shadow_case(rng):
+    sysm = random_word_system(rng, rng.randint(1, 7), 3)
+    scales = [Fraction(1, 2 ** k) for k in range(5)] + [Fraction(1, 3), Fraction(5, 4)]
+    return sysm, rng.choice(scales), rng.choice(scales), rng.randint(1, 6)
 
 
 class TestIntegerIndexOracle:
@@ -579,61 +545,37 @@ class TestIntegerIndexOracle:
     @settings(max_examples=300, deadline=None)
     @given(st.randoms(use_true_random=False))
     def test_metric_errors_match_oracle(self, rng):
-        labels, dist = random_metric(rng, rng.randint(1, 6))
-        for _ in range(rng.randint(0, 3)):
-            p, q = rng.choice(labels), rng.choice(labels)
-            op = rng.randrange(6)
-            if op == 0:
-                dist.pop((p, q), None)
-            elif op == 1:
-                dist[(p, q)] = Fraction(-1, 3)
+        sysm = random_word_system(rng, rng.randint(1, 6), 1)
+        labels, words = list(sysm.labels), list(sysm.words)
+        for _ in range(rng.randint(0, 2)):
+            op = rng.randrange(3)
+            if op == 0 and words:
+                words[rng.randrange(len(words))] = rng.choice(words)
+            elif op == 1 and words:
+                words.pop()
             elif op == 2:
-                dist[(p, q)] = Fraction(0)
-            elif op == 3:
-                dist[(p, q)] = Fraction(1, 7) + dist.get((p, q), 0)
-            else:
-                # Stretch or shrink a symmetric pair: may break the triangle.
-                d = dist.get((p, q), Fraction(1)) * (Fraction(7, 2) if op == 4 else Fraction(1, 5))
-                dist[(p, q)] = dist[(q, p)] = d
+                labels[rng.randrange(len(labels))] = rng.choice(labels)
         succ = {p: (p,) for p in labels}
-        assert error_text(lambda: FiniteSystem(tuple(labels), dist, succ)) == \
-            error_text(lambda: oracle_check_metric(labels, dist))
-
-    def test_explicit_triangle_check_on_a_large_space(self):
-        # 110 points on a line with one stretched pair late in index order,
-        # so the failure lies past the first block of rows.
-        n = 110
-        labels = tuple("x%03d" % i for i in range(n))
-        dist = {(p, q): abs(i - j) for i, p in enumerate(labels)
-                for j, q in enumerate(labels)}
-        dist[(labels[100], labels[104])] = dist[(labels[104], labels[100])] = 9
-        sysm = FiniteSystem(labels, dist, {p: (p,) for p in labels})
-        assert shadow_lab._TRIANGLE_BLOCK // (n * n) < 100
-        assert error_text(lambda: check_triangle(sysm)) == \
-            error_text(lambda: oracle_check_triangle(labels, dist)) == \
-            "triangle inequality fails through 'x098'"
+        assert error_text(lambda: FiniteSystem(tuple(labels), words, succ)) == \
+            error_text(lambda: oracle_check_words(labels, words))
 
     def test_metric_wider_than_int64_uses_python_ints(self):
-        # Points 1/p on a line for the first 17 primes: the common
-        # denominator is their product, about 1.9e21.
+        # Words 0^k 1 for the first 17 primes k: the finest distance,
+        # 2**-53 between the two deepest, and the radii below it need
+        # more than 64 bits in any fixed-point form.
         primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
         labels = ["q%d" % p for p in primes]
-        x = {"q%d" % p: Fraction(1, p) for p in primes}
-        dist = {(a, b): abs(x[a] - x[b]) for a in labels for b in labels}
+        words = ["0" * p + "1" for p in primes]
         nxt = {a: (labels[(i + 1) % len(labels)],) for i, a in enumerate(labels)}
-        sysm = FiniteSystem(tuple(labels), dist, nxt)
-        assert sysm.dist.dm.dtype == object
-        assert sysm.dist.scale > 2 ** 63
-        check_triangle(sysm)
+        sysm = FiniteSystem(tuple(labels), words, nxt)
+        assert sysm.d("q53", "q59") == Fraction(1, 2 ** 53)
         for eps, delta, horizon in [(Fraction(1, 40), Fraction(1, 400), 6),
-                                    (Fraction(1, 5), Fraction(1, 9), 8)]:
+                                    (Fraction(1, 5), Fraction(1, 9), 8),
+                                    (Fraction(1, 3 * 2 ** 60), Fraction(1, 2 ** 70), 5)]:
             for mode in ("exhaustive", "sampled"):
                 assert brute_shadowing_check(sysm, eps, delta, horizon, mode=mode) == \
                     oracle_brute_shadowing_check(sysm, eps, delta, horizon, mode=mode)
         assert _fiber_chain_transitive(sysm) == closure_chain_transitive(sysm)
-        dist[("q2", "q59")] = dist[("q59", "q2")] = Fraction(1)
-        assert error_text(lambda: FiniteSystem(tuple(labels), dist, nxt)) == \
-            error_text(lambda: oracle_check_metric(labels, dist)) is not None
 
 
 class TestReadOnlySystem:
@@ -643,26 +585,24 @@ class TestReadOnlySystem:
             sysm.dist[("zinf", "z0")] = Fraction(1)
         with pytest.raises(TypeError):
             del sysm.dist[("zinf", "z0")]
-        with pytest.raises(ValueError):
-            sysm.dist.dm[0, 1] = 7
         with pytest.raises(TypeError):
             sysm.successors["zinf"] = ("z0",)
 
     def test_caller_dicts_are_copied(self):
-        dist = {("a", "a"): Fraction(0), ("b", "b"): Fraction(0),
-                ("a", "b"): Fraction(1), ("b", "a"): Fraction(1)}
+        words = ["00", "1"]
         succ = {"a": ["b"], "b": ["a"]}
-        sysm = FiniteSystem(("a", "b"), dist, succ)
-        dist[("a", "b")] = Fraction(5)
+        sysm = FiniteSystem(("a", "b"), words, succ)
+        words[1] = "01"
         succ["a"].append("a")
+        assert sysm.words == ("00", "1")
         assert sysm.d("a", "b") == 1
         assert sysm.successors["a"] == ("b",)
         assert is_pseudo_orbit(sysm, Fraction(1, 2), ("a", "b", "a"))
 
 
 # ---------------------------------------------------------------------------
-# The closure-metric constructions that the prefix-length builders replaced,
-# kept as oracles: one Fraction per pair through system_from_function.
+# The label-by-label constructions that the builders from sorted words
+# replaced, kept as oracles: one word per label through system_from_function.
 
 
 def oracle_truncate_shift(g, depth):
@@ -679,56 +619,54 @@ def oracle_truncate_shift(g, depth):
     succ = {lab: [rev[w[1:] + (sym,)] for sym in sorted(g.alphabet)
                   if w[1:] + (sym,) in wordset]
             for lab, w in lookup.items()}
-    scale = [Fraction(1, 2 ** j) for j in range(depth)] + [Fraction(0)]
-
-    def metric(p, q):
-        u, v = lookup[p], lookup[q]
-        j = 0
-        while j < depth and u[j] == v[j]:
-            j += 1
-        return scale[j]
-
-    return system_from_function(labels, metric, lambda p: succ[p])
+    return system_from_function(labels, lookup.__getitem__, lambda p: succ[p])
 
 
 def oracle_limit_gap_system(max_tail):
+    """Words as tuples of bits: z_m has its one 1 at index m, and z_inf
+    has none."""
     labels = ["zinf"] + ["z%d" % m for m in range(max_tail + 1)]
     depth = {lab: i - 1 for i, lab in enumerate(labels)}
     depth["zinf"] = max_tail + 1
-    scale = [Fraction(1, 2 ** m) for m in range(max_tail + 1)]
-    zero = Fraction(0)
 
-    def metric(p, q):
-        return zero if p == q else scale[min(depth[p], depth[q])]
+    def word(p):
+        return tuple(int(t == depth[p]) for t in range(max_tail + 1))
 
     def mapping(p):
         dp = depth[p]
         return "zinf" if dp == 0 or dp > max_tail else labels[dp]
 
-    return system_from_function(labels, metric, mapping)
+    return system_from_function(labels, word, mapping)
+
+
+def word_distances(sys):
+    """Every distance of the system, in row-major label order, from
+    word_distance on its words."""
+    words = dict(zip(sys.labels, sys.words))
+    return [((p, q), word_distance(words[p], words[q]))
+            for p in sys.labels for q in sys.labels]
 
 
 def assert_same_system(new, old):
     assert new.labels == old.labels
     assert list(new.successors.items()) == list(old.successors.items())
-    assert list(new.dist.items()) == list(old.dist.items())
+    assert list(new.dist.items()) == list(old.dist.items()) == word_distances(new)
     assert new._by_label == old._by_label
-    assert new.dist.pos == old.dist.pos
+    assert new._order == old._order
+    assert new._lcp == old._lcp
     assert new._succ == old._succ
-    assert new.dist.scale == old.dist.scale
-    assert new.dist.dm.dtype == old.dist.dm.dtype
-    assert (new.dist.dm == old.dist.dm).all()
-    assert not new.dist.dm.flags.writeable
 
 
 def assert_same_reports(new, old, rng):
+    """The new system's reports equal the Fraction/frozenset oracle's on
+    the old one."""
     eps = Fraction(1, 2 ** rng.randint(0, 4))
     delta = Fraction(1, 2 ** rng.randint(0, 5))
     horizon = rng.randint(1, 6)
     for mode in ("exhaustive", "sampled"):
         kw = dict(mode=mode, samples=rng.randint(1, 30), seed=rng.randrange(100))
         assert brute_shadowing_check(new, eps, delta, horizon, **kw) == \
-            brute_shadowing_check(old, eps, delta, horizon, **kw)
+            oracle_brute_shadowing_check(old, eps, delta, horizon, **kw)
 
 
 # "At most one 1": a loop of 0s, one 1 across, and a loop of 0s after it.
@@ -770,34 +708,15 @@ class TestPrefixMetricOracle:
     def test_depth_seventy_metric_is_wider_than_int64(self):
         new = truncate_shift(AT_MOST_ONE_1, 70)
         assert len(new.labels) == 71
-        assert new.dist.dm.dtype == object
-        assert new.dist.scale == 2 ** 69
+        assert max(new._lcp) == 69
         assert new.d("0" * 69 + "1", "0" * 70) == Fraction(1, 2 ** 69)
         assert_same_system(new, oracle_truncate_shift(AT_MOST_ONE_1, 70))
-
-    def test_int64_up_to_the_widest_fit(self):
-        # 2**61 is the largest entry with twice it still an int64.
-        for depth, dtype in ((62, np.int64), (63, object)):
-            new = truncate_shift(AT_MOST_ONE_1, depth)
-            assert new.dist.dm.dtype == dtype
-            assert_same_system(new, oracle_truncate_shift(AT_MOST_ONE_1, depth))
-        assert limit_gap_system(61).dist.dm.dtype == np.int64
-        assert limit_gap_system(62).dist.dm.dtype == object
-        assert_same_system(limit_gap_system(62), oracle_limit_gap_system(62))
 
     def test_single_point_truncation(self):
         g = make_graph(["a"], [("a", "a", "0")])
         new = truncate_shift(g, 3)
         assert_same_system(new, oracle_truncate_shift(g, 3))
-        assert new.dist.scale == 1
-
-    def test_row_blocks_cover_a_large_truncation(self, monkeypatch):
-        # Blocks of a few rows, so the block edges fall inside the matrix.
-        monkeypatch.setattr(shadow_lab, "_TRIANGLE_BLOCK", 5 * 64 + 3)
-        g = from_forbidden_words("012", [("1", "1"), ("2", "0", "2")])
-        for depth in (4, 5):
-            assert_same_system(truncate_shift(g, depth), oracle_truncate_shift(g, depth))
-        assert_same_system(limit_gap_system(30), oracle_limit_gap_system(30))
+        assert new._lcp == () and list(new.dist.values()) == [0]
 
     def test_one_loop_depth_200000_within_budget(self):
         # One word of 200,000 symbols, which a listing that copies each
@@ -883,12 +802,12 @@ class TestGroupedSearchOracle:
 class TestMetricView:
     def test_view_reads_like_the_dict(self):
         new = truncate_shift(golden_mean_graph(), 4)
-        old = oracle_truncate_shift(golden_mean_graph(), 4)
-        assert len(new.dist) == len(old.dist) == len(new.labels) ** 2
-        assert list(new.dist) == list(old.dist)
-        assert list(new.dist.keys()) == list(old.dist.keys())
-        assert list(new.dist.values()) == list(old.dist.values())
-        assert new.dist == old.dist and dict(new.dist) == dict(old.dist)
+        old = dict(word_distances(new))
+        assert len(new.dist) == len(old) == len(new.labels) ** 2
+        assert list(new.dist) == list(old)
+        assert list(new.dist.keys()) == list(old.keys())
+        assert list(new.dist.values()) == list(old.values())
+        assert new.dist == old and dict(new.dist) == old
         assert ("0000", "0101") in new.dist and ("0000", "1111") not in new.dist
         assert (("0000", "0101"), Fraction(1, 2)) in new.dist.items()
         for bad in (("0000", "zz"), ("0000",), "0000", None, (["0000"], "0000")):
@@ -897,43 +816,37 @@ class TestMetricView:
             with pytest.raises(KeyError):
                 new.dist[bad]
 
-    def test_items_do_not_read_entries_one_by_one(self, monkeypatch):
-        sysm = limit_gap_system(5)
-        oracle = list(oracle_limit_gap_system(5).dist.items())
 
-        def no_reads(self, key):
-            raise AssertionError("per-entry read")
+class TestWordMetric:
+    @settings(max_examples=300, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_every_distance_matches_word_distance(self, rng):
+        sysm = random_word_system(rng, rng.randint(1, 12), 3)
+        assert list(sysm.dist.items()) == word_distances(sysm)
+        assert all(type(d) is Fraction for d in sysm.dist.values())
 
-        monkeypatch.setattr(shadow_lab._MetricView, "__getitem__", no_reads)
-        assert list(sysm.dist.items()) == oracle
-
-    def test_rebuilding_from_a_view(self):
-        sysm = truncate_shift(golden_mean_graph(), 3)
-        again = FiniteSystem(sysm.labels, sysm.dist, sysm.successors)
-        assert again.dist is sysm.dist
-        assert_same_system(again, sysm)
-        # Other labels, or another order, are read into a new view.
-        order = tuple(reversed(sysm.labels))
-        flipped = FiniteSystem(order, sysm.dist, sysm.successors)
-        assert isinstance(flipped.dist, shadow_lab._MetricView)
-        assert flipped.dist is not sysm.dist
-        assert all(flipped.d(p, q) == sysm.d(p, q) for p in order for q in order)
-        other = sysm.labels[:-1] + ("zz",)
-        with pytest.raises(PreconditionError, match="metric missing"):
-            FiniteSystem(other, sysm.dist, {p: (p,) for p in other})
-
-
-    def test_a_dict_metric_becomes_a_view(self):
-        labels, dist = random_metric(random.Random(5), 6)
-        sysm = FiniteSystem(tuple(labels), dist, {p: (p,) for p in labels})
-        assert isinstance(sysm.dist, shadow_lab._MetricView)
-        pairs = [((p, q), dist[(p, q)]) for p in labels for q in labels]
-        assert list(sysm.dist.items()) == pairs
-        for key in list(dist):
-            dist[key] = Fraction(99)
-        dist.clear()
-        assert list(sysm.dist.items()) == pairs
-        assert all(sysm.d(p, q) == d for (p, q), d in pairs)
+    @pytest.mark.parametrize("kind", ["random", "truncation", "limit"])
+    @settings(max_examples=150, deadline=None)
+    @given(rng=st.randoms(use_true_random=False))
+    def test_balls_match_distances(self, kind, rng):
+        if kind == "random":
+            sysm = random_word_system(rng, rng.randint(1, 12), 3)
+        elif kind == "truncation":
+            sysm = truncate_shift(random_graph(rng, max_vertices=4), rng.randint(1, 7))
+        else:
+            sysm = limit_gap_system(rng.randint(0, 20))
+        finest = Fraction(1, 2 ** max(sysm._lcp, default=0))
+        # Radii that are not dyadic, radii of 1 and more, the finest
+        # distance itself, radii below it, 0 and a negative radius.
+        radii = [Fraction(rng.randint(1, 50), rng.randint(1, 50)) for _ in range(6)]
+        radii += [Fraction(1), Fraction(3, 2), Fraction(2), finest,
+                  finest * Fraction(5, 6), finest / 2, finest / 3, Fraction(0),
+                  Fraction(-1, 2)]
+        labels = sysm.labels
+        for r in radii:
+            balls = shadow_lab._balls(sysm, r)
+            assert [{labels[j] for j in shadow_lab._bits(b)} for b in balls] == \
+                [{q for q in labels if sysm.d(p, q) <= r} for p in labels]
 
 
 class TestTruncationCap:

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from memos import VALUE_MEMOS, clear_value_memos
 from oracles import word_distance
 from shiftlab import shift_core
-from shiftlab.errors import NotInLanguage, PreconditionError, SchemaError, TooLarge
+from shiftlab.errors import PreconditionError, SchemaError, TooLarge
 from shiftlab.fixtures import golden_mean_graph, random_graph, two_cycle_graph
 from shiftlab.shift_core import (
     SftGraph,

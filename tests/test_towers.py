@@ -5,11 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from shiftlab.errors import (
-    InternalInvariantViolation,
-    NoEntropicComponent,
-    SchemaError,
-)
+from shiftlab.errors import NoEntropicComponent, SchemaError
 from shiftlab.fixtures import (
     abc_sequence,
     branching_sequence,
