@@ -262,17 +262,20 @@ def has_positive_entropy(g: SftGraph) -> bool:
 @functools.lru_cache(maxsize=MEMO_SIZE)
 def entropy(g: SftGraph) -> float:
     """Topological entropy: natural log of the spectral radius of the
-    adjacency matrix of the canonical deterministic presentation.  Exactly
-    0.0 when every chain component is a single cycle."""
+    adjacency matrix of the canonical deterministic presentation, the
+    largest over its chain components.  A component with as many edges as
+    vertices is a lone cycle, of spectral radius exactly 1, so it is never
+    passed to ``eigvals``; with no other component the entropy is exactly
+    0.0."""
     dec = chain_components(g)
     if not dec.components:
         raise EmptyShift("entropy of an empty shift")
-    if not has_positive_entropy(g):
-        return 0.0
     best = 1.0
     for comp in dec.components:
         ge = comp.graph
         n = len(ge.vertices)
+        if len(ge.edges) == n:
+            continue
         idx = {v: i for i, v in enumerate(ge.vertices)}
         a = np.zeros((n, n))
         for (u, v, _s) in ge.edges:

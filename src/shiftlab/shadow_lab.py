@@ -34,9 +34,11 @@ two words when it is read.
 Shift truncations are their admissible words, and the limit system is the
 words 0^(T+1) and 0^m 1 0^(T-m).  Both refuse more than
 ``MAX_TRUNCATION_POINTS`` points, a truncation also refuses more than
-``MAX_TRUNCATION_SYMBOLS`` symbols (points times depth), and a sampled
+``MAX_TRUNCATION_SYMBOLS`` symbols (points times depth), a sampled
 check refuses more than ``MAX_SAMPLED_STEPS`` steps (samples times
-horizon).
+horizon), and an exhaustive check refuses to build more than
+``MAX_EXHAUSTIVE_SYMBOLS`` path symbols (frontier size times depth,
+summed over depths).
 """
 
 from __future__ import annotations
@@ -80,6 +82,11 @@ MAX_TRUNCATION_SYMBOLS = 1 << 19
 # Most steps, samples times horizon, a sampled check may draw: each step
 # costs a random draw and a survivor-walk step.
 MAX_SAMPLED_STEPS = 1 << 20
+
+# Most path symbols an exhaustive check may build, the sum over depths of
+# frontier size times depth: each frontier entry carries its whole path,
+# so a long horizon costs its square even on a few states per depth.
+MAX_EXHAUSTIVE_SYMBOLS = 1 << 26
 
 
 @dataclass(frozen=True)
@@ -253,8 +260,10 @@ def brute_shadowing_check(sys: FiniteSystem, epsilon: Fraction, delta: Fraction,
 
     Exhaustive mode explores pseudo-orbits in lexicographic breadth-first
     order, carrying the survivor set of candidate orbit states, and reports
-    the lexicographically least unshadowable pseudo-orbit if one exists.
-    Sampled mode draws seeded random pseudo-orbits instead.
+    the lexicographically least unshadowable pseudo-orbit if one exists;
+    it raises TooLarge past ``state_cap`` states or, counted once per
+    depth, ``MAX_EXHAUSTIVE_SYMBOLS`` path symbols.  Sampled mode draws
+    seeded random pseudo-orbits instead.
     """
     epsilon = Fraction(epsilon)
     delta = Fraction(delta)
@@ -282,7 +291,12 @@ def brute_shadowing_check(sys: FiniteSystem, epsilon: Fraction, delta: Fraction,
     # lexicographically least counterexample.
     frontier = [(p, near[p], (labels[p],)) for p in sys._by_label]
     explored = 0
+    symbols = 0
     for depth in range(1, horizon + 1):
+        symbols += len(frontier) * depth
+        if symbols > MAX_EXHAUSTIVE_SYMBOLS:
+            raise TooLarge("exhaustive search exceeds %d path symbols"
+                           % MAX_EXHAUSTIVE_SYMBOLS)
         next_frontier = []
         seen: set[tuple[int, int]] = set()
         # A head's children depend only on its step mask and the image of

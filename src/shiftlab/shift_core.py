@@ -24,7 +24,7 @@ import json
 import math
 import weakref
 from collections import Counter, deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Sequence
@@ -66,7 +66,7 @@ def common_prefix(u: Sequence[str], v: Sequence[str]) -> int:
 # Graph presentations
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SftGraph:
     """Labeled directed multigraph presenting a shift space.
 
@@ -74,11 +74,32 @@ class SftGraph:
     labeled edges distinct.  The graph is stored as given; use
     :func:`essential` to prune stranded vertices and
     :func:`canonical_presentation` for the minimal deterministic form.
+
+    Graphs are compared by the value of (vertices, edges, alphabet), and
+    the value memos key on them, so the hash of that triple is computed
+    once, at construction.  Equality checks identity first, then the
+    stored hashes, and only then the fields.
     """
 
     vertices: tuple[str, ...]
     edges: tuple[tuple[str, str, str], ...]
     alphabet: tuple[str, ...]
+    _hash: int = field(init=False, repr=False)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self._hash == other._hash and self.vertices == other.vertices
+                and self.edges == other.edges and self.alphabet == other.alphabet)
+
+    def __reduce__(self):
+        # String hashes differ between processes: rebuild, never copy _hash.
+        return SftGraph, (self.vertices, self.edges, self.alphabet)
 
     def __post_init__(self) -> None:
         vs = set(self.vertices)
@@ -95,6 +116,7 @@ class SftGraph:
                 raise SchemaError("edge endpoint not among vertices: %r" % ((u, v, a),))
             if a not in ab:
                 raise InvalidAlphabet("edge label %r not in alphabet" % a)
+        object.__setattr__(self, "_hash", hash((self.vertices, self.edges, self.alphabet)))
 
 
 def make_graph(vertices: Iterable[str], edges: Iterable[tuple[str, str, str]],
@@ -110,7 +132,13 @@ def make_graph(vertices: Iterable[str], edges: Iterable[tuple[str, str, str]],
 
 def essential(g: SftGraph) -> SftGraph:
     """Remove, one at a time, the vertices left without an incoming or an
-    outgoing edge, updating the degrees of their neighbours as they go."""
+    outgoing edge, updating the degrees of their neighbours as they go.
+    Returns ``g`` itself when every vertex already has both."""
+    # Endpoints are vertices and vertex names are distinct, so the graph is
+    # essential when its edges have as many sources and targets as vertices.
+    n = len(g.vertices)
+    if len({e[0] for e in g.edges}) == n and len({e[1] for e in g.edges}) == n:
+        return g
     preds: dict[str, list[str]] = {v: [] for v in g.vertices}
     succs: dict[str, list[str]] = {v: [] for v in g.vertices}
     for (u, v, _a) in g.edges:
@@ -231,12 +259,13 @@ class Follower:
 # The one bound of the value memos (``follower``, ``canonical_presentation``,
 # ``_first_difference``, ``decomposition.chain_components``,
 # ``decomposition.cyclic_structure``, ``decomposition.entropy``,
-# ``codes.identity_code`` and ``codes.code_image``): 256 entries hold the
-# distinct graphs of any acceptance criterion (criterion 10 asks about 117)
-# without growing forever.  A benchmark pass of the inverse-sequence jobs
-# asks about 5,000 language questions, 660 of them distinct; 256 entries
-# answer about 79% of them from the memo.
-MEMO_SIZE = 256
+# ``codes.identity_code`` and ``codes.code_image``): 1024 entries hold a
+# whole benchmark pass of distinct values without growing forever.  A
+# seed-3 pass of the inverse-sequence jobs asks 5,393 language questions,
+# 768 of them distinct, and searches each once (86% memo hits; a 256-entry
+# bound evicts answers it asks again and searches 1,430 times); its largest
+# other memos hold 597 code images and 548 follower automata.
+MEMO_SIZE = 1024
 
 # A follower automaton can have 2**n states on n vertices; discovery stops
 # with TooLarge past this many.  The marked 4000-cycle has about 8,000.

@@ -1,10 +1,15 @@
 """Reference constructions that only the tests call: the cylinder distance
 of two words, a finite system built point by point from Python functions,
-and the gap-shift entropy by bisection."""
+the gap-shift entropy by bisection, and entropy with an eigenvalue
+computation for every chain component."""
 
 import math
 from fractions import Fraction
 
+import numpy as np
+
+from shiftlab.decomposition import chain_components, has_positive_entropy
+from shiftlab.errors import EmptyShift
 from shiftlab.shadow_lab import FiniteSystem
 from shiftlab.shift_core import common_prefix
 
@@ -41,3 +46,25 @@ def gap_entropy_oracle(k):
         else:
             lo = mid
     return math.log((lo + hi) / 2)
+
+
+def entropy_oracle(g):
+    """Entropy as decomposition.entropy worked it out before lone cycles
+    were skipped: 0.0 unless some component branches, and otherwise the
+    log of the largest spectral radius over every chain component."""
+    dec = chain_components(g)
+    if not dec.components:
+        raise EmptyShift("entropy of an empty shift")
+    if not has_positive_entropy(g):
+        return 0.0
+    best = 1.0
+    for comp in dec.components:
+        ge = comp.graph
+        n = len(ge.vertices)
+        idx = {v: i for i, v in enumerate(ge.vertices)}
+        a = np.zeros((n, n))
+        for (u, v, _s) in ge.edges:
+            a[idx[u], idx[v]] += 1.0
+        radius = float(np.max(np.abs(np.linalg.eigvals(a))))
+        best = max(best, radius)
+    return math.log(best)

@@ -310,6 +310,16 @@ class TestShadow:
         assert code == 2 and out == ""
         assert err == "precondition failed: sampled check exceeds 1048576 steps\n"
 
+    def test_exhaustive_symbol_cap_exits_2_quickly(self, capsys):
+        # About four heads per depth, each carrying its whole path: the
+        # cap stops the search near depth 5,800 instead of after hours.
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "shadow", "--family", "full", "--depth", "2",
+                             "--horizon", "100000000")
+        assert time.perf_counter() - t0 < 2.0
+        assert code == 2 and out == ""
+        assert err == "precondition failed: exhaustive search exceeds 67108864 path symbols\n"
+
     def test_seed_recorded_in_sampled_mode(self, capsys):
         code, out, _ = run(capsys, "shadow", "--family", "limit",
                            "--eps-exp", "2", "--delta-exp", "4",

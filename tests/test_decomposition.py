@@ -10,6 +10,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from memos import clear_value_memos
+from oracles import entropy_oracle
 from shiftlab.decomposition import (
     CyclicStructure,
     chain_components,
@@ -167,6 +169,24 @@ class TestCyclicStructure:
         assert m == 2
 
 
+def _marked_cycle_ladder(n, chords):
+    """The benchmark's cycle of n vertices with one edge labeled 1, plus
+    up to ``chords`` edges labeled 1 that make it branch."""
+    verts = ["v%d" % i for i in range(n)]
+    edges = [(verts[i], verts[(i + 1) % n], "1" if i == n - 1 else "0") for i in range(n)]
+    edges += [(verts[i], verts[(3 * i) % n], "1") for i in range(min(chords, n - 1))]
+    return make_graph(verts, edges, alphabet=BIN)
+
+
+def _chords_of(g, k):
+    """g with up to k extra edges between its vertices on a fresh label."""
+    vs = g.vertices
+    if not vs:
+        return g
+    extra = [(vs[i % len(vs)], vs[(2 * i + 1) % len(vs)], "x") for i in range(k)]
+    return SftGraph(vs, g.edges + tuple(dict.fromkeys(extra)), g.alphabet + ("x",))
+
+
 class TestEntropy:
     def test_full_shift(self):
         assert entropy(full_shift(BIN)) == pytest.approx(math.log(2), abs=1e-12)
@@ -190,6 +210,47 @@ class TestEntropy:
         if not essential(g).vertices:
             return
         assert entropy(g) <= math.log(2) + 1e-12
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(
+        st.builds(lambda seed, nv: random_graph(random.Random(seed), max_vertices=nv),
+                  st.integers(0, 10 ** 6), st.integers(1, 7)),
+        st.builds(lambda seed, nv, k: _chords_of(random_graph(random.Random(seed),
+                                                              max_vertices=nv), k),
+                  st.integers(0, 10 ** 6), st.integers(1, 7), st.integers(0, 3)),
+        st.builds(_marked_cycle_ladder, st.integers(1, 200), st.integers(0, 2))))
+    def test_skipping_lone_cycles_matches_oracle(self, g):
+        # Bit for bit, on a graph and on each of its chain components.
+        graphs = [g]
+        if essential(g).vertices:
+            graphs += [c.graph for c in chain_components(g).components]
+        for h in graphs:
+            try:
+                want = entropy_oracle(h)
+            except EmptyShift:
+                with pytest.raises(EmptyShift):
+                    entropy(h)
+                continue
+            assert entropy(h) == want
+            assert entropy.__wrapped__(h) == want
+
+    def test_lone_cycles_are_not_passed_to_eigvals(self, monkeypatch):
+        calls = []
+        eigvals = np.linalg.eigvals
+
+        def counting(a):
+            calls.append(a.shape[0])
+            return eigvals(a)
+
+        monkeypatch.setattr(np.linalg, "eigvals", counting)
+        clear_value_memos()
+        assert entropy(_marked_cycle_ladder(200, 0)) == 0.0
+        assert entropy(disjoint_union(three_cycle_graph(), two_cycle_graph())) == 0.0
+        assert calls == []
+        g = disjoint_union(golden_mean_graph(), _marked_cycle_ladder(50, 0))
+        h = entropy(g)
+        assert calls == [2]
+        assert h == entropy_oracle(g) == pytest.approx(math.log(PHI), abs=1e-9)
 
     @settings(max_examples=100, deadline=None)
     @given(st.randoms(use_true_random=False))

@@ -203,6 +203,45 @@ class TestShadowing:
         # The exhaustive search draws nothing, so samples do not count.
         assert brute_shadowing_check(sysm, HALF, QUARTER, 11, samples=10 ** 9).shadowed
 
+    def test_exhaustive_symbol_cap(self, monkeypatch):
+        # One fixed point: one head per depth, so horizon h builds
+        # 1 + 2 + ... + h path symbols.  The full 2-shift at depth 1 keeps
+        # two heads per depth (each point's ball holds only itself).
+        one = truncate_shift(full_shift(["0"]), 3)
+        two = truncate_shift(full_shift(BIN), 1)
+        for sysm, per_depth in ((one, 1), (two, 2)):
+            horizon = 10
+            total = per_depth * horizon * (horizon + 1) // 2
+            monkeypatch.setattr(shadow_lab, "MAX_EXHAUSTIVE_SYMBOLS", total)
+            rep = brute_shadowing_check(sysm, HALF, QUARTER, horizon)
+            assert rep.shadowed
+            assert rep.states_explored == per_depth * (horizon - 1)
+            monkeypatch.setattr(shadow_lab, "MAX_EXHAUSTIVE_SYMBOLS", total - 1)
+            with pytest.raises(TooLarge, match="^exhaustive search exceeds %d path symbols$"
+                               % (total - 1)):
+                brute_shadowing_check(sysm, HALF, QUARTER, horizon)
+            # The sampled mode builds no frontier, so the cap does not apply.
+            assert brute_shadowing_check(sysm, HALF, QUARTER, horizon, mode="sampled",
+                                         samples=5).shadowed
+        # A horizon far past the cap stops after a few hundred depths.
+        monkeypatch.setattr(shadow_lab, "MAX_EXHAUSTIVE_SYMBOLS", 10 ** 5)
+        t0 = time.perf_counter()
+        with pytest.raises(TooLarge):
+            brute_shadowing_check(two, HALF, QUARTER, 10 ** 9)
+        assert time.perf_counter() - t0 < 0.5
+
+    def test_default_exhaustive_cap_is_far_above_the_largest_search(self, monkeypatch):
+        # The full 2-shift at depth 12 with horizon 8, the largest exhaustive
+        # search of the CLI examples, the benchmark and the tests, builds
+        # 147,456 path symbols.
+        assert shadow_lab.MAX_EXHAUSTIVE_SYMBOLS >= 100 * 147456
+        monkeypatch.setattr(shadow_lab, "MAX_EXHAUSTIVE_SYMBOLS", 147456)
+        rep = brute_shadowing_check(truncate_shift(full_shift(BIN), 12), HALF, QUARTER, 8)
+        assert rep.shadowed and rep.states_explored == 28672
+        monkeypatch.setattr(shadow_lab, "MAX_EXHAUSTIVE_SYMBOLS", 147455)
+        with pytest.raises(TooLarge):
+            brute_shadowing_check(truncate_shift(full_shift(BIN), 12), HALF, QUARTER, 8)
+
 
 class TestGapFamily:
     def test_entropies_match_oracle(self):

@@ -1,8 +1,13 @@
 """Core shift-space machinery: graphs, languages, points, the metric."""
 
+import copy
 import importlib
+import os
+import pickle
 import pkgutil
 import random
+import subprocess
+import sys
 import time
 from collections import deque
 from fractions import Fraction
@@ -14,7 +19,14 @@ from memos import VALUE_MEMOS, clear_value_memos
 from oracles import word_distance
 from shiftlab import shift_core
 from shiftlab.errors import PreconditionError, SchemaError, TooLarge
-from shiftlab.fixtures import golden_mean_graph, random_graph, two_cycle_graph
+from shiftlab.fixtures import (
+    cantor_product_sequence,
+    golden_mean_graph,
+    random_graph,
+    random_sequence,
+    two_cycle_graph,
+)
+from shiftlab.inverse_systems import composed_image
 from shiftlab.shift_core import (
     SftGraph,
     SymbolicPoint,
@@ -40,6 +52,7 @@ from shiftlab.shift_core import (
     word_str,
     words_of_length,
 )
+from shiftlab.towers import enumerate_towers, find_entropic_component
 
 BIN = ["0", "1"]
 
@@ -134,6 +147,56 @@ def _essential_oracle(g):
     )
 
 
+def _graph_triples():
+    """(vertices, edges, alphabet) triples of small graphs that are often
+    equal, or equal but for their alphabets: few vertices and symbols, and
+    edges kept in the drawn order."""
+    def build(seed, nv, alphabet):
+        g = _loose_graph(random.Random(seed), nv)
+        return g.vertices, g.edges, alphabet
+    return st.builds(build, st.integers(0, 30), st.integers(0, 2),
+                     st.sampled_from([("0", "1"), ("1", "0"), ("0", "1", "2")]))
+
+
+class TestGraphEquality:
+    @settings(max_examples=300, deadline=None)
+    @given(_graph_triples(), _graph_triples(), st.sampled_from(["apart", "shared", "same"]))
+    def test_matches_comparing_field_tuples(self, x, y, how):
+        a = SftGraph(*x)
+        if how == "same":
+            y, b = x, a
+        elif how == "shared":
+            # The fields are the very tuples of the first graph.
+            y, b = x, SftGraph(a.vertices, a.edges, a.alphabet)
+        else:
+            b = SftGraph(*y)
+        assert (a == b) == (x == y) == (b == a)
+        assert (a != b) == (x != y) == (b != a)
+        assert hash(a) == hash(x)
+        if x == y:
+            assert hash(a) == hash(b)
+            assert len({a, b}) == 1
+        # Not a graph: never equal, as with the generated comparison.
+        assert a != x and not a == x
+
+    def test_copies_and_pickles_rehash(self):
+        # String hashes are salted per process, so a pickled graph must not
+        # carry the hash of the process that wrote it.
+        g = golden_mean_graph()
+        for twin in (copy.copy(g), copy.deepcopy(g), pickle.loads(pickle.dumps(g))):
+            assert twin == g and hash(twin) == hash(g)
+        script = ("import pickle, sys\n"
+                  "from shiftlab.fixtures import golden_mean_graph\n"
+                  "sys.stdout.buffer.write(pickle.dumps(golden_mean_graph()))\n")
+        env = dict(os.environ, PYTHONHASHSEED="12345",
+                   PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+        data = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                              capture_output=True).stdout
+        other = pickle.loads(data)
+        assert other == g and hash(other) == hash(g)
+        assert canonical_presentation(other) is canonical_presentation(g)
+
+
 def _loose_graph(rng, nv):
     """Random graph stored as drawn, dead ends and sources included."""
     verts = tuple("v%d" % i for i in range(nv))
@@ -148,6 +211,17 @@ class TestEssential:
     def test_matches_round_oracle(self, seed, nv):
         g = _loose_graph(random.Random(seed), nv)
         assert essential(g) == _essential_oracle(g)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 10 ** 6), st.integers(0, 5), st.booleans())
+    def test_returns_an_essential_graph_itself(self, seed, nv, pruned):
+        # random_graph draws essential graphs; _loose_graph mostly prunes,
+        # and with no vertices it is the empty graph.
+        rng = random.Random(seed)
+        g = _loose_graph(rng, nv) if pruned else random_graph(rng, max_vertices=nv + 1)
+        want = _essential_oracle(g)
+        assert essential(g) == want
+        assert (essential(g) is g) == (want == g)
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(0, 10 ** 6), st.integers(1, 5))
@@ -729,6 +803,38 @@ class TestProductSearch:
             assert language_equal(x, y) == search(x, y, True)
         # Every question is asked at least twice, so at least half hit.
         assert _first_difference.cache_info().hits >= len(asks)
+
+    def test_cold_workload_batch_searches_each_key_once(self, monkeypatch):
+        # The questions of the benchmark's sequence jobs: one-step
+        # stabilization, towers and entropic components on random sequences
+        # and on the Cantor-product sequence, the whole batch asked twice.
+        keys = []
+
+        def spy(a, b, both_ways):
+            keys.append((a, b, both_ways))
+            return _first_difference(a, b, both_ways)
+
+        def batch():
+            for s in range(20, 36):
+                seq = random_sequence(s)
+                for n in range(1, len(seq.levels) + 1):
+                    one = composed_image(seq, n + 1, n)
+                    for m in range(n + 2, n + 10):
+                        language_equal(one, composed_image(seq, m, n))
+            cp3 = cantor_product_sequence(3)
+            enumerate_towers(cp3, 4)
+            find_entropic_component(cp3, depth=3)
+            for s in range(20):
+                enumerate_towers(random_sequence(s), 2 + s % 2)
+
+        clear_value_memos()
+        monkeypatch.setattr(shift_core, "_first_difference", spy)
+        batch()
+        batch()
+        distinct = len(set(keys))
+        # More distinct questions than a 256-entry memo holds.
+        assert 256 < distinct <= shift_core.MEMO_SIZE
+        assert _first_difference.cache_info().misses == distinct
 
     def test_pairs_cover_every_outcome(self):
         outcomes = set()
