@@ -14,6 +14,7 @@ TooLarge.
 from __future__ import annotations
 
 import functools
+import weakref
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
@@ -42,26 +43,60 @@ from .shift_core import (
 )
 
 
-@dataclass(frozen=True)
+# Every live code by value, weakly, as shift_core holds graphs.
+_CODES: weakref.WeakValueDictionary[tuple, SlidingBlockCode] = weakref.WeakValueDictionary()
+
+
+@dataclass(frozen=True, init=False)
 class SlidingBlockCode:
     """``rule`` is stored as a read-only copy, so a validated code cannot
-    change; it takes part in equality but not in the hash."""
+    change; it takes part in equality but not in the hash.
+
+    Codes are interned by value, keyed by (domain, codomain, window, rule
+    items), as graphs are: building a code equal to a live one returns
+    that one, so a value is validated once while a code of it lives.
+    ``__new__`` looks the value up; ``__init__`` validates a new code, so
+    a span around ``__init__`` still times validation, and files it only
+    if it is valid.  Copies and pickles are rebuilt through the
+    constructor, so they return the interned code.
+    """
 
     domain: SftGraph
     codomain: SftGraph
     window: int
     rule: Mapping[Word, str] = field(hash=False)
+    # Set only on a code fresh from __new__, until __init__ files it.
+    _key = None
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "rule", MappingProxyType(dict(self.rule)))
-        if self.window < 1:
-            raise SchemaError("window must be >= 1")
-        for w, s in self.rule.items():
-            if len(w) != self.window:
-                raise SchemaError("rule key %r has wrong length" % (w,))
-            if s not in self.codomain.alphabet:
-                raise AlphabetMismatch("rule output %r not in codomain alphabet" % s)
-        _check_well_defined(self)
+    def __new__(cls, domain: SftGraph, codomain: SftGraph, window: int,
+                rule: Mapping[Word, str]) -> SlidingBlockCode:
+        rule = dict(rule)
+        try:
+            key = (domain, codomain, window, frozenset(rule.items()))
+        except TypeError:
+            _check_rule(codomain, window, rule)  # an unhashable output is no symbol: it raises
+            raise
+        code = _CODES.get(key)
+        if code is None:
+            code = object.__new__(cls)
+            object.__setattr__(code, "domain", domain)
+            object.__setattr__(code, "codomain", codomain)
+            object.__setattr__(code, "window", window)
+            object.__setattr__(code, "rule", MappingProxyType(rule))
+            object.__setattr__(code, "_key", key)
+        return code
+
+    def __init__(self, domain: SftGraph, codomain: SftGraph, window: int,
+                 rule: Mapping[Word, str]) -> None:
+        key = self._key
+        if key is not None:
+            object.__delattr__(self, "_key")
+            _check_rule(self.codomain, self.window, self.rule)
+            _check_well_defined(self)
+            _CODES[key] = self
+
+    def __reduce__(self):
+        return SlidingBlockCode, (self.domain, self.codomain, self.window, dict(self.rule))
 
     def word_map(self, word: Sequence[str]) -> Word:
         """Image of a finite word; shortens by window-1."""
@@ -76,6 +111,16 @@ class SlidingBlockCode:
 
     def __repr__(self) -> str:
         return "SlidingBlockCode(window=%d, rule=%d blocks)" % (self.window, len(self.rule))
+
+
+def _check_rule(codomain: SftGraph, window: int, rule: Mapping[Word, str]) -> None:
+    if window < 1:
+        raise SchemaError("window must be >= 1")
+    for w, s in rule.items():
+        if len(w) != window:
+            raise SchemaError("rule key %r has wrong length" % (w,))
+        if s not in codomain.alphabet:
+            raise AlphabetMismatch("rule output %r not in codomain alphabet" % s)
 
 
 def _check_well_defined(code: SlidingBlockCode) -> None:

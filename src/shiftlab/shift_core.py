@@ -14,6 +14,9 @@ Conventions, fixed once here and relied on everywhere else:
   given; ``full_shift``, ``from_forbidden_words``, ``determinize`` and
   ``canonical_presentation`` return essential graphs, and every language
   question is answered on the essential part (see :func:`essential`).
+* Graphs are stored once per value: building a graph equal to a live one
+  returns that one (see :class:`SftGraph`), so the value memos below hit
+  by identity.
 """
 
 from __future__ import annotations
@@ -66,7 +69,23 @@ def common_prefix(u: Sequence[str], v: Sequence[str]) -> int:
 # Graph presentations
 
 
-@dataclass(frozen=True, eq=False)
+class _GraphKey(tuple):
+    """(hash, vertices, edges, alphabet): equal when the fields are.  The
+    hash of the field triple is taken once, before the lookup, and every
+    later use reads it back."""
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return self[0]
+
+
+# Every live graph by value, so that an equal graph built anywhere is the
+# same object.  The values are weak: an entry leaves with its graph.
+_GRAPHS: weakref.WeakValueDictionary[_GraphKey, SftGraph] = weakref.WeakValueDictionary()
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class SftGraph:
     """Labeled directed multigraph presenting a shift space.
 
@@ -75,16 +94,39 @@ class SftGraph:
     :func:`essential` to prune stranded vertices and
     :func:`canonical_presentation` for the minimal deterministic form.
 
-    Graphs are compared by the value of (vertices, edges, alphabet), and
-    the value memos key on them, so the hash of that triple is computed
-    once, at construction.  Equality checks identity first, then the
-    stored hashes, and only then the fields.
+    Graphs are interned by value: building a graph equal to a live one
+    returns that one without validating or hashing it again, so a value
+    is validated and hashed once while a graph of it lives, and the value
+    memos hit by identity.  A value that fails validation is never filed.
+    Copies and pickles are rebuilt through the constructor, so they return
+    the interned graph.  Equality checks identity first, then the stored
+    hashes, and only then the fields, so it still holds between equal
+    graphs built apart from the table.
     """
 
     vertices: tuple[str, ...]
     edges: tuple[tuple[str, str, str], ...]
     alphabet: tuple[str, ...]
     _hash: int = field(init=False, repr=False)
+
+    def __new__(cls, vertices: tuple[str, ...], edges: tuple[tuple[str, str, str], ...],
+                alphabet: tuple[str, ...]) -> SftGraph:
+        try:
+            h = hash((vertices, edges, alphabet))
+        except TypeError:
+            _check_graph(vertices, edges, alphabet)  # a validation error comes first
+            raise
+        key = _GraphKey((h, vertices, edges, alphabet))
+        g = _GRAPHS.get(key)
+        if g is None:
+            _check_graph(vertices, edges, alphabet)
+            g = object.__new__(cls)
+            object.__setattr__(g, "vertices", vertices)
+            object.__setattr__(g, "edges", edges)
+            object.__setattr__(g, "alphabet", alphabet)
+            object.__setattr__(g, "_hash", h)
+            _GRAPHS[key] = g
+        return g
 
     def __hash__(self) -> int:
         return self._hash
@@ -101,22 +143,23 @@ class SftGraph:
         # String hashes differ between processes: rebuild, never copy _hash.
         return SftGraph, (self.vertices, self.edges, self.alphabet)
 
-    def __post_init__(self) -> None:
-        vs = set(self.vertices)
-        if len(vs) != len(self.vertices):
-            dup = next(v for v, k in Counter(self.vertices).items() if k > 1)
-            raise SchemaError("duplicate vertex %r" % dup)
-        ab = set(self.alphabet)
-        if len(self.alphabet) != len(ab):
-            raise InvalidAlphabet("duplicate symbols in alphabet")
-        if len(set(self.edges)) != len(self.edges):
-            raise SchemaError("duplicate labeled edge")
-        for (u, v, a) in self.edges:
-            if u not in vs or v not in vs:
-                raise SchemaError("edge endpoint not among vertices: %r" % ((u, v, a),))
-            if a not in ab:
-                raise InvalidAlphabet("edge label %r not in alphabet" % a)
-        object.__setattr__(self, "_hash", hash((self.vertices, self.edges, self.alphabet)))
+
+def _check_graph(vertices: tuple[str, ...], edges: tuple[tuple[str, str, str], ...],
+                 alphabet: tuple[str, ...]) -> None:
+    vs = set(vertices)
+    if len(vs) != len(vertices):
+        dup = next(v for v, k in Counter(vertices).items() if k > 1)
+        raise SchemaError("duplicate vertex %r" % dup)
+    ab = set(alphabet)
+    if len(alphabet) != len(ab):
+        raise InvalidAlphabet("duplicate symbols in alphabet")
+    if len(set(edges)) != len(edges):
+        raise SchemaError("duplicate labeled edge")
+    for (u, v, a) in edges:
+        if u not in vs or v not in vs:
+            raise SchemaError("edge endpoint not among vertices: %r" % ((u, v, a),))
+        if a not in ab:
+            raise InvalidAlphabet("edge label %r not in alphabet" % a)
 
 
 def make_graph(vertices: Iterable[str], edges: Iterable[tuple[str, str, str]],

@@ -1,6 +1,11 @@
 """Every value memo of shiftlab, in one list.  The fixtures that start a
 run cold empty all of them, and ``tests/test_shift_core.py`` checks that
-no ``cache_info`` object of the package is missing from the list."""
+no ``cache_info`` object of the package is missing from the list.
+
+The intern tables of graphs and codes (``shift_core._GRAPHS``,
+``codes._CODES``) are not value memos: they hold their objects weakly and
+derive nothing, so a graph or code leaves them once nothing else holds
+it, and the cold fixtures need not clear them."""
 
 from shiftlab import shift_core
 from shiftlab.codes import code_image, identity_code

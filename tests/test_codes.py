@@ -1,12 +1,19 @@
 """Sliding block codes: application, composition, images."""
 
+import copy
+import dataclasses
+import gc
+import pickle
 import random
 import time
+import weakref
 from collections import deque
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from memos import clear_value_memos
+from oracles import code_oracle, twin_code, twin_graph
 from shiftlab.codes import (
     SlidingBlockCode,
     apply_code,
@@ -19,7 +26,7 @@ from shiftlab.codes import (
     symbol_code,
 )
 from shiftlab import codes
-from shiftlab.errors import CompositionMismatch, NotInLanguage, TooLarge
+from shiftlab.errors import CompositionMismatch, NotInLanguage, PreconditionError, TooLarge
 from shiftlab.fixtures import golden_mean_graph, random_graph
 from shiftlab.inverse_systems import InverseSequenceSpec
 from shiftlab.shadow_lab import gap_shift_graph
@@ -180,17 +187,88 @@ class TestReadOnlyRule:
 class TestSharedByValue:
     def test_identity_code(self):
         g = golden_mean_graph()
-        copy = graph_from_json(graph_to_json(g))
-        assert copy is not g
-        assert identity_code(g) is identity_code(copy)
+        assert graph_from_json(graph_to_json(g)) is g
+        twin = twin_graph(g)
+        assert twin is not g
+        assert identity_code(g) is identity_code(twin)
 
     def test_code_image(self):
         c = xor_code()
-        copy = code_from_json(code_to_json(c))
-        assert copy is not c
-        assert code_image(c) is code_image(copy)
+        assert code_from_json(code_to_json(c)) is c
+        twin = twin_code(c)
+        assert twin is not c
+        assert code_image(c) is code_image(twin)
         sub = golden_mean_graph()
-        assert code_image(c, sub) is code_image(copy, graph_from_json(graph_to_json(sub)))
+        assert code_image(c, sub) is code_image(twin, twin_graph(sub))
+
+
+# The window-2 identity of the golden mean shift.
+_GOLDEN_IDENTITY = {("0", "0"): "0", ("0", "1"): "0", ("1", "0"): "1"}
+
+# (window, rule) onto the golden mean shift, each bad in one way.
+_BAD_CODES = {
+    "window": (0, {}),
+    "key length": (2, {("0",): "0"} | _GOLDEN_IDENTITY),
+    "output": (2, _GOLDEN_IDENTITY | {("0", "0"): "2"}),
+    "unhashable output": (2, _GOLDEN_IDENTITY | {("0", "0"): ["0"]}),
+    "missing block": (2, {("0", "0"): "0", ("0", "1"): "0"}),
+    "leaves codomain": (2, dict.fromkeys(_GOLDEN_IDENTITY, "1")),
+}
+
+
+class TestInterning:
+    def test_rebuilt_codes_are_the_code(self):
+        c = xor_code()
+        assert xor_code() is c
+        assert code_from_json(code_to_json(c)) is c
+        assert SlidingBlockCode(c.domain, c.codomain, 2, dict(reversed(c.rule.items()))) is c
+        assert dataclasses.replace(c) is c
+        for twin in (copy.copy(c), copy.deepcopy(c), pickle.loads(pickle.dumps(c))):
+            assert twin is c
+
+    def test_validated_once(self, monkeypatch):
+        checked = []
+        check = codes._check_well_defined
+        monkeypatch.setattr(codes, "_check_well_defined",
+                            lambda code: checked.append(code) or check(code))
+        g = SftGraph(("once",), (("once", "once", "0"),), ("0",))
+        c = symbol_code(g, g, {"0": "0"})
+        assert identity_code(g) is c
+        assert compose(c, c) is SlidingBlockCode(g, g, 1, {("0",): "0"}) is c
+        assert checked == [c]
+
+    @pytest.mark.parametrize("case", sorted(_BAD_CODES))
+    def test_bad_codes_raise_as_the_oracle_every_time(self, case):
+        g = golden_mean_graph()
+        window, rule = _BAD_CODES[case]
+        with pytest.raises(PreconditionError) as want:
+            code_oracle(g, g, window, rule)
+        raised = []
+        for _ in range(3):
+            with pytest.raises(type(want.value)) as got:
+                SlidingBlockCode(g, g, window, rule)
+            assert str(got.value) == str(want.value)
+            # Each traceback, and every object its frames hold, stays alive.
+            raised.append(got)
+
+    def test_valid_code_matches_the_oracle(self):
+        g = golden_mean_graph()
+        want = code_oracle(g, g, 2, _GOLDEN_IDENTITY)
+        got = SlidingBlockCode(g, g, 2, _GOLDEN_IDENTITY)
+        assert got is not want and got == want and hash(got) == hash(want)
+        assert SlidingBlockCode(g, g, 2, dict(_GOLDEN_IDENTITY)) is got
+
+    def test_dropped_codes_leave_the_table(self):
+        g = SftGraph(("dropped",), (("dropped", "dropped", "0"),), ("0",))
+        c = symbol_code(g, g, {"0": "0"})
+        ref = weakref.ref(c)
+        assert any(v is c for v in codes._CODES.values())
+        # The code_image memo holds the codes it was asked about.
+        del c
+        clear_value_memos()
+        gc.collect()
+        assert ref() is None
+        assert not any(key[0] is g for key in list(codes._CODES.keys()))
 
 
 def _check_well_defined_oracle(domain, codomain, window, rule):

@@ -1,6 +1,8 @@
 """Core shift-space machinery: graphs, languages, points, the metric."""
 
 import copy
+import dataclasses
+import gc
 import importlib
 import os
 import pickle
@@ -9,6 +11,7 @@ import random
 import subprocess
 import sys
 import time
+import weakref
 from collections import deque
 from fractions import Fraction
 
@@ -16,7 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from memos import VALUE_MEMOS, clear_value_memos
-from oracles import word_distance
+from oracles import graph_oracle, twin_graph, word_distance
 from shiftlab import shift_core
 from shiftlab.errors import PreconditionError, SchemaError, TooLarge
 from shiftlab.fixtures import (
@@ -184,7 +187,7 @@ class TestGraphEquality:
         # carry the hash of the process that wrote it.
         g = golden_mean_graph()
         for twin in (copy.copy(g), copy.deepcopy(g), pickle.loads(pickle.dumps(g))):
-            assert twin == g and hash(twin) == hash(g)
+            assert twin is g and hash(twin) == hash(g)
         script = ("import pickle, sys\n"
                   "from shiftlab.fixtures import golden_mean_graph\n"
                   "sys.stdout.buffer.write(pickle.dumps(golden_mean_graph()))\n")
@@ -193,8 +196,84 @@ class TestGraphEquality:
         data = subprocess.run([sys.executable, "-c", script], env=env, check=True,
                               capture_output=True).stdout
         other = pickle.loads(data)
-        assert other == g and hash(other) == hash(g)
+        assert other is g and hash(other) == hash(g)
         assert canonical_presentation(other) is canonical_presentation(g)
+
+
+# Faults that make a valid field triple invalid, in the ways validation
+# names: the lists leave the fields unhashable.
+_FAULTS = {
+    "duplicate vertex": lambda v, e, a: (v + v[:1], e, a),
+    "duplicate symbol": lambda v, e, a: (v, e, a + a[:1]),
+    "duplicate edge": lambda v, e, a: (v, e + e[:1], a),
+    "bad endpoint": lambda v, e, a: (v, (("x", "x", "0"),) + tuple(e), a),
+    "unknown label": lambda v, e, a: (v, tuple(e) + tuple((u, u, "9") for u in v[:1]), a),
+    "lists": lambda v, e, a: (list(v), [list(t) for t in e], list(a)),
+}
+
+
+def _outcome(build, fields):
+    """The fields of the built graph and its hash, or the error raised."""
+    try:
+        g = build(*fields)
+    except (PreconditionError, TypeError) as exc:
+        return type(exc), str(exc)
+    return g.vertices, g.edges, g.alphabet, hash(g)
+
+
+class TestInterning:
+    @settings(max_examples=300, deadline=None)
+    @given(_graph_triples(), st.lists(st.sampled_from(sorted(_FAULTS)), max_size=2),
+           st.booleans())
+    def test_construction_matches_oracle(self, x, faults, equal_first):
+        for fault in faults:
+            x = _FAULTS[fault](*x)
+        held = []
+        if equal_first and not isinstance(x[0], list):
+            # An equal graph, from other tuples of the same value, built first.
+            fresh = (tuple(list(x[0])), tuple(tuple(list(e)) for e in x[1]), tuple(list(x[2])))
+            try:
+                held.append(SftGraph(*fresh))
+            except PreconditionError:
+                pass
+        assert _outcome(SftGraph, x) == _outcome(graph_oracle, x)
+        if held:
+            assert SftGraph(*x) is held[0]
+
+    def test_equal_graphs_are_one_object_validated_once(self, monkeypatch):
+        checked = []
+        check = shift_core._check_graph
+        monkeypatch.setattr(shift_core, "_check_graph",
+                            lambda *fields: checked.append(fields) or check(*fields))
+        g = SftGraph(("once",), (("once", "once", "0"),), ("0",))
+        assert make_graph(["once"], [("once", "once", "0")], ["0"]) is g
+        assert graph_from_json(graph_to_json(g)) is g
+        assert dataclasses.replace(g) is g
+        assert len(checked) == 1
+
+    def test_dropped_graphs_leave_the_table(self):
+        fields = (("dropped",), (("dropped", "dropped", "0"),), ("0",))
+        g = SftGraph(*fields)
+        ref = weakref.ref(g)
+        assert _filed(fields)
+        del g
+        gc.collect()
+        assert ref() is None
+        assert not _filed(fields)
+
+    def test_invalid_graphs_are_never_filed(self):
+        fields = (("a", "a"), (), ("0",))
+        raised = []
+        for _ in range(2):
+            with pytest.raises(SchemaError, match="^duplicate vertex 'a'$") as info:
+                SftGraph(*fields)
+            # Each traceback, and every object its frames hold, stays alive.
+            raised.append(info)
+        assert not _filed(fields)
+
+
+def _filed(fields):
+    return any(key[1:] == fields for key in list(shift_core._GRAPHS.keys()))
 
 
 def _loose_graph(rng, nv):
@@ -636,10 +715,11 @@ class TestFollower:
 
     def test_shared_by_graph_value(self):
         g = golden_mean_graph()
-        copy = graph_from_json(graph_to_json(g))
-        assert copy is not g
-        assert follower(g) is follower(copy)
-        assert canonical_presentation(g) is canonical_presentation(copy)
+        assert graph_from_json(graph_to_json(g)) is g
+        twin = twin_graph(g)
+        assert twin is not g
+        assert follower(g) is follower(twin)
+        assert canonical_presentation(g) is canonical_presentation(twin)
 
     def test_memos_share_one_bound(self):
         assert {f.cache_info().maxsize for f in VALUE_MEMOS} == {shift_core.MEMO_SIZE}
