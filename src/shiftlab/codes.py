@@ -7,15 +7,16 @@ the higher block presentation of the domain (vertices are its paths of
 w-1 edges, edges its paths of w edges) relabelled through the rule.  A
 code is valid when the rule covers every admissible window and its image
 language lies in the codomain language; both are checked at construction.
-A domain with more than ``MAX_CODE_IMAGE_PATHS`` paths of w-1 edges raises
-TooLarge.
+A domain with more than ``MAX_CODE_IMAGE_PATHS`` paths of w-1 edges, or
+whose paths of 1..w-1 edges have more than ``MAX_CODE_IMAGE_SYMBOLS`` edges
+in all, raises TooLarge.
 """
 
 from __future__ import annotations
 
 import functools
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
@@ -47,10 +48,10 @@ from .shift_core import (
 _CODES: weakref.WeakValueDictionary[tuple, SlidingBlockCode] = weakref.WeakValueDictionary()
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, eq=False, init=False)
 class SlidingBlockCode:
     """``rule`` is stored as a read-only copy, so a validated code cannot
-    change; it takes part in equality but not in the hash.
+    change.
 
     Codes are interned by value, keyed by (domain, codomain, window, rule
     items), as graphs are: building a code equal to a live one returns
@@ -58,13 +59,14 @@ class SlidingBlockCode:
     ``__new__`` looks the value up; ``__init__`` validates a new code, so
     a span around ``__init__`` still times validation, and files it only
     if it is valid.  Copies and pickles are rebuilt through the
-    constructor, so they return the interned code.
+    constructor, so they return the interned code.  Equality and hashing
+    are ``object``'s, so equal codes are the same object.
     """
 
     domain: SftGraph
     codomain: SftGraph
     window: int
-    rule: Mapping[Word, str] = field(hash=False)
+    rule: Mapping[Word, str]
     # Set only on a code fresh from __new__, until __init__ files it.
     _key = None
 
@@ -175,6 +177,11 @@ def compose(outer: SlidingBlockCode, inner: SlidingBlockCode) -> SlidingBlockCod
 # TooLarge past this many.
 MAX_CODE_IMAGE_PATHS = 1 << 16
 
+# Each path of k edges is built as two k-tuples, so even a single path per
+# length costs the square of the window; listing also stops with TooLarge
+# once the lengths of the paths built add up to more than this.
+MAX_CODE_IMAGE_SYMBOLS = 1 << 26
+
 
 @functools.lru_cache(maxsize=MEMO_SIZE)
 def code_image(code: SlidingBlockCode, domain: Optional[SftGraph] = None) -> SftGraph:
@@ -184,19 +191,25 @@ def code_image(code: SlidingBlockCode, domain: Optional[SftGraph] = None) -> Sft
     named by its edge indices and the 0-edge path at a vertex by the
     vertex, so a window-1 image relabels the domain graph itself.  Built
     once per (code, domain) value.  Raises TooLarge as soon as more than
-    ``MAX_CODE_IMAGE_PATHS`` paths of one length are listed."""
+    ``MAX_CODE_IMAGE_PATHS`` paths of one length, or paths of more than
+    ``MAX_CODE_IMAGE_SYMBOLS`` edges in all, would be listed."""
     dom = essential(domain if domain is not None else code.domain)
     # Paths of w-1 edges by last vertex, each as (edge indices, label word).
     ending = {v: [((), ())] for v in dom.vertices}
-    for _ in range(code.window - 1):
+    symbols = 0
+    for length in range(1, code.window):
         grown: dict[str, list] = {v: [] for v in dom.vertices}
         listed = 0
         for i, (u, v, a) in enumerate(dom.edges):
-            grown[v].extend((p + (i,), word + (a,)) for p, word in ending[u])
             listed += len(ending[u])
             if listed > MAX_CODE_IMAGE_PATHS:
                 raise TooLarge("code image exceeds %d domain paths"
                                % MAX_CODE_IMAGE_PATHS)
+            symbols += len(ending[u]) * length
+            if symbols > MAX_CODE_IMAGE_SYMBOLS:
+                raise TooLarge("code image exceeds %d domain path symbols"
+                               % MAX_CODE_IMAGE_SYMBOLS)
+            grown[v].extend((p + (i,), word + (a,)) for p, word in ending[u])
         ending = grown
 
     def name(path: tuple[int, ...], vertex: str) -> str:

@@ -15,7 +15,8 @@ Conventions, fixed once here and relied on everywhere else:
   ``canonical_presentation`` return essential graphs, and every language
   question is answered on the essential part (see :func:`essential`).
 * Graphs are stored once per value: building a graph equal to a live one
-  returns that one (see :class:`SftGraph`), so the value memos below hit
+  returns that one (see :class:`SftGraph`), so two graphs are equal
+  exactly when they are the same object, and the value memos below hit
   by identity.
 """
 
@@ -27,7 +28,7 @@ import json
 import math
 import weakref
 from collections import Counter, deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Sequence
@@ -95,19 +96,17 @@ class SftGraph:
     :func:`canonical_presentation` for the minimal deterministic form.
 
     Graphs are interned by value: building a graph equal to a live one
-    returns that one without validating or hashing it again, so a value
-    is validated and hashed once while a graph of it lives, and the value
-    memos hit by identity.  A value that fails validation is never filed.
-    Copies and pickles are rebuilt through the constructor, so they return
-    the interned graph.  Equality checks identity first, then the stored
-    hashes, and only then the fields, so it still holds between equal
-    graphs built apart from the table.
+    returns that one without validating it again, so a value is validated
+    once while a graph of it lives.  A value that fails validation is never
+    filed.  Copies and pickles are rebuilt through the constructor, so they
+    return the interned graph.  Equality and hashing are ``object``'s: the
+    table is the one place where graph values are compared, and equal
+    graphs are the same object.
     """
 
     vertices: tuple[str, ...]
     edges: tuple[tuple[str, str, str], ...]
     alphabet: tuple[str, ...]
-    _hash: int = field(init=False, repr=False)
 
     def __new__(cls, vertices: tuple[str, ...], edges: tuple[tuple[str, str, str], ...],
                 alphabet: tuple[str, ...]) -> SftGraph:
@@ -124,23 +123,11 @@ class SftGraph:
             object.__setattr__(g, "vertices", vertices)
             object.__setattr__(g, "edges", edges)
             object.__setattr__(g, "alphabet", alphabet)
-            object.__setattr__(g, "_hash", h)
             _GRAPHS[key] = g
         return g
 
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self._hash == other._hash and self.vertices == other.vertices
-                and self.edges == other.edges and self.alphabet == other.alphabet)
-
     def __reduce__(self):
-        # String hashes differ between processes: rebuild, never copy _hash.
+        # Rebuild through the constructor so the copy is the interned object.
         return SftGraph, (self.vertices, self.edges, self.alphabet)
 
 
@@ -423,9 +410,9 @@ def _minimize(num_states: int, trans: Mapping[tuple[int, str], int],
     return [ids.setdefault(block_of[s], len(ids)) for s in range(num_states)], len(ids)
 
 
-# The canonical presentations built so far, compared by value.  A graph
-# equal to one of them is its own canonical presentation, so a memo miss
-# on it returns it without building its follower automaton again.
+# The canonical presentations built so far.  Graphs are interned, so a graph
+# equal to one of them is one of them: it is its own canonical presentation,
+# and a memo miss on it returns it without building its follower automaton.
 _CANONICAL: weakref.WeakSet[SftGraph] = weakref.WeakSet()
 
 
@@ -636,9 +623,12 @@ def graph_from_json(data: dict) -> SftGraph:
     if "forbidden" in data:
         if "alphabet" not in data:
             raise SchemaError("forbidden-word form needs an alphabet")
-        return from_forbidden_words(
-            [str(s) for s in data["alphabet"]],
-            [parse_word(str(w)) for w in data["forbidden"]])
+        try:
+            ab = [str(s) for s in data["alphabet"]]
+            bad = [parse_word(str(w)) for w in data["forbidden"]]
+        except TypeError as exc:
+            raise SchemaError("malformed graph: %s" % exc) from exc
+        return from_forbidden_words(ab, bad)
     try:
         ab = tuple(str(s) for s in data["alphabet"])
         vs = tuple(str(v) for v in data["vertices"])

@@ -5,7 +5,10 @@ no ``cache_info`` object of the package is missing from the list.
 The intern tables of graphs and codes (``shift_core._GRAPHS``,
 ``codes._CODES``) are not value memos: they hold their objects weakly and
 derive nothing, so a graph or code leaves them once nothing else holds
-it, and the cold fixtures need not clear them."""
+it, and the cold fixtures need not clear them.  They are the one place
+where graphs and codes are compared by value; everywhere else, these
+memos included, an equal graph or code is the same object and compares
+by identity."""
 
 from shiftlab import shift_core
 from shiftlab.codes import code_image, identity_code
@@ -17,7 +20,7 @@ VALUE_MEMOS = (follower, canonical_presentation, _first_difference, chain_compon
 
 
 def clear_value_memos():
-    """Empty every value memo, and the by-value set of canonical graphs."""
+    """Empty every value memo, and the set of canonical graphs."""
     for memo in VALUE_MEMOS:
         memo.cache_clear()
     shift_core._CANONICAL.clear()

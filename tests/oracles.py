@@ -4,7 +4,6 @@ words, a finite system built point by point from Python functions, the
 gap-shift entropy by bisection, and entropy with an eigenvalue computation
 for every chain component."""
 
-import json
 import math
 from collections import Counter
 from fractions import Fraction
@@ -28,7 +27,8 @@ from shiftlab.shift_core import SftGraph, common_prefix, language_subset, word_s
 def graph_oracle(vertices, edges, alphabet):
     """An SftGraph built as before graphs were interned: the fields are
     validated on every call, then hashed, and the graph is not filed, so
-    it is a separate object from any equal graph."""
+    it is a separate object from any equal graph.  Compare it by its
+    fields."""
     vs = set(vertices)
     if len(vs) != len(vertices):
         dup = next(v for v, k in Counter(vertices).items() if k > 1)
@@ -43,16 +43,16 @@ def graph_oracle(vertices, edges, alphabet):
             raise SchemaError("edge endpoint not among vertices: %r" % ((u, v, a),))
         if a not in ab:
             raise InvalidAlphabet("edge label %r not in alphabet" % a)
+    hash((vertices, edges, alphabet))  # unhashable fields raise TypeError
     g = object.__new__(SftGraph)
-    for name, value in (("vertices", vertices), ("edges", edges), ("alphabet", alphabet),
-                        ("_hash", hash((vertices, edges, alphabet)))):
+    for name, value in (("vertices", vertices), ("edges", edges), ("alphabet", alphabet)):
         object.__setattr__(g, name, value)
     return g
 
 
 def code_oracle(domain, codomain, window, rule):
     """A SlidingBlockCode built as before codes were interned: validated on
-    every call and not filed."""
+    every call and not filed.  Compare it by its fields."""
     code = object.__new__(SlidingBlockCode)
     for name, value in (("domain", domain), ("codomain", codomain), ("window", window),
                         ("rule", MappingProxyType(dict(rule)))):
@@ -69,18 +69,6 @@ def code_oracle(domain, codomain, window, rule):
         raise NotInLanguage("image leaves the codomain language at word %s"
                             % word_str(witness or ()))
     return code
-
-
-def twin_graph(g):
-    """A graph equal to ``g`` but not ``g``: fresh copies of its fields,
-    built by :func:`graph_oracle`, so memo hits on it compare by value."""
-    v, e, a = json.loads(json.dumps([g.vertices, g.edges, g.alphabet]))
-    return graph_oracle(tuple(v), tuple(map(tuple, e)), tuple(a))
-
-
-def twin_code(c):
-    """A code equal to ``c`` but not ``c``, over twins of its graphs."""
-    return code_oracle(twin_graph(c.domain), twin_graph(c.codomain), c.window, dict(c.rule))
 
 
 def word_distance(u, v):

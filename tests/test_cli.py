@@ -3,6 +3,8 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -109,6 +111,18 @@ class TestAnalyze:
         assert code == 2 and out == ""
         assert err == "precondition failed: duplicate vertex 'a'\n"
 
+    @pytest.mark.parametrize("graph, reason", [
+        ({"alphabet": ["0", "1"], "forbidden": 5}, "'int' object is not iterable"),
+        ({"alphabet": ["0", "1"], "forbidden": None}, "'NoneType' object is not iterable"),
+        ({"alphabet": 5, "forbidden": ["11"]}, "'int' object is not iterable"),
+    ], ids=["number-forbidden", "null-forbidden", "number-alphabet"])
+    def test_malformed_forbidden_form_is_exit_2(self, tmp_path, capsys, graph, reason):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(graph))
+        code, out, err = run(capsys, "analyze", "--in", str(bad))
+        assert code == 2 and out == ""
+        assert err == "precondition failed: malformed graph: %s\n" % reason
+
 
 class TestMlc:
     def test_abc_witnesses(self, capsys):
@@ -138,6 +152,15 @@ class TestMlc:
         assert time.perf_counter() - t0 < 2.0
         assert code == 2 and out == ""
         assert err == "precondition failed: code image exceeds 65536 domain paths\n"
+
+    def test_code_window_cap_is_exit_2(self, capsys):
+        # A window-10**6 code over the one-loop shift lists one path of
+        # each length, and their edges add up past the path-symbol cap.
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "mlc", "--in", path("code_window_blowup.json"))
+        assert time.perf_counter() - t0 < 5.0
+        assert code == 2 and out == ""
+        assert err == "precondition failed: code image exceeds 67108864 domain path symbols\n"
 
 
 class TestTowers:
@@ -488,3 +511,27 @@ class TestSharedParser:
             code, out, err = self.outcome(capsys, case["argv"])
             assert (code, out, err) == (("exit", case["code"]), case["out"],
                                         case["err"]), case["argv"]
+
+
+class TestReportsDoNotDependOnHashing:
+    """Strings hash by a per-process salt, so a report that looped over a
+    set of strings, or of values holding them, would change with the salt.
+    Each report is written by two processes with different string-hash
+    seeds.  (Graphs and codes hash by address; a loop over a set of them
+    would follow allocation order, which these runs do not vary.)"""
+
+    @pytest.mark.parametrize("argv", [
+        ["mlc", "--in", path("mixed_sequence.json")],
+        ["towers", "--in", path("branching_sequence.json"), "--depth", "4"],
+        ["entropic", "--in", path("mixed_sequence.json"), "--depth", "3"],
+        ["analyze", "--in", path("golden_mean.json")],
+    ], ids=["mlc", "towers", "entropic", "analyze"])
+    def test_same_bytes_under_two_hash_seeds(self, argv):
+        outs = []
+        for seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=seed,
+                       PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+            done = subprocess.run([sys.executable, "-m", "shiftlab.cli", *argv], env=env,
+                                  capture_output=True, check=True)
+            outs.append(done.stdout)
+        assert outs[0] and outs[0] == outs[1]

@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import gc
+import json
 import pickle
 import random
 import time
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from memos import clear_value_memos
-from oracles import code_oracle, twin_code, twin_graph
+from oracles import code_oracle
 from shiftlab.codes import (
     SlidingBlockCode,
     apply_code,
@@ -187,19 +188,24 @@ class TestReadOnlyRule:
 class TestSharedByValue:
     def test_identity_code(self):
         g = golden_mean_graph()
-        assert graph_from_json(graph_to_json(g)) is g
-        twin = twin_graph(g)
-        assert twin is not g
-        assert identity_code(g) is identity_code(twin)
+        c = identity_code(g)
+        for again in (graph_from_json(json.loads(json.dumps(graph_to_json(g)))),
+                      copy.deepcopy(g), pickle.loads(pickle.dumps(g))):
+            assert again is g
+            assert identity_code(again) is c
 
     def test_code_image(self):
         c = xor_code()
-        assert code_from_json(code_to_json(c)) is c
-        twin = twin_code(c)
-        assert twin is not c
-        assert code_image(c) is code_image(twin)
         sub = golden_mean_graph()
-        assert code_image(c, sub) is code_image(twin, twin_graph(sub))
+        image, sub_image = code_image(c), code_image(c, sub)
+        for again, sub_again in (
+                (code_from_json(json.loads(json.dumps(code_to_json(c)))),
+                 graph_from_json(json.loads(json.dumps(graph_to_json(sub))))),
+                (copy.deepcopy(c), copy.deepcopy(sub)),
+                (pickle.loads(pickle.dumps(c)), pickle.loads(pickle.dumps(sub)))):
+            assert again is c and sub_again is sub
+            assert code_image(again) is image
+            assert code_image(again, sub_again) is sub_image
 
 
 # The window-2 identity of the golden mean shift.
@@ -255,7 +261,9 @@ class TestInterning:
         g = golden_mean_graph()
         want = code_oracle(g, g, 2, _GOLDEN_IDENTITY)
         got = SlidingBlockCode(g, g, 2, _GOLDEN_IDENTITY)
-        assert got is not want and got == want and hash(got) == hash(want)
+        assert got is not want
+        assert ((got.domain, got.codomain, got.window, dict(got.rule))
+                == (want.domain, want.codomain, want.window, dict(want.rule)))
         assert SlidingBlockCode(g, g, 2, dict(_GOLDEN_IDENTITY)) is got
 
     def test_dropped_codes_leave_the_table(self):
@@ -412,3 +420,24 @@ class TestCodeImagePathCap:
         assert codes.MAX_CODE_IMAGE_PATHS == 1 << 16
         with pytest.raises(TooLarge, match="^code image exceeds 65536 domain paths$"):
             _doubled_zero_code(17)
+
+
+class TestCodeImageSymbolCap:
+    def test_cap_counts_the_edges_of_every_path_built(self, monkeypatch):
+        monkeypatch.setattr(codes, "MAX_CODE_IMAGE_SYMBOLS", 45)
+        loop = full_shift(["0"])
+        # One path of each length: 1 + ... + 9 = 45 edges are admitted,
+        # 1 + ... + 10 = 55 are not.
+        c = SlidingBlockCode(loop, loop, 10, {("0",) * 10: "0"})
+        assert code_image(c) is canonical_presentation(loop)
+        with pytest.raises(TooLarge, match="^code image exceeds 45 domain path symbols$"):
+            SlidingBlockCode(loop, loop, 11, {("0",) * 11: "0"})
+
+    def test_default_cap_stops_a_wide_window_quickly(self):
+        assert codes.MAX_CODE_IMAGE_SYMBOLS == 1 << 26
+        loop = full_shift(["0"])
+        t0 = time.perf_counter()
+        # Listing a path of every length up to 10**6 would take an hour.
+        with pytest.raises(TooLarge, match="^code image exceeds 67108864 domain path symbols$"):
+            SlidingBlockCode(loop, loop, 10 ** 6, {})
+        assert time.perf_counter() - t0 < 5.0

@@ -4,6 +4,7 @@ import copy
 import dataclasses
 import gc
 import importlib
+import json
 import os
 import pickle
 import pkgutil
@@ -19,7 +20,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from memos import VALUE_MEMOS, clear_value_memos
-from oracles import graph_oracle, twin_graph, word_distance
+from oracles import graph_oracle, word_distance
 from shiftlab import shift_core
 from shiftlab.errors import PreconditionError, SchemaError, TooLarge
 from shiftlab.fixtures import (
@@ -173,12 +174,10 @@ class TestGraphEquality:
             y, b = x, SftGraph(a.vertices, a.edges, a.alphabet)
         else:
             b = SftGraph(*y)
-        assert (a == b) == (x == y) == (b == a)
+        # Equal graphs are one object, so identity is the only comparison.
+        assert (a is b) == (a == b) == (x == y) == (b == a)
         assert (a != b) == (x != y) == (b != a)
-        assert hash(a) == hash(x)
-        if x == y:
-            assert hash(a) == hash(b)
-            assert len({a, b}) == 1
+        assert len({a, b}) == (1 if x == y else 2)
         # Not a graph: never equal, as with the generated comparison.
         assert a != x and not a == x
 
@@ -213,12 +212,12 @@ _FAULTS = {
 
 
 def _outcome(build, fields):
-    """The fields of the built graph and its hash, or the error raised."""
+    """The fields of the built graph, or the error raised."""
     try:
         g = build(*fields)
     except (PreconditionError, TypeError) as exc:
         return type(exc), str(exc)
-    return g.vertices, g.edges, g.alphabet, hash(g)
+    return g.vertices, g.edges, g.alphabet
 
 
 class TestInterning:
@@ -715,11 +714,12 @@ class TestFollower:
 
     def test_shared_by_graph_value(self):
         g = golden_mean_graph()
-        assert graph_from_json(graph_to_json(g)) is g
-        twin = twin_graph(g)
-        assert twin is not g
-        assert follower(g) is follower(twin)
-        assert canonical_presentation(g) is canonical_presentation(twin)
+        f, c = follower(g), canonical_presentation(g)
+        for again in (graph_from_json(json.loads(json.dumps(graph_to_json(g)))),
+                      copy.deepcopy(g), pickle.loads(pickle.dumps(g))):
+            assert again is g
+            assert follower(again) is f
+            assert canonical_presentation(again) is c
 
     def test_memos_share_one_bound(self):
         assert {f.cache_info().maxsize for f in VALUE_MEMOS} == {shift_core.MEMO_SIZE}
