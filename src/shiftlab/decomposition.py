@@ -50,7 +50,6 @@ class ChainComponent:
 class Decomposition:
     components: tuple[ChainComponent, ...]
     transient_vertices: tuple[str, ...]
-    source: SftGraph
 
     def by_id(self, component_id: str) -> ChainComponent:
         for c in self.components:
@@ -139,7 +138,7 @@ def chain_components(g: SftGraph) -> Decomposition:
         comps.append(sub)
     comps.sort(key=lambda s: s.vertices[0])
     named = tuple(ChainComponent("K%d" % i, s) for i, s in enumerate(comps))
-    return Decomposition(named, tuple(sorted(transient)), c)
+    return Decomposition(named, tuple(sorted(transient)))
 
 
 def restrict_graph_to_cr(g: SftGraph) -> SftGraph:

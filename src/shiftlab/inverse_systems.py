@@ -198,7 +198,6 @@ class MlcLevelReport:
 @dataclass(frozen=True)
 class MlcReport:
     levels: tuple[MlcLevelReport, ...]
-    depth_cap: int
 
     @property
     def all_mlc1(self) -> bool:
@@ -230,7 +229,7 @@ def check_mlc(seq: InverseSequenceSpec, depth_cap: int = DEFAULT_DEPTH_CAP,
                 raise InternalInvariantViolation(
                     "one-step image differs from the stable image at level %d" % n)
         out.append(MlcLevelReport(n, mlc1, status, witness, chain))
-    return MlcReport(tuple(out), depth_cap)
+    return MlcReport(tuple(out))
 
 
 @dataclass(frozen=True)

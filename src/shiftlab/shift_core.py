@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 import math
 import weakref
 from collections import Counter, deque
@@ -151,7 +150,7 @@ def _check_graph(vertices: tuple[str, ...], edges: tuple[tuple[str, str, str], .
 
 def make_graph(vertices: Iterable[str], edges: Iterable[tuple[str, str, str]],
                alphabet: Optional[Iterable[str]] = None) -> SftGraph:
-    vs = tuple(dict.fromkeys(vertices))
+    vs = tuple(vertices)
     es = tuple(edges)
     if alphabet is None:
         ab = tuple(sorted({a for (_u, _v, a) in es}))
@@ -437,12 +436,6 @@ def canonical_presentation(g: SftGraph) -> SftGraph:
     return c
 
 
-def canonical_signature(g: SftGraph) -> str:
-    c = canonical_presentation(g)
-    return json.dumps({"v": list(c.vertices), "e": [list(e) for e in c.edges],
-                       "a": list(c.alphabet)}, separators=(",", ":"))
-
-
 @functools.lru_cache(maxsize=MEMO_SIZE)
 def _first_difference(a: SftGraph, b: SftGraph,
                       both_ways: bool) -> tuple[bool, Optional[Word]]:
@@ -617,6 +610,14 @@ def graph_to_json(g: SftGraph) -> dict:
     }
 
 
+def _json_list(value, what: str):
+    """``value``, unless it is a JSON string or object: those are iterable
+    too, but reading one a character or a key at a time would be wrong."""
+    if isinstance(value, (str, dict)):
+        raise TypeError("%s must be a list, not %s" % (what, type(value).__name__))
+    return value
+
+
 def graph_from_json(data: dict) -> SftGraph:
     if not isinstance(data, dict):
         raise SchemaError("graph object expected")
@@ -624,15 +625,16 @@ def graph_from_json(data: dict) -> SftGraph:
         if "alphabet" not in data:
             raise SchemaError("forbidden-word form needs an alphabet")
         try:
-            ab = [str(s) for s in data["alphabet"]]
-            bad = [parse_word(str(w)) for w in data["forbidden"]]
+            ab = [str(s) for s in _json_list(data["alphabet"], "alphabet")]
+            bad = [parse_word(str(w)) for w in _json_list(data["forbidden"], "forbidden")]
         except TypeError as exc:
             raise SchemaError("malformed graph: %s" % exc) from exc
         return from_forbidden_words(ab, bad)
     try:
-        ab = tuple(str(s) for s in data["alphabet"])
-        vs = tuple(str(v) for v in data["vertices"])
-        es = tuple((str(u), str(v), str(a)) for (u, v, a) in data["edges"])
+        ab = tuple(str(s) for s in _json_list(data["alphabet"], "alphabet"))
+        vs = tuple(str(v) for v in _json_list(data["vertices"], "vertices"))
+        es = tuple((str(u), str(v), str(a)) for (u, v, a) in
+                   (_json_list(e, "edge") for e in _json_list(data["edges"], "edges")))
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError("malformed graph: %s" % exc) from exc
     return SftGraph(vs, es, ab)

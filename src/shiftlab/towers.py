@@ -8,8 +8,8 @@ selection routine upgrades a given tower, from a start level on, to one
 whose one-step images stabilize: at each level it picks a deeper
 component with inclusion-maximal image among those whose two-step image
 still covers the current anchor image.  All four contract properties of
-the upgraded tower are re-verified exactly; a failure raises
-InternalInvariantViolation.
+the upgraded tower are re-verified exactly and returned with it; a
+failure raises InternalInvariantViolation.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ from .inverse_systems import (
 )
 from .shift_core import (
     SftGraph,
-    canonical_signature,
     language_equal,
     language_subset,
     word_in_language,
@@ -153,40 +152,31 @@ def cyclic_class_map(seq: InverseSequenceSpec, n: int) -> dict[str, str]:
 
 @dataclass(frozen=True)
 class SelectionReport:
+    """The upgraded tower and its verified contract properties."""
+
     tower: Tower
-    start_level: int
-    picked: tuple[str, ...]        # the auxiliary deeper components, one per step
-    anchors: tuple[str, ...]       # canonical signatures of anchor images
     properties: dict[str, bool]
-    tail_period: Optional[int]     # detected repetition length of the greedy state
 
 
 def _maximal_choices(seq: InverseSequenceSpec, m: int, n: int,
                      cands: list[str]) -> str:
-    """Inclusion-maximal image at level n among the candidate components
-    of level m; ties resolved by smallest component id."""
-    maximal = []
-    for cid in cands:
-        img = _component_image(seq, m, n, cid)
-        dominated = False
-        for other in cands:
-            if other == cid:
-                continue
-            oimg = _component_image(seq, m, n, other)
-            le, _ = language_subset(img, oimg)
-            ge, _ = language_subset(oimg, img)
-            if le and not ge:
-                dominated = True
-                break
-        if not dominated:
-            maximal.append(cid)
-    return sorted(maximal)[0]
+    """The least candidate component of level m whose image at level n
+    no other candidate's image strictly contains."""
+    imgs = {cid: _component_image(seq, m, n, cid) for cid in cands}
+
+    def dominated(cid: str) -> bool:
+        return any(language_subset(imgs[cid], imgs[o])[0]
+                   and not language_subset(imgs[o], imgs[cid])[0]
+                   for o in cands if o != cid)
+
+    return min(cid for cid in cands if not dominated(cid))
 
 
 def select_max_tower(seq: InverseSequenceSpec, tower: Tower, n: int,
                      depth: int) -> SelectionReport:
     """Upgrade the tower from level n on so that one-step images
-    stabilize, keeping levels below n and the level-n entry.
+    stabilize, keeping levels below n and the level-n entry.  Returns the
+    tower to the given depth with its four contract properties, all true.
 
     Requires one-step image stability of the sequence (checked) and a
     tower known to depth at least n+1.
@@ -217,11 +207,7 @@ def select_max_tower(seq: InverseSequenceSpec, tower: Tower, n: int,
         raise EmptyImageChain("no candidate over the level-%d entry" % n)
     d_cur = _maximal_choices(seq, n + 1, n, cands)
     anchor = _component_image(seq, n + 1, n, d_cur)
-    selected: dict[int, str] = {n: c_n}
-    picked = [d_cur]
-    anchor_sigs = [canonical_signature(anchor)]
-    states: dict[tuple, int] = {}
-    tail_period: Optional[int] = None
+    entries = list(tower.entries[:n])
     for m in range(n + 1, depth + 1):
         # Candidates at level m+1 whose two-step image still covers the
         # anchor at level m-1.
@@ -240,36 +226,16 @@ def select_max_tower(seq: InverseSequenceSpec, tower: Tower, n: int,
                 raise InternalInvariantViolation(
                     "component image not inside any component at level %d" % m)
             groups.setdefault(comp, []).append(cid)
-        gid = sorted(groups)[0]
+        gid = min(groups)
         d_cur = _maximal_choices(seq, m + 1, m, groups[gid])
-        selected[m] = gid
+        entries.append(gid)
         anchor = _component_image(seq, m + 1, m, d_cur)
-        picked.append(d_cur)
-        anchor_sigs.append(canonical_signature(anchor))
-        key = (_tail_phase(seq, m + 1), gid, d_cur, anchor_sigs[-1])
-        if tail_period is None:
-            if key in states:
-                tail_period = m - states[key]
-            else:
-                states[key] = m
-    entries = tuple(tower.entries[: n - 1]) + tuple(
-        selected[m] for m in range(n, depth + 1))
-    out = Tower("component", entries)
+    out = Tower("component", tuple(entries))
     props = verify_selection(seq, tower, out, n)
     if not all(props.values()):
         raise InternalInvariantViolation(
             "selection contract failed: %s" % props)
-    return SelectionReport(out, n, tuple(picked), tuple(anchor_sigs),
-                           props, tail_period)
-
-
-def _tail_phase(seq: InverseSequenceSpec, m: int) -> int:
-    L = seq.prefix_length
-    if m <= L:
-        return -m
-    if seq.tail == "identity":
-        return 0
-    return (m - L - 1) % seq.tail_block
+    return SelectionReport(out, props)
 
 
 def verify_selection(seq: InverseSequenceSpec, before: Tower, after: Tower,

@@ -115,13 +115,27 @@ class TestAnalyze:
         ({"alphabet": ["0", "1"], "forbidden": 5}, "'int' object is not iterable"),
         ({"alphabet": ["0", "1"], "forbidden": None}, "'NoneType' object is not iterable"),
         ({"alphabet": 5, "forbidden": ["11"]}, "'int' object is not iterable"),
-    ], ids=["number-forbidden", "null-forbidden", "number-alphabet"])
+        # A string is not read one character at a time: "forbidden": "11"
+        # would forbid the word 1 twice and analyse the zeros shift.
+        ({"alphabet": ["0", "1"], "forbidden": "11"}, "forbidden must be a list, not str"),
+        ({"alphabet": "01", "forbidden": ["11"]}, "alphabet must be a list, not str"),
+        ({"alphabet": ["0"], "vertices": "ab", "edges": [["a", "b", "0"], ["b", "a", "0"]]},
+         "vertices must be a list, not str"),
+        ({"alphabet": ["0"], "vertices": ["a", "b"], "edges": ["ab0", ["b", "a", "0"]]},
+         "edge must be a list, not str"),
+    ], ids=["number-forbidden", "null-forbidden", "number-alphabet", "string-forbidden",
+            "string-alphabet", "string-vertices", "string-edge"])
     def test_malformed_forbidden_form_is_exit_2(self, tmp_path, capsys, graph, reason):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(graph))
         code, out, err = run(capsys, "analyze", "--in", str(bad))
         assert code == 2 and out == ""
         assert err == "precondition failed: malformed graph: %s\n" % reason
+
+    def test_committed_string_forbidden_is_exit_2(self, capsys):
+        code, out, err = run(capsys, "analyze", "--in", path("string_forbidden.json"))
+        assert code == 2 and out == ""
+        assert err == "precondition failed: malformed graph: forbidden must be a list, not str\n"
 
 
 class TestMlc:
@@ -134,6 +148,20 @@ class TestMlc:
         for lv in rep["levels"]:
             assert not lv["mlc1"]
             assert lv["witness"] == lv["level"] + 2
+
+    def test_shallow_cap_leaves_the_witness_undetermined(self, capsys):
+        code, out, _ = run(capsys, "mlc", "--in", path("abc_sequence.json"),
+                           "--cap", "1")
+        assert code == 0
+        rep = json.loads(out)
+        assert not rep["all_witnessed"]
+        [lv] = rep["levels"]
+        assert lv["status"] == "undetermined"
+        assert lv["witness"] is None and lv["stabilized_at"] is None
+        code, out, _ = run(capsys, "mlc", "--in", path("abc_sequence.json"),
+                           "--cap", "2")
+        [lv] = json.loads(out)["levels"]
+        assert lv["status"] == "holds" and lv["witness"] == 3
 
     def test_multichar_symbols_survive_the_json_round_trip(self, tmp_path, capsys):
         from shiftlab.fixtures import cantor_product_sequence

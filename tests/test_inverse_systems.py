@@ -191,6 +191,11 @@ class TestHatSpace:
         chain = image_chain(seq, 1)
         assert language_equal(rep.graph, chain.stable_image)[0]
 
+    def test_shallow_cap_is_undetermined(self):
+        rep = hat_space(abc_sequence(), 1, depth_cap=1)
+        assert rep.status == "undetermined"
+        assert rep.depth is None and rep.graph is None
+
     def test_hat_of_mlc1_sequence_is_one_step_image(self):
         seq = constant_sequence(golden_mean_graph())
         rep = hat_space(seq, 1)

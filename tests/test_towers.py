@@ -1,11 +1,15 @@
 """Tower enumeration, greedy upgrades, entropic search, fibers."""
 
+import dataclasses
+import itertools
 import math
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
-from shiftlab.errors import NoEntropicComponent, SchemaError
+from shiftlab import towers
+from shiftlab.errors import NoEntropicComponent, PreconditionError, SchemaError
 from shiftlab.fixtures import (
     abc_sequence,
     branching_sequence,
@@ -14,9 +18,12 @@ from shiftlab.fixtures import (
     cycles_only_sequence,
     golden_mean_graph,
     mixed_sequence,
+    random_sequence,
     two_cycle_sequence,
 )
+from shiftlab.shift_core import language_subset
 from shiftlab.towers import (
+    SelectionReport,
     Tower,
     approximate_by_shadowing_tower,
     enumerate_towers,
@@ -26,7 +33,7 @@ from shiftlab.towers import (
     truncated_fiber,
     verify_selection,
 )
-from shiftlab.inverse_systems import truncated_limit
+from shiftlab.inverse_systems import restrict_to_cr, truncated_limit
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -100,6 +107,66 @@ class TestSelection:
         for t in enumerate_towers(seq, 2):
             rep = select_max_tower(seq, t, 1, 3)
             assert rep.tower.entries[0] == t.entries[0]
+
+
+def _maximal_choices_oracle(seq, m, n, cands):
+    """Collect every candidate whose image no other candidate's image
+    strictly contains, then take the least id."""
+    maximal = []
+    for cid in cands:
+        img = towers._component_image(seq, m, n, cid)
+        dominated = False
+        for other in cands:
+            if other == cid:
+                continue
+            oimg = towers._component_image(seq, m, n, other)
+            le, _ = language_subset(img, oimg)
+            ge, _ = language_subset(oimg, img)
+            if le and not ge:
+                dominated = True
+                break
+        if not dominated:
+            maximal.append(cid)
+    return sorted(maximal)[0]
+
+
+def _candidate_lists_met(runs):
+    """Every (sequence, m, n, candidates) that select_max_tower hands to
+    _maximal_choices over the given (sequence, depth) runs, starting from
+    each tower and each start level that meets the preconditions."""
+    met = []
+    real = towers._maximal_choices
+
+    def spy(seq, m, n, cands):
+        met.append((seq, m, n, list(cands)))
+        return real(seq, m, n, cands)
+
+    with mock.patch.object(towers, "_maximal_choices", spy):
+        for seq, depth in runs:
+            for t in enumerate_towers(seq, depth):
+                for n in range(1, depth):
+                    try:
+                        select_max_tower(seq, t, n, depth)
+                    except PreconditionError:
+                        pass
+    return met
+
+
+class TestMaximalChoice:
+    def test_matches_collect_and_sort_oracle(self):
+        runs = [(cantor_product_sequence(3), 3), (branching_sequence(), 4)]
+        runs += [(restrict_to_cr(random_sequence(seed)), 3) for seed in range(30)]
+        met = _candidate_lists_met(runs)
+        assert sum(len(cands) > 1 for _s, _m, _n, cands in met) >= 10
+        for seq, m, n, cands in met:
+            for sub in itertools.chain.from_iterable(
+                    itertools.permutations(cands, k) for k in range(1, len(cands) + 1)):
+                sub = list(sub)
+                assert (towers._maximal_choices(seq, m, n, sub)
+                        == _maximal_choices_oracle(seq, m, n, sub)), (m, n, sub)
+
+    def test_report_holds_only_the_tower_and_its_contract(self):
+        assert [f.name for f in dataclasses.fields(SelectionReport)] == ["tower", "properties"]
 
 
 class TestEntropicSearch:
