@@ -20,7 +20,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Hashable, Iterable, Iterator, Mapping, Optional, Sequence, Union
+from typing import Hashable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .decomposition import cyclic_structure, is_irreducible, mixing_constant, sync_length, class_of_word
 from .errors import (
@@ -62,7 +62,6 @@ class DistalTuple:
     points: tuple[SymbolicPoint, ...]
     radius: Fraction
     common_period: int
-    cyclic_class: int
 
 
 def orbit_separation(points: Sequence[SymbolicPoint], period: int) -> Fraction:
@@ -100,7 +99,7 @@ def find_r_distal_tuple(g: SftGraph, n: int) -> DistalTuple:
         for p in pts:
             cls = class_of_word(ge, cs, p.expand(max(k_sync, 1))) if cs.period > 1 else 0
             by_class.setdefault(cls, []).append(p)
-        best: Optional[tuple[Fraction, tuple[SymbolicPoint, ...], int]] = None
+        best: Optional[tuple[Fraction, tuple[SymbolicPoint, ...]]] = None
         for cls in sorted(by_class):
             group = sorted(by_class[cls], key=str)
             if len(group) < n:
@@ -115,9 +114,9 @@ def find_r_distal_tuple(g: SftGraph, n: int) -> DistalTuple:
             for combo in itertools.combinations(range(len(group)), n):
                 r = min(sep[pair] for pair in itertools.combinations(combo, 2))
                 if best is None or r > best[0]:
-                    best = (r, tuple(group[i] for i in combo), cls)
+                    best = (r, tuple(group[i] for i in combo))
         if best is not None and best[0] > 0:
-            return DistalTuple(best[1], best[0], period, best[2])
+            return DistalTuple(best[1], best[0], period)
     raise NoDistalTuple("no %d-tuple up to period %d" % (n, MAX_DISTAL_PERIOD))
 
 
@@ -135,19 +134,19 @@ class JoinCertificate:
 
 def _reading_states(g: SftGraph, point: SymbolicPoint) -> dict[int, set[str]]:
     """For each position j < preperiod + period, the set of vertices from
-    which the shifted point is readable forever (a greatest fixed point)."""
+    which the shifted point is readable forever (a greatest fixed point),
+    read off the edges of ``g``.  Both callers pass an essential graph."""
     pre, per = len(point.preperiod), len(point.period)
     total = pre + per
-    out = follower(g).out
-    alive = {j: set(out) for j in range(total)}
+    alive = {j: set(g.vertices) for j in range(total)}
     changed = True
     while changed:
         changed = False
         for j in range(total):
             nxt = j + 1 if j + 1 < total else pre
             sym = point.symbol_at(j)
-            keep = {v for v in alive[j]
-                    if out[v].get(sym, set()) & alive[nxt]}
+            keep = {u for (u, v, a) in g.edges
+                    if a == sym and u in alive[j] and v in alive[nxt]}
             if keep != alive[j]:
                 alive[j] = keep
                 changed = True
@@ -180,7 +179,6 @@ def chain_proximal_join(g: SftGraph, y: SymbolicPoint, z: SymbolicPoint,
             raise NotChainProximal("points lie in different cyclic classes")
     K = epsilon_exp
     f = follower(ge)
-    out = f.out
     # States after reading the K-prefix of z from anywhere.
     end = f.walk(z.expand(K))
     if end is None:
@@ -198,7 +196,7 @@ def chain_proximal_join(g: SftGraph, y: SymbolicPoint, z: SymbolicPoint,
     layer = front
     for ell in range(0, cap + 1):
         if ell % m == 0 and layer & reader_set(K + ell):
-            connector = _first_word(out, front, reader_set(K + ell), ell)
+            connector = _first_word(ge.edges, front, reader_set(K + ell), ell)
             if connector is None:
                 raise InternalInvariantViolation("path recovery failed")
             tail = y.shift(K + ell)
@@ -208,25 +206,25 @@ def chain_proximal_join(g: SftGraph, y: SymbolicPoint, z: SymbolicPoint,
             if w.shift(K + ell) != y.shift(K + ell):
                 raise InternalInvariantViolation("join tail does not glue to y")
             return JoinCertificate(w, K, connector, K + ell)
-        layer = {t for v in layer for targets in out[v].values() for t in targets}
+        layer = {v for (u, v, _a) in ge.edges if u in layer}
     raise NotChainProximal("no connector up to length %d" % cap)
 
 
-def _first_word(out: Mapping[str, Mapping[str, frozenset[str]]],
+def _first_word(edges: Sequence[tuple[str, str, str]],
                 sources: Iterable[str], goal: Iterable[str],
                 length: int) -> Optional[Word]:
-    """Label word of a path of exactly ``length`` edges from a source
-    vertex to a goal vertex, or None if there is none.  The path starts at
-    the least source that can still reach the goal in time, and each step
-    takes the least symbol, then the least target vertex, from which the
-    goal stays reachable in the steps left."""
+    """Label word of a path of exactly ``length`` of the labeled ``edges``
+    (source, target, symbol) from a source vertex to a goal vertex, or None
+    if there is none.  The path starts at the least source that can still
+    reach the goal in time, and each step takes the least symbol, then the
+    least target vertex, from which the goal stays reachable in the steps
+    left."""
     # live[t]: vertices from which the goal is reachable in exactly
     # length - t steps.
     live = [set(goal)]
     for _ in range(length):
         ahead = live[-1]
-        live.append({v for v, moves in out.items()
-                     if any(targets & ahead for targets in moves.values())})
+        live.append({u for (u, v, _a) in edges if v in ahead})
     live.reverse()
     starts = live[0].intersection(sources)
     if not starts:
@@ -234,9 +232,8 @@ def _first_word(out: Mapping[str, Mapping[str, frozenset[str]]],
     v = min(starts)
     word = []
     for t in range(1, length + 1):
-        sym = min(a for a, targets in out[v].items() if targets & live[t])
+        sym, v = min((a, w) for (u, w, a) in edges if u == v and w in live[t])
         word.append(sym)
-        v = min(out[v][sym] & live[t])
     return tuple(word)
 
 
@@ -361,23 +358,22 @@ class ScrambledTuple:
     schedule_lengths: tuple[int, ...]
 
 
-Step = Callable[[Hashable, str], Optional[Hashable]]
-
-
-def _run(step: Step, state: Hashable, seg: Segment) -> Optional[Hashable]:
-    """State after reading the segment from ``state`` with a deterministic
-    step function, or None once a step returns None.  In a point, whole
-    periods are jumped once the state at a period boundary repeats."""
+def _run(trans: Mapping[tuple[Hashable, str], Hashable], state: Hashable,
+         seg: Segment) -> Optional[Hashable]:
+    """State after reading the segment from ``state`` through the
+    deterministic transition map (state, symbol) -> state, or None once a
+    transition is missing.  In a point, whole periods are jumped once the
+    state at a period boundary repeats."""
     src = seg.source
     if not isinstance(src, SymbolicPoint):
-        return _steps(step, state, src)
+        return _steps(trans, state, src)
     pre = src.preperiod[:seg.length]
-    state = _steps(step, state, pre)
+    state = _steps(trans, state, pre)
     whole, rest = divmod(seg.length - len(pre), len(src.period))
     trail = [state]            # trail[k]: state after k whole periods
     first = {state: 0}
     for k in range(1, whole + 1):
-        state = _steps(step, state, src.period)
+        state = _steps(trans, state, src.period)
         if state is None:
             return None
         if state in first:
@@ -386,14 +382,15 @@ def _run(step: Step, state: Hashable, seg: Segment) -> Optional[Hashable]:
             break
         first[state] = k
         trail.append(state)
-    return _steps(step, state, src.period[:rest])
+    return _steps(trans, state, src.period[:rest])
 
 
-def _steps(step: Step, state: Optional[Hashable], word: Word) -> Optional[Hashable]:
+def _steps(trans: Mapping[tuple[Hashable, str], Hashable], state: Optional[Hashable],
+           word: Word) -> Optional[Hashable]:
     for sym in word:
         if state is None:
             break
-        state = step(state, sym)
+        state = trans.get((state, sym))
     return state
 
 
@@ -417,12 +414,8 @@ def build_scrambled_tuple(g: SftGraph, distal: DistalTuple,
         running += lengths[k - 1]
         if lengths[k] < k * running:
             raise InvalidSchedule("block %d violates the domination rule" % (k + 1))
-    out = follower(gc).out
-
-    def step(v: str, sym: str) -> Optional[str]:
-        nxt = out[v].get(sym)
-        return min(nxt) if nxt else None
-
+    # A canonical presentation is deterministic: one edge per (vertex, symbol).
+    moves = {(u, a): v for (u, v, a) in gc.edges}
     n = len(distal.points)
     starts = []
     for p in distal.points:
@@ -440,14 +433,14 @@ def build_scrambled_tuple(g: SftGraph, distal: DistalTuple,
         for i in range(n):
             target = 0 if kind == "together" else i
             if states[i] is not None:
-                word = _first_word(out, (states[i],), (starts[target],), conn)
+                word = _first_word(gc.edges, (states[i],), (starts[target],), conn)
                 if word is None:
                     raise NotMixing("no path of length %d from %s to %s"
                                     % (conn, states[i], starts[target]))
                 segments[i].append(Segment.literal(word))
             content = Segment(distal.points[target], length)
             segments[i].append(content)
-            states[i] = _run(step, starts[target], content)
+            states[i] = _run(moves, starts[target], content)
             if states[i] is None:
                 raise InternalInvariantViolation("stream content not admissible")
         start = pos if k == 1 else pos + conn
@@ -462,14 +455,10 @@ def build_scrambled_tuple(g: SftGraph, distal: DistalTuple,
 def _verify_streams(g: SftGraph, tup: ScrambledTuple) -> None:
     """Follower-automaton walk over every stream, segment by segment."""
     trans = follower(g).trans
-
-    def step(state: int, sym: str) -> Optional[int]:
-        return trans.get((state, sym))
-
     for s in tup.streams:
         state: Optional[int] = 0
         for seg in s.segments:
-            state = _run(step, state, seg)
+            state = _run(trans, state, seg)
             if state is None:
                 raise InternalInvariantViolation("scrambled stream not admissible")
 

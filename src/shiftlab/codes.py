@@ -255,7 +255,10 @@ def code_to_json(code: SlidingBlockCode) -> dict:
 
 def code_from_json(data: dict) -> SlidingBlockCode:
     try:
-        window = int(data["window"])
+        window = data["window"]
+        if type(window) is not int:
+            raise SchemaError("malformed code: window must be an integer, not %s"
+                              % type(window).__name__)
         if not isinstance(data["rule"], dict):
             raise SchemaError("malformed code: rule must be an object")
         # A window-1 key is one symbol, even when that symbol has several

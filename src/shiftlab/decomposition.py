@@ -195,8 +195,6 @@ def cyclic_structure(g: SftGraph) -> CyclicStructure:
     m = 0
     for (u, v, _a) in ge.edges:
         m = math.gcd(m, dist[u] + 1 - dist[v])
-    if m == 0:
-        m = 1
     raw: list[list[str]] = [[] for _ in range(m)]
     for v in ge.vertices:
         raw[dist[v] % m].append(v)

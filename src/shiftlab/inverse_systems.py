@@ -307,8 +307,6 @@ def extract_mlc1_subsequence(seq: InverseSequenceSpec,
             raise CannotExtract(
                 "image chain at level %d has no witness within cap" % current)
         nxt = chain.stabilized_at
-        if nxt <= current:
-            nxt = current + 1
         kept.append(nxt)
         current = nxt
     # Tail detection over the retained indices.
@@ -443,7 +441,10 @@ def sequence_from_json(data: dict) -> InverseSequenceSpec:
         if not isinstance(tail, dict):
             raise SchemaError("sequence tail must be an object")
         mode = str(tail.get("mode", "identity"))
-        block = int(tail.get("block", 1))
+        block = tail.get("block", 1)
+        if type(block) is not int:
+            raise SchemaError("malformed sequence: tail block must be an integer, not %s"
+                              % type(block).__name__)
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError("malformed sequence: %s" % exc) from exc
     return InverseSequenceSpec(levels, codes, mode, block)

@@ -260,15 +260,15 @@ class Follower:
     vertices in ``essential(g).vertices`` order; :meth:`vertices` decodes
     one.  State 0 is the full vertex set.  ``trans`` maps (state, symbol)
     to a state; every state is accepting and a missing transition means the
-    word leaves the language.  ``out`` is the labeled out-map, vertex ->
-    symbol -> targets.  An empty shift has the single state ``0`` and no
-    transitions.  Both maps are read-only: :func:`follower` shares one
-    instance among all callers asking about the same graph value.
+    word leaves the language.  An empty shift has the single state ``0``
+    and no transitions.  ``trans`` is read-only: :func:`follower` shares
+    one instance among all callers asking about the same graph value.
+    The automaton is all it holds; searches over vertices read the edges
+    of the essential graph.
     """
 
     states: tuple[int, ...]
     trans: Mapping[tuple[int, str], int]
-    out: Mapping[str, Mapping[str, frozenset[str]]]
     names: tuple[str, ...]
 
     def vertices(self, i: int) -> frozenset[str]:
@@ -311,13 +311,9 @@ def follower(g: SftGraph) -> Follower:
     ge = essential(g)
     names = ge.vertices
     bit = {v: k for k, v in enumerate(names)}
-    out: dict[str, dict[str, set[str]]] = {v: {} for v in names}
     succ = {a: [0] * len(names) for a in ge.alphabet}
     for (u, v, a) in ge.edges:
-        out[u].setdefault(a, set()).add(v)
         succ[a][bit[u]] |= 1 << bit[v]
-    frozen = {v: MappingProxyType({a: frozenset(t) for a, t in m.items()})
-              for v, m in out.items()}
     # Per symbol a: succ[a] and a table from p << 8 | b to the successors
     # under a of the vertices 8p + j for the bits j set in b.
     tables = [(a, succ[a], {}) for a in ge.alphabet]
@@ -351,7 +347,7 @@ def follower(g: SftGraph) -> Follower:
                 j = index[nxt] = len(states)
                 states.append(nxt)
             trans[(i, a)] = j
-    return Follower(tuple(states), MappingProxyType(trans), MappingProxyType(frozen), names)
+    return Follower(tuple(states), MappingProxyType(trans), names)
 
 
 def determinize(g: SftGraph) -> SftGraph:

@@ -1,8 +1,9 @@
 """Reference constructions that only the tests call: graphs and codes
 validated on every call and never interned, the cylinder distance of two
 words, a finite system built point by point from Python functions, the
-gap-shift entropy by bisection, and entropy with an eigenvalue computation
-for every chain component."""
+gap-shift entropy by bisection, entropy with an eigenvalue computation
+for every chain component, and the reading states of a point found on a
+labeled out-map."""
 
 import math
 from collections import Counter
@@ -21,7 +22,7 @@ from shiftlab.errors import (
     SchemaError,
 )
 from shiftlab.shadow_lab import FiniteSystem
-from shiftlab.shift_core import SftGraph, common_prefix, language_subset, word_str
+from shiftlab.shift_core import SftGraph, common_prefix, essential, language_subset, word_str
 
 
 def graph_oracle(vertices, edges, alphabet):
@@ -125,3 +126,33 @@ def entropy_oracle(g):
         radius = float(np.max(np.abs(np.linalg.eigvals(a))))
         best = max(best, radius)
     return math.log(best)
+
+
+def out_map(g):
+    """The labeled out-map of ``g``: vertex -> symbol -> frozenset of
+    targets."""
+    out = {v: {} for v in g.vertices}
+    for (u, v, a) in g.edges:
+        out[u].setdefault(a, set()).add(v)
+    return {v: {a: frozenset(t) for a, t in m.items()} for v, m in out.items()}
+
+
+def reading_states_oracle(g, point):
+    """``chaos._reading_states`` as it was worked out on the out-map of the
+    essential part of ``g``, which the follower automaton then carried."""
+    pre, per = len(point.preperiod), len(point.period)
+    total = pre + per
+    out = out_map(essential(g))
+    alive = {j: set(out) for j in range(total)}
+    changed = True
+    while changed:
+        changed = False
+        for j in range(total):
+            nxt = j + 1 if j + 1 < total else pre
+            sym = point.symbol_at(j)
+            keep = {v for v in alive[j]
+                    if out[v].get(sym, set()) & alive[nxt]}
+            if keep != alive[j]:
+                alive[j] = keep
+                changed = True
+    return alive

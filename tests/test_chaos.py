@@ -10,6 +10,7 @@ from unittest import mock
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from oracles import out_map, reading_states_oracle
 from shiftlab import chaos
 from shiftlab.chaos import (
     Block,
@@ -53,7 +54,6 @@ from shiftlab.shift_core import (
     canonical_presentation,
     distance,
     essential,
-    follower,
     full_shift,
     periodic_points,
     point_in_shift,
@@ -128,9 +128,9 @@ def distal_oracle(g, n, max_period=8):
             for combo in itertools.combinations(group, n):
                 r = orbit_separation(combo, period)
                 if best is None or r > best[0]:
-                    best = (r, combo, cls)
+                    best = (r, combo)
         if best is not None and best[0] > 0:
-            return DistalTuple(best[1], best[0], period, best[2])
+            return DistalTuple(best[1], best[0], period)
     raise NoDistalTuple("no %d-tuple up to period %d" % (n, max_period))
 
 
@@ -245,10 +245,9 @@ class TestScrambled:
             assert tuple(tup.streams[i][b.start:b.end]) == p.expand(b.length)
 
     def test_non_mixing_rejected(self):
-        from shiftlab.chaos import DistalTuple
         fake = DistalTuple((SymbolicPoint((), ("a", "b")),
                             SymbolicPoint((), ("b", "a"))),
-                           Fraction(1), 2, 0)
+                           Fraction(1), 2)
         with pytest.raises(NotMixing):
             build_scrambled_tuple(two_cycle_graph(), fake, num_blocks=2)
 
@@ -324,7 +323,7 @@ def build_oracle(g, distal, num_blocks=8, schedule=None):
         running += lengths[k - 1]
         if lengths[k] < k * running:
             raise InvalidSchedule("block %d violates the domination rule" % (k + 1))
-    out = follower(gc).out
+    out = out_map(gc)
     n = len(distal.points)
     starts = [min(_reading_states(gc, p)[0]) for p in distal.points]
     ref = distal.points[0]
@@ -340,7 +339,7 @@ def build_oracle(g, distal, num_blocks=8, schedule=None):
             target_pt = ref if kind == "together" else distal.points[i]
             target_state = ref_start if kind == "together" else starts[i]
             if states[i] is not None:
-                word = _first_word(out, (states[i],), (target_state,), conn)
+                word = _first_word(gc.edges, (states[i],), (target_state,), conn)
                 if word is None:
                     raise NotMixing("no path of length %d from %s to %s"
                                     % (conn, states[i], target_state))
@@ -505,11 +504,10 @@ class TestSegmentedDifferential:
     def test_period_jump_matches_symbol_walk(self, table, state, seg):
         # A random partial transition table: boundary states of a period
         # often enter their cycle late, and some walks die.
-        step = lambda s, a: table.get((s, a))
         want = state
         for sym in seg.read(0, seg.length):
-            want = step(want, sym) if want is not None else None
-        assert _run(step, state, seg) == want
+            want = table.get((want, sym)) if want is not None else None
+        assert _run(table, state, seg) == want
 
     def test_segment_length_checked(self):
         p = SymbolicPoint((), ("0",))
@@ -646,10 +644,10 @@ class TestFirstWordOracles:
            st.randoms(use_true_random=False))
     def test_matches_recover_path(self, seed, nv, ell, rng):
         g = random_graph(random.Random(seed), max_vertices=nv)
-        out = follower(g).out
+        out = out_map(g)
         front = rng.sample(g.vertices, rng.randint(1, len(g.vertices)))
         goal = rng.sample(g.vertices, rng.randint(1, len(g.vertices)))
-        assert _first_word(out, front, goal, ell) == \
+        assert _first_word(g.edges, front, goal, ell) == \
             recover_oracle(g, out, front, goal, ell)
 
     @settings(max_examples=300, deadline=None)
@@ -657,9 +655,9 @@ class TestFirstWordOracles:
            st.randoms(use_true_random=False))
     def test_matches_exact_length_path(self, seed, nv, length, rng):
         g = random_graph(random.Random(seed), max_vertices=nv)
-        out = follower(g).out
+        out = out_map(g)
         src, dst = rng.choice(g.vertices), rng.choice(g.vertices)
-        assert _first_word(out, (src,), (dst,), length) == \
+        assert _first_word(g.edges, (src,), (dst,), length) == \
             exact_oracle(g, out, src, dst, length)
 
     def test_both_oracles_have_none_cases(self):
@@ -667,10 +665,24 @@ class TestFirstWordOracles:
         found = {"recover": set(), "exact": set()}
         for seed in range(200):
             g = random_graph(random.Random(seed), max_vertices=4)
-            out = follower(g).out
+            out = out_map(g)
             v, w = rng.choice(g.vertices), rng.choice(g.vertices)
             ell = rng.randint(0, 5)
             found["recover"].add(recover_oracle(g, out, [v], [w], ell) is None)
             found["exact"].add(exact_oracle(g, out, v, w, ell) is None)
-            assert _first_word(out, [v], [w], ell) == exact_oracle(g, out, v, w, ell)
+            assert _first_word(g.edges, [v], [w], ell) == exact_oracle(g, out, v, w, ell)
         assert found == {"recover": {True, False}, "exact": {True, False}}
+
+
+class TestReadingStatesOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 10 ** 6), st.integers(1, 5), st.integers(1, 4), st.data())
+    def test_matches_out_map_oracle(self, seed, nv, period, data):
+        g = random_graph(random.Random(seed), max_vertices=nv)
+        symbols = st.sampled_from(g.alphabet)
+        arbitrary = st.builds(SymbolicPoint,
+                              st.lists(symbols, max_size=4).map(tuple),
+                              st.lists(symbols, min_size=1, max_size=4).map(tuple))
+        pts = periodic_points(g, period)
+        point = data.draw(st.one_of(arbitrary, st.sampled_from(pts)) if pts else arbitrary)
+        assert _reading_states(g, point) == reading_states_oracle(g, point)

@@ -190,6 +190,28 @@ class TestMlc:
         assert code == 2 and out == ""
         assert err == "precondition failed: code image exceeds 67108864 domain path symbols\n"
 
+    @pytest.mark.parametrize("edit, reason", [
+        (None, "malformed code: window must be an integer, not float"),
+        (("window", True), "malformed code: window must be an integer, not bool"),
+        (("window", "1"), "malformed code: window must be an integer, not str"),
+        (("block", 1.5), "malformed sequence: tail block must be an integer, not float"),
+        (("block", True), "malformed sequence: tail block must be an integer, not bool"),
+    ], ids=["float-window", "bool-window", "string-window", "float-block", "bool-block"])
+    def test_non_integer_window_or_block_is_exit_2(self, tmp_path, capsys, edit, reason):
+        # float_window.json is abc_sequence.json with window 1.9; the other
+        # cases edit abc_sequence.json the same way.
+        source = path("float_window.json")
+        if edit is not None:
+            field, value = edit
+            with open(path("abc_sequence.json"), encoding="utf-8") as f:
+                data = json.load(f)
+            (data["codes"][0] if field == "window" else data["tail"])[field] = value
+            source = tmp_path / "bad.json"
+            source.write_text(json.dumps(data))
+        code, out, err = run(capsys, "mlc", "--in", str(source))
+        assert code == 2 and out == ""
+        assert err == "precondition failed: %s\n" % reason
+
 
 class TestTowers:
     def test_branching_enumeration(self, capsys):

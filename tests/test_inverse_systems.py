@@ -415,3 +415,8 @@ class TestJson:
         data["tail"] = "identity"
         with pytest.raises(SchemaError):
             sequence_from_json(data)
+
+    def test_missing_tail_block_defaults_to_1(self):
+        data = sequence_to_json(abc_sequence())
+        del data["tail"]["block"]
+        assert sequence_from_json(data).tail_block == 1
