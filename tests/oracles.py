@@ -129,12 +129,11 @@ def entropy_oracle(g):
 
 
 def out_map(g):
-    """The labeled out-map of ``g``: vertex -> symbol -> frozenset of
-    targets."""
+    """The labeled out-map of ``g``: vertex -> symbol -> set of targets."""
     out = {v: {} for v in g.vertices}
     for (u, v, a) in g.edges:
         out[u].setdefault(a, set()).add(v)
-    return {v: {a: frozenset(t) for a, t in m.items()} for v, m in out.items()}
+    return out
 
 
 def reading_states_oracle(g, point):
