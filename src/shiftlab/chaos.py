@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Hashable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
-from .decomposition import cyclic_structure, is_irreducible, mixing_constant, sync_length, class_of_word
+from .decomposition import class_of_word, cyclic_structure, is_irreducible, is_mixing, mixing_constant, sync_length
 from .errors import (
     InternalInvariantViolation,
     InvalidSchedule,
@@ -97,7 +97,7 @@ def find_r_distal_tuple(g: SftGraph, n: int) -> DistalTuple:
         pts = periodic_points(ge, period)
         by_class: dict[int, list[SymbolicPoint]] = {}
         for p in pts:
-            cls = class_of_word(ge, cs, p.expand(max(k_sync, 1))) if cs.period > 1 else 0
+            cls = class_of_word(ge, p.expand(max(k_sync, 1))) if cs.period > 1 else 0
             by_class.setdefault(cls, []).append(p)
         best: Optional[tuple[Fraction, tuple[SymbolicPoint, ...]]] = None
         for cls in sorted(by_class):
@@ -167,15 +167,13 @@ def chain_proximal_join(g: SftGraph, y: SymbolicPoint, z: SymbolicPoint,
         raise NotInLanguage("both points must lie in the shift")
     if not is_irreducible(ge):
         raise NotIrreducible("join needs an irreducible graph")
-    cs = cyclic_structure(ge)
-    m = cs.period
+    m = cyclic_structure(ge).period
     if m > 1:
         k_sync = sync_length(ge)
         if k_sync is None:
             raise NotIrreducible("presentation does not resolve cyclic classes")
         probe = max(k_sync, 1)
-        if (class_of_word(ge, cs, y.expand(probe))
-                != class_of_word(ge, cs, z.expand(probe))):
+        if class_of_word(ge, y.expand(probe)) != class_of_word(ge, z.expand(probe)):
             raise NotChainProximal("points lie in different cyclic classes")
     K = epsilon_exp
     f = follower(ge)
@@ -404,7 +402,7 @@ def build_scrambled_tuple(g: SftGraph, distal: DistalTuple,
     if num_blocks < 1:
         raise SchemaError("need at least one block")
     gc = canonical_presentation(g)
-    if not is_irreducible(gc) or cyclic_structure(gc).period != 1:
+    if not is_mixing(gc):
         raise NotMixing("scrambled streams need a mixing graph")
     sched = schedule or Schedule()
     conn = mixing_constant(gc)

@@ -256,13 +256,13 @@ def _run_battery(name: str, cases) -> int:
         try:
             ok = bool(fn())
         except Exception as e:
-            ok = False
-            failures.append("%s: %r" % (label, e))
-        if ok:
-            passed += 1
-        else:
             failed += 1
-            if not failures or not failures[-1].startswith(label):
+            failures.append("%s: %r" % (label, e))
+        else:
+            if ok:
+                passed += 1
+            else:
+                failed += 1
                 failures.append(label)
     out = {"selftest": name, "passed": passed, "failed": failed}
     if failures:

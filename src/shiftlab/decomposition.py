@@ -319,12 +319,14 @@ def sync_length(g: SftGraph) -> Optional[int]:
     return None
 
 
-def class_of_word(g: SftGraph, cs: CyclicStructure, word: Sequence[str]) -> int:
-    """Cyclic class of the cylinder determined by the word, when every
-    vertex reading the word agrees on it.  The follower state after the
-    word holds the ends of the paths it labels; they all have length
-    |word|, so the ends share a class exactly when the starts do, and the
-    start class is the end class minus |word| mod the period."""
+def class_of_word(g: SftGraph, word: Sequence[str]) -> int:
+    """Cyclic class, in ``cyclic_structure(g)``, of the cylinder determined
+    by the word, when every vertex reading the word agrees on it.  The
+    follower state after the word holds the ends of the paths it labels;
+    they all have length |word|, so the ends share a class exactly when
+    the starts do, and the start class is the end class minus |word| mod
+    the period."""
+    cs = cyclic_structure(g)
     w = tuple(word)
     f = follower(g)
     end = f.walk(w)

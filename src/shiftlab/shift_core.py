@@ -208,7 +208,8 @@ def from_forbidden_words(alphabet: Iterable[str], forbidden: Iterable[Sequence[s
     """Higher-block presentation of the shift avoiding every word in
     ``forbidden``.  Vertices are the admissible words of length N where
     N + 1 is the longest forbidden length; the result is essential and
-    deterministic, and may be empty."""
+    deterministic, and may be empty.  Raises TooLarge past
+    ``MAX_FOLLOWER_STATES`` admissible words of one length up to N."""
     ab = tuple(alphabet)
     if not ab:
         raise InvalidAlphabet("empty alphabet")
@@ -222,29 +223,25 @@ def from_forbidden_words(alphabet: Iterable[str], forbidden: Iterable[Sequence[s
     keep = tuple(s for s in ab if (s,) not in bad)
     long_bad = {w for w in bad if len(w) >= 2}
     n = max((len(w) for w in long_bad), default=1) - 1
-
-    def ok(word: Word) -> bool:
-        for i in range(len(word)):
-            for j in range(i + 1, len(word) + 1):
-                if word[i:j] in long_bad:
-                    return False
-        return True
-
     if n == 0:
         if not keep:
             return SftGraph((), (), ab)
         return SftGraph(("*",), tuple(("*", "*", a) for a in keep), ab)
 
-    states = [w for w in itertools.product(keep, repeat=n) if ok(w)]
+    # The admissible words grow one symbol a round, in product order; the
+    # rest of an extended word is admissible, so only its suffixes can be
+    # forbidden.  The words of length N are the vertices and those of
+    # length N + 1 the edges, from their N-prefix to their N-suffix.
+    words: list[Word] = [()]
+    for _ in range(n + 1):
+        if len(words) > MAX_FOLLOWER_STATES:
+            raise TooLarge("forbidden-word graph exceeds %d words of one length"
+                           % MAX_FOLLOWER_STATES)
+        states, words = words, [w + (a,) for w in words for a in keep
+                                if not any(w[i:] + (a,) in long_bad for i in range(len(w)))]
     names = {w: word_str(w) for w in states}
-    edges = []
-    stateset = set(states)
-    for w in states:
-        for a in keep:
-            ext = w + (a,)
-            if ok(ext) and ext[1:] in stateset:
-                edges.append((names[w], names[ext[1:]], a))
-    return essential(SftGraph(tuple(names[w] for w in states), tuple(edges), ab))
+    edges = tuple((names[e[:-1]], names[e[1:]], e[-1]) for e in words)
+    return essential(SftGraph(tuple(names[w] for w in states), edges, ab))
 
 
 # ---------------------------------------------------------------------------
@@ -290,9 +287,9 @@ class Follower:
 # ``decomposition.cyclic_structure``, ``decomposition.entropy``,
 # ``codes.identity_code`` and ``codes.code_image``): 1024 entries hold a
 # whole benchmark pass of distinct values without growing forever.  A
-# seed-3 pass of the inverse-sequence jobs asks 5,393 language questions,
-# 768 of them distinct, and searches each once (86% memo hits; a 256-entry
-# bound evicts answers it asks again and searches 1,430 times); its largest
+# seed-3 pass of the inverse-sequence jobs asks 4,205 language questions,
+# 713 of them distinct, and searches each once (83% memo hits; a 256-entry
+# bound evicts answers it asks again and searches 1,169 times); its largest
 # other memos hold 597 code images and 548 follower automata.
 MEMO_SIZE = 1024
 
@@ -414,9 +411,13 @@ _CANONICAL: weakref.WeakSet[SftGraph] = weakref.WeakSet()
 @functools.lru_cache(maxsize=MEMO_SIZE)
 def canonical_presentation(g: SftGraph) -> SftGraph:
     """Minimal deterministic essential presentation, with vertices renamed
-    canonically by breadth-first discovery from the full-follower state.
-    Two graphs present the same language iff their canonical presentations
-    are identical, so the map is idempotent.  Built once per graph value."""
+    canonically by breadth-first discovery from the full-follower state,
+    symbols taken in alphabet-tuple order.  It depends only on the
+    language and the alphabet tuple: two graphs with one alphabet tuple
+    present the same language iff their canonical presentations are the
+    same object (graphs are interned), so the map is idempotent.  Graphs
+    whose alphabet tuples differ, even only in order, have distinct
+    canonical presentations.  Built once per graph value."""
     if g in _CANONICAL:
         return g
     f = follower(g)

@@ -43,7 +43,6 @@ from .inverse_systems import (
 )
 from .shift_core import (
     SftGraph,
-    language_equal,
     language_subset,
     word_in_language,
     words_of_length,
@@ -128,8 +127,6 @@ def cyclic_class_map(seq: InverseSequenceSpec, n: int) -> dict[str, str]:
     upper = seq.level(n + 1)
     lower = seq.level(n)
     code = seq.code(n)
-    cs_u = cyclic_structure(upper)
-    cs_l = cyclic_structure(lower)
     ku = sync_length(upper)
     kl = sync_length(lower)
     if ku is None or kl is None:
@@ -137,9 +134,9 @@ def cyclic_class_map(seq: InverseSequenceSpec, n: int) -> dict[str, str]:
     length = max(ku, kl + code.window - 1, 1)
     out: dict[str, str] = {}
     for w in words_of_length(upper, length):
-        src = "D%d" % class_of_word(upper, cs_u, w)
+        src = "D%d" % class_of_word(upper, w)
         img = code.word_map(w)
-        dst = "D%d" % class_of_word(lower, cs_l, img)
+        dst = "D%d" % class_of_word(lower, img)
         if out.setdefault(src, dst) != dst:
             raise NotIrreducible(
                 "class %s of level %d maps into two classes" % (src, n + 1))
@@ -165,8 +162,7 @@ def _maximal_choices(seq: InverseSequenceSpec, m: int, n: int,
     imgs = {cid: _component_image(seq, m, n, cid) for cid in cands}
 
     def dominated(cid: str) -> bool:
-        return any(language_subset(imgs[cid], imgs[o])[0]
-                   and not language_subset(imgs[o], imgs[cid])[0]
+        return any(imgs[o] is not imgs[cid] and language_subset(imgs[cid], imgs[o])[0]
                    for o in cands if o != cid)
 
     return min(cid for cid in cands if not dominated(cid))
@@ -259,8 +255,7 @@ def verify_selection(seq: InverseSequenceSpec, before: Tower, after: Tower,
     for m in range(n, d - 1):
         one = _component_image(seq, m + 1, m, after.entries[m])
         two = _component_image(seq, m + 2, m, after.entries[m + 1])
-        eq, _ = language_equal(one, two)
-        stable = stable and eq
+        stable = stable and one is two
     props["one_step_image_stability"] = stable
     return props
 
@@ -321,11 +316,10 @@ def truncated_fiber(seq: InverseSequenceSpec, tower: Tower,
             if all(word_in_language(g, w) for g, w in zip(graphs, p)):
                 picks.append(i)
         return picks
-    structures = [cyclic_structure(seq.level(n)) for n in range(1, system.depth + 1)]
     for i, p in enumerate(system.points):
         ok = True
         for n, w in enumerate(p):
-            cls = "D%d" % class_of_word(seq.level(n + 1), structures[n], w)
+            cls = "D%d" % class_of_word(seq.level(n + 1), w)
             if cls != tower.entries[n]:
                 ok = False
                 break

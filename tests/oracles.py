@@ -2,9 +2,12 @@
 validated on every call and never interned, the cylinder distance of two
 words, a finite system built point by point from Python functions, the
 gap-shift entropy by bisection, entropy with an eigenvalue computation
-for every chain component, and the reading states of a point found on a
-labeled out-map."""
+for every chain component, the reading states of a point found on a
+labeled out-map, the forbidden-word graph built from every candidate
+word, and image chains, MLC checks, selection stability and maximal
+choices that compare canonical images by a language-equality search."""
 
+import itertools
 import math
 from collections import Counter
 from fractions import Fraction
@@ -12,17 +15,33 @@ from types import MappingProxyType
 
 import numpy as np
 
+from shiftlab import towers
 from shiftlab.codes import SlidingBlockCode, code_image
 from shiftlab.decomposition import chain_components, has_positive_entropy
 from shiftlab.errors import (
     AlphabetMismatch,
     EmptyShift,
+    InternalInvariantViolation,
     InvalidAlphabet,
     NotInLanguage,
     SchemaError,
 )
+from shiftlab.inverse_systems import (
+    DEFAULT_DEPTH_CAP,
+    ImageChainReport,
+    MlcLevelReport,
+    MlcReport,
+    composed_image,
+)
 from shiftlab.shadow_lab import FiniteSystem
-from shiftlab.shift_core import SftGraph, common_prefix, essential, language_subset, word_str
+from shiftlab.shift_core import (
+    SftGraph,
+    common_prefix,
+    essential,
+    language_equal,
+    language_subset,
+    word_str,
+)
 
 
 def graph_oracle(vertices, edges, alphabet):
@@ -155,3 +174,118 @@ def reading_states_oracle(g, point):
                 alive[j] = keep
                 changed = True
     return alive
+
+
+def forbidden_words_oracle(alphabet, forbidden):
+    """``shift_core.from_forbidden_words`` as it listed every one of the
+    |alphabet|**N candidate N-words and scanned every substring of each
+    word and of each one-symbol extension."""
+    ab = tuple(alphabet)
+    if not ab:
+        raise InvalidAlphabet("empty alphabet")
+    bad = {tuple(w) for w in forbidden}
+    for w in bad:
+        for s in w:
+            if s not in ab:
+                raise InvalidAlphabet("forbidden word uses unknown symbol %r" % s)
+        if len(w) == 0:
+            return SftGraph((), (), ab)
+    keep = tuple(s for s in ab if (s,) not in bad)
+    long_bad = {w for w in bad if len(w) >= 2}
+    n = max((len(w) for w in long_bad), default=1) - 1
+
+    def ok(word):
+        for i in range(len(word)):
+            for j in range(i + 1, len(word) + 1):
+                if word[i:j] in long_bad:
+                    return False
+        return True
+
+    if n == 0:
+        if not keep:
+            return SftGraph((), (), ab)
+        return SftGraph(("*",), tuple(("*", "*", a) for a in keep), ab)
+
+    states = [w for w in itertools.product(keep, repeat=n) if ok(w)]
+    names = {w: word_str(w) for w in states}
+    edges = []
+    stateset = set(states)
+    for w in states:
+        for a in keep:
+            ext = w + (a,)
+            if ok(ext) and ext[1:] in stateset:
+                edges.append((names[w], names[ext[1:]], a))
+    return essential(SftGraph(tuple(names[w] for w in states), tuple(edges), ab))
+
+
+def image_chain_oracle(seq, n, depth_cap=DEFAULT_DEPTH_CAP):
+    """``inverse_systems.image_chain`` as it decided stabilization by a
+    language-equality search between consecutive images."""
+    if depth_cap < 0:
+        raise SchemaError("image chain depth cap must be nonnegative")
+    images = []
+    stabilized = None
+    prev = None
+    for m in range(n + 1, n + depth_cap + 2):
+        img = composed_image(seq, m, n)
+        if prev is not None:
+            ok, _ = language_subset(img, prev)
+            if not ok:
+                raise InternalInvariantViolation(
+                    "image chain not descending at level %d depth %d" % (n, m))
+            eq, _ = language_equal(img, prev)
+            if eq:
+                stabilized = m - 1
+                images.append(img)
+                break
+        images.append(img)
+        prev = img
+    return ImageChainReport(n, tuple(images), stabilized)
+
+
+def check_mlc_oracle(seq, depth_cap=DEFAULT_DEPTH_CAP, levels=None):
+    """``inverse_systems.check_mlc`` as it decided one-step stability by a
+    language-equality search, with its check that a one-step stable level
+    has the one-step image as its stable image."""
+    idxs = list(levels) if levels is not None else list(range(1, seq.prefix_length + 1))
+    out = []
+    for n in idxs:
+        chain = image_chain_oracle(seq, n, depth_cap)
+        one = composed_image(seq, n + 1, n)
+        two = composed_image(seq, n + 2, n)
+        mlc1, _ = language_equal(one, two)
+        witness = chain.stabilized_at
+        status = "holds" if witness is not None else "undetermined"
+        if mlc1 and witness is not None and witness > n + 1:
+            eq, _ = language_equal(one, chain.stable_image)
+            if not eq:
+                raise InternalInvariantViolation(
+                    "one-step image differs from the stable image at level %d" % n)
+        out.append(MlcLevelReport(n, mlc1, status, witness, chain))
+    return MlcReport(tuple(out))
+
+
+def one_step_stability_oracle(seq, after, n):
+    """The ``one_step_image_stability`` property of
+    ``towers.verify_selection``, each pair of images compared by a
+    language-equality search."""
+    stable = True
+    for m in range(n, after.depth - 1):
+        one = towers._component_image(seq, m + 1, m, after.entries[m])
+        two = towers._component_image(seq, m + 2, m, after.entries[m + 1])
+        eq, _ = language_equal(one, two)
+        stable = stable and eq
+    return stable
+
+
+def maximal_choices_oracle(seq, m, n, cands):
+    """``towers._maximal_choices`` as it tested strict containment by two
+    subset searches, one each way."""
+    imgs = {cid: towers._component_image(seq, m, n, cid) for cid in cands}
+
+    def dominated(cid):
+        return any(language_subset(imgs[cid], imgs[o])[0]
+                   and not language_subset(imgs[o], imgs[cid])[0]
+                   for o in cands if o != cid)
+
+    return min(cid for cid in cands if not dominated(cid))

@@ -118,7 +118,7 @@ def distal_oracle(g, n, max_period=8):
             continue
         by_class = {}
         for p in periodic_points(ge, period):
-            cls = class_of_word(ge, cs, p.expand(max(k_sync, 1))) if cs.period > 1 else 0
+            cls = class_of_word(ge, p.expand(max(k_sync, 1))) if cs.period > 1 else 0
             by_class.setdefault(cls, []).append(p)
         best = None
         for cls in sorted(by_class):

@@ -137,6 +137,37 @@ class TestAnalyze:
         assert code == 2 and out == ""
         assert err == "precondition failed: malformed graph: forbidden must be a list, not str\n"
 
+    def test_long_forbidden_word_is_exit_2_quickly(self, capsys):
+        # One forbidden word of 30 symbols: the admissible words of length
+        # 17 are all 2**17 binary words, past the word cap.
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "analyze", "--in", path("long_forbidden.json"))
+        assert time.perf_counter() - t0 < 5.0
+        assert code == 2 and out == ""
+        assert err == "precondition failed: forbidden-word graph exceeds 65536 words of one length\n"
+
+    def test_transient_vertex_is_reported(self, tmp_path, capsys):
+        # A 0-loop joined to a 2-loop through a vertex t by the word 11:
+        # the vertex the middle of that word reaches lies on no cycle.
+        graph = tmp_path / "transient.json"
+        graph.write_text(json.dumps({
+            "alphabet": ["0", "1", "2"], "vertices": ["a", "t", "b"],
+            "edges": [["a", "a", "0"], ["a", "t", "1"], ["t", "b", "1"], ["b", "b", "2"]]}))
+        code, out, _ = run(capsys, "analyze", "--in", str(graph))
+        assert code == 0
+        rep = json.loads(out)
+        assert rep["transient_vertices"] == ["c4"]
+        assert [c["vertices"] for c in rep["components"]] == [["c1"], ["c3"]]
+        assert not rep["irreducible"]
+
+
+def _two_loops():
+    """The a- and b-loops of abc_sequence.json's level, without its
+    c-loop: the code a -> b, b -> c, c -> c maps this graph onto the
+    b- and c-loops."""
+    return {"alphabet": ["a", "b", "c"], "vertices": ["a", "b"],
+            "edges": [["a", "a", "a"], ["b", "b", "b"]]}
+
 
 class TestMlc:
     def test_abc_witnesses(self, capsys):
@@ -162,6 +193,40 @@ class TestMlc:
                            "--cap", "2")
         [lv] = json.loads(out)["levels"]
         assert lv["status"] == "holds" and lv["witness"] == 3
+
+    def test_cap_zero_decides_one_step_stability_alone(self, capsys):
+        code, out, _ = run(capsys, "mlc", "--in", path("mixed_sequence.json"), "--cap", "0")
+        assert code == 0
+        rep = json.loads(out)
+        assert rep["all_mlc1"] and not rep["all_witnessed"]
+        assert [(lv["mlc1"], lv["witness"], lv["stabilized_at"], lv["status"])
+                for lv in rep["levels"]] == [(True, None, None, "undetermined")] * 4
+        code, out, _ = run(capsys, "mlc", "--in", path("abc_sequence.json"), "--cap", "0")
+        assert code == 0
+        [lv] = json.loads(out)["levels"]
+        assert not lv["mlc1"] and lv["witness"] is None
+
+    @pytest.mark.parametrize("edit, reason", [
+        (lambda d: d.update(levels=[]), "at least one level required"),
+        (lambda d: d["tail"].update(mode="cyclic"), "tail must be 'identity' or 'periodic'"),
+        (lambda d: d["tail"].update(mode="identity"), "identity tail needs exactly L-1 codes"),
+        (lambda d: d["tail"].update(block=2), "periodic tail block out of range"),
+        (lambda d: d.update(codes=[]), "periodic tail needs L codes (last one wraps)"),
+        (lambda d: d["codes"][0].update(domain=_two_loops()), "code 1 domain mismatch"),
+        (lambda d: d.update(levels=[_two_loops(), d["levels"][0]],
+                            tail={"mode": "identity", "block": 1}),
+         "code 1 image leaves level 1"),
+    ], ids=["no-levels", "cyclic-tail", "identity-tail-codes", "block-2", "no-codes",
+            "domain-mismatch", "image-leaves-level"])
+    def test_inconsistent_sequence_is_exit_2(self, tmp_path, capsys, edit, reason):
+        with open(path("abc_sequence.json"), encoding="utf-8") as f:
+            data = json.load(f)
+        edit(data)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        code, out, err = run(capsys, "mlc", "--in", str(bad))
+        assert code == 2 and out == ""
+        assert err == "precondition failed: %s\n" % reason
 
     def test_multichar_symbols_survive_the_json_round_trip(self, tmp_path, capsys):
         from shiftlab.fixtures import cantor_product_sequence
@@ -393,6 +458,15 @@ class TestShadow:
         assert code == 2 and out == ""
         assert err == "precondition failed: exhaustive search exceeds 67108864 path symbols\n"
 
+    def test_gap_40_answers_quickly(self, capsys):
+        # Its forbidden words are 40 symbols long; listing every binary
+        # candidate word of that length would never finish.
+        t0 = time.perf_counter()
+        code, out, _ = run(capsys, "shadow", "--family", "gap", "--k", "40", "--depth", "6")
+        assert time.perf_counter() - t0 < 5.0
+        assert code == 0
+        assert json.loads(out)["points"] == 7
+
     def test_seed_recorded_in_sampled_mode(self, capsys):
         code, out, _ = run(capsys, "shadow", "--family", "limit",
                            "--eps-exp", "2", "--delta-exp", "4",
@@ -412,6 +486,21 @@ class TestLayered:
         assert rep["fibers_invariant"] and rep["fibers_transitive"]
         assert all(rep["fiber_shadowing"].values())
 
+    def test_interior_stratum_is_not_shadowed(self, capsys):
+        # Base words of length 5 are the shortest with an interior stratum.
+        code, out, _ = run(capsys, "layered", "--base-depth", "5", "--fiber-depth", "6",
+                           "--horizon", "6")
+        assert code == 0
+        rep = json.loads(out)
+        assert rep["interior_count"] == 16
+        assert rep["stratum_sizes"] == {"1": 4, "2": 4, "3": 8}
+        assert rep["point_count"] == 376
+        shadowing = rep["fiber_shadowing"]
+        interior = [k for k in shadowing if k.startswith("interior:")]
+        assert len(interior) == 16 and not any(shadowing[k] for k in interior)
+        assert all(v for k, v in shadowing.items() if k.startswith("A"))
+        assert len(shadowing) == 32
+
     @pytest.mark.parametrize("depth", ["30", "1000000000"])
     def test_oversized_base_exits_2_quickly(self, capsys, depth):
         t0 = time.perf_counter()
@@ -430,6 +519,19 @@ class TestSelftests:
         rep = json.loads(out)
         assert rep["failed"] == 0
         assert rep["passed"] > 0
+
+    def test_failure_list_keeps_a_false_case_after_a_raising_one(self, capsys, monkeypatch):
+        # "ab" raises, then "a", whose label starts the entry before it,
+        # returns false; each failure is listed once.
+        def boom():
+            raise ValueError("no")
+
+        monkeypatch.setattr("shiftlab.cli._selftest_analyze",
+                            lambda: [("ab", boom), ("a", lambda: False), ("b", lambda: True)])
+        code, out, _ = run(capsys, "analyze", "--selftest")
+        assert code == 1
+        assert json.loads(out) == {"selftest": "analyze", "passed": 1, "failed": 2,
+                                   "failures": ["ab: ValueError('no')", "a"]}
 
 
 def _list_rule(tmp_path):

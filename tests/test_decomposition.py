@@ -118,12 +118,11 @@ class TestCyclicStructure:
     def test_even_odd_block_graph(self):
         # two states, edges both ways with distinct labels: period 2
         g = two_cycle_graph()
-        cs = cyclic_structure(g)
         k = sync_length(g)
         assert k is not None
-        assert class_of_word(g, cs, parse_word("a"[:0] + "ab"[0])) in (0, 1)
-        c1 = class_of_word(g, cs, ("a",))
-        c2 = class_of_word(g, cs, ("b",))
+        assert class_of_word(g, parse_word("a"[:0] + "ab"[0])) in (0, 1)
+        c1 = class_of_word(g, ("a",))
+        c2 = class_of_word(g, ("b",))
         assert {c1, c2} == {0, 1}
 
     @settings(max_examples=100, deadline=None)
@@ -460,7 +459,7 @@ class TestClassesFromFollower:
             assert found is None or found > 6
         for n in range(6):
             for w in itertools.product(symbols, repeat=n):
-                assert (_outcome(class_of_word, g, cs, w)
+                assert (_outcome(class_of_word, g, w)
                         == _outcome(_class_of_word_oracle, g, cs, w))
 
     @settings(max_examples=100, deadline=None)
@@ -476,7 +475,7 @@ class TestClassesFromFollower:
         assert sync_length(g) == _sync_length_oracle(g)
         for k in range(7):
             for w in itertools.product(BIN, repeat=k):
-                assert (_outcome(class_of_word, g, cs, w)
+                assert (_outcome(class_of_word, g, w)
                         == _outcome(_class_of_word_oracle, g, cs, w))
 
     def test_fixtures_match_reading_oracle(self):
@@ -485,7 +484,7 @@ class TestClassesFromFollower:
             assert sync_length(g) == _sync_length_oracle(g)
             for n in range(5):
                 for w in itertools.product(g.alphabet, repeat=n):
-                    assert (_outcome(class_of_word, g, cs, w)
+                    assert (_outcome(class_of_word, g, w)
                             == _outcome(_class_of_word_oracle, g, cs, w))
 
     def test_unresolved_bipartite_presentation_is_fast(self):

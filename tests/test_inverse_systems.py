@@ -9,9 +9,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from memos import clear_value_memos
-from oracles import word_distance
+from oracles import check_mlc_oracle, image_chain_oracle, word_distance
 from shiftlab import inverse_systems
-from shiftlab.errors import SchemaError, TooLarge
+from shiftlab.errors import SchemaError, ShiftLabError, TooLarge
 from shiftlab.fixtures import (
     abc_sequence,
     branching_sequence,
@@ -19,6 +19,7 @@ from shiftlab.fixtures import (
     constant_sequence,
     golden_mean_graph,
     merging_sequence,
+    mixed_sequence,
     random_sequence,
 )
 from shiftlab.codes import code_image, identity_code, symbol_code
@@ -181,6 +182,37 @@ class TestMlc:
         chain = image_chain(seq, 1)
         ok, _ = language_subset(seq.level(1), chain.stable_image)
         assert not ok
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ShiftLabError as exc:  # compared by type and message
+        return type(exc), str(exc)
+
+
+# The fixed sequences and random_sequence seeds 0-39 whose image chains
+# the identity comparisons are checked on.
+IDENTITY_SEQUENCES = ([abc_sequence, branching_sequence, merging_sequence, mixed_sequence,
+                       functools.partial(cantor_product_sequence, 3)]
+                      + [functools.partial(random_sequence, seed) for seed in range(40)])
+
+
+class TestIdentityMatchesEqualityOracle:
+    def test_image_chains_and_mlc_reports_match(self):
+        # Reports are compared field by field; their images are graphs, so
+        # the equality-searching oracle must find the very same objects.
+        seen = set()
+        for make in IDENTITY_SEQUENCES:
+            seq = make()
+            for cap in range(9):
+                got = _outcome(check_mlc, seq, cap)
+                assert got == _outcome(check_mlc_oracle, seq, cap), (make, cap)
+                for n in range(1, seq.prefix_length + 2):
+                    assert (_outcome(image_chain, seq, n, cap)
+                            == _outcome(image_chain_oracle, seq, n, cap)), (make, cap, n)
+                seen.update((lv.mlc1, lv.witness is None) for lv in got.levels)
+        assert seen == {(True, True), (True, False), (False, True), (False, False)}
 
 
 class TestHatSpace:

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from memos import VALUE_MEMOS, clear_value_memos
-from oracles import graph_oracle, word_distance
+from oracles import forbidden_words_oracle, graph_oracle, word_distance
 from shiftlab import shift_core
 from shiftlab.errors import PreconditionError, SchemaError, TooLarge
 from shiftlab.fixtures import (
@@ -38,6 +38,7 @@ from shiftlab.shift_core import (
     _minimize,
     canonical_presentation,
     common_prefix,
+    determinize,
     distance,
     essential,
     follower,
@@ -87,6 +88,38 @@ class TestGraphs:
         assert not word_in_language(g, parse_word("101"))
         assert not word_in_language(g, parse_word("11"))
         assert word_in_language(g, parse_word("1001"))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_forbidden_words_match_candidate_listing_oracle(self, data):
+        # Graphs by their fields, errors by type and message: now and then
+        # the unknown symbol 3, an empty alphabet or word, a repeated
+        # symbol, or two words of dotted symbols with one name.
+        alphabet = data.draw(st.one_of(
+            st.lists(st.sampled_from(["0", "1", "2"]), min_size=1, max_size=3, unique=True),
+            st.lists(st.sampled_from(["0", "1", "0.1", "1.0"]), max_size=3)))
+        symbols = st.sampled_from(alphabet * 8 + ["3"])
+        forbidden = data.draw(st.lists(st.lists(symbols, min_size=1, max_size=5).map(tuple),
+                                       max_size=4))
+        if data.draw(st.integers(0, 9)) == 0:
+            forbidden.append(())
+
+        def outcome(build):
+            try:
+                g = build(alphabet, forbidden)
+            except PreconditionError as exc:
+                return type(exc), str(exc)
+            return g.vertices, g.edges, g.alphabet
+
+        assert outcome(from_forbidden_words) == outcome(forbidden_words_oracle)
+
+    def test_forbidden_word_cap(self, monkeypatch):
+        monkeypatch.setattr(shift_core, "MAX_FOLLOWER_STATES", 16)
+        # One forbidden 5-word leaves all 16 binary 4-words admissible.
+        g = from_forbidden_words(BIN, [tuple("00001")])
+        assert len(g.vertices) == 16
+        with pytest.raises(TooLarge, match="^forbidden-word graph exceeds 16 words of one length$"):
+            from_forbidden_words(BIN, [tuple("000001")])
 
     def test_forbidden_everything_gives_empty(self):
         g = from_forbidden_words(BIN, [("0",), ("1",)])
@@ -411,6 +444,38 @@ def canonical_inputs():
         st.lists(st.sampled_from(BIN), min_size=1, max_size=59).map(_labelled_cycle))
 
 
+def same_alphabet_pairs():
+    """Two graphs over one alphabet tuple, 01 or 10: two random graphs, or
+    a random graph and a presentation of its shift built apart, with its
+    vertices renamed and reordered, a stranded vertex added, a disjoint
+    copy joined to it, or determinized."""
+    def over(g, alphabet):
+        return SftGraph(g.vertices, g.edges, alphabet)
+
+    def build(seed_a, seed_b, nv, alphabet, how):
+        a = over(random_graph(random.Random(seed_a), symbols="01", max_vertices=nv), alphabet)
+        if how == "random":
+            b = random_graph(random.Random(seed_b), symbols="01", max_vertices=nv)
+        elif how == "renamed":
+            b = make_graph(["w" + v for v in reversed(a.vertices)],
+                           [("w" + u, "w" + v, s) for (u, v, s) in a.edges], alphabet)
+        elif how == "stranded":
+            b = make_graph(a.vertices + ("x",), a.edges + ((a.vertices[0], "x", "1"),),
+                           alphabet)
+        elif how == "doubled":
+            b = make_graph(a.vertices + tuple("w" + v for v in a.vertices),
+                           a.edges + tuple(("w" + u, "w" + v, s) for (u, v, s) in a.edges),
+                           alphabet)
+        else:
+            b = determinize(a)
+        return a, over(b, alphabet)
+
+    return st.builds(build, st.integers(0, 10 ** 6), st.integers(0, 10 ** 6),
+                     st.integers(1, 3), st.sampled_from([("0", "1"), ("1", "0")]),
+                     st.sampled_from(["random", "random", "renamed", "stranded", "doubled",
+                                      "determinized"]))
+
+
 class TestCanonicalPresentation:
     @settings(max_examples=200, deadline=None)
     @given(canonical_inputs())
@@ -454,6 +519,18 @@ class TestCanonicalPresentation:
         starts = [(u, a) for (u, _v, a) in gc.edges]
         assert len(set(starts)) == len(starts)
         assert language_equal(g, gc)[0]
+
+    @settings(max_examples=300, deadline=None)
+    @given(same_alphabet_pairs())
+    def test_identical_exactly_when_languages_are_equal(self, pair):
+        a, b = pair
+        assert ((canonical_presentation(a) is canonical_presentation(b))
+                == language_equal(a, b)[0])
+
+    def test_alphabet_order_separates_equal_languages(self):
+        a, b = full_shift(BIN), full_shift(["1", "0"])
+        assert language_equal(a, b)[0]
+        assert canonical_presentation(a) is not canonical_presentation(b)
 
     def test_signature_invariant_under_renaming(self):
         g1 = golden_mean_graph()

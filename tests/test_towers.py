@@ -8,6 +8,7 @@ from unittest import mock
 
 import pytest
 
+from oracles import maximal_choices_oracle, one_step_stability_oracle
 from shiftlab import towers
 from shiftlab.errors import NoEntropicComponent, PreconditionError, SchemaError
 from shiftlab.fixtures import (
@@ -17,6 +18,7 @@ from shiftlab.fixtures import (
     constant_sequence,
     cycles_only_sequence,
     golden_mean_graph,
+    merging_sequence,
     mixed_sequence,
     random_sequence,
     two_cycle_sequence,
@@ -108,6 +110,22 @@ class TestSelection:
             rep = select_max_tower(seq, t, 1, 3)
             assert rep.tower.entries[0] == t.entries[0]
 
+    def test_stability_matches_equality_oracle(self):
+        # Every tower to depth 4 as the upgrade of every other, from every
+        # start level: the one-step stability property both ways.
+        seen = set()
+        seqs = [abc_sequence(), branching_sequence(), merging_sequence(), mixed_sequence(),
+                cantor_product_sequence(3)]
+        seqs += [restrict_to_cr(random_sequence(seed)) for seed in range(40)]
+        for seq in seqs:
+            found = enumerate_towers(seq, 4)
+            for before, after in itertools.product(found, repeat=2):
+                for n in range(1, 4):
+                    got = verify_selection(seq, before, after, n)["one_step_image_stability"]
+                    assert got == one_step_stability_oracle(seq, after, n)
+                    seen.add(got)
+        assert seen == {True, False}
+
 
 def _maximal_choices_oracle(seq, m, n, cands):
     """Collect every candidate whose image no other candidate's image
@@ -154,16 +172,19 @@ def _candidate_lists_met(runs):
 
 class TestMaximalChoice:
     def test_matches_collect_and_sort_oracle(self):
+        # Also against the two-subset test that the identity test replaced.
         runs = [(cantor_product_sequence(3), 3), (branching_sequence(), 4)]
-        runs += [(restrict_to_cr(random_sequence(seed)), 3) for seed in range(30)]
+        runs += [(make(), 3) for make in (abc_sequence, merging_sequence, mixed_sequence)]
+        runs += [(restrict_to_cr(random_sequence(seed)), 3) for seed in range(40)]
         met = _candidate_lists_met(runs)
         assert sum(len(cands) > 1 for _s, _m, _n, cands in met) >= 10
         for seq, m, n, cands in met:
             for sub in itertools.chain.from_iterable(
                     itertools.permutations(cands, k) for k in range(1, len(cands) + 1)):
                 sub = list(sub)
-                assert (towers._maximal_choices(seq, m, n, sub)
-                        == _maximal_choices_oracle(seq, m, n, sub)), (m, n, sub)
+                got = towers._maximal_choices(seq, m, n, sub)
+                assert got == _maximal_choices_oracle(seq, m, n, sub), (m, n, sub)
+                assert got == maximal_choices_oracle(seq, m, n, sub), (m, n, sub)
 
     def test_report_holds_only_the_tower_and_its_contract(self):
         assert [f.name for f in dataclasses.fields(SelectionReport)] == ["tower", "properties"]
