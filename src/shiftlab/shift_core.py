@@ -205,43 +205,43 @@ def full_shift(alphabet: Iterable[str]) -> SftGraph:
 
 
 def from_forbidden_words(alphabet: Iterable[str], forbidden: Iterable[Sequence[str]]) -> SftGraph:
-    """Higher-block presentation of the shift avoiding every word in
-    ``forbidden``.  Vertices are the admissible words of length N where
-    N + 1 is the longest forbidden length; the result is essential and
-    deterministic, and may be empty.  Raises TooLarge past
-    ``MAX_FOLLOWER_STATES`` admissible words of one length up to N."""
+    """Forbidden-word automaton (Crochemore, Mignosi & Restivo 1998) of the
+    shift avoiding ``forbidden``, trimmed to its essential part.  Vertices,
+    at most 1 + sum(len(w)), are the prefixes of forbidden words containing
+    none, ``q0, q1, ...`` breadth-first with symbols in alphabet order; q -a->
+    goes to the longest suffix of qa that is a vertex, if qa has no forbidden suffix."""
     ab = tuple(alphabet)
     if not ab:
         raise InvalidAlphabet("empty alphabet")
-    bad = {tuple(w) for w in forbidden}
-    for w in bad:
+    # The trie of the forbidden words: node 0 is the empty word, (q, a) -> qa.
+    trie: dict[tuple[int, str], int] = {}
+    ends = set()  # the nodes that are forbidden words
+    for w in forbidden:
+        q = 0
         for s in w:
             if s not in ab:
                 raise InvalidAlphabet("forbidden word uses unknown symbol %r" % s)
-        if len(w) == 0:
-            return SftGraph((), (), ab)
-    keep = tuple(s for s in ab if (s,) not in bad)
-    long_bad = {w for w in bad if len(w) >= 2}
-    n = max((len(w) for w in long_bad), default=1) - 1
-    if n == 0:
-        if not keep:
-            return SftGraph((), (), ab)
-        return SftGraph(("*",), tuple(("*", "*", a) for a in keep), ab)
-
-    # The admissible words grow one symbol a round, in product order; the
-    # rest of an extended word is admissible, so only its suffixes can be
-    # forbidden.  The words of length N are the vertices and those of
-    # length N + 1 the edges, from their N-prefix to their N-suffix.
-    words: list[Word] = [()]
-    for _ in range(n + 1):
-        if len(words) > MAX_FOLLOWER_STATES:
-            raise TooLarge("forbidden-word graph exceeds %d words of one length"
-                           % MAX_FOLLOWER_STATES)
-        states, words = words, [w + (a,) for w in words for a in keep
-                                if not any(w[i:] + (a,) in long_bad for i in range(len(w)))]
-    names = {w: word_str(w) for w in states}
-    edges = tuple((names[e[:-1]], names[e[1:]], e[-1]) for e in words)
-    return essential(SftGraph(tuple(names[w] for w in states), edges, ab))
+            q = trie.setdefault((q, s), len(trie) + 1)
+        ends.add(q)
+    # Breadth-first over the vertices, the Aho-Corasick way: ``order`` grows
+    # as it is read, each vertex q with its longest proper suffix that is a
+    # vertex, and ``go[q][a]`` is the target of q -a->, or None.  A repeated
+    # symbol is read once, not once per copy, and SftGraph refuses it.
+    order = [] if 0 in ends else [(0, 0)]
+    go: dict[int, dict[str, Optional[int]]] = {}
+    for q, fail in order:
+        go[q] = {}
+        for a in dict.fromkeys(ab):
+            f = go[fail][a] if q else 0
+            r = trie.get((q, a))
+            if r is None or f is None or r in ends:
+                go[q][a] = f if r is None else None
+            else:
+                go[q][a] = r
+                order.append((r, f))
+    name = {q: "q%d" % i for i, (q, _) in enumerate(order)}
+    edges = tuple((name[q], name[t], a) for q in go for a, t in go[q].items() if t is not None)
+    return essential(SftGraph(tuple(name.values()), edges, ab))
 
 
 # ---------------------------------------------------------------------------
@@ -623,10 +623,19 @@ def graph_from_json(data: dict) -> SftGraph:
             raise SchemaError("forbidden-word form needs an alphabet")
         try:
             ab = [str(s) for s in _json_list(data["alphabet"], "alphabet")]
-            bad = [parse_word(str(w)) for w in _json_list(data["forbidden"], "forbidden")]
+            bad = [str(w) for w in _json_list(data["forbidden"], "forbidden")]
         except TypeError as exc:
             raise SchemaError("malformed graph: %s" % exc) from exc
-        return from_forbidden_words(ab, bad)
+        # A word is its symbols joined by dots, or its characters when it has
+        # none, so a symbol with a dot, or an undotted word that is also a
+        # symbol, would be read as other symbols.
+        for s in ab:
+            if "." in s:
+                raise SchemaError("forbidden-form symbol %r contains a dot" % s)
+        for w in bad:
+            if len(w) > 1 and w in ab:
+                raise SchemaError("forbidden word %r is ambiguous: it is also a symbol" % w)
+        return from_forbidden_words(ab, [parse_word(w) for w in bad])
     try:
         ab = tuple(str(s) for s in _json_list(data["alphabet"], "alphabet"))
         vs = tuple(str(v) for v in _json_list(data["vertices"], "vertices"))

@@ -184,12 +184,18 @@ def forbidden_words_oracle(alphabet, forbidden):
     if not ab:
         raise InvalidAlphabet("empty alphabet")
     bad = {tuple(w) for w in forbidden}
+    # Every word is checked before the empty word returns: checking them
+    # in set order made the outcome depend on the string-hash seed.  A
+    # repeated symbol is named as such, not as the repeated candidate
+    # words it would make.
     for w in bad:
         for s in w:
             if s not in ab:
                 raise InvalidAlphabet("forbidden word uses unknown symbol %r" % s)
-        if len(w) == 0:
-            return SftGraph((), (), ab)
+    if len(set(ab)) != len(ab):
+        raise InvalidAlphabet("duplicate symbols in alphabet")
+    if () in bad:
+        return SftGraph((), (), ab)
     keep = tuple(s for s in ab if (s,) not in bad)
     long_bad = {w for w in bad if len(w) >= 2}
     n = max((len(w) for w in long_bad), default=1) - 1

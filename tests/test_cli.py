@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -99,11 +100,11 @@ class TestAnalyze:
         assert err == "precondition failed: follower automaton exceeds 65536 states\n"
 
     def test_repeated_vertex_name_is_exit_2(self, tmp_path, capsys):
-        # Alphabet a, a.b, b.c, c: the words (a, b.c) and (a.b, c) would
-        # both name the vertex a.b.c, merging two states of the shift.
+        # Alphabet a, a.b, b.c, c: a forbidden-form symbol with a dot, so
+        # the word a.b.c could be read as (a, b.c), (a.b, c) or (a, b, c).
         code, out, err = run(capsys, "analyze", "--in", path("dotted_forbidden.json"))
         assert code == 2 and out == ""
-        assert err == "precondition failed: duplicate vertex 'a.b.c'\n"
+        assert err == "precondition failed: forbidden-form symbol 'a.b' contains a dot\n"
         graph = tmp_path / "repeated.json"
         graph.write_text(json.dumps({"alphabet": ["0"], "vertices": ["a", "b", "a"],
                                      "edges": [["a", "b", "0"], ["b", "a", "0"]]}))
@@ -137,14 +138,38 @@ class TestAnalyze:
         assert code == 2 and out == ""
         assert err == "precondition failed: malformed graph: forbidden must be a list, not str\n"
 
-    def test_long_forbidden_word_is_exit_2_quickly(self, capsys):
-        # One forbidden word of 30 symbols: the admissible words of length
-        # 17 are all 2**17 binary words, past the word cap.
+    def test_long_forbidden_word_answers_quickly(self, capsys):
+        # One forbidden word of 30 symbols: its automaton has 31 vertices,
+        # where the binary words of length 29 are 2**29.
         t0 = time.perf_counter()
-        code, out, err = run(capsys, "analyze", "--in", path("long_forbidden.json"))
+        code, out, _ = run(capsys, "analyze", "--in", path("long_forbidden.json"))
         assert time.perf_counter() - t0 < 5.0
+        assert code == 0
+        assert json.loads(out)["entropy"] == pytest.approx(math.log(2))
+
+    def test_wide_forbidden_alphabet_answers_quickly(self, capsys):
+        # 100 symbols and the one forbidden word s0.s1.s2: the automaton has
+        # three vertices, where the admissible 2-words are 10,000.
+        t0 = time.perf_counter()
+        code, out, _ = run(capsys, "analyze", "--in", path("wide_forbidden.json"))
+        assert time.perf_counter() - t0 < 2.0
+        assert code == 0
+        rep = json.loads(out)
+        assert rep["irreducible"] and 0 < rep["entropy"] < math.log(100)
+
+    @pytest.mark.parametrize("graph, reason", [
+        ({"alphabet": ["a", "b", "a.b"], "forbidden": ["a.b"]},
+         "forbidden-form symbol 'a.b' contains a dot"),
+        ({"alphabet": ["a", "b", "ab"], "forbidden": ["ab"]},
+         "forbidden word 'ab' is ambiguous: it is also a symbol"),
+    ], ids=["dotted-symbol", "word-is-a-symbol"])
+    def test_misread_forbidden_form_is_exit_2(self, tmp_path, capsys, graph, reason):
+        # Both inputs used to forbid the 2-word ab and keep the symbol.
+        bad = tmp_path / "misread.json"
+        bad.write_text(json.dumps(graph))
+        code, out, err = run(capsys, "analyze", "--in", str(bad))
         assert code == 2 and out == ""
-        assert err == "precondition failed: forbidden-word graph exceeds 65536 words of one length\n"
+        assert err == "precondition failed: %s\n" % reason
 
     def test_transient_vertex_is_reported(self, tmp_path, capsys):
         # A 0-loop joined to a 2-loop through a vertex t by the word 11:
@@ -677,7 +702,8 @@ class TestReportsDoNotDependOnHashing:
         ["towers", "--in", path("branching_sequence.json"), "--depth", "4"],
         ["entropic", "--in", path("mixed_sequence.json"), "--depth", "3"],
         ["analyze", "--in", path("golden_mean.json")],
-    ], ids=["mlc", "towers", "entropic", "analyze"])
+        ["analyze", "--in", path("long_forbidden.json")],
+    ], ids=["mlc", "towers", "entropic", "analyze", "analyze-forbidden"])
     def test_same_bytes_under_two_hash_seeds(self, argv):
         outs = []
         for seed in ("0", "1"):

@@ -257,6 +257,14 @@ class TestGapFamily:
             forbidden = [("1",) + ("0",) * j + ("1",) for j in range(k)]
             assert gap_shift_graph(k) == from_forbidden_words("01", forbidden)
 
+    def test_gap_300_builds_quickly(self):
+        # 300 forbidden words of up to 301 symbols: the automaton's vertices
+        # are the empty word and the words 1 0^j for j < 300.
+        t0 = time.perf_counter()
+        g = gap_shift_graph(300)
+        assert time.perf_counter() - t0 < 1.0
+        assert len(g.vertices) == 301
+
     def test_gap_one_is_golden_mean(self):
         assert language_equal(gap_shift_graph(1), golden_mean_graph())[0]
 

@@ -92,9 +92,11 @@ class TestGraphs:
     @settings(max_examples=300, deadline=None)
     @given(st.data())
     def test_forbidden_words_match_candidate_listing_oracle(self, data):
-        # Graphs by their fields, errors by type and message: now and then
-        # the unknown symbol 3, an empty alphabet or word, a repeated
-        # symbol, or two words of dotted symbols with one name.
+        # Canonical presentations by identity, errors by type and message:
+        # now and then the unknown symbol 3, an empty alphabet or word, or a
+        # repeated symbol.  The oracle names a vertex by its word, so two
+        # words of dotted symbols could share one name: it runs on
+        # one-character stand-ins, and its labels are mapped back.
         alphabet = data.draw(st.one_of(
             st.lists(st.sampled_from(["0", "1", "2"]), min_size=1, max_size=3, unique=True),
             st.lists(st.sampled_from(["0", "1", "0.1", "1.0"]), max_size=3)))
@@ -103,23 +105,37 @@ class TestGraphs:
                                        max_size=4))
         if data.draw(st.integers(0, 9)) == 0:
             forbidden.append(())
+        stand_in = {"0": "a", "1": "b", "2": "c", "0.1": "d", "1.0": "e"}
+        back = {c: s for s, c in stand_in.items()}
 
-        def outcome(build):
+        def outcome(build, ab, words):
             try:
-                g = build(alphabet, forbidden)
+                g = build(ab, words)
             except PreconditionError as exc:
                 return type(exc), str(exc)
-            return g.vertices, g.edges, g.alphabet
+            edges = tuple((u, v, back.get(a, a)) for (u, v, a) in g.edges)
+            return canonical_presentation(SftGraph(g.vertices, edges, tuple(alphabet)))
 
-        assert outcome(from_forbidden_words) == outcome(forbidden_words_oracle)
+        ours = outcome(from_forbidden_words, alphabet, forbidden)
+        theirs = outcome(forbidden_words_oracle, [stand_in[s] for s in alphabet],
+                         [tuple(stand_in.get(s, s) for s in w) for w in forbidden])
+        if isinstance(ours, SftGraph):
+            assert ours is theirs
+        else:
+            assert ours == theirs
 
-    def test_forbidden_word_cap(self, monkeypatch):
-        monkeypatch.setattr(shift_core, "MAX_FOLLOWER_STATES", 16)
-        # One forbidden 5-word leaves all 16 binary 4-words admissible.
-        g = from_forbidden_words(BIN, [tuple("00001")])
-        assert len(g.vertices) == 16
-        with pytest.raises(TooLarge, match="^forbidden-word graph exceeds 16 words of one length$"):
-            from_forbidden_words(BIN, [tuple("000001")])
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_forbidden_word_automaton_bounds(self, data):
+        # At most one vertex per nonempty prefix of a forbidden word, and
+        # one more for the empty word; deterministic and essential.
+        alphabet = data.draw(st.sampled_from([BIN, ["0", "1", "2"], ["ab", "c.d", "e"]]))
+        forbidden = data.draw(st.lists(st.lists(st.sampled_from(alphabet), max_size=8)
+                                       .map(tuple), max_size=6))
+        g = from_forbidden_words(alphabet, forbidden)
+        assert len(g.vertices) <= 1 + sum(len(w) for w in forbidden)
+        assert len({(u, a) for (u, _v, a) in g.edges}) == len(g.edges)
+        assert essential(g) is g
 
     def test_forbidden_everything_gives_empty(self):
         g = from_forbidden_words(BIN, [("0",), ("1",)])
@@ -154,9 +170,10 @@ class TestGraphs:
         with pytest.raises(SchemaError, match="^duplicate vertex 'a'$"):
             graph_from_json({"alphabet": ["0"], "vertices": ["a", "a"],
                              "edges": [["a", "a", "0"]]})
-        # Words ("a", "b.c") and ("a.b", "c") are both named "a.b.c".
-        with pytest.raises(SchemaError, match="^duplicate vertex 'a.b.c'$"):
-            from_forbidden_words(["a", "a.b", "b.c", "c"], [("c", "c", "c")])
+        # A forbidden-form symbol with a dot: the word a.b.c would read as
+        # (a, b.c), (a.b, c) or (a, b, c).
+        with pytest.raises(SchemaError, match="^forbidden-form symbol 'a.b' contains a dot$"):
+            graph_from_json({"alphabet": ["a", "a.b", "b.c", "c"], "forbidden": ["c.c.c"]})
         with pytest.raises(SchemaError, match="^duplicate vertex 'a'$"):
             make_graph(["a", "b", "a"], [("a", "b", "0"), ("b", "a", "0")])
 
