@@ -41,6 +41,7 @@ from .shift_core import (
     point_in_shift,
     word_str,
     words_of_length,
+    _undotted,
 )
 
 
@@ -261,11 +262,13 @@ def code_from_json(data: dict) -> SlidingBlockCode:
                               % type(window).__name__)
         if not isinstance(data["rule"], dict):
             raise SchemaError("malformed code: rule must be an object")
+        domain = graph_from_json(data["domain"])
+        if window > 1:
+            _undotted(domain.alphabet, "code domain symbol")
         # A window-1 key is one symbol, even when that symbol has several
         # characters: parse_word would split it.
         rule = {(str(k),) if window == 1 else parse_word(str(k)): str(v)
                 for k, v in data["rule"].items()}
-        domain = graph_from_json(data["domain"])
         codomain = graph_from_json(data["codomain"])
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError("malformed code: %s" % exc) from exc

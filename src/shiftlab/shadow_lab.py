@@ -64,10 +64,9 @@ from .shift_core import (
     SftGraph,
     Word,
     common_prefix,
-    follower,
     from_forbidden_words,
-    full_shift,
-    words_of_length,
+    _undotted,
+    _words,
 )
 
 # Most points a truncation or limit system may have: the full 2-shift at
@@ -406,50 +405,28 @@ def _check_size(points: int) -> None:
         raise TooLarge("truncation exceeds %d points" % MAX_TRUNCATION_POINTS)
 
 
-def _count_words(g: SftGraph, length: int) -> int:
-    """Admissible words of the given length, counted as paths from the
-    start of the follower automaton, or the first count of a shorter
-    length past MAX_TRUNCATION_POINTS.  Every state has a successor, so
-    the counts never fall as the length grows.  The count vectors follow
-    one another deterministically, so once one repeats they cycle, and
-    a cycle of counts that never fall is constant: the count stops there.
-    A repeat is found against one saved vector, moved to each power-of-two
-    length (Brent's cycle detection)."""
-    f = follower(g)
-    counts = [1] + [0] * (len(f.states) - 1)
-    saved, checkpoint = counts, 1
-    for step in range(1, length + 1):
-        if sum(counts) > MAX_TRUNCATION_POINTS:
-            break
-        nxt = [0] * len(counts)
-        for (i, _a), j in f.trans.items():
-            nxt[j] += counts[i]
-        counts = nxt
-        if counts == saved:
-            break
-        if step == checkpoint:
-            saved, checkpoint = counts, 2 * checkpoint
-    return sum(counts)
-
-
 def truncate_shift(g: SftGraph, depth: int) -> FiniteSystem:
     """Admissible depth-words with the cylinder word metric.  Successors of
     a word drop its first symbol and append every admissible continuation,
     so orbits of the truncation are exactly the shift orbits as far as the
     truncation can see.  Raises TooLarge above MAX_TRUNCATION_POINTS words
-    or MAX_TRUNCATION_SYMBOLS symbols, before listing them."""
+    or MAX_TRUNCATION_SYMBOLS symbols: the listing stops at the first word
+    past either cap."""
     if depth < 1:
         raise PreconditionError("truncation depth must be at least 1")
-    # A depth past the symbol cap is counted no further than the first
-    # length past it: at least one word that long is already too many.
-    points = _count_words(g, min(depth, MAX_TRUNCATION_SYMBOLS + 1))
-    _check_size(points)
-    if points * depth > MAX_TRUNCATION_SYMBOLS:
+    sep = "." if any(len(a) > 1 for a in g.alphabet) else ""
+    if sep:
+        _undotted(g.alphabet, "truncation symbol")
+    # Even one word past the symbol cap is too many.
+    if depth > MAX_TRUNCATION_SYMBOLS:
         raise TooLarge("truncation exceeds %d symbols" % MAX_TRUNCATION_SYMBOLS)
-    words = words_of_length(g, depth)
+    cap = min(MAX_TRUNCATION_POINTS, MAX_TRUNCATION_SYMBOLS // depth)
+    words = list(itertools.islice(_words(g, depth), cap + 1))
+    _check_size(len(words))
+    if len(words) * depth > MAX_TRUNCATION_SYMBOLS:
+        raise TooLarge("truncation exceeds %d symbols" % MAX_TRUNCATION_SYMBOLS)
     if not words:
         raise PreconditionError("no admissible words at this depth")
-    sep = "." if any(len(a) > 1 for a in g.alphabet) else ""
     labels = tuple(sep.join(w) for w in words)
     at = {w: i for i, w in enumerate(words)}
     succ = {}
@@ -518,8 +495,8 @@ class LayeredStratum:
 
 @dataclass(frozen=True)
 class LayeredExample:
-    """The assembled space is large, so the global metric and map are kept
-    as functions over labels rather than a dense matrix."""
+    """The assembled space is large, so the map is kept as successor lists
+    over labels, and the metric only within each fiber, by its own system."""
 
     labels: tuple[str, ...]
     base_value: dict[str, Fraction]
@@ -528,13 +505,6 @@ class LayeredExample:
     scales: tuple[tuple[Fraction, Fraction], ...]   # (epsilon_k, delta_k)
     fiber_systems: dict[str, FiniteSystem]
     successors: dict[str, tuple[str, ...]]
-
-    def d(self, p: str, q: str) -> Fraction:
-        bp, lp = p.split("|", 1)
-        bq, lq = q.split("|", 1)
-        if bp == bq:
-            return self.fiber_systems[bp].d(lp, lq)
-        return max(abs(self.base_value[bp] - self.base_value[bq]), Fraction(1))
 
 
 def switch_level(word: Word) -> int:
@@ -557,14 +527,15 @@ def build_layered_example(base_depth: int = 4,
     carry the finite limit system with tail 8.  The map is the identity on
     the base and the fiber map on each fiber, so chain components are
     exactly the fibers.  Raises TooLarge above MAX_TRUNCATION_POINTS base words,
-    before listing them.
+    from the base depth alone, before listing them.
     """
     if base_depth < 0:
         raise PreconditionError("base depth must be nonnegative")
     endpoint_max, limit_tail = 3, 8
     # The base is the depth-base_depth truncation of the full 2-shift, so
-    # it is capped like one, before any word is listed.
-    _check_size(_count_words(full_shift(["0", "1"]), base_depth))
+    # it is capped like one: its 2**d words pass the cap exactly when d
+    # reaches the cap's bit length.
+    _check_size(2 ** min(base_depth, MAX_TRUNCATION_POINTS.bit_length()))
     words = list(itertools.product("01", repeat=base_depth))
     # Interval embedding: each refinement level splits with a geometric
     # contraction tied to the finest scale used so far.

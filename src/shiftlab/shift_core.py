@@ -30,7 +30,7 @@ from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import (
     EmptyShift,
@@ -55,6 +55,14 @@ def parse_word(text: str) -> Word:
     if "." in text:
         return tuple(text.split("."))
     return tuple(text)
+
+
+def _undotted(symbols: Iterable[str], what: str) -> None:
+    """A written word puts dots between its symbols, so no symbol of a
+    dotted word may contain a dot: it would be read back as several."""
+    for s in symbols:
+        if "." in s:
+            raise SchemaError("%s %r contains a dot" % (what, s))
 
 
 def common_prefix(u: Sequence[str], v: Sequence[str]) -> int:
@@ -476,16 +484,17 @@ def word_in_language(g: SftGraph, word: Sequence[str]) -> bool:
     return follower(g).walk(word) is not None
 
 
-def words_of_length(g: SftGraph, length: int) -> list[Word]:
-    """All admissible words of exactly the given length, sorted.  A
-    depth-first walk of the follower automaton takes symbols in sorted
-    order, so the words come out sorted and each costs its own length."""
+def _words(g: SftGraph, length: int) -> Iterator[Word]:
+    """The admissible words of exactly the given length, in sorted order,
+    one at a time.  A depth-first walk of the follower automaton takes
+    symbols in sorted order, and every state but an empty start has a
+    successor, so the k-th word costs at most k times the length."""
     if length <= 0:
-        return [()]
+        yield ()
+        return
     f = follower(g)
     moves = [[(a, f.trans[(i, a)]) for a in sorted(g.alphabet) if (i, a) in f.trans]
              for i in range(len(f.states))]
-    words: list[Word] = []
     path: list[str] = []
     stack = [iter(moves[0])]
     while stack:
@@ -494,12 +503,16 @@ def words_of_length(g: SftGraph, length: int) -> list[Word]:
             if len(path) < length:
                 stack.append(iter(moves[j]))
                 break
-            words.append(tuple(path))
+            yield tuple(path)
             path.pop()
         else:
             stack.pop()
             del path[-1:]
-    return words
+
+
+def words_of_length(g: SftGraph, length: int) -> list[Word]:
+    """All admissible words of exactly the given length, sorted."""
+    return list(_words(g, length))
 
 
 # ---------------------------------------------------------------------------
@@ -626,12 +639,9 @@ def graph_from_json(data: dict) -> SftGraph:
             bad = [str(w) for w in _json_list(data["forbidden"], "forbidden")]
         except TypeError as exc:
             raise SchemaError("malformed graph: %s" % exc) from exc
-        # A word is its symbols joined by dots, or its characters when it has
-        # none, so a symbol with a dot, or an undotted word that is also a
-        # symbol, would be read as other symbols.
-        for s in ab:
-            if "." in s:
-                raise SchemaError("forbidden-form symbol %r contains a dot" % s)
+        # An undotted word is its characters, so one that is also a symbol
+        # would be read as other symbols.
+        _undotted(ab, "forbidden-form symbol")
         for w in bad:
             if len(w) > 1 and w in ab:
                 raise SchemaError("forbidden word %r is ambiguous: it is also a symbol" % w)

@@ -449,6 +449,18 @@ class TestShadow:
         assert code == 2 and out == ""
         assert err == "precondition failed: truncation exceeds 4096 points\n"
 
+    @pytest.mark.parametrize("argv", [["--family", "full", "--depth", "200"],
+                                      ["--family", "gap", "--k", "3", "--depth", "100000"]],
+                             ids=["full-depth-200", "gap-3-depth-100000"])
+    def test_truncation_past_both_caps_names_the_symbol_cap(self, capsys, argv):
+        # The listing stops at the first word past either cap, and at these
+        # depths the symbol cap comes first.
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "shadow", *argv)
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 2 and out == ""
+        assert err == "precondition failed: truncation exceeds 524288 symbols\n"
+
     @pytest.mark.parametrize("depth", ["1000000", "100000000"])
     def test_one_loop_past_symbol_cap_exits_2_quickly(self, tmp_path, capsys, depth):
         # One word per depth passes the point cap at any depth; the symbol
@@ -577,7 +589,33 @@ def _string_tail(tmp_path):
     return str(bad)
 
 
+def _dotted_graph(tmp_path):
+    # The truncation labels of (a, a.a) and (a.a, a) would both be a.a.a.
+    graph = tmp_path / "dotted_graph.json"
+    graph.write_text(json.dumps({"alphabet": ["a", "a.a"], "vertices": ["v"],
+                                 "edges": [["v", "v", "a"], ["v", "v", "a.a"]]}))
+    return str(graph)
+
+
 class TestFailuresAreOneLine:
+    @pytest.mark.parametrize("argv, symbol", [
+        (["analyze", "--in", path("dotted_forbidden.json")], "forbidden-form symbol 'a.b'"),
+        (["mlc", "--in", path("dotted_code.json")], "code domain symbol 'a.b'"),
+        (["shadow", "--in", _dotted_graph, "--depth", "2"], "truncation symbol 'a.a'"),
+    ], ids=["forbidden-form", "code-rule-key", "truncation-label"])
+    def test_dotted_symbol_in_a_written_word_is_exit_2(self, tmp_path, capsys, argv, symbol):
+        argv = [a(tmp_path) if callable(a) else a for a in argv]
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 2 and out == ""
+        assert err == "precondition failed: %s contains a dot\n" % symbol
+
+    def test_dotted_symbol_graph_still_analyses(self, tmp_path, capsys):
+        code, out, _ = run(capsys, "analyze", "--in", _dotted_graph(tmp_path))
+        assert code == 0
+        assert json.loads(out)["entropy"] == pytest.approx(math.log(2))
+
     @pytest.mark.parametrize("argv, expected", [
         (["shadow", "--family", "full", "--eps-exp", "-1"], 2),
         (["shadow", "--family", "full", "--delta-exp", "-2"], 2),

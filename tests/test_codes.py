@@ -27,7 +27,13 @@ from shiftlab.codes import (
     symbol_code,
 )
 from shiftlab import codes
-from shiftlab.errors import CompositionMismatch, NotInLanguage, PreconditionError, TooLarge
+from shiftlab.errors import (
+    CompositionMismatch,
+    NotInLanguage,
+    PreconditionError,
+    SchemaError,
+    TooLarge,
+)
 from shiftlab.fixtures import golden_mean_graph, random_graph
 from shiftlab.inverse_systems import InverseSequenceSpec
 from shiftlab.shadow_lab import gap_shift_graph
@@ -161,6 +167,16 @@ class TestJson:
         g = full_shift(["00:0", "00:1"])
         c = identity_code(g)
         assert code_from_json(code_to_json(c)) == c
+
+    def test_dotted_domain_symbol_is_refused(self):
+        # A rule key puts dots between its symbols, so the key a.a.b of this
+        # window-2 code would be read back as (a, a, b).
+        x = full_shift(["a", "a.b", "b"])
+        c = SlidingBlockCode(x, x, 2, {w: w[0] for w in words_of_length(x, 2)})
+        with pytest.raises(SchemaError, match="^code domain symbol 'a.b' contains a dot$"):
+            code_from_json(code_to_json(c))
+        # A window-1 key is one symbol, dots and all.
+        assert code_from_json(code_to_json(identity_code(x))) == identity_code(x)
 
 
 class TestReadOnlyRule:

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import gap_entropy_oracle, system_from_function, word_distance
 from shiftlab import shadow_lab
-from shiftlab.errors import PreconditionError, TooLarge
+from shiftlab.errors import PreconditionError, SchemaError, TooLarge
 from shiftlab.fixtures import golden_mean_graph, random_graph
 from shiftlab.shadow_lab import (
     FiniteSystem,
@@ -71,6 +71,16 @@ class TestTruncation:
     def test_point_counts(self):
         assert len(truncate_shift(full_shift(BIN), 6).labels) == 64
         assert len(truncate_shift(golden_mean_graph(), 5).labels) == 13
+
+    def test_dotted_symbol_is_refused(self):
+        # With the symbols a and a.a, the labels of (a, a.a) and (a.a, a)
+        # would both be a.a.a.
+        g = make_graph(["v"], [("v", "v", "a"), ("v", "v", "a.a")])
+        with pytest.raises(SchemaError, match="^truncation symbol 'a.a' contains a dot$"):
+            truncate_shift(g, 2)
+        # Labels of one-character symbols have no dots, so a dot is a symbol.
+        g = make_graph(["v"], [("v", "v", "."), ("v", "v", "a")])
+        assert truncate_shift(g, 2).labels == ("..", ".a", "a.", "aa")
 
     def test_successors_are_shift_overlaps(self):
         sysm = truncate_shift(golden_mean_graph(), 4)
@@ -288,13 +298,6 @@ class TestLayeredExample:
     def test_scales_are_nested(self, example):
         for (eps, delta) in example.scales:
             assert delta == eps / 4
-
-    def test_cross_fiber_distance_dominates_scales(self, example):
-        finest = min(d for (_e, d) in example.scales)
-        a = example.labels[0]
-        b = next(p for p in example.labels
-                 if example.fiber_of[p] != example.fiber_of[a])
-        assert example.d(a, b) > finest
 
     def test_fiber_shadowing_all_pass(self, example):
         reps = layered_fiber_shadowing(example)
@@ -729,7 +732,6 @@ class TestPrefixMetricOracle:
         old = oracle_truncate_shift(g, depth)
         assert_same_system(new, old)
         assert_same_reports(new, old, rng)
-        assert shadow_lab._count_words(g, depth) == len(new.labels)
 
     @settings(max_examples=60, deadline=None)
     @given(st.randoms(use_true_random=False), st.integers(0, 40))
@@ -897,17 +899,27 @@ class TestWordMetric:
 
 
 class TestTruncationCap:
-    def test_cap_counts_before_listing(self, monkeypatch):
+    def test_listing_stops_at_the_cap(self, monkeypatch):
         monkeypatch.setattr(shadow_lab, "MAX_TRUNCATION_POINTS", 64)
+        walk = shadow_lab._words
+        drawn = []
 
-        def no_listing(g, n):
-            raise AssertionError("listed the words")
+        def counted(g, n):
+            for w in walk(g, n):
+                drawn.append(w)
+                yield w
 
+        monkeypatch.setattr(shadow_lab, "_words", counted)
         assert len(truncate_shift(full_shift(BIN), 6).labels) == 64
-        monkeypatch.setattr(shadow_lab, "words_of_length", no_listing)
-        for depth in (7, 40, 10 ** 6):
+        for depth in (7, 40):
+            drawn.clear()
             with pytest.raises(TooLarge, match="exceeds 64 points"):
                 truncate_shift(full_shift(BIN), depth)
+            assert len(drawn) <= 65
+        drawn.clear()
+        with pytest.raises(TooLarge, match="exceeds 524288 symbols"):
+            truncate_shift(full_shift(BIN), 10 ** 6)
+        assert drawn == []
 
     def test_limit_system_cap(self, monkeypatch):
         monkeypatch.setattr(shadow_lab, "MAX_TRUNCATION_POINTS", 64)
@@ -915,33 +927,44 @@ class TestTruncationCap:
         with pytest.raises(TooLarge, match="exceeds 64 points"):
             limit_gap_system(63)
 
+    def test_layered_base_cap_is_exact(self, monkeypatch):
+        for cap, depth in ((64, 6), (127, 6), (128, 7)):
+            monkeypatch.setattr(shadow_lab, "MAX_TRUNCATION_POINTS", cap)
+            assert len(build_layered_example(depth, 3).base_value) == 2 ** depth
+            with pytest.raises(TooLarge, match="^truncation exceeds %d points$" % cap):
+                build_layered_example(depth + 1, 3)
+
     def test_default_cap_admits_full_depth_twelve(self):
         assert shadow_lab.MAX_TRUNCATION_POINTS >= 4096
-        assert shadow_lab._count_words(full_shift(BIN), 12) == 4096
+        assert len(truncate_shift(full_shift(BIN), 12).labels) == 4096
         with pytest.raises(TooLarge):
             truncate_shift(full_shift(BIN), 13)
         with pytest.raises(TooLarge):
             limit_gap_system(10 ** 10)
 
-    def test_count_is_exact_and_stops_early(self):
-        assert shadow_lab._count_words(golden_mean_graph(), 10) == 144
-        assert shadow_lab._count_words(AT_MOST_ONE_1, 1000) == 1001
-        # Past the cap the count stops at the first length that exceeds it.
-        assert shadow_lab._count_words(full_shift(BIN), 10 ** 9) == 8192
+    def test_exact_sizes_and_cap_past_the_depth(self):
+        assert len(truncate_shift(golden_mean_graph(), 10).labels) == 144
+        assert len(truncate_shift(AT_MOST_ONE_1, 500).labels) == 501
+        # 1001 words of 1000 symbols, and words longer than the symbol cap.
+        for g, depth in ((AT_MOST_ONE_1, 1000), (full_shift(BIN), 10 ** 9)):
+            t0 = time.perf_counter()
+            with pytest.raises(TooLarge, match="^truncation exceeds 524288 symbols$"):
+                truncate_shift(g, depth)
+            assert time.perf_counter() - t0 < 1.0
 
-    def test_count_stops_at_a_repeated_count_vector(self):
-        # A 1000-cycle labelled 0 but for one edge labelled 1: the 1 fixes
-        # the start of any word of 1000 symbols or more, so there are
-        # exactly 1000 of them, and n + 1 words of each length n < 1000.
+    def test_marked_cycle_and_one_loop_caps(self):
+        # A 1000-cycle labelled 0 but for one edge labelled 1: n + 1 words
+        # of each length n < 1000, so at length 999 they hold 999,000
+        # symbols.
         n = 1000
         verts = ["v%d" % i for i in range(n)]
         g = make_graph(verts, [(verts[i], verts[(i + 1) % n], "1" if i == 0 else "0")
                                for i in range(n)])
-        for length in (1, 10, 999):
-            assert shadow_lab._count_words(g, length) == length + 1
-        t0 = time.perf_counter()
-        assert shadow_lab._count_words(g, 10 ** 9) == n
-        assert time.perf_counter() - t0 < 5.0
-        assert shadow_lab._count_words(g, 1000) == shadow_lab._count_words(g, 5000) == n
+        for depth in (1, 10):
+            assert len(truncate_shift(g, depth).labels) == depth + 1
         loop = make_graph(["a"], [("a", "a", "0")])
-        assert shadow_lab._count_words(loop, 10 ** 18) == 1
+        for g, depth in ((g, 999), (g, 10 ** 9), (loop, 10 ** 18)):
+            t0 = time.perf_counter()
+            with pytest.raises(TooLarge, match="^truncation exceeds 524288 symbols$"):
+                truncate_shift(g, depth)
+            assert time.perf_counter() - t0 < 1.0

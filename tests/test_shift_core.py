@@ -4,6 +4,7 @@ import copy
 import dataclasses
 import gc
 import importlib
+import itertools
 import json
 import os
 import pickle
@@ -893,6 +894,22 @@ class TestWordsOfLength:
         if flip:
             g = SftGraph(g.vertices, g.edges, g.alphabet[::-1])
         assert words_of_length(g, length) == _words_of_length_oracle(g, length)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.randoms(use_true_random=False), st.integers(0, 8), st.integers(0, 40))
+    def test_walk_prefix_matches_layer_oracle(self, rng, length, k):
+        g = random_graph(rng, max_vertices=4)
+        assert list(itertools.islice(shift_core._words(g, length), k)) == \
+            _words_of_length_oracle(g, length)[:k]
+
+    def test_walk_is_lazy(self):
+        # The full 2-shift has 2**60 words of length 60.
+        g = full_shift(BIN)
+        follower(g)
+        t0 = time.perf_counter()
+        first = list(itertools.islice(shift_core._words(g, 60), 10))
+        assert time.perf_counter() - t0 < 0.1
+        assert first == [("0",) * 56 + tuple("{:04b}".format(i)) for i in range(10)]
 
     @pytest.mark.parametrize("g", [EMPTY, full_shift(["1", "1-", "10", "2"]),
                                    full_shift(["2", "10", "1-", "1"])],
