@@ -206,6 +206,11 @@ def _shadow_system(args) -> shadow_lab.FiniteSystem:
 def _cmd_shadow(args) -> dict:
     if args.eps_exp < 0 or args.delta_exp < 0:
         raise InvalidScales("--eps-exp and --delta-exp must be nonnegative")
+    # The report writes 2**E in decimal.  2**14284 has 4,300 digits, the
+    # most that int-to-str conversion allows by default; the bound is
+    # written here so that every Python refuses the same exponents.
+    if max(args.eps_exp, args.delta_exp) > 14284:
+        raise InvalidScales("--eps-exp and --delta-exp must be at most 14284")
     sysm = _shadow_system(args)
     eps = Fraction(1, 2 ** args.eps_exp)
     delta = Fraction(1, 2 ** args.delta_exp)
@@ -234,7 +239,7 @@ def _cmd_layered(args) -> dict:
     return {
         "base_depth": args.base_depth,
         "fiber_depth": args.fiber_depth,
-        "point_count": len(ex.labels),
+        "point_count": sum(len(s.base_points) * len(s.fiber.labels) for s in ex.strata),
         "stratum_sizes": {str(k): v for k, v in sorted(census.stratum_sizes.items())},
         "interior_count": census.interior_count,
         "component_count": census.component_count,

@@ -15,6 +15,7 @@ Mittag-Leffler condition.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -45,7 +46,7 @@ from .shift_core import (
     graph_to_json,
     language_equal,
     language_subset,
-    words_of_length,
+    _words,
 )
 
 DEFAULT_DEPTH_CAP = 32
@@ -387,21 +388,29 @@ def truncated_limit(seq: InverseSequenceSpec, depth: int, word_length: int) -> T
     level from the deepest one up.  The image of a length-T word under
     ``code(n)`` has length k = max(T - window + 1, 0), and the level-n
     words it admits are those with that image as their length-k prefix; so
-    the sorted level-n words are grouped once by prefix, and each partial
-    tuple extends by its image's group, in sorted word order.  Raises
-    TooLarge once a level has more than MAX_LIMIT_POINTS tuples."""
+    each partial tuple extends by the level-n words under its image, listed
+    once per image by a walk from the follower state after it, in sorted
+    word order.  Every image lies in the level below, so a tuple extends at
+    least once going up; a level is refused, deepest one included, at the
+    first word that would take it past MAX_LIMIT_POINTS tuples, and no
+    listing runs further.  Raises TooLarge there."""
     T = word_length
-    level_words = {n: words_of_length(seq.level(n), T) for n in range(1, depth + 1)}
-    partial: list[tuple[Word, ...]] = [(w,) for w in level_words[depth]]
+    partial = [(w,) for w in itertools.islice(_words(seq.level(depth), T),
+                                              MAX_LIMIT_POINTS + 1)]
+    if len(partial) > MAX_LIMIT_POINTS:
+        raise TooLarge("truncated limit exceeds %d points" % MAX_LIMIT_POINTS)
     for n in range(depth - 1, 0, -1):
-        code = seq.code(n)
-        k = max(T - code.window + 1, 0)
-        by_prefix: dict[Word, list[Word]] = {}
-        for w in level_words[n]:
-            by_prefix.setdefault(w[:k], []).append(w)
+        level, code = seq.level(n), seq.code(n)
+        # A listing cut at the room left takes the level past the cap at
+        # once, so every listing kept for a later tuple is whole.
+        under: dict[Word, list[Word]] = {}
         nxt: list[tuple[Word, ...]] = []
         for tup in partial:
-            nxt.extend((w,) + tup for w in by_prefix.get(code.word_map(tup[0]), ()))
+            image = code.word_map(tup[0])
+            if image not in under:
+                under[image] = list(itertools.islice(
+                    _words(level, T, image), MAX_LIMIT_POINTS + 1 - len(nxt)))
+            nxt.extend((w,) + tup for w in under[image])
             if len(nxt) > MAX_LIMIT_POINTS:
                 raise TooLarge("truncated limit exceeds %d points" % MAX_LIMIT_POINTS)
         partial = nxt

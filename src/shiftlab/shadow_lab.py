@@ -488,23 +488,24 @@ def limit_gap_pseudo_orbit(horizon: int) -> tuple[str, ...]:
 
 @dataclass(frozen=True)
 class LayeredStratum:
+    """Base words that share one fiber system, built once."""
+
     index: int                 # gap parameter for endpoint strata, 0 for interior
     kind: str                  # "endpoint" | "interior"
     base_points: tuple[str, ...]
+    fiber: FiniteSystem
 
 
 @dataclass(frozen=True)
 class LayeredExample:
-    """The assembled space is large, so the map is kept as successor lists
-    over labels, and the metric only within each fiber, by its own system."""
+    """The example kept as its strata: a stratum's points are its base
+    words times its fiber's points, and the map is the fiber map on each
+    copy, so the product is never listed.  The metric is kept only within
+    each fiber, by its own system."""
 
-    labels: tuple[str, ...]
     base_value: dict[str, Fraction]
-    fiber_of: dict[str, str]            # point label -> base word
     strata: tuple[LayeredStratum, ...]
     scales: tuple[tuple[Fraction, Fraction], ...]   # (epsilon_k, delta_k)
-    fiber_systems: dict[str, FiniteSystem]
-    successors: dict[str, tuple[str, ...]]
 
 
 def switch_level(word: Word) -> int:
@@ -526,8 +527,10 @@ def build_layered_example(base_depth: int = 4,
     truncated gap-k fiber and scales (2**-k, 2**-k / 4); all other words
     carry the finite limit system with tail 8.  The map is the identity on
     the base and the fiber map on each fiber, so chain components are
-    exactly the fibers.  Raises TooLarge above MAX_TRUNCATION_POINTS base words,
-    from the base depth alone, before listing them.
+    exactly the fibers.  Each stratum's fiber is built once, in stratum
+    order, so the gap-1 fiber, the largest, meets a truncation cap first.
+    Raises TooLarge above MAX_TRUNCATION_POINTS base words, from the base
+    depth alone, before listing them.
     """
     if base_depth < 0:
         raise PreconditionError("base depth must be nonnegative")
@@ -556,40 +559,18 @@ def build_layered_example(base_depth: int = 4,
     if len(set(base_value.values())) != len(words):
         raise InternalInvariantViolation("base embedding is not injective")
 
-    fiber_systems: dict[str, FiniteSystem] = {}
     strata_points: dict[tuple[str, int], list[str]] = {}
-    all_labels = []
-    image = {}
-    fiber_of = {}
-    fiber_cache: dict[int, FiniteSystem] = {}
     for w in words:
-        wkey = "".join(w)
         j = switch_level(w)
-        if j <= endpoint_max:
-            if j not in fiber_cache:
-                fiber_cache[j] = truncate_shift(gap_shift_graph(j), fiber_depth)
-            fiber = fiber_cache[j]
-            kind, idx = "endpoint", j
-        else:
-            if -1 not in fiber_cache:
-                fiber_cache[-1] = limit_gap_system(limit_tail)
-            fiber = fiber_cache[-1]
-            kind, idx = "interior", 0
-        fiber_systems[wkey] = fiber
-        strata_points.setdefault((kind, idx), []).append(wkey)
-        for lab in fiber.labels:
-            full = wkey + "|" + lab
-            all_labels.append(full)
-            fiber_of[full] = wkey
-            image[full] = tuple(wkey + "|" + q for q in fiber.successors[lab])
-
-    strata = []
-    for (kind, idx) in sorted(strata_points):
-        strata.append(LayeredStratum(idx, kind,
-                                     tuple(sorted(strata_points[(kind, idx)]))))
+        key = ("endpoint", j) if j <= endpoint_max else ("interior", 0)
+        strata_points.setdefault(key, []).append("".join(w))
+    strata = tuple(
+        LayeredStratum(idx, kind, tuple(base),
+                       truncate_shift(gap_shift_graph(idx), fiber_depth)
+                       if kind == "endpoint" else limit_gap_system(limit_tail))
+        for (kind, idx), base in sorted(strata_points.items()))
     scales = tuple((eps[k - 1], deltas[k - 1]) for k in range(1, endpoint_max + 1))
-    return LayeredExample(tuple(all_labels), base_value, fiber_of, tuple(strata),
-                          scales, fiber_systems, image)
+    return LayeredExample(base_value, strata, scales)
 
 
 @dataclass(frozen=True)
@@ -605,21 +586,15 @@ class LayeredCensus:
 def layered_census(ex: LayeredExample) -> LayeredCensus:
     """Structural component census: every fiber is invariant under the map,
     internally chain transitive at its own resolution, and sits over its
-    own base value, so the chain components are exactly the fibers."""
-    sizes = {}
-    interior = 0
-    for s in ex.strata:
-        if s.kind == "endpoint":
-            sizes[s.index] = len(s.base_points)
-        else:
-            interior = len(s.base_points)
-    invariant = all(ex.fiber_of[q] == ex.fiber_of[p]
-                    for p in ex.labels for q in ex.successors[p])
-    # Fibers of one stratum share one system object; check each once.
-    fibers = {id(f): f for f in ex.fiber_systems.values()}
-    transitive = all(_fiber_chain_transitive(f) for f in fibers.values())
+    own base value, so the chain components are exactly the fibers.  Each
+    check runs once per stratum, on the fiber that all its copies share."""
+    sizes = {s.index: len(s.base_points) for s in ex.strata if s.kind == "endpoint"}
+    interior = sum(len(s.base_points) for s in ex.strata if s.kind == "interior")
+    invariant = all(q in s.fiber._pos for s in ex.strata
+                    for succ in s.fiber.successors.values() for q in succ)
+    transitive = all(_fiber_chain_transitive(s.fiber) for s in ex.strata)
     distinct = len(set(ex.base_value.values())) == len(ex.base_value)
-    return LayeredCensus(sizes, interior, len(ex.fiber_systems),
+    return LayeredCensus(sizes, interior, len(ex.base_value),
                          invariant, transitive, distinct)
 
 
@@ -644,10 +619,8 @@ def layered_fiber_shadowing(ex: LayeredExample,
             eps, delta = ex.scales[s.index - 1]
         else:
             eps, delta = ex.scales[-1]
-        # Fibers within a stratum are identical systems, so one check
-        # covers them all.
-        rep = brute_shadowing_check(ex.fiber_systems[s.base_points[0]],
-                                    eps, delta, horizon)
+        # One check of the stratum's fiber covers all of its copies.
+        rep = brute_shadowing_check(s.fiber, eps, delta, horizon)
         for w in s.base_points:
             key = ("A%d" % s.index if s.kind == "endpoint" else "interior") + ":" + w
             out[key] = rep

@@ -484,19 +484,26 @@ def word_in_language(g: SftGraph, word: Sequence[str]) -> bool:
     return follower(g).walk(word) is not None
 
 
-def _words(g: SftGraph, length: int) -> Iterator[Word]:
-    """The admissible words of exactly the given length, in sorted order,
-    one at a time.  A depth-first walk of the follower automaton takes
-    symbols in sorted order, and every state but an empty start has a
-    successor, so the k-th word costs at most k times the length."""
-    if length <= 0:
+def _words(g: SftGraph, length: int, start: Word = ()) -> Iterator[Word]:
+    """The admissible words of exactly the given length that begin with
+    ``start``, in sorted order, one at a time.  A depth-first walk of the
+    follower automaton from the state after ``start`` takes symbols in
+    sorted order, and every state but an empty start has a successor, so
+    the k-th word costs at most k times the length."""
+    if length <= 0 and not start:
         yield ()
         return
     f = follower(g)
+    state = f.walk(start)
+    if state is None or len(start) > length:
+        return
+    if len(start) == length:
+        yield tuple(start)
+        return
     moves = [[(a, f.trans[(i, a)]) for a in sorted(g.alphabet) if (i, a) in f.trans]
              for i in range(len(f.states))]
-    path: list[str] = []
-    stack = [iter(moves[0])]
+    path = list(start)
+    stack = [iter(moves[state])]
     while stack:
         for a, j in stack[-1]:
             path.append(a)

@@ -4,12 +4,15 @@ words, a finite system built point by point from Python functions, the
 gap-shift entropy by bisection, entropy with an eigenvalue computation
 for every chain component, the reading states of a point found on a
 labeled out-map, the forbidden-word graph built from every candidate
-word, and image chains, MLC checks, selection stability and maximal
-choices that compare canonical images by a language-equality search."""
+word, image chains, MLC checks, selection stability and maximal
+choices that compare canonical images by a language-equality search,
+the truncated limit joined from every word of every level, and the
+layered example assembled point by point over its product space."""
 
 import itertools
 import math
 from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
 
@@ -24,16 +27,31 @@ from shiftlab.errors import (
     InternalInvariantViolation,
     InvalidAlphabet,
     NotInLanguage,
+    PreconditionError,
     SchemaError,
+    TooLarge,
 )
 from shiftlab.inverse_systems import (
     DEFAULT_DEPTH_CAP,
+    MAX_LIMIT_POINTS,
     ImageChainReport,
     MlcLevelReport,
     MlcReport,
+    TruncatedSystem,
     composed_image,
 )
-from shiftlab.shadow_lab import FiniteSystem
+from shiftlab.shadow_lab import (
+    MAX_TRUNCATION_POINTS,
+    FiniteSystem,
+    LayeredCensus,
+    _check_size,
+    _fiber_chain_transitive,
+    brute_shadowing_check,
+    gap_shift_graph,
+    limit_gap_system,
+    switch_level,
+    truncate_shift,
+)
 from shiftlab.shift_core import (
     SftGraph,
     common_prefix,
@@ -41,6 +59,7 @@ from shiftlab.shift_core import (
     language_equal,
     language_subset,
     word_str,
+    words_of_length,
 )
 
 
@@ -295,3 +314,123 @@ def maximal_choices_oracle(seq, m, n, cands):
                    for o in cands if o != cid)
 
     return min(cid for cid in cands if not dominated(cid))
+
+
+def truncated_limit_oracle(seq, depth, word_length, max_points=MAX_LIMIT_POINTS):
+    """``inverse_systems.truncated_limit`` as it listed every word of every
+    level first, grouped each upper level's words by prefix, and never
+    capped the deepest level."""
+    T = word_length
+    level_words = {n: words_of_length(seq.level(n), T) for n in range(1, depth + 1)}
+    partial = [(w,) for w in level_words[depth]]
+    for n in range(depth - 1, 0, -1):
+        code = seq.code(n)
+        k = max(T - code.window + 1, 0)
+        by_prefix = {}
+        for w in level_words[n]:
+            by_prefix.setdefault(w[:k], []).append(w)
+        nxt = []
+        for tup in partial:
+            nxt.extend((w,) + tup for w in by_prefix.get(code.word_map(tup[0]), ()))
+            if len(nxt) > max_points:
+                raise TooLarge("truncated limit exceeds %d points" % max_points)
+        partial = nxt
+    points = tuple(sorted(partial))
+    by_head = {}
+    for i, q in enumerate(points):
+        by_head.setdefault(tuple(qn[: T - 1] for qn in q), []).append(i)
+    succ = tuple(tuple(by_head.get(tuple(pn[1:] for pn in p), ())) for p in points)
+    return TruncatedSystem(depth, T, points, succ)
+
+
+@dataclass(frozen=True)
+class AssembledStratum:
+    index: int
+    kind: str
+    base_points: tuple
+
+
+@dataclass(frozen=True)
+class AssembledLayeredExample:
+    """The layered example with its product space listed: a label, a base
+    word and a successor tuple for every point over every base word."""
+
+    labels: tuple
+    base_value: dict
+    fiber_of: dict
+    strata: tuple
+    scales: tuple
+    fiber_systems: dict
+    successors: dict
+
+
+def layered_example_oracle(base_depth=4, fiber_depth=12):
+    """``shadow_lab.build_layered_example`` as it assembled the product of
+    base words and fiber points, one label and one successor tuple each."""
+    if base_depth < 0:
+        raise PreconditionError("base depth must be nonnegative")
+    endpoint_max, limit_tail = 3, 8
+    _check_size(2 ** min(base_depth, MAX_TRUNCATION_POINTS.bit_length()))
+    words = list(itertools.product("01", repeat=base_depth))
+    eps = [Fraction(1, 2 ** k) for k in range(1, endpoint_max + 1)]
+    deltas = [e / 4 for e in eps]
+    contraction = [Fraction(1, 4)]
+    for k in range(1, base_depth):
+        contraction.append(min([contraction[-1] / 4] + [d / 4 for d in deltas]))
+    base_value = {"".join(w): sum((contraction[t] for t, sym in enumerate(w) if sym == "1"),
+                                  Fraction(0))
+                  for w in words}
+    if len(set(base_value.values())) != len(words):
+        raise InternalInvariantViolation("base embedding is not injective")
+    fiber_systems, strata_points, all_labels, image, fiber_of = {}, {}, [], {}, {}
+    fiber_cache = {}
+    for w in words:
+        wkey = "".join(w)
+        j = switch_level(w)
+        if j <= endpoint_max:
+            if j not in fiber_cache:
+                fiber_cache[j] = truncate_shift(gap_shift_graph(j), fiber_depth)
+            fiber, kind, idx = fiber_cache[j], "endpoint", j
+        else:
+            if -1 not in fiber_cache:
+                fiber_cache[-1] = limit_gap_system(limit_tail)
+            fiber, kind, idx = fiber_cache[-1], "interior", 0
+        fiber_systems[wkey] = fiber
+        strata_points.setdefault((kind, idx), []).append(wkey)
+        for lab in fiber.labels:
+            full = wkey + "|" + lab
+            all_labels.append(full)
+            fiber_of[full] = wkey
+            image[full] = tuple(wkey + "|" + q for q in fiber.successors[lab])
+    strata = tuple(AssembledStratum(idx, kind, tuple(sorted(strata_points[(kind, idx)])))
+                   for (kind, idx) in sorted(strata_points))
+    scales = tuple((eps[k - 1], deltas[k - 1]) for k in range(1, endpoint_max + 1))
+    return AssembledLayeredExample(tuple(all_labels), base_value, fiber_of, strata,
+                                   scales, fiber_systems, image)
+
+
+def layered_census_oracle(ex):
+    """``shadow_lab.layered_census`` on the assembled space: invariance
+    checked point by point, transitivity once per distinct fiber object."""
+    sizes = {s.index: len(s.base_points) for s in ex.strata if s.kind == "endpoint"}
+    interior = sum(len(s.base_points) for s in ex.strata if s.kind == "interior")
+    invariant = all(ex.fiber_of[q] == ex.fiber_of[p]
+                    for p in ex.labels for q in ex.successors[p])
+    fibers = {id(f): f for f in ex.fiber_systems.values()}
+    transitive = all(_fiber_chain_transitive(f) for f in fibers.values())
+    distinct = len(set(ex.base_value.values())) == len(ex.base_value)
+    return LayeredCensus(sizes, interior, len(ex.fiber_systems),
+                         invariant, transitive, distinct)
+
+
+def layered_fiber_shadowing_oracle(ex, horizon=8):
+    """``shadow_lab.layered_fiber_shadowing`` reading each stratum's fiber
+    from the per-base-word table."""
+    out = {}
+    for s in ex.strata:
+        eps, delta = ex.scales[s.index - 1] if s.kind == "endpoint" else ex.scales[-1]
+        rep = brute_shadowing_check(ex.fiber_systems[s.base_points[0]], eps, delta, horizon)
+        for w in s.base_points:
+            key = ("A%d" % s.index if s.kind == "endpoint" else "interior") + ":" + w
+            out[key] = rep
+    return out

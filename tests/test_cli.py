@@ -651,6 +651,26 @@ class TestFailuresAreOneLine:
         assert "Traceback" not in err
 
 
+class TestScaleExponentCap:
+    @pytest.mark.parametrize("flag", ["--eps-exp", "--delta-exp"])
+    def test_past_the_decimal_digit_cap_is_exit_2(self, capsys, flag):
+        # Refused before the system is built: depth 13 would pass the
+        # truncation point cap.
+        code, out, err = run(capsys, "shadow", "--family", "full", "--depth", "13",
+                             flag, "14285")
+        assert code == 2 and out == ""
+        assert err == ("precondition failed: --eps-exp and --delta-exp must be "
+                       "at most 14284\n")
+
+    @pytest.mark.parametrize("flag", ["--eps-exp", "--delta-exp"])
+    def test_at_the_cap_still_answers(self, capsys, flag):
+        code, out, err = run(capsys, "shadow", "--family", "full", "--depth", "2",
+                             "--horizon", "3", flag, "14284")
+        assert code == 0 and err == ""
+        key = "epsilon" if flag == "--eps-exp" else "delta"
+        assert json.loads(out)[key] == "1/%d" % 2 ** 14284
+
+
 class TestUnwritableOutput:
     @pytest.mark.parametrize("argv, target", [
         (["analyze", "--in", path("golden_mean.json"), "--out"], "missing/x.json"),

@@ -2,6 +2,7 @@
 
 import functools
 import random
+import time
 from fractions import Fraction
 from unittest import mock
 
@@ -9,7 +10,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from memos import clear_value_memos
-from oracles import check_mlc_oracle, image_chain_oracle, word_distance
+from oracles import (
+    check_mlc_oracle,
+    image_chain_oracle,
+    truncated_limit_oracle,
+    word_distance,
+)
 from shiftlab import inverse_systems
 from shiftlab.errors import SchemaError, ShiftLabError, TooLarge
 from shiftlab.fixtures import (
@@ -22,7 +28,7 @@ from shiftlab.fixtures import (
     mixed_sequence,
     random_sequence,
 )
-from shiftlab.codes import code_image, identity_code, symbol_code
+from shiftlab.codes import SlidingBlockCode, code_image, identity_code, symbol_code
 from shiftlab.decomposition import _tarjan_sccs, chain_components
 from shiftlab.inverse_systems import (
     InverseSequenceSpec,
@@ -338,6 +344,41 @@ TRUNCATION_IDS = ["cantor_product_3", "cantor_product_4", "cantor_product_4_leng
                   "abc", "branching"] + ["random_%d" % seed for seed in range(10)]
 
 
+BIN = ["0", "1"]
+
+
+def _window_two_sequence():
+    """Full 2-shift -> full 2-shift by the sum mod 2 of two symbols ->
+    golden mean shift by marking each 10 block, so each upper level's
+    words are listed under images one symbol shorter than themselves."""
+    full = full_shift(BIN)
+    blocks = [(a, b) for a in BIN for b in BIN]
+    xor = SlidingBlockCode(full, full, 2, {w: str(int(w[0] != w[1])) for w in blocks})
+    drop = SlidingBlockCode(full, golden_mean_graph(), 2,
+                            {w: "1" if w == ("1", "0") else "0" for w in blocks})
+    return InverseSequenceSpec((golden_mean_graph(), full, full), (drop, xor), "identity")
+
+
+def _point_over_full_shift(window):
+    """The fixed point 0^inf mapped into the full 2-shift by a window-w
+    code, so the image of a length-T word fixes only the first T - w + 1
+    symbols of the level-1 words that it admits."""
+    loop = full_shift(["0"])
+    code = SlidingBlockCode(loop, full_shift(BIN), window, {("0",) * window: "0"})
+    return InverseSequenceSpec((full_shift(BIN), loop), (code,), "identity")
+
+
+WINDOW_CASES = [(_window_two_sequence, 3, 5), (_window_two_sequence, 3, 1),
+                (_window_two_sequence, 2, 7), (_window_two_sequence, 2, 0),
+                (_window_two_sequence, 3, 4), (_window_two_sequence, 4, 2),
+                (functools.partial(_point_over_full_shift, 3), 2, 6),
+                (functools.partial(_point_over_full_shift, 3), 3, 2)]
+PREFIX_CASES = TRUNCATION_CASES + WINDOW_CASES
+PREFIX_IDS = TRUNCATION_IDS + [
+    "window_two_3_5", "window_two_3_1", "window_two_2_7", "window_two_2_0",
+    "window_two_3_4", "window_two_4_2", "point_over_full_2_6", "point_over_full_3_2"]
+
+
 class TestTruncatedLimit:
     def test_abc_limit_is_three_fixed_points(self):
         sysm = truncated_limit(abc_sequence(), 3, 4)
@@ -422,6 +463,62 @@ class TestTruncatedLimit:
                              ids=TRUNCATION_IDS)
     def test_prefix_join_matches_all_words_oracle(self, make, depth, length):
         _assert_join_matches_oracle(make(), depth, length)
+
+    @pytest.mark.parametrize("make, depth, length", PREFIX_CASES, ids=PREFIX_IDS)
+    def test_prefix_listing_matches_listing_oracle(self, make, depth, length):
+        """Equal to the join that listed every word of every level first,
+        and refused below the same point cap."""
+        seq = make()
+        sysm = truncated_limit(seq, depth, length)
+        assert sysm == truncated_limit_oracle(seq, depth, length)
+        least = _least_admitted(functools.partial(_limit_under_cap, seq, depth, length))
+        assert least == _least_admitted(
+            lambda cap: truncated_limit_oracle(seq, depth, length, cap))
+
+    def test_depth_one_is_capped(self):
+        # Depth 1 joins nothing, so the listing oracle never capped it.
+        seq = constant_sequence(full_shift(BIN), 3)
+        assert len(truncated_limit_oracle(seq, 1, 7, 100).points) == 128
+        assert len(_limit_under_cap(seq, 1, 7, 128).points) == 128
+        with pytest.raises(TooLarge, match="exceeds 127 points"):
+            _limit_under_cap(seq, 1, 7, 127)
+
+    @pytest.mark.parametrize("make, depth, length",
+                             [(lambda: constant_sequence(full_shift(BIN), 3), 1, 21),
+                              (lambda: constant_sequence(full_shift(BIN), 3), 3, 21),
+                              (lambda: cantor_product_sequence(3), 3, 30),
+                              (_window_two_sequence, 3, 30),
+                              (lambda: _point_over_full_shift(20), 2, 20)],
+                             ids=["full_depth_1", "full_depth_3", "cantor_product_3",
+                                  "window_two", "point_over_full"])
+    def test_listing_stops_at_the_cap(self, make, depth, length, monkeypatch):
+        # No level draws more than one word past the cap from the walk; at
+        # the point over the full shift one image admits 2**19 words.
+        seq = make()
+        drawn = []
+        real = inverse_systems._words
+
+        def counting(*args):
+            for w in real(*args):
+                drawn.append(w)
+                yield w
+
+        monkeypatch.setattr(inverse_systems, "_words", counting)
+        with pytest.raises(TooLarge):
+            _limit_under_cap(seq, depth, length, 1000)
+        assert 0 < len(drawn) <= depth * 1001
+
+    def test_default_cap_refuses_quickly(self):
+        # Each listed every word of every level before: the full 2-shift
+        # at depth 1 returned 2**21 points, and the other two ran for
+        # seconds to minutes before they refused.
+        for seq, depth, length in [(constant_sequence(full_shift(BIN), 3), 1, 21),
+                                   (constant_sequence(full_shift(BIN), 3), 3, 21),
+                                   (cantor_product_sequence(3), 3, 30)]:
+            t0 = time.perf_counter()
+            with pytest.raises(TooLarge, match="exceeds 1000000 points"):
+                truncated_limit(seq, depth, length)
+            assert time.perf_counter() - t0 < 5
 
     @pytest.mark.parametrize("seed", range(20))
     def test_random_sequences_match_all_words_oracle(self, seed):

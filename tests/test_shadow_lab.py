@@ -8,7 +8,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import gap_entropy_oracle, system_from_function, word_distance
+from oracles import (
+    gap_entropy_oracle,
+    layered_census_oracle,
+    layered_example_oracle,
+    layered_fiber_shadowing_oracle,
+    system_from_function,
+    word_distance,
+)
 from shiftlab import shadow_lab
 from shiftlab.errors import PreconditionError, SchemaError, TooLarge
 from shiftlab.fixtures import golden_mean_graph, random_graph
@@ -305,6 +312,8 @@ class TestLayeredExample:
         assert all(r.shadowed for r in reps.values())
 
     def test_census_checks_each_fiber_object_once(self, monkeypatch):
+        # One transitivity check per stratum, on that stratum's one fiber,
+        # though the strata hold 16 base words.
         ex = build_layered_example(base_depth=4, fiber_depth=6)
         checked = []
 
@@ -314,8 +323,38 @@ class TestLayeredExample:
 
         monkeypatch.setattr(shadow_lab, "_fiber_chain_transitive", counting)
         assert layered_census(ex).fibers_transitive
-        distinct = {id(f) for f in ex.fiber_systems.values()}
-        assert len(checked) == len(distinct) < len(ex.fiber_systems)
+        assert [id(f) for f in checked] == [id(s.fiber) for s in ex.strata]
+        assert len(checked) == 3 < len(ex.base_value) == 16
+
+    def test_strata_are_built_by_stratum(self, monkeypatch):
+        # One fiber per stratum, the gap-1 fiber first, and no product
+        # point is listed.
+        built = []
+        real = shadow_lab.truncate_shift
+        monkeypatch.setattr(shadow_lab, "truncate_shift",
+                            lambda g, depth: built.append(g) or real(g, depth))
+        ex = build_layered_example(base_depth=6, fiber_depth=6)
+        assert built == [gap_shift_graph(k) for k in (1, 2, 3)]
+        assert [(s.kind, s.index) for s in ex.strata] == [
+            ("endpoint", 1), ("endpoint", 2), ("endpoint", 3), ("interior", 0)]
+        assert sorted(vars(ex)) == ["base_value", "scales", "strata"]
+
+    @pytest.mark.parametrize("base_depth", range(7))
+    def test_matches_assembled_oracle(self, base_depth):
+        """Census, per-base-word shadowing and point count equal those of
+        the example assembled point by point over its product space."""
+        for fiber_depth in range(1, 11):
+            ex = build_layered_example(base_depth, fiber_depth)
+            ox = layered_example_oracle(base_depth, fiber_depth)
+            assert layered_census(ex) == layered_census_oracle(ox)
+            assert ex.base_value == ox.base_value and ex.scales == ox.scales
+            assert [(s.index, s.kind, s.base_points) for s in ex.strata] == \
+                [(s.index, s.kind, s.base_points) for s in ox.strata]
+            assert sum(len(s.base_points) * len(s.fiber.labels)
+                       for s in ex.strata) == len(ox.labels)
+            for horizon in range(1, 7):
+                assert layered_fiber_shadowing(ex, horizon) == \
+                    layered_fiber_shadowing_oracle(ox, horizon)
 
     def test_smaller_example_census(self):
         ex = build_layered_example(base_depth=3, fiber_depth=8)

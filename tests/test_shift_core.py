@@ -902,6 +902,19 @@ class TestWordsOfLength:
         assert list(itertools.islice(shift_core._words(g, length), k)) == \
             _words_of_length_oracle(g, length)[:k]
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.randoms(use_true_random=False), st.integers(0, 7), st.integers(0, 8),
+           st.integers(0, 2 ** 16))
+    def test_walk_from_a_start_matches_layer_oracle(self, rng, length, k, pick):
+        # The start is a prefix of an admissible word, or of any word on the
+        # alphabet, and may be longer than the words asked for.
+        g = random_graph(rng, max_vertices=4)
+        pool = _words_of_length_oracle(g, k) if pick % 2 else \
+            list(itertools.product(sorted(g.alphabet), repeat=k))
+        start = pool[pick % len(pool)] if pool else ()
+        assert list(shift_core._words(g, length, start)) == \
+            [w for w in _words_of_length_oracle(g, length) if w[:len(start)] == start]
+
     def test_walk_is_lazy(self):
         # The full 2-shift has 2**60 words of length 60.
         g = full_shift(BIN)
