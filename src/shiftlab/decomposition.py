@@ -154,8 +154,6 @@ def restrict_graph_to_cr(g: SftGraph) -> SftGraph:
 
 def is_irreducible(g: SftGraph) -> bool:
     ge = essential(g)
-    if not ge.vertices:
-        return False
     return len(_tarjan_sccs(ge.vertices, _arcs(ge))) == 1
 
 
@@ -294,8 +292,6 @@ def sync_length(g: SftGraph) -> Optional[int]:
     Decided on the follower states reachable by exactly K symbols, as in
     :func:`class_of_word`."""
     cs = cyclic_structure(g)
-    if cs.period == 1:
-        return 0
     f = follower(g)
     succ: list[list[int]] = [[] for _ in f.states]
     for (i, _a), j in f.trans.items():

@@ -1,10 +1,10 @@
 """Inverse sequences of presented shifts connected by sliding block codes.
 
 A sequence is finitely presented: an explicit prefix of levels and codes
-plus a tail rule, either ``identity`` (the last level repeats with
-identity codes) or ``periodic`` (the last p levels and codes repeat; the
-final code in the list wraps level L+1, which equals level L-p+1, onto
-level L).
+plus a tail rule, either ``periodic`` (the last p levels and codes repeat;
+the final code in the list wraps level L+1, which equals level L-p+1, onto
+level L) or ``identity``, the one-level periodic tail whose code is the
+identity and is not stored.
 
 Levels are 1-indexed.  ``code(n)`` maps level n+1 onto level n.  The
 central computation is the image chain at a level n: the canonical
@@ -92,29 +92,24 @@ class InverseSequenceSpec:
     def prefix_length(self) -> int:
         return len(self.levels)
 
-    def level(self, n: int) -> SftGraph:
-        L = len(self.levels)
+    def _slot(self, n: int) -> int:
+        """Index of level n in ``levels`` and of code n in ``codes``."""
         if n < 1:
             raise SchemaError("levels are 1-indexed")
+        L = len(self.levels)
         if n <= L:
-            return self.levels[n - 1]
-        if self.tail == "identity":
-            return self.levels[L - 1]
-        p = self.tail_block
-        return self.levels[L - p + ((n - L - 1) % p)]
+            return n - 1
+        p = self.tail_block if self.tail == "periodic" else 1
+        return L - p + (n - L - 1) % p
+
+    def level(self, n: int) -> SftGraph:
+        """Level n; past the prefix, the last p levels repeat."""
+        return self.levels[self._slot(n)]
 
     def code(self, n: int) -> SlidingBlockCode:
-        L = len(self.levels)
-        if n < 1:
-            raise SchemaError("codes are 1-indexed")
-        if self.tail == "identity":
-            if n <= L - 1:
-                return self.codes[n - 1]
-            return identity_code(self.levels[L - 1])
-        if n <= L:
-            return self.codes[n - 1]
-        p = self.tail_block
-        return self.codes[L - p + ((n - L - 1) % p)]
+        """Code n, onto level n; the identity where an identity tail has none."""
+        i = self._slot(n)
+        return self.codes[i] if i < len(self.codes) else identity_code(self.levels[-1])
 
 
 def composed_image(seq: InverseSequenceSpec, m: int, n: int,
@@ -256,12 +251,8 @@ def restrict_to_cr(seq: InverseSequenceSpec) -> InverseSequenceSpec:
     levels = tuple(restrict_graph_to_cr(g) for g in seq.levels)
     codes = []
     for i, c in enumerate(seq.codes):
-        dom = levels[i + 1] if i + 1 < len(levels) else None
-        if dom is None:
-            # wrap code of a periodic tail: domain is the wrapped level
-            p = seq.tail_block
-            dom = levels[len(levels) - p]
-        sub = restrict(c, dom)
+        # Code i maps level i + 2, wrapped for a wrap code, onto level i + 1.
+        sub = restrict(c, levels[seq._slot(i + 2)])
         codes.append(SlidingBlockCode(sub.domain, levels[i], sub.window, sub.rule))
     out = InverseSequenceSpec(levels, tuple(codes), seq.tail, seq.tail_block)
     before = check_mlc(seq)
@@ -306,16 +297,13 @@ def extract_mlc1_subsequence(seq: InverseSequenceSpec,
         current = nxt
     # Tail detection over the retained indices.
     L = seq.prefix_length
-    incs = [b - a for a, b in zip(kept, kept[1:])]
     levels = [seq.level(i) for i in kept]
     codes = [composed_code(seq, b, a) for a, b in zip(kept, kept[1:])]
     if seq.tail == "identity":
-        # Inside the identity region increments collapse to 1.
-        cut = None
-        for j in range(len(kept)):
-            if kept[j] >= L and all(s == 1 for s in incs[j:]):
-                cut = j
-                break
+        # Every code from level L on is the identity, so each chain there
+        # stabilizes one level down: the first retained level at or past L
+        # starts the identity tail.
+        cut = next((j for j, k in enumerate(kept) if k >= L), None)
         if cut is None:
             raise CannotExtract("no identity tail pattern among retained levels")
         new_levels = tuple(levels[: cut + 1])

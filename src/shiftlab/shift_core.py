@@ -50,8 +50,6 @@ def word_str(word: Sequence[str]) -> str:
 
 
 def parse_word(text: str) -> Word:
-    if text == "":
-        return ()
     if "." in text:
         return tuple(text.split("."))
     return tuple(text)
@@ -500,15 +498,22 @@ def _words(g: SftGraph, length: int, start: Word = ()) -> Iterator[Word]:
     if len(start) == length:
         yield tuple(start)
         return
-    moves = [[(a, f.trans[(i, a)]) for a in sorted(g.alphabet) if (i, a) in f.trans]
-             for i in range(len(f.states))]
+    # A state's moves are listed when the walk first reaches it, so a walk
+    # pays only for the states it reaches.
+    alphabet = sorted(g.alphabet)
+    moves: list[Optional[list[tuple[str, int]]]] = [None] * len(f.states)
+
+    def listed(i: int) -> list[tuple[str, int]]:
+        m = moves[i] = [(a, f.trans[(i, a)]) for a in alphabet if (i, a) in f.trans]
+        return m
+
     path = list(start)
-    stack = [iter(moves[state])]
+    stack = [iter(listed(state))]
     while stack:
         for a, j in stack[-1]:
             path.append(a)
             if len(path) < length:
-                stack.append(iter(moves[j]))
+                stack.append(iter(moves[j] or listed(j)))
                 break
             yield tuple(path)
             path.pop()

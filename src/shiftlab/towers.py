@@ -43,6 +43,7 @@ from .inverse_systems import (
 )
 from .shift_core import (
     SftGraph,
+    Word,
     language_subset,
     word_in_language,
     words_of_length,
@@ -308,24 +309,17 @@ def truncated_fiber(seq: InverseSequenceSpec, tower: Tower,
     the chosen component (or cyclic class) of its level."""
     if system.depth > tower.depth:
         raise SchemaError("tower is shallower than the truncated system")
-    picks = []
     if tower.kind == "component":
         graphs = [chain_components(seq.level(n)).by_id(tower.entries[n - 1]).graph
                   for n in range(1, system.depth + 1)]
-        for i, p in enumerate(system.points):
-            if all(word_in_language(g, w) for g, w in zip(graphs, p)):
-                picks.append(i)
-        return picks
-    for i, p in enumerate(system.points):
-        ok = True
-        for n, w in enumerate(p):
-            cls = "D%d" % class_of_word(seq.level(n + 1), w)
-            if cls != tower.entries[n]:
-                ok = False
-                break
-        if ok:
-            picks.append(i)
-    return picks
+
+        def inside(n: int, w: Word) -> bool:
+            return word_in_language(graphs[n], w)
+    else:
+        def inside(n: int, w: Word) -> bool:
+            return "D%d" % class_of_word(seq.level(n + 1), w) == tower.entries[n]
+    return [i for i, p in enumerate(system.points)
+            if all(inside(n, w) for n, w in enumerate(p))]
 
 
 def fiber_hausdorff_gap(system: TruncatedSystem, inner: list[int],

@@ -4,10 +4,13 @@ words, a finite system built point by point from Python functions, the
 gap-shift entropy by bisection, entropy with an eigenvalue computation
 for every chain component, the reading states of a point found on a
 labeled out-map, the forbidden-word graph built from every candidate
-word, image chains, MLC checks, selection stability and maximal
-choices that compare canonical images by a language-equality search,
-the truncated limit joined from every word of every level, and the
-layered example assembled point by point over its product space."""
+word, an inverse sequence's levels, codes and chain recurrent
+restriction read by one rule per tail mode, image chains, MLC checks,
+selection stability and maximal choices that compare canonical images
+by a language-equality search, the truncated limit joined from every
+word of every level, truncated fibers picked by one loop per tower
+kind, and the layered example assembled point by point over its
+product space."""
 
 import itertools
 import math
@@ -19,8 +22,13 @@ from types import MappingProxyType
 import numpy as np
 
 from shiftlab import towers
-from shiftlab.codes import SlidingBlockCode, code_image
-from shiftlab.decomposition import chain_components, has_positive_entropy
+from shiftlab.codes import SlidingBlockCode, code_image, identity_code, restrict
+from shiftlab.decomposition import (
+    chain_components,
+    class_of_word,
+    has_positive_entropy,
+    restrict_graph_to_cr,
+)
 from shiftlab.errors import (
     AlphabetMismatch,
     EmptyShift,
@@ -35,6 +43,7 @@ from shiftlab.inverse_systems import (
     DEFAULT_DEPTH_CAP,
     MAX_LIMIT_POINTS,
     ImageChainReport,
+    InverseSequenceSpec,
     MlcLevelReport,
     MlcReport,
     TruncatedSystem,
@@ -58,6 +67,7 @@ from shiftlab.shift_core import (
     essential,
     language_equal,
     language_subset,
+    word_in_language,
     word_str,
     words_of_length,
 )
@@ -243,6 +253,47 @@ def forbidden_words_oracle(alphabet, forbidden):
     return essential(SftGraph(tuple(names[w] for w in states), tuple(edges), ab))
 
 
+def sequence_level_oracle(seq, n):
+    """``InverseSequenceSpec.level`` as it branched on the tail mode."""
+    L = len(seq.levels)
+    if n < 1:
+        raise SchemaError("levels are 1-indexed")
+    if n <= L:
+        return seq.levels[n - 1]
+    if seq.tail == "identity":
+        return seq.levels[L - 1]
+    p = seq.tail_block
+    return seq.levels[L - p + ((n - L - 1) % p)]
+
+
+def sequence_code_oracle(seq, n):
+    """``InverseSequenceSpec.code`` as it branched on the tail mode."""
+    L = len(seq.levels)
+    if n < 1:
+        raise SchemaError("codes are 1-indexed")
+    if seq.tail == "identity":
+        if n <= L - 1:
+            return seq.codes[n - 1]
+        return identity_code(seq.levels[L - 1])
+    if n <= L:
+        return seq.codes[n - 1]
+    p = seq.tail_block
+    return seq.codes[L - p + ((n - L - 1) % p)]
+
+
+def restrict_to_cr_oracle(seq):
+    """``inverse_systems.restrict_to_cr`` as it took a periodic tail's wrap
+    code domain from the restricted levels, p levels from the end, without
+    its one-step stability check."""
+    levels = tuple(restrict_graph_to_cr(g) for g in seq.levels)
+    codes = []
+    for i, c in enumerate(seq.codes):
+        dom = levels[i + 1] if i + 1 < len(levels) else levels[len(levels) - seq.tail_block]
+        sub = restrict(c, dom)
+        codes.append(SlidingBlockCode(sub.domain, levels[i], sub.window, sub.rule))
+    return InverseSequenceSpec(levels, tuple(codes), seq.tail, seq.tail_block)
+
+
 def image_chain_oracle(seq, n, depth_cap=DEFAULT_DEPTH_CAP):
     """``inverse_systems.image_chain`` as it decided stabilization by a
     language-equality search between consecutive images."""
@@ -341,6 +392,31 @@ def truncated_limit_oracle(seq, depth, word_length, max_points=MAX_LIMIT_POINTS)
         by_head.setdefault(tuple(qn[: T - 1] for qn in q), []).append(i)
     succ = tuple(tuple(by_head.get(tuple(pn[1:] for pn in p), ())) for p in points)
     return TruncatedSystem(depth, T, points, succ)
+
+
+def truncated_fiber_oracle(seq, tower, system):
+    """``towers.truncated_fiber`` as it ran one membership loop for
+    component towers and another for cyclic-class towers."""
+    if system.depth > tower.depth:
+        raise SchemaError("tower is shallower than the truncated system")
+    picks = []
+    if tower.kind == "component":
+        graphs = [chain_components(seq.level(n)).by_id(tower.entries[n - 1]).graph
+                  for n in range(1, system.depth + 1)]
+        for i, p in enumerate(system.points):
+            if all(word_in_language(g, w) for g, w in zip(graphs, p)):
+                picks.append(i)
+        return picks
+    for i, p in enumerate(system.points):
+        ok = True
+        for n, w in enumerate(p):
+            cls = "D%d" % class_of_word(seq.level(n + 1), w)
+            if cls != tower.entries[n]:
+                ok = False
+                break
+        if ok:
+            picks.append(i)
+    return picks
 
 
 @dataclass(frozen=True)

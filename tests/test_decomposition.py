@@ -102,6 +102,12 @@ class TestChainComponents:
         assert word_in_language(cr, parse_word("2.2"))
 
 
+    def test_graph_with_no_cycle_is_not_irreducible(self):
+        # No essential vertex, so no strongly connected part at all.
+        assert not is_irreducible(SftGraph(("a",), (), ("0",)))
+        assert not is_irreducible(make_graph(["a", "b"], [("a", "b", "0")], alphabet=BIN))
+
+
 class TestCyclicStructure:
     def test_mixing_graph_has_period_one(self):
         cs = cyclic_structure(golden_mean_graph())

@@ -13,6 +13,9 @@ from memos import clear_value_memos
 from oracles import (
     check_mlc_oracle,
     image_chain_oracle,
+    restrict_to_cr_oracle,
+    sequence_code_oracle,
+    sequence_level_oracle,
     truncated_limit_oracle,
     word_distance,
 )
@@ -48,6 +51,7 @@ from shiftlab.shift_core import (
     full_shift,
     language_equal,
     language_subset,
+    make_graph,
     words_of_length,
 )
 
@@ -165,6 +169,70 @@ class TestPeriodicTail:
             assert seq.code(n) is seq.code(n - seq.tail_block)
 
 
+def _distinct_levels_sequence(rng, length, tail, block):
+    """Full 2-shifts on distinct alphabets joined by random symbol codes, so
+    that no two levels or codes coincide by accident; a periodic tail adds
+    the wrap code from level length - block + 1 onto the last level.  An
+    identity tail keeps the block it is given, which it must ignore."""
+    levels = tuple(full_shift("abcdefgh"[2 * i: 2 * i + 2]) for i in range(length))
+
+    def code(dom, cod):
+        return symbol_code(dom, cod, {a: rng.choice(cod.alphabet) for a in dom.alphabet})
+
+    codes = [code(levels[i + 1], levels[i]) for i in range(length - 1)]
+    if tail == "periodic":
+        codes.append(code(levels[length - block], levels[-1]))
+    return InverseSequenceSpec(levels, tuple(codes), tail, block)
+
+
+def _transient_periodic(block):
+    """Two levels, each two fixed points joined through a transient vertex,
+    with a periodic tail: block 2 wraps level 1 onto level 2, block 1 wraps
+    level 2 onto itself."""
+    lower = make_graph(["x", "t", "y"], [("x", "x", "a"), ("x", "t", "c"),
+                                         ("t", "y", "c"), ("y", "y", "b")])
+    upper = make_graph(["x", "t", "y"], [("x", "x", "d"), ("x", "t", "f"),
+                                         ("t", "y", "f"), ("y", "y", "e")])
+    down = symbol_code(upper, lower, {"d": "a", "e": "b", "f": "c"})
+    if block == 2:
+        wrap = symbol_code(lower, upper, {"a": "d", "b": "e", "c": "f"})
+    else:
+        wrap = symbol_code(upper, upper, {"d": "e", "e": "e", "f": "e"})
+    return InverseSequenceSpec((lower, upper), (down, wrap), "periodic", block)
+
+
+class TestTailRule:
+    @settings(max_examples=150, deadline=None)
+    @given(st.randoms(use_true_random=False), st.integers(1, 4),
+           st.sampled_from(["identity", "periodic"]), st.data())
+    def test_levels_and_codes_match_per_mode_oracle(self, rng, length, tail, data):
+        block = data.draw(st.integers(1, length))
+        seq = _distinct_levels_sequence(rng, length, tail, block)
+        for n in range(1, 3 * length + 3):
+            assert seq.level(n) is sequence_level_oracle(seq, n)
+            assert seq.code(n) is sequence_code_oracle(seq, n)
+
+    def test_zero_is_refused(self):
+        seq = constant_sequence(full_shift("01"), 2)
+        with pytest.raises(SchemaError, match="^levels are 1-indexed$"):
+            seq.level(0)
+        with pytest.raises(SchemaError, match="^levels are 1-indexed$"):
+            seq.code(0)
+
+    @pytest.mark.parametrize("make", [abc_sequence] + [
+        functools.partial(_transient_periodic, p) for p in (1, 2)],
+        ids=["abc", "transient_p1", "transient_p2"])
+    def test_restriction_of_periodic_tails_matches_oracle(self, make):
+        seq = make()
+        out, want = restrict_to_cr(seq), restrict_to_cr_oracle(seq)
+        assert all(a is b for a, b in zip(out.levels, want.levels, strict=True))
+        assert all(a is b for a, b in zip(out.codes, want.codes, strict=True))
+        assert (out.tail, out.tail_block) == (want.tail, want.tail_block)
+        if make is not abc_sequence:
+            assert all("t" not in g.vertices for g in out.levels)
+            assert out.code(2).domain is out.level(3)
+
+
 class TestMlc:
     def test_abc_fails_mlc1_with_witness(self):
         rep = check_mlc(abc_sequence(), depth_cap=16)
@@ -272,6 +340,13 @@ class TestExtraction:
                 continue
             res = extract_mlc1_subsequence(seq)
             assert check_mlc(res.sequence, depth_cap=10).all_mlc1, seed
+
+    def test_identity_tail_is_cut_at_the_prefix_length(self):
+        # Level 1 stabilizes at 2, and every later level one deeper; the
+        # first retained level at or past the prefix length, 5, ends it.
+        res = extract_mlc1_subsequence(constant_sequence(golden_mean_graph(), 5))
+        assert res.index_map == (2, 3, 4, 5)
+        assert (res.sequence.tail, len(res.sequence.codes)) == ("identity", 3)
 
     def test_index_map_is_increasing(self):
         res = extract_mlc1_subsequence(abc_sequence())

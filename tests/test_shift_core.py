@@ -602,6 +602,9 @@ class TestWords:
         assert word_str(w) == "0110"
         assert parse_word(word_str(w)) == w
 
+    def test_empty_text_is_the_empty_word(self):
+        assert parse_word("") == ()
+
     def test_multichar_symbols_use_dots(self):
         w = ("aa", "b")
         assert word_str(w) == "aa.b"
@@ -912,6 +915,18 @@ class TestWordsOfLength:
         pool = _words_of_length_oracle(g, k) if pick % 2 else \
             list(itertools.product(sorted(g.alphabet), repeat=k))
         start = pool[pick % len(pool)] if pool else ()
+        assert list(shift_core._words(g, length, start)) == \
+            [w for w in _words_of_length_oracle(g, length) if w[:len(start)] == start]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 200), st.sets(st.integers(0, 199), max_size=4),
+           st.integers(0, 12), st.integers(0, 6), st.booleans())
+    def test_walk_on_many_states_matches_layer_oracle(self, n, marked, length, k, zeros):
+        # A marked cycle's follower automaton has up to n states, of which
+        # one walk reaches only a few.  The start is all zeros, which most
+        # marked cycles admit, or ends in a 1.
+        g = _marked_cycle(n, {i % n for i in marked})
+        start = ("0",) * k if zeros else ("0",) * k + ("1",)
         assert list(shift_core._words(g, length, start)) == \
             [w for w in _words_of_length_oracle(g, length) if w[:len(start)] == start]
 

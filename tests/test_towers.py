@@ -8,8 +8,13 @@ from unittest import mock
 
 import pytest
 
-from oracles import maximal_choices_oracle, one_step_stability_oracle
+from oracles import (
+    maximal_choices_oracle,
+    one_step_stability_oracle,
+    truncated_fiber_oracle,
+)
 from shiftlab import towers
+from shiftlab.codes import symbol_code
 from shiftlab.errors import NoEntropicComponent, PreconditionError, SchemaError
 from shiftlab.fixtures import (
     abc_sequence,
@@ -21,6 +26,7 @@ from shiftlab.fixtures import (
     merging_sequence,
     mixed_sequence,
     random_sequence,
+    two_cycle_graph,
     two_cycle_sequence,
 )
 from shiftlab.shift_core import language_subset
@@ -35,7 +41,7 @@ from shiftlab.towers import (
     truncated_fiber,
     verify_selection,
 )
-from shiftlab.inverse_systems import restrict_to_cr, truncated_limit
+from shiftlab.inverse_systems import InverseSequenceSpec, restrict_to_cr, truncated_limit
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -224,6 +230,22 @@ class TestFibers:
                 fiber = truncated_fiber(seq, t, sysm)
                 got = {comp_ids[i] for i in fiber}
                 assert len(got) == 1, (t.entries, got)
+
+    def test_picks_match_per_kind_loop_oracle(self):
+        # Swapping the two symbols of the 2-cycle swaps its cyclic classes,
+        # so its cyclic towers alternate between them.
+        g = two_cycle_graph()
+        swap = symbol_code(g, g, {"a": "b", "b": "a"})
+        swapping = InverseSequenceSpec((g, g, g), (swap, swap), "identity")
+        cases = [(seq, "component") for seq in (abc_sequence(), branching_sequence(),
+                                                 cantor_product_sequence(3))]
+        cases += [(two_cycle_sequence(), "cyclic"), (swapping, "cyclic")]
+        for seq, kind in cases:
+            sysm = truncated_limit(seq, 3, 4)
+            for t in enumerate_towers(seq, 3, kind=kind):
+                assert truncated_fiber(seq, t, sysm) == truncated_fiber_oracle(seq, t, sysm)
+        assert {t.entries for t in enumerate_towers(swapping, 3, kind="cyclic")} == \
+            {("D0", "D1", "D0"), ("D1", "D0", "D1")}
 
     def test_hausdorff_gap_zero_for_identical_fibers(self):
         seq = cantor_product_sequence(3)
