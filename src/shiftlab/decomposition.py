@@ -32,6 +32,7 @@ from .shift_core import (
     canonical_presentation,
     essential,
     follower,
+    _image_map,
 )
 
 
@@ -66,54 +67,47 @@ def _arcs(g: SftGraph) -> dict[str, list[str]]:
     return arcs
 
 
-def _tarjan_sccs(vertices: Sequence[Hashable],
-                 arcs: Mapping[Hashable, Sequence[Hashable]]) -> list[list]:
-    """Iterative Tarjan over any hashable, sortable vertices; returns
-    strongly connected components in a deterministic order."""
-    index: dict = {}
-    low: dict = {}
-    onstack: set = set()
-    stack: list = []
-    sccs: list[list] = []
-    counter = [0]
-
+def _sccs(vertices: Sequence[Hashable],
+          arcs: Mapping[Hashable, Sequence[Hashable]]) -> list[list]:
+    """Strongly connected components by Kosaraju's two searches, over any
+    hashable, sortable vertices: a depth-first search lists the vertices
+    as it finishes them, then each unclaimed vertex, latest finished
+    first, claims every unclaimed vertex that reaches it backwards.  Each
+    component is sorted; the list is in no fixed order, since every
+    caller sorts or counts it.  Both searches keep their own stacks, so a
+    long path cannot overflow the interpreter's."""
+    finished: list = []
+    seen: set = set()
     for root in vertices:
-        if root in index:
+        if root in seen:
             continue
+        seen.add(root)
         work = [(root, iter(arcs.get(root, ())))]
-        index[root] = low[root] = counter[0]
-        counter[0] += 1
-        stack.append(root)
-        onstack.add(root)
         while work:
-            v, it = work[-1]
-            advanced = False
-            for w in it:
-                if w not in index:
-                    index[w] = low[w] = counter[0]
-                    counter[0] += 1
-                    stack.append(w)
-                    onstack.add(w)
+            for w in work[-1][1]:
+                if w not in seen:
+                    seen.add(w)
                     work.append((w, iter(arcs.get(w, ()))))
-                    advanced = True
                     break
-                if w in onstack:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                pv = work[-1][0]
-                low[pv] = min(low[pv], low[v])
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    onstack.discard(w)
-                    comp.append(w)
-                    if w == v:
-                        break
-                sccs.append(sorted(comp))
+            else:
+                finished.append(work.pop()[0])
+    back: dict = {v: [] for v in vertices}
+    for v in vertices:
+        for w in arcs.get(v, ()):
+            back[w].append(v)
+    sccs: list[list] = []
+    claimed: set = set()
+    for root in reversed(finished):
+        if root in claimed:
+            continue
+        claimed.add(root)
+        comp = [root]
+        for v in comp:  # comp grows as it is read
+            for u in back[v]:
+                if u not in claimed:
+                    claimed.add(u)
+                    comp.append(u)
+        sccs.append(sorted(comp))
     return sccs
 
 
@@ -126,7 +120,7 @@ def chain_components(g: SftGraph) -> Decomposition:
     arcs = _arcs(c)
     comps = []
     transient = []
-    for verts in _tarjan_sccs(c.vertices, arcs):
+    for verts in _sccs(c.vertices, arcs):
         vs = set(verts)
         if len(verts) == 1 and verts[0] not in arcs[verts[0]]:
             transient.extend(verts)
@@ -154,7 +148,7 @@ def restrict_graph_to_cr(g: SftGraph) -> SftGraph:
 
 def is_irreducible(g: SftGraph) -> bool:
     ge = essential(g)
-    return len(_tarjan_sccs(ge.vertices, _arcs(ge))) == 1
+    return len(_sccs(ge.vertices, _arcs(ge))) == 1
 
 
 @dataclass(frozen=True)
@@ -211,8 +205,8 @@ def mixing_constant(g: SftGraph) -> int:
     vertex pair (equivalently the adjacency matrix power is positive).
     Raises NotMixing if no such L up to the cap 4n**2 + 4 exists.  Rows
     of the adjacency powers are vertex bitmasks: a row of the next power
-    is the OR of the adjacency rows of the vertices in the row before,
-    worked out once per distinct row per power."""
+    is the image of the row before under the adjacency rows, by a fresh
+    ``_image_map`` per power, so its memo holds at most n rows."""
     ge = essential(g)
     n = len(ge.vertices)
     if n == 0:
@@ -225,16 +219,7 @@ def mixing_constant(g: SftGraph) -> int:
     full = (1 << n) - 1
     power = [1 << i for i in range(n)]
     for ell in range(1, cap + 1):
-        step: dict[int, int] = {}
-        for row in power:
-            if row not in step:
-                out, rest = 0, row
-                while rest:
-                    low = rest & -rest
-                    out |= adj[low.bit_length() - 1]
-                    rest ^= low
-                step[row] = out
-        power = [step[row] for row in power]
+        power = list(map(_image_map(adj), power))
         if all(row == full for row in power):
             return ell
     raise NotMixing("no positive adjacency power up to %d" % cap)

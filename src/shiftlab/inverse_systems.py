@@ -29,7 +29,7 @@ from .codes import (
     identity_code,
     restrict,
 )
-from .decomposition import _tarjan_sccs, restrict_graph_to_cr
+from .decomposition import _sccs, restrict_graph_to_cr
 from .errors import (
     CannotExtract,
     InternalInvariantViolation,
@@ -53,6 +53,11 @@ DEFAULT_DEPTH_CAP = 32
 
 # Most tuples one level of a truncated limit may hold.
 MAX_LIMIT_POINTS = 10 ** 6
+
+# Deepest image an image chain may fold before it has stabilized: the
+# images of a chain that never repeats can grow by a vertex per depth, so
+# building them costs the square of the depth.
+MAX_CHAIN_DEPTH = 256
 
 
 @dataclass(frozen=True)
@@ -161,13 +166,18 @@ def image_chain(seq: InverseSequenceSpec, n: int,
                 depth_cap: int = DEFAULT_DEPTH_CAP) -> ImageChainReport:
     """Descending chain of images at level n.  Monotonicity is re-verified
     and a violation is an internal error.  The chain is cut at the first
-    repetition (declared stabilization) or at the cap."""
+    repetition (declared stabilization) or at the cap.  Raises TooLarge
+    before folding an image more than ``MAX_CHAIN_DEPTH`` levels below n
+    without having stabilized, whatever the cap."""
     if depth_cap < 0:
         raise SchemaError("image chain depth cap must be nonnegative")
     images: list[SftGraph] = []
     stabilized = None
     prev: Optional[SftGraph] = None
     for m in range(n + 1, n + depth_cap + 2):
+        if m - n > MAX_CHAIN_DEPTH:
+            raise TooLarge("image chain at level %d exceeds depth %d without stabilizing"
+                           % (n, MAX_CHAIN_DEPTH))
         img = composed_image(seq, m, n)
         if prev is not None:
             ok, _ = language_subset(img, prev)
@@ -358,7 +368,7 @@ class TruncatedSystem:
         """Component index per point under the successor relation
         (-1 for points in no cyclic strongly connected part)."""
         n = len(self.points)
-        sccs = _tarjan_sccs(range(n), dict(enumerate(self.successors)))
+        sccs = _sccs(range(n), dict(enumerate(self.successors)))
         comp = [-1] * n
         cid = 0
         keyed = [ids for ids in sccs

@@ -18,7 +18,8 @@ Every check reads one step table, ``_step_masks`` (the legal delta-steps
 from each point as a bitmask), and, outside the search, one survivor walk,
 ``_lost_at`` (``alive = image(alive) & ball`` along a pseudo-orbit's tube).
 Each distinct step mask's bits are listed once, by ``_bit_lists``, for the
-search, the sampler and the fiber chain-transitivity check.
+search, the sampler and the fiber chain-transitivity check.  The mask
+primitives ``_bits`` and ``_image_map`` live in ``shift_core``.
 
 Distances are ``Fraction`` values at the API, but a system stores only its
 words sorted (``_order``) and the common prefix lengths of adjacent sorted
@@ -53,7 +54,7 @@ from operator import or_
 from types import MappingProxyType
 from typing import Callable, Optional, Sequence
 
-from .decomposition import _tarjan_sccs
+from .decomposition import _sccs
 from .errors import (
     InternalInvariantViolation,
     InvalidScales,
@@ -65,6 +66,8 @@ from .shift_core import (
     Word,
     common_prefix,
     from_forbidden_words,
+    _bits,
+    _image_map,
     _undotted,
     _words,
 )
@@ -168,15 +171,7 @@ class _Distances(Mapping):
 
 
 # ---------------------------------------------------------------------------
-# Bitmask primitives
-
-
-def _bits(mask: int):
-    """Indices of the set bits of mask, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+# Balls and step masks
 
 
 def _balls(sys: FiniteSystem, radius: Fraction) -> list[int]:
@@ -211,26 +206,11 @@ def _bit_lists(masks: Sequence[int]) -> dict[int, list[int]]:
     return {m: list(_bits(m)) for m in set(masks)}
 
 
-def _image_map(sys: FiniteSystem) -> Callable[[int], int]:
-    """Image of a point mask under the successor relation, memoised for
-    the lifetime of the returned function (one call of a checker)."""
-    succ = sys._succ
-    memo: dict[int, int] = {}
-
-    def image(mask: int) -> int:
-        img = memo.get(mask)
-        if img is None:
-            img = memo[mask] = reduce(or_, (succ[i] for i in _bits(mask)), 0)
-        return img
-
-    return image
-
-
 def _step_masks(sys: FiniteSystem, delta: Fraction) -> list[int]:
     """Mask of the legal delta-pseudo-orbit steps from each point: q
-    follows p when q lands within delta of some successor of p."""
-    ball = _balls(sys, delta)
-    return [reduce(or_, (ball[y] for y in _bits(s)), 0) for s in sys._succ]
+    follows p when q lands within delta of some successor of p, so the
+    mask is the image of p's successor mask under the delta-balls."""
+    return list(map(_image_map(_balls(sys, delta)), sys._succ))
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +257,7 @@ def brute_shadowing_check(sys: FiniteSystem, epsilon: Fraction, delta: Fraction,
     if mode == "sampled" and samples * horizon > MAX_SAMPLED_STEPS:
         raise TooLarge("sampled check exceeds %d steps" % MAX_SAMPLED_STEPS)
     near = _balls(sys, epsilon)
-    image = _image_map(sys)
+    image = _image_map(sys._succ)
     steps = _step_masks(sys, delta)
     if mode == "sampled":
         return _sampled_check(sys, near, image, steps, epsilon, delta,
@@ -393,7 +373,7 @@ def is_shadowed(sys: FiniteSystem, epsilon: Fraction,
                 path: Sequence[str]) -> bool:
     near = _balls(sys, epsilon)
     tube = [near[sys._pos[p]] for p in path]
-    return _lost_at(_image_map(sys), tube, tube[0]) < 0
+    return _lost_at(_image_map(sys._succ), tube, tube[0]) < 0
 
 
 # ---------------------------------------------------------------------------
@@ -606,7 +586,7 @@ def _fiber_chain_transitive(f: FiniteSystem) -> bool:
     steps = {i: lists[m] for i, m in enumerate(masks)}
     # One strongly connected component chains every point to every point:
     # through another point, or, in a one-point space, by the map itself.
-    return len(_tarjan_sccs(range(len(f.labels)), steps)) <= 1
+    return len(_sccs(range(len(f.labels)), steps)) <= 1
 
 
 def layered_fiber_shadowing(ex: LayeredExample,

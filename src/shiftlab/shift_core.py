@@ -23,14 +23,14 @@ Conventions, fixed once here and relied on everywhere else:
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import weakref
 from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import or_
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import (
     EmptyShift,
@@ -254,6 +254,29 @@ def from_forbidden_words(alphabet: Iterable[str], forbidden: Iterable[Sequence[s
 # Deterministic presentations and language comparison
 
 
+def _bits(mask: int) -> Iterator[int]:
+    """Indices of the set bits of mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _image_map(rows: Sequence[int]) -> Callable[[int], int]:
+    """Image of a mask under the relation whose row i is the mask of the
+    successors of i: the OR of the rows of its set bits, memoised for the
+    lifetime of the returned function."""
+    memo: dict[int, int] = {}
+
+    def image(mask: int) -> int:
+        img = memo.get(mask)
+        if img is None:
+            img = memo[mask] = functools.reduce(or_, (rows[i] for i in _bits(mask)), 0)
+        return img
+
+    return image
+
+
 @dataclass(frozen=True, eq=False)
 class Follower:
     """Follower-set automaton of the essential part of a graph.
@@ -276,7 +299,7 @@ class Follower:
 
     def vertices(self, i: int) -> frozenset[str]:
         """The vertex set of state ``i``."""
-        return frozenset(itertools.compress(self.names, map(int, bin(self.states[i])[:1:-1])))
+        return frozenset(self.names[k] for k in _bits(self.states[i]))
 
     def walk(self, word: Iterable[str], state: int = 0) -> Optional[int]:
         """State after reading ``word``, or None if it leaves the language."""

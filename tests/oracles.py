@@ -4,8 +4,10 @@ words, a finite system built point by point from Python functions, the
 gap-shift entropy by bisection, entropy with an eigenvalue computation
 for every chain component, the reading states of a point found on a
 labeled out-map, the forbidden-word graph built from every candidate
-word, an inverse sequence's levels, codes and chain recurrent
-restriction read by one rule per tail mode, image chains, MLC checks,
+word, a follower state's vertices decoded through ``bin``, strongly
+connected components by Tarjan's lowlink search, an inverse sequence's
+levels, codes and chain recurrent restriction read by one rule per tail
+mode, image chains, MLC checks,
 selection stability and maximal choices that compare canonical images
 by a language-equality search, the truncated limit joined from every
 word of every level, truncated fibers picked by one loop per tower
@@ -251,6 +253,62 @@ def forbidden_words_oracle(alphabet, forbidden):
             if ok(ext) and ext[1:] in stateset:
                 edges.append((names[w], names[ext[1:]], a))
     return essential(SftGraph(tuple(names[w] for w in states), tuple(edges), ab))
+
+
+def follower_vertices_oracle(f, i):
+    """``Follower.vertices`` as it decoded a state mask through ``bin``."""
+    return frozenset(itertools.compress(f.names, map(int, bin(f.states[i])[:1:-1])))
+
+
+def tarjan_sccs_oracle(vertices, arcs):
+    """Strongly connected components by iterative Tarjan, as
+    ``decomposition`` found them before Kosaraju's two searches: each
+    component sorted, the list in Tarjan's completion order."""
+    index = {}
+    low = {}
+    onstack = set()
+    stack = []
+    sccs = []
+    counter = [0]
+
+    for root in vertices:
+        if root in index:
+            continue
+        work = [(root, iter(arcs.get(root, ())))]
+        index[root] = low[root] = counter[0]
+        counter[0] += 1
+        stack.append(root)
+        onstack.add(root)
+        while work:
+            v, it = work[-1]
+            advanced = False
+            for w in it:
+                if w not in index:
+                    index[w] = low[w] = counter[0]
+                    counter[0] += 1
+                    stack.append(w)
+                    onstack.add(w)
+                    work.append((w, iter(arcs.get(w, ()))))
+                    advanced = True
+                    break
+                if w in onstack:
+                    low[v] = min(low[v], index[w])
+            if advanced:
+                continue
+            work.pop()
+            if work:
+                pv = work[-1][0]
+                low[pv] = min(low[pv], low[v])
+            if low[v] == index[v]:
+                comp = []
+                while True:
+                    w = stack.pop()
+                    onstack.discard(w)
+                    comp.append(w)
+                    if w == v:
+                        break
+                sccs.append(sorted(comp))
+    return sccs
 
 
 def sequence_level_oracle(seq, n):

@@ -42,6 +42,7 @@ from shiftlab.errors import (
     InvalidThresholds,
     NoDistalTuple,
     NotChainProximal,
+    NotInLanguage,
     NotIrreducible,
     NotMixing,
     PreconditionError,
@@ -55,6 +56,7 @@ from shiftlab.shift_core import (
     distance,
     essential,
     full_shift,
+    make_graph,
     periodic_points,
     point_in_shift,
     word_in_language,
@@ -94,6 +96,10 @@ class TestDistal:
     def test_separation_is_what_it_claims(self):
         d = find_r_distal_tuple(golden_mean_graph(), 3)
         assert orbit_separation(d.points, d.common_period) == d.radius
+
+    def test_one_point_is_not_a_tuple(self):
+        with pytest.raises(NoDistalTuple, match="^need n >= 2$"):
+            find_r_distal_tuple(golden_mean_graph(), 1)
 
     def test_too_many_points_rejected(self):
         with mock.patch.object(chaos, "MAX_DISTAL_PERIOD", 3), \
@@ -210,6 +216,19 @@ class TestJoin:
         y = SymbolicPoint((), ("a", "b"))
         cert = chain_proximal_join(g, y, y, 3)
         assert cert.point.shift(cert.tail_shift) == y.shift(cert.tail_shift)
+
+
+    def test_refusals(self):
+        g = golden_mean_graph()
+        y = SymbolicPoint((), ("0",))
+        with pytest.raises(NotChainProximal, match="^epsilon exponent must be positive$"):
+            chain_proximal_join(g, y, y, 0)
+        with pytest.raises(NotInLanguage, match="^both points must lie in the shift$"):
+            chain_proximal_join(g, y, SymbolicPoint((), ("1",)), 2)
+        # Two loops with no path between them.
+        loops = make_graph(["a", "b"], [("a", "a", "0"), ("b", "b", "1")], alphabet=BIN)
+        with pytest.raises(NotIrreducible, match="^join needs an irreducible graph$"):
+            chain_proximal_join(loops, y, SymbolicPoint((), ("1",)), 2)
 
 
 class TestScrambled:

@@ -231,6 +231,29 @@ class TestMlc:
         [lv] = json.loads(out)["levels"]
         assert not lv["mlc1"] and lv["witness"] is None
 
+    def test_unstable_chain_is_refused_past_the_chain_depth_cap(self, capsys):
+        # Each image of the full 2-shift under the window-2 AND code is a
+        # smaller shift, so the chain never repeats.
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "mlc", "--in", path("unstable_chain.json"),
+                             "--cap", "100000")
+        assert time.perf_counter() - t0 < 5.0
+        assert code == 2 and out == ""
+        assert err == ("precondition failed: image chain at level 1 exceeds depth 256 "
+                       "without stabilizing\n")
+
+    def test_unstable_chain_within_the_cap_is_undetermined(self, capsys):
+        code, out, _ = run(capsys, "mlc", "--in", path("unstable_chain.json"), "--cap", "100")
+        assert code == 0
+        [lv] = json.loads(out)["levels"]
+        assert lv["status"] == "undetermined" and lv["stabilized_at"] is None
+
+    def test_stabilizing_chain_answers_at_any_cap(self, capsys):
+        code, out, _ = run(capsys, "mlc", "--in", path("abc_sequence.json"), "--cap", "100000")
+        assert code == 0
+        [lv] = json.loads(out)["levels"]
+        assert lv["status"] == "holds" and lv["witness"] == 3
+
     @pytest.mark.parametrize("edit, reason", [
         (lambda d: d.update(levels=[]), "at least one level required"),
         (lambda d: d["tail"].update(mode="cyclic"), "tail must be 'identity' or 'periodic'"),
@@ -597,6 +620,14 @@ def _dotted_graph(tmp_path):
     return str(graph)
 
 
+def _acyclic_graph(tmp_path):
+    """The graph a -0-> b: no cycle, so it presents the empty shift."""
+    graph = tmp_path / "acyclic.json"
+    graph.write_text(json.dumps({"alphabet": ["0"], "vertices": ["a", "b"],
+                                 "edges": [["a", "b", "0"]]}))
+    return str(graph)
+
+
 class TestFailuresAreOneLine:
     @pytest.mark.parametrize("argv, symbol", [
         (["analyze", "--in", path("dotted_forbidden.json")], "forbidden-form symbol 'a.b'"),
@@ -610,6 +641,21 @@ class TestFailuresAreOneLine:
         assert time.perf_counter() - t0 < 1.0
         assert code == 2 and out == ""
         assert err == "precondition failed: %s contains a dot\n" % symbol
+
+    @pytest.mark.parametrize("argv, reason", [
+        (["analyze", "--in", _acyclic_graph], "entropy of an empty shift"),
+        (["shadow", "--in", _acyclic_graph], "no admissible words at this depth"),
+        (["shadow", "--family", "full", "--horizon", "0"], "horizon must be at least 1"),
+        (["shadow"], "need --in or --family"),
+        (["scramble", "--in", path("golden_mean.json"), "--eps-exp", "0"],
+         "need epsilon_exp >= 1 and 0 < delta < 1"),
+    ], ids=["analyze-empty-shift", "shadow-empty-shift", "shadow-horizon-0",
+            "shadow-no-system", "scramble-eps-exp-0"])
+    def test_refusal_is_exit_2(self, tmp_path, capsys, argv, reason):
+        argv = [a(tmp_path) if callable(a) else a for a in argv]
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == "precondition failed: %s\n" % reason
 
     def test_dotted_symbol_graph_still_analyses(self, tmp_path, capsys):
         code, out, _ = run(capsys, "analyze", "--in", _dotted_graph(tmp_path))

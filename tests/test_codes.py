@@ -139,6 +139,13 @@ class TestImages:
         ok, _ = language_subset(code_image(r), code_image(c))
         assert ok
 
+    def test_restriction_onto_a_non_subsystem_is_refused(self):
+        # The golden mean code's domain forbids 11, which the full shift reads.
+        c = identity_code(golden_mean_graph())
+        with pytest.raises(CompositionMismatch,
+                           match="^restriction target is not a subsystem; witness 11$"):
+            restrict(c, full_shift(BIN))
+
     def test_higher_block_window(self):
         g = golden_mean_graph()
         c = SlidingBlockCode(g, full_shift(BIN), 2, {

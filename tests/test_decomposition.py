@@ -13,9 +13,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from memos import clear_value_memos
-from oracles import entropy_oracle
+from oracles import entropy_oracle, tarjan_sccs_oracle
 from shiftlab.decomposition import (
     CyclicStructure,
+    _sccs,
     chain_components,
     class_of_word,
     cyclic_structure,
@@ -102,10 +103,58 @@ class TestChainComponents:
         assert word_in_language(cr, parse_word("2.2"))
 
 
+    def test_graph_with_no_cycle_has_no_entropy(self):
+        g = make_graph(["a", "b"], [("a", "b", "0")], alphabet=BIN)
+        assert chain_components(g).components == ()
+        with pytest.raises(EmptyShift, match="^entropy of an empty shift$"):
+            entropy(g)
+
     def test_graph_with_no_cycle_is_not_irreducible(self):
         # No essential vertex, so no strongly connected part at all.
         assert not is_irreducible(SftGraph(("a",), (), ("0",)))
         assert not is_irreducible(make_graph(["a", "b"], [("a", "b", "0")], alphabet=BIN))
+
+
+@st.composite
+def digraphs(draw):
+    """Vertex list and arc lists of a random digraph on 0-40 int or str
+    vertices, listed in a random order, with self-loops and repeated arcs.
+    Every arc leads to a listed vertex; a vertex with no out-arc may have
+    no arcs entry at all."""
+    n = draw(st.integers(0, 40))
+    names = list(range(n)) if draw(st.booleans()) else ["v%d" % i for i in range(n)]
+    vertices = draw(st.permutations(names))
+    arcs = {}
+    if n:
+        index = st.integers(0, n - 1)
+        for i, j in draw(st.lists(st.tuples(index, index), max_size=3 * n)):
+            arcs.setdefault(names[i], []).append(names[j])
+        for i in draw(st.sets(index)):
+            arcs.setdefault(names[i], [])
+    return vertices, arcs
+
+
+class TestStronglyConnectedComponents:
+    @settings(max_examples=300, deadline=None)
+    @given(digraphs())
+    def test_matches_tarjan_oracle(self, case):
+        vertices, arcs = case
+        got = _sccs(vertices, arcs)
+        want = tarjan_sccs_oracle(vertices, arcs)
+        assert all(comp == sorted(comp) for comp in got)
+        assert len(got) == len(want)
+        assert {frozenset(c) for c in got} == {frozenset(c) for c in want}
+
+    @pytest.mark.parametrize("cycle", [False, True], ids=["path", "cycle"])
+    def test_long_chains_do_not_recurse(self, cycle):
+        n = 10 ** 5
+        arcs = {i: [i + 1] for i in range(n - 1)}
+        if cycle:
+            arcs[n - 1] = [0]
+        t0 = time.perf_counter()
+        got = _sccs(range(n), arcs)
+        assert time.perf_counter() - t0 < 2.0
+        assert sorted(got) == ([list(range(n))] if cycle else [[i] for i in range(n)])
 
 
 class TestCyclicStructure:

@@ -1,6 +1,8 @@
 """Inverse sequences: image chains, stabilization, extraction, truncations."""
 
 import functools
+import json
+import os
 import random
 import time
 from fractions import Fraction
@@ -16,11 +18,12 @@ from oracles import (
     restrict_to_cr_oracle,
     sequence_code_oracle,
     sequence_level_oracle,
+    tarjan_sccs_oracle,
     truncated_limit_oracle,
     word_distance,
 )
 from shiftlab import inverse_systems
-from shiftlab.errors import SchemaError, ShiftLabError, TooLarge
+from shiftlab.errors import Mlc1Required, SchemaError, ShiftLabError, TooLarge
 from shiftlab.fixtures import (
     abc_sequence,
     branching_sequence,
@@ -32,11 +35,12 @@ from shiftlab.fixtures import (
     random_sequence,
 )
 from shiftlab.codes import SlidingBlockCode, code_image, identity_code, symbol_code
-from shiftlab.decomposition import _tarjan_sccs, chain_components
+from shiftlab.decomposition import chain_components
 from shiftlab.inverse_systems import (
     InverseSequenceSpec,
     TruncatedSystem,
     check_mlc,
+    composed_code,
     composed_image,
     extract_mlc1_subsequence,
     hat_space,
@@ -54,6 +58,8 @@ from shiftlab.shift_core import (
     make_graph,
     words_of_length,
 )
+
+DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
 def _composed_image_oracle(seq, m, n, start=None):
@@ -107,6 +113,30 @@ class TestImageChains:
             for earlier, later in zip(chain.images, chain.images[1:]):
                 ok, witness = language_subset(later, earlier)
                 assert ok, (seed, witness)
+
+    def test_unstabilized_chain_has_no_stable_image(self):
+        chain = image_chain(abc_sequence(), 1, depth_cap=1)
+        assert chain.stabilized_at is None
+        with pytest.raises(Mlc1Required, match="did not stabilize within the cap"):
+            chain.stable_image
+
+    def test_composition_refuses_to_go_up(self):
+        seq = abc_sequence()
+        with pytest.raises(SchemaError, match="^need m >= n$"):
+            composed_image(seq, 1, 2)
+        for m in (1, 2):
+            with pytest.raises(SchemaError, match="^need m > n$"):
+                composed_code(seq, m, 2)
+
+    def test_chain_depth_cap(self, monkeypatch):
+        monkeypatch.setattr(inverse_systems, "MAX_CHAIN_DEPTH", 5)
+        with open(os.path.join(DATA, "unstable_chain.json"), encoding="utf-8") as f:
+            seq = sequence_from_json(json.load(f))
+        chain = image_chain(seq, 1, depth_cap=4)
+        assert chain.stabilized_at is None and len(chain.images) == 5
+        for cap in (5, 10 ** 5):
+            with pytest.raises(TooLarge, match="^image chain at level 1 exceeds depth 5 "):
+                image_chain(seq, 1, depth_cap=cap)
 
 
 def _shuffled(rng):
@@ -507,7 +537,7 @@ class TestTruncatedLimit:
             n = len(sysm.points)
             arcs = {str(i): [str(j) for j in sysm.successors[i]] for i in range(n)}
             keyed = sorted(sorted(int(v) for v in verts)
-                           for verts in _tarjan_sccs([str(i) for i in range(n)], arcs)
+                           for verts in tarjan_sccs_oracle([str(i) for i in range(n)], arcs)
                            if len(verts) > 1 or int(verts[0]) in sysm.successors[int(verts[0])])
             expected = [-1] * n
             for cid, ids in enumerate(keyed):

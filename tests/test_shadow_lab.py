@@ -17,7 +17,7 @@ from oracles import (
     word_distance,
 )
 from shiftlab import shadow_lab
-from shiftlab.errors import PreconditionError, SchemaError, TooLarge
+from shiftlab.errors import InvalidScales, PreconditionError, SchemaError, TooLarge
 from shiftlab.fixtures import golden_mean_graph, random_graph
 from shiftlab.shadow_lab import (
     FiniteSystem,
@@ -200,6 +200,15 @@ class TestShadowing:
                                     mode="sampled", samples=500, seed=1)
         assert not rep.shadowed
         assert is_pseudo_orbit(lim, Fraction(1, 16), rep.counterexample)
+
+    def test_scale_and_mode_checks(self):
+        sysm = truncate_shift(full_shift(BIN), 2)
+        for eps, delta in ((0, QUARTER), (HALF, 0)):
+            with pytest.raises(InvalidScales, match="^epsilon and delta must be positive$"):
+                brute_shadowing_check(sysm, eps, delta, 4)
+        with pytest.raises(PreconditionError,
+                           match="^mode must be 'exhaustive' or 'sampled'$"):
+            brute_shadowing_check(sysm, HALF, QUARTER, 4, mode="greedy")
 
     def test_state_cap(self):
         sysm = truncate_shift(full_shift(BIN), 6)
@@ -512,7 +521,7 @@ def oracle_per_head_search(sys, epsilon, delta, horizon, state_cap=10 ** 7):
     label point by point."""
     epsilon, delta = Fraction(epsilon), Fraction(delta)
     near = shadow_lab._balls(sys, epsilon)
-    image = shadow_lab._image_map(sys)
+    image = shadow_lab._image_map(sys._succ)
     labels = sys.labels
     steps = [sorted(shadow_lab._bits(m), key=labels.__getitem__)
              for m in shadow_lab._step_masks(sys, delta)]
@@ -615,7 +624,7 @@ class TestIntegerIndexOracle:
         assert is_shadowed(sysm, eps, path) == oracle_is_shadowed(sysm, eps, path)
         assert is_pseudo_orbit(sysm, delta, path) == oracle_is_pseudo_orbit(sysm, delta, path)
         assert shadow_lab._failure_trace(sysm, shadow_lab._balls(sysm, eps),
-                                         shadow_lab._image_map(sysm), path) == \
+                                         shadow_lab._image_map(sysm._succ), path) == \
             oracle_failure_trace(sysm, eps, path)
 
     def test_both_verdicts_occur_in_both_modes(self):

@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import functools
 import gc
 import importlib
 import itertools
@@ -16,12 +17,18 @@ import time
 import weakref
 from collections import deque
 from fractions import Fraction
+from operator import or_
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from memos import VALUE_MEMOS, clear_value_memos
-from oracles import forbidden_words_oracle, graph_oracle, word_distance
+from oracles import (
+    follower_vertices_oracle,
+    forbidden_words_oracle,
+    graph_oracle,
+    word_distance,
+)
 from shiftlab import shift_core
 from shiftlab.errors import PreconditionError, SchemaError, TooLarge
 from shiftlab.fixtures import (
@@ -35,7 +42,9 @@ from shiftlab.inverse_systems import composed_image
 from shiftlab.shift_core import (
     SftGraph,
     SymbolicPoint,
+    _bits,
     _first_difference,
+    _image_map,
     _minimize,
     canonical_presentation,
     common_prefix,
@@ -856,6 +865,33 @@ class TestFollower:
     def test_long_words_do_not_recurse(self):
         g = full_shift(["0"])
         assert words_of_length(g, 1500) == [("0",) * 1500]
+
+
+class TestMaskPrimitives:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 1 << 70))
+    def test_bits_lists_the_set_bits_ascending(self, mask):
+        assert list(_bits(mask)) == [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_image_map_ors_the_rows_of_the_set_bits(self, data):
+        n = data.draw(st.integers(0, 40))
+        rows = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n))
+        masks = data.draw(st.lists(st.integers(0, (1 << n) - 1), max_size=20))
+        image = _image_map(rows)
+        for mask in masks + masks:  # the second pass reads the memo
+            want = functools.reduce(or_, (rows[i] for i in range(n) if mask >> i & 1), 0)
+            assert image(mask) == want
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(seeded_graphs(),
+                     st.builds(lambda n, marked: _marked_cycle(n, {i % n for i in marked}),
+                               st.integers(1, 80), st.sets(st.integers(0, 79), min_size=1))))
+    def test_follower_vertices_match_bin_decode(self, g):
+        f = follower(g)
+        for i in range(len(f.states)):
+            assert f.vertices(i) == follower_vertices_oracle(f, i)
 
 
 class TestFollowerCap:

@@ -88,6 +88,15 @@ class TestSelection:
         assert rep.tower.entries[0] == "K0"
         assert all(rep.properties.values())
 
+    @pytest.mark.parametrize("tower, n, depth, reason", [
+        (Tower("cyclic", ("D0", "D0")), 1, 4, "selection operates on component towers"),
+        (Tower("component", ("K0",)), 1, 4, "tower must reach level 2"),
+        (Tower("component", ("K0", "K1")), 1, 1, "requested depth must exceed the start level"),
+    ], ids=["cyclic-tower", "shallow-tower", "shallow-depth"])
+    def test_argument_checks(self, tower, n, depth, reason):
+        with pytest.raises(SchemaError, match="^%s$" % reason):
+            select_max_tower(branching_sequence(), tower, n, depth)
+
     def test_non_maximal_choice_fails_stability(self):
         seq = branching_sequence()
         good = select_max_tower(seq, Tower("component", ("K0", "K1")), 1, 4)
@@ -218,6 +227,13 @@ class TestFibers:
             assert not (set(fiber) & seen)
             seen |= set(fiber)
         assert seen == set(range(len(sysm.points)))
+
+    def test_tower_shallower_than_the_system_is_refused(self):
+        seq = cantor_product_sequence(3)
+        sysm = truncated_limit(seq, 3, 4)
+        tower = Tower("component", enumerate_towers(seq, 3)[0].entries[:2])
+        with pytest.raises(SchemaError, match="^tower is shallower than the truncated system$"):
+            truncated_fiber(seq, tower, sysm)
 
     def test_fibers_match_brute_components(self):
         for seq, depth in [(abc_sequence(), 3),
