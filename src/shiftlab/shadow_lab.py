@@ -12,7 +12,13 @@ survivor set) pairs instead of the raw tree of pseudo-orbits.  A head's
 children depend only on its step mask and the image of its survivor set,
 so each such pair is expanded once per depth: a later head with the same
 pair adds only the dead children recorded by the first, since all of its
-live children are already seen.
+live children are already seen.  While no survivor set is empty, each
+depth's set of (point, survivor set) pairs depends only on the one before
+it, so the search stops at the first set met before: no pseudo-orbit of
+any length fails, and the count of states the full horizon would explore
+follows from one period of the repeat.  Each depth keeps only its heads
+and their parents' indices, and the one counterexample is read back
+through them.
 
 Every check reads one step table, ``_step_masks`` (the legal delta-steps
 from each point as a bitmask), and, outside the search, one survivor walk,
@@ -37,15 +43,16 @@ words 0^(T+1) and 0^m 1 0^(T-m).  Both refuse more than
 ``MAX_TRUNCATION_POINTS`` points, a truncation also refuses more than
 ``MAX_TRUNCATION_SYMBOLS`` symbols (points times depth), a sampled
 check refuses more than ``MAX_SAMPLED_STEPS`` steps (samples times
-horizon), and an exhaustive check refuses to build more than
-``MAX_EXHAUSTIVE_SYMBOLS`` path symbols (frontier size times depth,
-summed over depths).
+horizon), and an exhaustive check refuses to build more than its
+``state_cap`` states, the only bound on a search its repeat has not yet
+decided.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from array import array
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -84,11 +91,6 @@ MAX_TRUNCATION_SYMBOLS = 1 << 19
 # Most steps, samples times horizon, a sampled check may draw: each step
 # costs a random draw and a survivor-walk step.
 MAX_SAMPLED_STEPS = 1 << 20
-
-# Most path symbols an exhaustive check may build, the sum over depths of
-# frontier size times depth: each frontier entry carries its whole path,
-# so a long horizon costs its square even on a few states per depth.
-MAX_EXHAUSTIVE_SYMBOLS = 1 << 26
 
 
 @dataclass(frozen=True)
@@ -239,10 +241,13 @@ def brute_shadowing_check(sys: FiniteSystem, epsilon: Fraction, delta: Fraction,
 
     Exhaustive mode explores pseudo-orbits in lexicographic breadth-first
     order, carrying the survivor set of candidate orbit states, and reports
-    the lexicographically least unshadowable pseudo-orbit if one exists;
-    it raises TooLarge past ``state_cap`` states or, counted once per
-    depth, ``MAX_EXHAUSTIVE_SYMBOLS`` path symbols.  Sampled mode draws
-    seeded random pseudo-orbits instead.
+    the lexicographically least unshadowable pseudo-orbit if one exists,
+    rebuilt from each depth's parent indices.  Once a depth's set of
+    (head, survivor set) pairs, none of them dead, repeats an earlier
+    depth's, every horizon is shadowed: the search stops there and counts
+    the states of the depths left from the period.  It raises TooLarge
+    only once it has built more than ``state_cap`` states.  Sampled mode
+    draws seeded random pseudo-orbits instead.
     """
     epsilon = Fraction(epsilon)
     delta = Fraction(delta)
@@ -267,23 +272,27 @@ def brute_shadowing_check(sys: FiniteSystem, epsilon: Fraction, delta: Fraction,
                for m, bits in _bit_lists(steps).items()}
     # BFS over (pseudo-orbit head, survivor mask); paths expand in sorted
     # label order so the first failure found at the shortest depth is the
-    # lexicographically least counterexample.
-    frontier = [(p, near[p], (labels[p],)) for p in sys._by_label]
+    # lexicographically least counterexample.  Each depth keeps only its
+    # heads and their parents' indices; frontier holds this depth's masks.
+    heads = [array("q", sys._by_label)]
+    parents: list[array] = []
+    frontier = [near[p] for p in sys._by_label]
+    # A frontier with no dead entry fixes every later one by its set of
+    # (head, survivor mask) keys alone.  met maps each such set to the
+    # depth it was first met at; built counts the entries of each depth.
+    met = {frozenset(zip(heads[0], frontier)): 1}
+    built: list[int] = []
     explored = 0
-    symbols = 0
     for depth in range(1, horizon + 1):
-        symbols += len(frontier) * depth
-        if symbols > MAX_EXHAUSTIVE_SYMBOLS:
-            raise TooLarge("exhaustive search exceeds %d path symbols"
-                           % MAX_EXHAUSTIVE_SYMBOLS)
-        next_frontier = []
+        next_heads, next_parents, next_frontier = array("q"), array("q"), []
         seen: set[tuple[int, int]] = set()
         # A head's children depend only on its step mask and the image of
         # its survivors.  Once one head with that pair is expanded, every
         # live child is in seen, so a later head adds only the dead ones.
         expanded: dict[tuple[int, int], list[int]] = {}
-        for (p, alive, path) in frontier:
+        for i, (p, alive) in enumerate(zip(heads[-1], frontier)):
             if not alive:
+                path = _rebuild_path(labels, heads, parents, i)
                 return ShadowingReport(
                     False, epsilon, delta, horizon, "exhaustive",
                     counterexample=path,
@@ -309,10 +318,39 @@ def brute_shadowing_check(sys: FiniteSystem, epsilon: Fraction, delta: Fraction,
                 explored += 1
                 if explored > state_cap:
                     raise TooLarge("exhaustive search exceeded %d states" % state_cap)
-                next_frontier.append((q, nxt_alive, path + (labels[q],)))
+                next_heads.append(q)
+                next_parents.append(i)
+                next_frontier.append(nxt_alive)
+        if depth == horizon:
+            break
+        heads.append(next_heads)
+        parents.append(next_parents)
         frontier = next_frontier
+        built.append(len(frontier))
+        if len(frontier) == len(seen):
+            # No dead entry.  A key set met before repeats, with the sets
+            # after it, for ever: nothing dies, and each later depth
+            # builds as many entries as its place in that period did.
+            start = met.setdefault(frozenset(seen), depth + 1)
+            if start <= depth:
+                period = built[start - 1:]
+                rest = horizon - 1 - depth
+                explored += (rest // len(period) * sum(period)
+                             + sum(period[:rest % len(period)]))
+                break
     return ShadowingReport(True, epsilon, delta, horizon, "exhaustive",
                            states_explored=explored)
+
+
+def _rebuild_path(labels: tuple[str, ...], heads: list[array],
+                  parents: list[array], i: int) -> tuple[str, ...]:
+    """Labels of the pseudo-orbit that ends at entry i of the last depth,
+    read back through each depth's parent indices."""
+    path = [heads[-1][i]]
+    for hd, up in zip(reversed(heads[:-1]), reversed(parents)):
+        i = up[i]
+        path.append(hd[i])
+    return tuple(labels[p] for p in reversed(path))
 
 
 def _lost_at(image: Callable[[int], int], tube: Sequence[int], alive: int) -> int:
@@ -373,7 +411,7 @@ def is_shadowed(sys: FiniteSystem, epsilon: Fraction,
                 path: Sequence[str]) -> bool:
     near = _balls(sys, epsilon)
     tube = [near[sys._pos[p]] for p in path]
-    return _lost_at(_image_map(sys._succ), tube, tube[0]) < 0
+    return not tube or _lost_at(_image_map(sys._succ), tube, tube[0]) < 0
 
 
 # ---------------------------------------------------------------------------

@@ -508,15 +508,19 @@ class TestShadow:
         assert code == 2 and out == ""
         assert err == "precondition failed: sampled check exceeds 1048576 steps\n"
 
-    def test_exhaustive_symbol_cap_exits_2_quickly(self, capsys):
-        # About four heads per depth, each carrying its whole path: the
-        # cap stops the search near depth 5,800 instead of after hours.
+    @pytest.mark.parametrize("argv, states", [
+        (("--family", "full", "--depth", "2", "--horizon", "100000000"), 399999996),
+        (("--family", "gap", "--k", "2", "--depth", "8", "--horizon", "3000"), 122959),
+    ])
+    def test_decided_long_horizon_answers_quickly(self, capsys, argv, states):
+        # Each set of (head, survivor set) pairs repeats within a few
+        # depths, which decides every horizon.
         t0 = time.perf_counter()
-        code, out, err = run(capsys, "shadow", "--family", "full", "--depth", "2",
-                             "--horizon", "100000000")
-        assert time.perf_counter() - t0 < 2.0
-        assert code == 2 and out == ""
-        assert err == "precondition failed: exhaustive search exceeds 67108864 path symbols\n"
+        code, out, err = run(capsys, "shadow", *argv)
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 0 and err == ""
+        rep = json.loads(out)
+        assert rep["shadowed"] and rep["states_explored"] == states
 
     def test_gap_40_answers_quickly(self, capsys):
         # Its forbidden words are 40 symbols long; listing every binary

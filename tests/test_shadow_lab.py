@@ -229,44 +229,22 @@ class TestShadowing:
         # The exhaustive search draws nothing, so samples do not count.
         assert brute_shadowing_check(sysm, HALF, QUARTER, 11, samples=10 ** 9).shadowed
 
-    def test_exhaustive_symbol_cap(self, monkeypatch):
-        # One fixed point: one head per depth, so horizon h builds
-        # 1 + 2 + ... + h path symbols.  The full 2-shift at depth 1 keeps
-        # two heads per depth (each point's ball holds only itself).
-        one = truncate_shift(full_shift(["0"]), 3)
-        two = truncate_shift(full_shift(BIN), 1)
-        for sysm, per_depth in ((one, 1), (two, 2)):
-            horizon = 10
-            total = per_depth * horizon * (horizon + 1) // 2
-            monkeypatch.setattr(shadow_lab, "MAX_EXHAUSTIVE_SYMBOLS", total)
-            rep = brute_shadowing_check(sysm, HALF, QUARTER, horizon)
-            assert rep.shadowed
-            assert rep.states_explored == per_depth * (horizon - 1)
-            monkeypatch.setattr(shadow_lab, "MAX_EXHAUSTIVE_SYMBOLS", total - 1)
-            with pytest.raises(TooLarge, match="^exhaustive search exceeds %d path symbols$"
-                               % (total - 1)):
-                brute_shadowing_check(sysm, HALF, QUARTER, horizon)
-            # The sampled mode builds no frontier, so the cap does not apply.
-            assert brute_shadowing_check(sysm, HALF, QUARTER, horizon, mode="sampled",
-                                         samples=5).shadowed
-        # A horizon far past the cap stops after a few hundred depths.
-        monkeypatch.setattr(shadow_lab, "MAX_EXHAUSTIVE_SYMBOLS", 10 ** 5)
-        t0 = time.perf_counter()
-        with pytest.raises(TooLarge):
-            brute_shadowing_check(two, HALF, QUARTER, 10 ** 9)
-        assert time.perf_counter() - t0 < 0.5
+    def test_empty_path_is_a_shadowed_pseudo_orbit(self):
+        sysm = truncate_shift(full_shift(BIN), 2)
+        assert is_pseudo_orbit(sysm, QUARTER, [])
+        assert is_shadowed(sysm, HALF, [])
 
-    def test_default_exhaustive_cap_is_far_above_the_largest_search(self, monkeypatch):
-        # The full 2-shift at depth 12 with horizon 8, the largest exhaustive
-        # search of the CLI examples, the benchmark and the tests, builds
-        # 147,456 path symbols.
-        assert shadow_lab.MAX_EXHAUSTIVE_SYMBOLS >= 100 * 147456
-        monkeypatch.setattr(shadow_lab, "MAX_EXHAUSTIVE_SYMBOLS", 147456)
-        rep = brute_shadowing_check(truncate_shift(full_shift(BIN), 12), HALF, QUARTER, 8)
-        assert rep.shadowed and rep.states_explored == 28672
-        monkeypatch.setattr(shadow_lab, "MAX_EXHAUSTIVE_SYMBOLS", 147455)
-        with pytest.raises(TooLarge):
-            brute_shadowing_check(truncate_shift(full_shift(BIN), 12), HALF, QUARTER, 8)
+    def test_decided_search_ignores_the_horizon(self):
+        # Each of the four points keeps one (head, survivor set) pair per
+        # depth, so every horizon h explores 4 (h - 1) states.
+        sysm = truncate_shift(full_shift(BIN), 2)
+        for h in range(1, 13):
+            assert oracle_per_head_search(sysm, HALF, QUARTER, h).states_explored == \
+                4 * (h - 1)
+        t0 = time.perf_counter()
+        rep = brute_shadowing_check(sysm, HALF, QUARTER, 10 ** 12)
+        assert time.perf_counter() - t0 < 0.5
+        assert rep.shadowed and rep.states_explored == 4 * (10 ** 12 - 1)
 
 
 class TestGapFamily:
@@ -518,7 +496,8 @@ def oracle_brute_shadowing_check(sys, epsilon, delta, horizon, mode="exhaustive"
 def oracle_per_head_search(sys, epsilon, delta, horizon, state_cap=10 ** 7):
     """The exhaustive search as it was before heads were grouped by (step
     mask, survivor image): every head walks its whole step list, sorted by
-    label point by point."""
+    label point by point, and every depth up to the horizon is walked,
+    each entry carrying its whole path."""
     epsilon, delta = Fraction(epsilon), Fraction(delta)
     near = shadow_lab._balls(sys, epsilon)
     image = shadow_lab._image_map(sys._succ)
@@ -852,30 +831,92 @@ def grouped_search_case(rng, kind):
     return sysm, eps, delta, horizon, cap
 
 
+def oracle_repeat_depth(sys, epsilon, delta):
+    """First depth whose set of (head, survivor set) pairs was already met
+    at a shallower depth, every pair at each depth so far alive; None
+    once some pair has an empty survivor set.  Each depth's set is worked
+    out from the last one as a whole, with no frontier order."""
+    near = shadow_lab._balls(sys, Fraction(epsilon))
+    image = shadow_lab._image_map(sys._succ)
+    steps = shadow_lab._step_masks(sys, Fraction(delta))
+    keys = frozenset((p, near[p]) for p in range(len(sys.labels)))
+    met = set()
+    depth = 1
+    while keys not in met:
+        met.add(keys)
+        keys = frozenset((q, image(alive) & near[q])
+                         for p, alive in keys for q in shadow_lab._bits(steps[p]))
+        if not all(alive for _, alive in keys):
+            return None
+        depth += 1
+    return depth
+
+
+def oracle_states_built(sys, epsilon, delta, horizon):
+    """States a search that stops at the first repeated set of pairs
+    builds: the per-head search's count up to that depth."""
+    repeat = oracle_repeat_depth(sys, epsilon, delta)
+    if repeat is not None:
+        horizon = min(horizon, repeat)
+    return oracle_per_head_search(sys, epsilon, delta, horizon).states_explored
+
+
+def capped_search_outcome(sysm, eps, delta, horizon, cap):
+    """The search's outcome at a state cap, checked against the per-head
+    search: it refuses exactly when the states it builds pass the cap,
+    and otherwise reports what the per-head search reports at cap 10**7.
+    Returns the report or the text of the refusal."""
+    out = search_outcome(brute_shadowing_check, sysm, eps, delta, horizon, state_cap=cap)
+    refused = oracle_states_built(sysm, eps, delta, horizon) > cap
+    assert isinstance(out, str) == refused
+    if refused:
+        assert out == "TooLarge: exhaustive search exceeded %d states" % cap
+    else:
+        assert out == oracle_per_head_search(sysm, eps, delta, horizon)
+    return out
+
+
 class TestGroupedSearchOracle:
     @pytest.mark.parametrize("kind", ["random", "truncation", "limit", "gap"])
     @settings(max_examples=150, deadline=None)
     @given(rng=st.randoms(use_true_random=False))
     def test_matches_per_head_search(self, kind, rng):
-        sysm, eps, delta, horizon, cap = grouped_search_case(rng, kind)
-        assert search_outcome(brute_shadowing_check, sysm, eps, delta, horizon,
-                              state_cap=cap) == \
-            search_outcome(oracle_per_head_search, sysm, eps, delta, horizon,
-                           state_cap=cap)
+        capped_search_outcome(*grouped_search_case(rng, kind))
+
+    @pytest.mark.parametrize("kind", ["random", "truncation", "limit", "gap"])
+    @settings(max_examples=100, deadline=None)
+    @given(rng=st.randoms(use_true_random=False), horizon=st.integers(1, 60))
+    def test_long_horizons_match_per_head_search(self, kind, rng, horizon):
+        # Horizons past the first repeat run through several periods, so
+        # the states counted from the period must match the walk's.
+        sysm, eps, delta, _, _ = grouped_search_case(rng, kind)
+        assert brute_shadowing_check(sysm, eps, delta, horizon) == \
+            oracle_per_head_search(sysm, eps, delta, horizon)
+
+    def test_repeat_with_period_two(self):
+        # The set of pairs at depth 4 is that of depth 2, not of depth 3,
+        # so the states of the depths left follow a period of two counts.
+        sysm = FiniteSystem(("a", "b", "c"), ("101", "0", "1111"),
+                            {"a": ("c",), "b": ("a",), "c": ("a",)})
+        assert oracle_repeat_depth(sysm, HALF, QUARTER) == 4
+        for h in range(1, 13):
+            assert brute_shadowing_check(sysm, HALF, QUARTER, h) == \
+                oracle_per_head_search(sysm, HALF, QUARTER, h)
 
     def test_every_outcome_occurs(self):
         rng = random.Random(1)
         outcomes = set()
         for i in range(400):
             case = grouped_search_case(rng, ("random", "truncation", "limit", "gap")[i % 4])
-            sysm, eps, delta, horizon, cap = case
-            out = search_outcome(brute_shadowing_check, sysm, eps, delta, horizon,
-                                 state_cap=cap)
-            assert out == search_outcome(oracle_per_head_search, sysm, eps, delta,
-                                         horizon, state_cap=cap)
-            outcomes.add(out if isinstance(out, str) else out.shadowed)
-        assert {True, False} <= outcomes
-        assert any(isinstance(o, str) for o in outcomes)
+            out = capped_search_outcome(*case)
+            if isinstance(out, str):
+                outcomes.add("refused")
+            else:
+                # An answer past the cap: the per-head search refuses it.
+                past_cap = isinstance(search_outcome(oracle_per_head_search, *case[:4],
+                                                     state_cap=case[4]), str)
+                outcomes.add((out.shadowed, past_cap))
+        assert {"refused", (True, False), (False, False), (True, True)} <= outcomes
 
     def test_grouped_heads_on_a_full_truncation(self):
         # Full depth 8: most heads share a (step mask, survivor image) pair
@@ -883,10 +924,7 @@ class TestGroupedSearchOracle:
         sysm = truncate_shift(full_shift(BIN), 8)
         for eps, delta in ((HALF, QUARTER), (QUARTER, Fraction(1, 16)), (HALF, HALF)):
             for cap in (10, 700, 10 ** 7):
-                assert search_outcome(brute_shadowing_check, sysm, eps, delta, 8,
-                                      state_cap=cap) == \
-                    search_outcome(oracle_per_head_search, sysm, eps, delta, 8,
-                                   state_cap=cap)
+                capped_search_outcome(sysm, eps, delta, 8, cap)
 
     def test_full_depth_eleven_within_budget(self):
         sysm = truncate_shift(full_shift(BIN), 11)
