@@ -3,6 +3,9 @@
 Chain components are computed as the strongly connected subgraphs that
 contain at least one cycle, taken on the canonical deterministic
 presentation so that duplicated follower sets cannot split a component.
+They and the entropy depend only on the language, so both are memoised
+per canonical presentation; a closed component of an irreducible graph's
+presentation shares the graph's (see :func:`chain_components`).
 The cyclic structure of an irreducible graph is its partition into
 classes advanced cyclically by the shift; the class count is the gcd of
 all cycle lengths.  The class of a cylinder is read off the follower
@@ -33,6 +36,7 @@ from .shift_core import (
     essential,
     follower,
     _image_map,
+    _know_canonical,
 )
 
 
@@ -111,14 +115,30 @@ def _sccs(vertices: Sequence[Hashable],
     return sccs
 
 
-@functools.lru_cache(maxsize=MEMO_SIZE)
 def chain_components(g: SftGraph) -> Decomposition:
     """Chain components of the presented shift, one per strongly connected
     subgraph with a cycle of the canonical presentation.  Built once per
-    graph value."""
+    canonical presentation, so graphs of one language share them.
+
+    When g is irreducible, a component that no edge leaves presents the
+    whole language: a word u leads the follower automaton into it, and for
+    every word w some z puts uzw in the language, so zw is read inside it.
+    Its canonical presentation is then known without a build."""
     c = canonical_presentation(g)
+    dec, closed = _decompose(c)
+    if closed and is_irreducible(g):
+        for k in closed:
+            _know_canonical(k, c)
+    return dec
+
+
+@functools.lru_cache(maxsize=MEMO_SIZE)
+def _decompose(c: SftGraph) -> tuple[Decomposition, tuple[SftGraph, ...]]:
+    """The chain components of a canonical presentation c, with those that
+    no edge leaves, other than c itself."""
     arcs = _arcs(c)
     comps = []
+    closed = []
     transient = []
     for verts in _sccs(c.vertices, arcs):
         vs = set(verts)
@@ -130,9 +150,11 @@ def chain_components(g: SftGraph) -> Decomposition:
             tuple(e for e in c.edges if e[0] in vs and e[1] in vs),
             c.alphabet)
         comps.append(sub)
+        if sub is not c and all(w in vs for v in verts for w in arcs[v]):
+            closed.append(sub)
     comps.sort(key=lambda s: s.vertices[0])
     named = tuple(ChainComponent("K%d" % i, s) for i, s in enumerate(comps))
-    return Decomposition(named, tuple(sorted(transient)))
+    return Decomposition(named, tuple(sorted(transient))), tuple(closed)
 
 
 def restrict_graph_to_cr(g: SftGraph) -> SftGraph:
@@ -146,6 +168,7 @@ def restrict_graph_to_cr(g: SftGraph) -> SftGraph:
     return SftGraph(tuple(verts), tuple(edges), g.alphabet)
 
 
+@functools.lru_cache(maxsize=MEMO_SIZE)
 def is_irreducible(g: SftGraph) -> bool:
     ge = essential(g)
     return len(_sccs(ge.vertices, _arcs(ge))) == 1
@@ -239,15 +262,20 @@ def has_positive_entropy(g: SftGraph) -> bool:
     return False
 
 
-@functools.lru_cache(maxsize=MEMO_SIZE)
 def entropy(g: SftGraph) -> float:
     """Topological entropy: natural log of the spectral radius of the
     adjacency matrix of the canonical deterministic presentation, the
     largest over its chain components.  A component with as many edges as
     vertices is a lone cycle, of spectral radius exactly 1, so it is never
     passed to ``eigvals``; with no other component the entropy is exactly
-    0.0."""
-    dec = chain_components(g)
+    0.0.  Computed once per canonical presentation."""
+    return _entropy(canonical_presentation(g))
+
+
+@functools.lru_cache(maxsize=MEMO_SIZE)
+def _entropy(c: SftGraph) -> float:
+    """The entropy of the shift whose canonical presentation is c."""
+    dec = _decompose(c)[0]
     if not dec.components:
         raise EmptyShift("entropy of an empty shift")
     best = 1.0

@@ -391,7 +391,10 @@ def truncated_limit(seq: InverseSequenceSpec, depth: int, word_length: int) -> T
     word order.  Every image lies in the level below, so a tuple extends at
     least once going up; a level is refused, deepest one included, at the
     first word that would take it past MAX_LIMIT_POINTS tuples, and no
-    listing runs further.  Raises TooLarge there."""
+    listing runs further.  Raises TooLarge there, and SchemaError for a
+    negative word length."""
+    if word_length < 0:
+        raise SchemaError("word length must be nonnegative")
     T = word_length
     partial = [(w,) for w in itertools.islice(_words(seq.level(depth), T),
                                               MAX_LIMIT_POINTS + 1)]

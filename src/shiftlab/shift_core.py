@@ -312,10 +312,11 @@ class Follower:
 
 
 # The one bound of the value memos (``follower``, ``canonical_presentation``,
-# ``_first_difference``, ``decomposition.chain_components``,
-# ``decomposition.cyclic_structure``, ``decomposition.entropy``,
-# ``codes.identity_code`` and ``codes.code_image``): 1024 entries hold a
-# whole benchmark pass of distinct values without growing forever.  A
+# ``_first_difference``, ``decomposition._decompose``,
+# ``decomposition.is_irreducible``, ``decomposition.cyclic_structure``,
+# ``decomposition._entropy``, ``codes.identity_code`` and
+# ``codes.code_image``): 1024 entries hold a whole benchmark pass of
+# distinct values without growing forever.  A
 # seed-3 pass of the inverse-sequence jobs asks 4,205 language questions,
 # 713 of them distinct, and searches each once (83% memo hits; a 256-entry
 # bound evicts answers it asks again and searches 1,169 times); its largest
@@ -431,10 +432,18 @@ def _minimize(num_states: int, trans: Mapping[tuple[int, str], int],
     return [ids.setdefault(block_of[s], len(ids)) for s in range(num_states)], len(ids)
 
 
-# The canonical presentations built so far.  Graphs are interned, so a graph
-# equal to one of them is one of them: it is its own canonical presentation,
-# and a memo miss on it returns it without building its follower automaton.
-_CANONICAL: weakref.WeakSet[SftGraph] = weakref.WeakSet()
+# Graphs whose canonical presentation is known without a build, each with a
+# weak reference to it: every canonical presentation built, which is its own
+# (graphs are interned), and the components that
+# ``decomposition.chain_components`` proves to present the whole language.
+# Keys are weak too, so the table keeps no graph alive.
+_KNOWN_CANONICAL: weakref.WeakKeyDictionary[SftGraph, weakref.ref[SftGraph]] = \
+    weakref.WeakKeyDictionary()
+
+
+def _know_canonical(g: SftGraph, c: SftGraph) -> None:
+    """File ``c``, proved by the caller, as the canonical presentation of ``g``."""
+    _KNOWN_CANONICAL[g] = weakref.ref(c)
 
 
 @functools.lru_cache(maxsize=MEMO_SIZE)
@@ -446,9 +455,13 @@ def canonical_presentation(g: SftGraph) -> SftGraph:
     present the same language iff their canonical presentations are the
     same object (graphs are interned), so the map is idempotent.  Graphs
     whose alphabet tuples differ, even only in order, have distinct
-    canonical presentations.  Built once per graph value."""
-    if g in _CANONICAL:
-        return g
+    canonical presentations.  Built once per graph value; a canonical
+    presentation, and a chain component shown to present its whole
+    language, are answered from ``_KNOWN_CANONICAL`` with no build."""
+    known = _KNOWN_CANONICAL.get(g)
+    c = known and known()
+    if c is not None:
+        return c
     f = follower(g)
     # Follower states are numbered breadth-first from the full state and
     # _minimize numbers blocks by first appearance in state order, so the
@@ -458,7 +471,7 @@ def canonical_presentation(g: SftGraph) -> SftGraph:
     edges = tuple(sorted({(names[block[s]], names[block[t]], a)
                           for (s, a), t in f.trans.items()}))
     c = essential(SftGraph(names, edges, g.alphabet))
-    _CANONICAL.add(c)
+    _know_canonical(c, c)
     return c
 
 
@@ -510,13 +523,16 @@ def _words(g: SftGraph, length: int, start: Word = ()) -> Iterator[Word]:
     ``start``, in sorted order, one at a time.  A depth-first walk of the
     follower automaton from the state after ``start`` takes symbols in
     sorted order, and every state but an empty start has a successor, so
-    the k-th word costs at most k times the length."""
-    if length <= 0 and not start:
+    the k-th word costs at most k times the length.  No word has a
+    negative length."""
+    if len(start) > length:
+        return
+    if not length:
         yield ()
         return
     f = follower(g)
     state = f.walk(start)
-    if state is None or len(start) > length:
+    if state is None:
         return
     if len(start) == length:
         yield tuple(start)

@@ -12,15 +12,16 @@ by identity."""
 
 from shiftlab import shift_core
 from shiftlab.codes import code_image, identity_code
-from shiftlab.decomposition import chain_components, cyclic_structure, entropy
+from shiftlab.decomposition import _decompose, _entropy, cyclic_structure, is_irreducible
 from shiftlab.shift_core import _first_difference, canonical_presentation, follower
 
-VALUE_MEMOS = (follower, canonical_presentation, _first_difference, chain_components,
-               cyclic_structure, entropy, identity_code, code_image)
+VALUE_MEMOS = (follower, canonical_presentation, _first_difference, _decompose,
+               is_irreducible, cyclic_structure, _entropy, identity_code, code_image)
 
 
 def clear_value_memos():
-    """Empty every value memo, and the set of canonical graphs."""
+    """Empty every value memo, and the table of graphs whose canonical
+    presentation is known without a build."""
     for memo in VALUE_MEMOS:
         memo.cache_clear()
-    shift_core._CANONICAL.clear()
+    shift_core._KNOWN_CANONICAL.clear()

@@ -91,6 +91,19 @@ class TestAnalyze:
         # its own canonical presentation: its follower is never built.
         assert follower.cache_info().misses == 1
 
+    def test_irreducible_rgraph_report_is_golden(self, tmp_path, capsys):
+        # The report was recorded before chain components and entropy were
+        # memoised by canonical presentation.  Its graph is irreducible and
+        # its closed component now reuses the graph's canonical
+        # presentation; every byte of the report stays.
+        clear_value_memos()
+        target = tmp_path / "r.json"
+        code, out, err = run(capsys, "analyze", "--in", path("irreducible_rgraph.json"),
+                             "--out", str(target))
+        assert (code, out, err) == (0, "", "")
+        with open(path("irreducible_rgraph_report.json"), "rb") as f:
+            assert target.read_bytes() == f.read()
+
     def test_follower_state_cap_is_exit_2(self, capsys):
         # Its follower automaton has 2**20 states.
         t0 = time.perf_counter()

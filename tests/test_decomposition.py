@@ -1,21 +1,26 @@
 """Chain components, cyclic structure, entropy, cyclic classes of words."""
 
 import dataclasses
+import gc
 import itertools
 import json
 import math
+import os
 import pickle
 import random
 import time
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from memos import clear_value_memos
+from memos import VALUE_MEMOS, clear_value_memos
 from oracles import entropy_oracle, tarjan_sccs_oracle
+from shiftlab import shift_core
 from shiftlab.decomposition import (
     CyclicStructure,
+    _entropy,
     _sccs,
     chain_components,
     class_of_word,
@@ -36,9 +41,13 @@ from shiftlab.fixtures import (
     three_cycle_graph,
     two_cycle_graph,
 )
+from shiftlab.shadow_lab import gap_shift_graph
 from shiftlab.shift_core import (
     SftGraph,
+    _minimize,
+    canonical_presentation,
     essential,
+    follower,
     from_forbidden_words,
     full_shift,
     graph_from_json,
@@ -52,6 +61,7 @@ from shiftlab.shift_core import (
 
 BIN = ["0", "1"]
 PHI = (1 + math.sqrt(5)) / 2
+DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
 class TestChainComponents:
@@ -289,7 +299,7 @@ class TestEntropy:
                     entropy(h)
                 continue
             assert entropy(h) == want
-            assert entropy.__wrapped__(h) == want
+            assert _entropy.__wrapped__(canonical_presentation(h)) == want
 
     def test_lone_cycles_are_not_passed_to_eigvals(self, monkeypatch):
         calls = []
@@ -322,11 +332,140 @@ class TestEntropy:
         if essential(g).vertices:
             h = entropy(g)
             assert entropy(again) is h
-            assert h.hex() == entropy.__wrapped__(again).hex()
+            assert h.hex() == _entropy.__wrapped__(canonical_presentation(again)).hex()
         if is_irreducible(g):
             cs = cyclic_structure(g)
             assert cyclic_structure(again) is cs
             assert cs == cyclic_structure.__wrapped__(again)
+
+
+def _fresh_canonical(g):
+    """The canonical presentation of g built from g's own follower
+    automaton, past the memos and the table of graphs whose canonical
+    presentation is known without a build."""
+    f = follower.__wrapped__(g)
+    block, nblocks = _minimize(len(f.states), f.trans, g.alphabet)
+    names = tuple("c%d" % b for b in range(nblocks))
+    edges = tuple(sorted({(names[block[s]], names[block[t]], a)
+                          for (s, a), t in f.trans.items()}))
+    return essential(SftGraph(names, edges, g.alphabet))
+
+
+def _known_canonical(g):
+    """The table's canonical presentation of g, or None."""
+    known = shift_core._KNOWN_CANONICAL.get(g)
+    return known and known()
+
+
+def _closed_components(g):
+    """The chain components of g that no edge of its canonical presentation
+    leaves, found from the edges."""
+    c = canonical_presentation(g)
+    closed = []
+    for k in chain_components(g).components:
+        vs = set(k.graph.vertices)
+        if all(v in vs for (u, v, _a) in c.edges if u in vs):
+            closed.append(k.graph)
+    return c, closed
+
+
+def _renamed(g, prefix):
+    """g with its vertices renamed: another graph of the same language."""
+    name = {v: "%s%d" % (prefix, i) for i, v in enumerate(g.vertices)}
+    return SftGraph(tuple(name[v] for v in g.vertices),
+                    tuple((name[u], name[v], a) for (u, v, a) in g.edges), g.alphabet)
+
+
+def _resolving_graph(seed, n):
+    """A binary graph like the benchmark's random resolving graphs: each
+    vertex has one out-edge per label of a random nonempty label set, each
+    to a random vertex.  About a fifth of them are irreducible graphs whose
+    canonical presentation has a closed chain component other than itself."""
+    rng = random.Random(seed)
+    verts = ["s%d" % i for i in range(n)]
+    edges = [(v, rng.choice(verts), a) for v in verts
+             for a in sorted(rng.sample("01", rng.randint(1, 2)))]
+    return SftGraph(tuple(verts), tuple(edges), ("0", "1"))
+
+
+class TestMemoisedByLanguage:
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(
+        st.builds(lambda seed, nv: random_graph(random.Random(seed), max_vertices=nv),
+                  st.integers(0, 10 ** 6), st.integers(1, 7)),
+        st.builds(_resolving_graph, st.integers(0, 10 ** 6), st.integers(1, 14)),
+        st.builds(_marked_cycle_ladder, st.integers(1, 200), st.integers(0, 2)),
+        st.builds(gap_shift_graph, st.integers(0, 12))))
+    def test_known_canonical_presentations_match_a_fresh_build(self, g):
+        for k in chain_components(g).components:
+            h = k.graph
+            known = _known_canonical(h)
+            if known is not None and known is not h:
+                # Filed here or by an earlier graph: graphs are interned, so
+                # one subgraph value can be a component of several canonical
+                # presentations, and what the table states is its language.
+                assert _fresh_canonical(h) is known
+            assert entropy(h).hex() == entropy_oracle(h).hex()
+
+    def test_closed_components_of_irreducible_graphs_are_filed(self):
+        filed = 0
+        for seed in range(100):
+            g = _resolving_graph(seed, 8)
+            if not is_irreducible(g):
+                continue
+            c, closed = _closed_components(g)
+            for h in closed:
+                if h is not c:
+                    assert _known_canonical(h) is c
+                    assert _fresh_canonical(h) is c
+                    filed += 1
+        assert filed >= 10
+
+    def test_reducible_graphs_file_no_component(self):
+        clear_value_memos()
+        g = disjoint_union(golden_mean_graph(), _marked_cycle_ladder(7, 0))
+        assert not is_irreducible(g)
+        for k in chain_components(g).components:
+            assert _known_canonical(k.graph) in (None, k.graph)
+
+    def test_marked_component_builds_no_follower(self):
+        # The benchmark's random resolving graph on 20 vertices, seed 2: an
+        # irreducible graph whose canonical presentation has four chain
+        # components, one of them closed.
+        clear_value_memos()
+        with open(os.path.join(DATA, "irreducible_rgraph.json"), encoding="utf-8") as f:
+            g = graph_from_json(json.load(f))
+        assert is_irreducible(g)
+        dec = chain_components(g)
+        c, closed = _closed_components(g)
+        assert len(dec.components) == 4 and len(closed) == 1
+        misses = follower.cache_info().misses
+        assert canonical_presentation(closed[0]) is c
+        assert chain_components(closed[0]) is dec
+        assert entropy(closed[0]) is entropy(g)
+        assert follower.cache_info().misses == misses
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(0, 10 ** 6))
+    def test_one_language_shares_one_analysis(self, seed):
+        g = random_graph(random.Random(seed), max_vertices=6)
+        twin = _renamed(g, "twin")
+        assert chain_components(twin) is chain_components(g)
+        if chain_components(g).components:
+            assert entropy(twin) is entropy(g)
+
+    def test_known_table_keeps_no_graph_alive(self):
+        g = _renamed(_marked_cycle_ladder(5, 2), "weak")
+        c, closed = _closed_components(g)
+        assert closed and all(_known_canonical(h) is c for h in closed)
+        refs = [weakref.ref(x) for x in [g, c] + closed]
+        before = len(shift_core._KNOWN_CANONICAL)
+        del g, c, closed
+        for memo in VALUE_MEMOS:
+            memo.cache_clear()
+        gc.collect()
+        assert [r() for r in refs] == [None] * len(refs)
+        assert len(shift_core._KNOWN_CANONICAL) <= before - 2
 
 
 def _class_of_vertex_oracle(cs, v):

@@ -485,6 +485,12 @@ PREFIX_IDS = TRUNCATION_IDS + [
 
 
 class TestTruncatedLimit:
+    def test_negative_word_length_is_refused(self):
+        with pytest.raises(SchemaError, match="^word length must be nonnegative$"):
+            truncated_limit(cantor_product_sequence(3), 1, -1)
+        # Length 0 keeps its one point of empty words.
+        assert truncated_limit(cantor_product_sequence(3), 1, 0).points == (((),),)
+
     def test_abc_limit_is_three_fixed_points(self):
         sysm = truncated_limit(abc_sequence(), 3, 4)
         assert len(sysm.points) == 3

@@ -966,6 +966,14 @@ class TestWordsOfLength:
         assert list(shift_core._words(g, length, start)) == \
             [w for w in _words_of_length_oracle(g, length) if w[:len(start)] == start]
 
+    def test_no_word_has_a_negative_length(self):
+        g = full_shift(BIN)
+        assert words_of_length(g, -1) == []
+        assert list(shift_core._words(g, -3, ("0",))) == []
+        # Length 0 keeps its one empty word, on an empty shift too.
+        assert words_of_length(g, 0) == [()]
+        assert words_of_length(make_graph(["a"], [], alphabet=BIN), 0) == [()]
+
     def test_walk_is_lazy(self):
         # The full 2-shift has 2**60 words of length 60.
         g = full_shift(BIN)
