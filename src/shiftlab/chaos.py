@@ -15,6 +15,7 @@ their cost does not grow with the stream length.
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import math
 import operator
@@ -36,6 +37,7 @@ from .errors import (
     TooLarge,
 )
 from .shift_core import (
+    MEMO_SIZE,
     SftGraph,
     SymbolicPoint,
     Word,
@@ -45,6 +47,8 @@ from .shift_core import (
     follower,
     periodic_points,
     point_in_shift,
+    _steps,
+    _walk_point,
 )
 
 
@@ -81,7 +85,14 @@ def find_r_distal_tuple(g: SftGraph, n: int) -> DistalTuple:
     and, there, with the largest orbit separation.  Ties go to the
     lexicographically first point tuple.  Raises TooLarge, before
     comparing any, when one class at one period has more than
-    MAX_DISTAL_CANDIDATES n-subsets."""
+    MAX_DISTAL_CANDIDATES n-subsets.  Searched once per graph value, n
+    and the two caps as they stand at the call."""
+    return _distal_search(g, n, MAX_DISTAL_PERIOD, MAX_DISTAL_CANDIDATES)
+
+
+@functools.lru_cache(maxsize=MEMO_SIZE)
+def _distal_search(g: SftGraph, n: int, max_period: int,
+                   max_candidates: int) -> DistalTuple:
     if n < 2:
         raise NoDistalTuple("need n >= 2")
     ge = essential(g)
@@ -91,7 +102,7 @@ def find_r_distal_tuple(g: SftGraph, n: int) -> DistalTuple:
     k_sync = sync_length(ge)
     if k_sync is None:
         raise NotIrreducible("presentation does not resolve cyclic classes")
-    for period in range(1, MAX_DISTAL_PERIOD + 1):
+    for period in range(1, max_period + 1):
         if cs.period > 1 and period % cs.period != 0:
             continue
         pts = periodic_points(ge, period)
@@ -104,9 +115,9 @@ def find_r_distal_tuple(g: SftGraph, n: int) -> DistalTuple:
             group = sorted(by_class[cls], key=str)
             if len(group) < n:
                 continue
-            if math.comb(len(group), n) > MAX_DISTAL_CANDIDATES:
+            if math.comb(len(group), n) > max_candidates:
                 raise TooLarge("distal search exceeds %d candidate tuples"
-                               % MAX_DISTAL_CANDIDATES)
+                               % max_candidates)
             # A tuple's separation is the least over its pairs, so each
             # pair's is computed once per period.
             sep = {(i, j): orbit_separation((group[i], group[j]), period)
@@ -117,7 +128,7 @@ def find_r_distal_tuple(g: SftGraph, n: int) -> DistalTuple:
                     best = (r, tuple(group[i] for i in combo))
         if best is not None and best[0] > 0:
             return DistalTuple(best[1], best[0], period)
-    raise NoDistalTuple("no %d-tuple up to period %d" % (n, MAX_DISTAL_PERIOD))
+    raise NoDistalTuple("no %d-tuple up to period %d" % (n, max_period))
 
 
 # ---------------------------------------------------------------------------
@@ -292,10 +303,10 @@ class Segment:
         return Segment(word, len(word))
 
     def read(self, a: int, b: int) -> Word:
-        """Symbols a..b-1 of the segment."""
+        """Symbols a..b-1 of the segment, sliced from its point or word."""
         src = self.source
         if isinstance(src, SymbolicPoint):
-            return tuple(map(src.symbol_at, range(a, b)))
+            return src.read(a, b)
         return src[a:b]
 
 
@@ -360,45 +371,22 @@ def _run(trans: Mapping[tuple[Hashable, str], Hashable], state: Hashable,
          seg: Segment) -> Optional[Hashable]:
     """State after reading the segment from ``state`` through the
     deterministic transition map (state, symbol) -> state, or None once a
-    transition is missing.  In a point, whole periods are jumped once the
-    state at a period boundary repeats."""
+    transition is missing; a point's whole periods are jumped."""
     src = seg.source
-    if not isinstance(src, SymbolicPoint):
-        return _steps(trans, state, src)
-    pre = src.preperiod[:seg.length]
-    state = _steps(trans, state, pre)
-    whole, rest = divmod(seg.length - len(pre), len(src.period))
-    trail = [state]            # trail[k]: state after k whole periods
-    first = {state: 0}
-    for k in range(1, whole + 1):
-        state = _steps(trans, state, src.period)
-        if state is None:
-            return None
-        if state in first:
-            j = first[state]
-            state = trail[j + (whole - j) % (k - j)]
-            break
-        first[state] = k
-        trail.append(state)
-    return _steps(trans, state, src.period[:rest])
+    if isinstance(src, SymbolicPoint):
+        return _walk_point(trans, state, src, seg.length)
+    return _steps(trans, state, src)
 
 
-def _steps(trans: Mapping[tuple[Hashable, str], Hashable], state: Optional[Hashable],
-           word: Word) -> Optional[Hashable]:
-    for sym in word:
-        if state is None:
-            break
-        state = trans.get((state, sym))
-    return state
-
-
+@functools.lru_cache(maxsize=MEMO_SIZE)
 def build_scrambled_tuple(g: SftGraph, distal: DistalTuple,
                           num_blocks: int = 8,
                           schedule: Optional[Schedule] = None) -> ScrambledTuple:
     """Admissible streams, one per distal point, that agree exactly with a
     reference orbit on odd blocks and track their own separated orbits on
     even blocks, with uniform-length mixing connectors in between so all
-    streams stay aligned."""
+    streams stay aligned.  Built once per argument value; the tuple and
+    its streams are immutable, so callers share them."""
     if num_blocks < 1:
         raise SchemaError("need at least one block")
     gc = canonical_presentation(g)

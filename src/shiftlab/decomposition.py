@@ -268,7 +268,17 @@ def entropy(g: SftGraph) -> float:
     largest over its chain components.  A component with as many edges as
     vertices is a lone cycle, of spectral radius exactly 1, so it is never
     passed to ``eigvals``; with no other component the entropy is exactly
-    0.0.  Computed once per canonical presentation."""
+    0.0.  Computed once per canonical presentation.
+
+    A non-empty essential part with as many edges as vertices gives every
+    vertex one edge in and one out: it is a union of cycles, so the shift
+    is finite.  An irreducible right-resolving graph with more edges than
+    vertices has spectral radius above 1 (Lind & Marcus, 1995, 4.3-4.4),
+    so every component of its canonical presentation is a lone cycle, and
+    0.0 is returned with no build."""
+    ge = essential(g)
+    if ge.vertices and len(ge.edges) == len(ge.vertices):
+        return 0.0
     return _entropy(canonical_presentation(g))
 
 

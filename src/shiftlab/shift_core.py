@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import or_
 from types import MappingProxyType
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import (
     EmptyShift,
@@ -303,20 +303,16 @@ class Follower:
 
     def walk(self, word: Iterable[str], state: int = 0) -> Optional[int]:
         """State after reading ``word``, or None if it leaves the language."""
-        trans = self.trans
-        for a in word:
-            state = trans.get((state, a))
-            if state is None:
-                return None
-        return state
+        return _steps(self.trans, state, word)
 
 
 # The one bound of the value memos (``follower``, ``canonical_presentation``,
 # ``_first_difference``, ``decomposition._decompose``,
 # ``decomposition.is_irreducible``, ``decomposition.cyclic_structure``,
-# ``decomposition._entropy``, ``codes.identity_code`` and
-# ``codes.code_image``): 1024 entries hold a whole benchmark pass of
-# distinct values without growing forever.  A
+# ``decomposition._entropy``, ``codes.identity_code``,
+# ``codes.code_image``, ``chaos._distal_search`` and
+# ``chaos.build_scrambled_tuple``): 1024 entries hold a whole benchmark
+# pass of distinct values without growing forever.  A
 # seed-3 pass of the inverse-sequence jobs asks 4,205 language questions,
 # 713 of them distinct, and searches each once (83% memo hits; a 256-entry
 # bound evicts answers it asks again and searches 1,169 times); its largest
@@ -603,8 +599,20 @@ class SymbolicPoint:
             return self.preperiod[i]
         return self.period[(i - len(self.preperiod)) % len(self.period)]
 
+    def read(self, a: int, b: int) -> Word:
+        """Symbols a..b-1 for 0 <= a, none when b <= a: a slice of the
+        preperiod, then one slice of as many repeated periods as the rest
+        spans, so the cost follows b - a and not the offset a."""
+        pre, per = self.preperiod, self.period
+        head = pre[a:max(a, b)]
+        a = max(a, len(pre))
+        if a >= b:
+            return head
+        k = (a - len(pre)) % len(per)
+        return head + (per * -(-(k + b - a) // len(per)))[k:k + b - a]
+
     def expand(self, n: int) -> Word:
-        return tuple(self.symbol_at(i) for i in range(n))
+        return self.read(0, n)
 
     def shift(self, k: int = 1) -> "SymbolicPoint":
         if k == 0:
@@ -633,17 +641,53 @@ def distance(x: SymbolicPoint, y: SymbolicPoint) -> Fraction:
     return Fraction(0)
 
 
+def _steps(trans: Mapping[tuple[Hashable, str], Hashable], state: Optional[Hashable],
+           word: Iterable[str]) -> Optional[Hashable]:
+    """State after reading ``word`` from ``state`` through the deterministic
+    transition map (state, symbol) -> state, or None once a transition is
+    missing."""
+    for sym in word:
+        if state is None:
+            break
+        state = trans.get((state, sym))
+    return state
+
+
+def _walk_point(trans: Mapping[tuple[Hashable, str], Hashable], state: Hashable,
+               x: SymbolicPoint, length: Optional[int] = None) -> Optional[Hashable]:
+    """State after reading the first ``length`` symbols of ``x`` from
+    ``state`` through the deterministic transition map, or None once a
+    transition is missing.  Whole periods are read until the state at a
+    period boundary repeats; the boundary states then cycle, so the rest
+    of the periods are jumped.  With no ``length`` the whole point is read:
+    the result is None exactly when some prefix leaves the map, and
+    otherwise the first repeated boundary state."""
+    pre = x.preperiod if length is None else x.preperiod[:length]
+    state = _steps(trans, state, pre)
+    whole, rest = (None, 0) if length is None else divmod(length - len(pre), len(x.period))
+    trail = [state]            # trail[k]: state after k whole periods
+    first = {state: 0}
+    k = 0
+    while k != whole:
+        k += 1
+        state = _steps(trans, state, x.period)
+        if state is None:
+            return None
+        if state in first:
+            if whole is None:
+                return state
+            j = first[state]
+            state = trail[j + (whole - j) % (k - j)]
+            break
+        first[state] = k
+        trail.append(state)
+    return _steps(trans, state, x.period[:rest])
+
+
 def point_in_shift(g: SftGraph, x: SymbolicPoint) -> bool:
     """Does the presented shift space contain the point?  Decided by a
-    follower-automaton walk that reads whole periods until the state at a
-    period boundary repeats."""
-    f = follower(g)
-    state = f.walk(x.preperiod)
-    seen = set()
-    while state is not None and state not in seen:
-        seen.add(state)
-        state = f.walk(x.period, state)
-    return state is not None
+    follower-automaton walk of the whole point."""
+    return _walk_point(follower(g).trans, 0, x) is not None
 
 
 def periodic_points(g: SftGraph, period: int) -> list[SymbolicPoint]:

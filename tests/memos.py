@@ -11,12 +11,14 @@ memos included, an equal graph or code is the same object and compares
 by identity."""
 
 from shiftlab import shift_core
+from shiftlab.chaos import _distal_search, build_scrambled_tuple
 from shiftlab.codes import code_image, identity_code
 from shiftlab.decomposition import _decompose, _entropy, cyclic_structure, is_irreducible
 from shiftlab.shift_core import _first_difference, canonical_presentation, follower
 
 VALUE_MEMOS = (follower, canonical_presentation, _first_difference, _decompose,
-               is_irreducible, cyclic_structure, _entropy, identity_code, code_image)
+               is_irreducible, cyclic_structure, _entropy, identity_code, code_image,
+               _distal_search, build_scrambled_tuple)
 
 
 def clear_value_memos():

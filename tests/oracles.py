@@ -3,8 +3,9 @@ validated on every call and never interned, the cylinder distance of two
 words, a finite system built point by point from Python functions, the
 gap-shift entropy by bisection, entropy with an eigenvalue computation
 for every chain component, the reading states of a point found on a
-labeled out-map, the forbidden-word graph built from every candidate
-word, a follower state's vertices decoded through ``bin``, strongly
+labeled out-map, the two period-jump walks that one helper replaced (a
+segment's and a whole point's), the forbidden-word graph built from
+every candidate word, a follower state's vertices decoded through ``bin``, strongly
 connected components by Tarjan's lowlink search, an inverse sequence's
 levels, codes and chain recurrent restriction read by one rule per tail
 mode, image chains, MLC checks,
@@ -205,6 +206,48 @@ def reading_states_oracle(g, point):
                 alive[j] = keep
                 changed = True
     return alive
+
+
+def _steps_oracle(trans, state, word):
+    for sym in word:
+        if state is None:
+            break
+        state = trans.get((state, sym))
+    return state
+
+
+def segment_walk_oracle(trans, state, point, length):
+    """``chaos._run`` on a point segment as it was: the state after the
+    first ``length`` symbols of ``point``, whole periods jumped once the
+    state at a period boundary repeats."""
+    pre = point.preperiod[:length]
+    state = _steps_oracle(trans, state, pre)
+    whole, rest = divmod(length - len(pre), len(point.period))
+    trail = [state]
+    first = {state: 0}
+    for k in range(1, whole + 1):
+        state = _steps_oracle(trans, state, point.period)
+        if state is None:
+            return None
+        if state in first:
+            j = first[state]
+            state = trail[j + (whole - j) % (k - j)]
+            break
+        first[state] = k
+        trail.append(state)
+    return _steps_oracle(trans, state, point.period[:rest])
+
+
+def point_walk_oracle(trans, state, point):
+    """``shift_core.point_in_shift``'s walk as it was: whole periods read
+    until the state at a period boundary repeats; None if the point leaves
+    the map, otherwise the repeated state."""
+    state = _steps_oracle(trans, state, point.preperiod)
+    seen = set()
+    while state is not None and state not in seen:
+        seen.add(state)
+        state = _steps_oracle(trans, state, point.period)
+    return state
 
 
 def forbidden_words_oracle(alphabet, forbidden):

@@ -10,6 +10,7 @@ from unittest import mock
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from memos import clear_value_memos
 from oracles import out_map, reading_states_oracle
 from shiftlab import chaos
 from shiftlab.chaos import (
@@ -20,6 +21,7 @@ from shiftlab.chaos import (
     ScrambledTuple,
     Segment,
     Stream,
+    _distal_search,
     _first_word,
     _reading_states,
     _run,
@@ -105,6 +107,22 @@ class TestDistal:
         with mock.patch.object(chaos, "MAX_DISTAL_PERIOD", 3), \
                 pytest.raises(NoDistalTuple):
             find_r_distal_tuple(golden_mean_graph(), 40)
+
+    def test_searched_once_per_graph_n_and_caps(self, monkeypatch):
+        clear_value_memos()
+        g = full_shift(BIN)
+        d = find_r_distal_tuple(g, 3)
+        assert find_r_distal_tuple(g, 3) is d
+        assert d == _distal_search.__wrapped__(g, 3, chaos.MAX_DISTAL_PERIOD,
+                                               chaos.MAX_DISTAL_CANDIDATES)
+        assert _distal_search.cache_info().misses == 1
+        # The caps are read at each call and are part of the key.
+        monkeypatch.setattr(chaos, "MAX_DISTAL_PERIOD", 1)
+        with pytest.raises(NoDistalTuple, match="up to period 1$"):
+            find_r_distal_tuple(g, 3)
+        monkeypatch.undo()
+        assert find_r_distal_tuple(g, 3) is d
+        assert _distal_search.cache_info().misses == 2
 
 
 # The search that the per-pair separation table replaced, kept as an
@@ -262,6 +280,14 @@ class TestScrambled:
         assert b.kind == "apart"
         for i, p in enumerate(d.points):
             assert tuple(tup.streams[i][b.start:b.end]) == p.expand(b.length)
+
+    def test_built_once_per_argument_value(self):
+        g = golden_mean_graph()
+        d = find_r_distal_tuple(g, 2)
+        tup = build_scrambled_tuple(g, d, num_blocks=4)
+        again = DistalTuple(tuple(d.points), d.radius, d.common_period)
+        assert build_scrambled_tuple(g, again, num_blocks=4) is tup
+        assert build_scrambled_tuple.__wrapped__(g, d, num_blocks=4) == tup
 
     def test_non_mixing_rejected(self):
         fake = DistalTuple((SymbolicPoint((), ("a", "b")),
@@ -527,6 +553,21 @@ class TestSegmentedDifferential:
         for sym in seg.read(0, seg.length):
             want = table.get((want, sym)) if want is not None else None
         assert _run(table, state, seg) == want
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.sampled_from("01"), max_size=8).map(tuple),
+           st.integers(0, 10), st.integers(0, 10))
+    def test_literal_segments_read_as_slices(self, word, a, b):
+        assert Segment.literal(word).read(a, b) == word[a:b]
+
+    @settings(max_examples=100, deadline=None)
+    @given(points(), st.integers(-4, 4), st.integers(0, 12))
+    def test_point_segments_read_far_out(self, p, i, width):
+        # Reading near 2**70 slices only the range asked for.
+        a = 2 ** 70 + i
+        seg = Segment(p, 2 ** 71)
+        assert seg.read(a, a + width) == tuple(map(p.symbol_at, range(a, a + width)))
+        assert Stream((seg,))[a:a + width] == seg.read(a, a + width)
 
     def test_segment_length_checked(self):
         p = SymbolicPoint((), ("0",))

@@ -104,6 +104,20 @@ class TestAnalyze:
         with open(path("irreducible_rgraph_report.json"), "rb") as f:
             assert target.read_bytes() == f.read()
 
+    def test_reducible_rgraph_report_is_golden(self, tmp_path, capsys):
+        # The report was recorded before lone-cycle entropies skipped the
+        # canonical presentation.  Three of its four chain components are
+        # lone cycles; only the graph and the golden-mean component build
+        # a follower automaton, and every byte of the report stays.
+        clear_value_memos()
+        target = tmp_path / "r.json"
+        code, out, err = run(capsys, "analyze", "--in", path("reducible_rgraph.json"),
+                             "--out", str(target))
+        assert (code, out, err) == (0, "", "")
+        with open(path("reducible_rgraph_report.json"), "rb") as f:
+            assert target.read_bytes() == f.read()
+        assert follower.cache_info().misses == 2
+
     def test_follower_state_cap_is_exit_2(self, capsys):
         # Its follower automaton has 2**20 states.
         t0 = time.perf_counter()

@@ -236,6 +236,26 @@ class TestCyclicStructure:
         assert m == 2
 
 
+@st.composite
+def cycle_unions(draw):
+    """Disjoint labeled cycles, and at times stranded vertices: a chain of
+    sources feeding a cycle vertex and a sink that one feeds.  The
+    essential part is the cycles."""
+    verts, edges = [], []
+    for i, n in enumerate(draw(st.lists(st.integers(1, 6), min_size=1, max_size=4))):
+        cycle = ["c%d_%d" % (i, j) for j in range(n)]
+        labels = draw(st.lists(st.sampled_from(BIN), min_size=n, max_size=n))
+        verts += cycle
+        edges += [(cycle[j], cycle[(j + 1) % n], labels[j]) for j in range(n)]
+    if draw(st.booleans()):
+        on = draw(st.sampled_from(verts))
+        a, b, c = draw(st.lists(st.sampled_from(BIN), min_size=3, max_size=3))
+        verts += ["s0", "s1", "t"]
+        edges += [("s0", "s1", a), ("s1", on, b), (on, "t", c)]
+    order = draw(st.permutations(range(len(edges))))
+    return make_graph(verts, [edges[k] for k in order], alphabet=BIN)
+
+
 def _marked_cycle_ladder(n, chords):
     """The benchmark's cycle of n vertices with one edge labeled 1, plus
     up to ``chords`` edges labeled 1 that make it branch."""
@@ -300,6 +320,40 @@ class TestEntropy:
                 continue
             assert entropy(h) == want
             assert _entropy.__wrapped__(canonical_presentation(h)) == want
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(
+        cycle_unions(),
+        st.builds(lambda seed, nv: random_graph(random.Random(seed), max_vertices=nv),
+                  st.integers(0, 10 ** 6), st.integers(1, 7))))
+    def test_zero_entropy_shortcut_matches_oracle(self, g):
+        # Bit for bit, sign included, against the path through the
+        # canonical presentation that the shortcut skips.
+        want = _entropy.__wrapped__(canonical_presentation(g))
+        got = entropy(g)
+        assert got.hex() == want.hex()
+        assert math.copysign(1.0, got) == math.copysign(1.0, want)
+
+    @settings(max_examples=50, deadline=None)
+    @given(cycle_unions())
+    def test_unions_of_cycles_have_zero_entropy(self, g):
+        ge = essential(g)
+        assert ge.vertices and len(ge.edges) == len(ge.vertices)
+        assert math.copysign(1.0, entropy(g)) == 1.0 and entropy(g) == 0.0
+
+    def test_empty_shift_still_raises(self):
+        for g in (SftGraph(("a",), (), ("0",)),
+                  make_graph(["a", "b"], [("a", "b", "0")], alphabet=BIN)):
+            with pytest.raises(EmptyShift):
+                entropy(g)
+
+    def test_lone_cycle_builds_no_follower(self):
+        clear_value_memos()
+        for g in (three_cycle_graph(), _marked_cycle_ladder(40, 0),
+                  disjoint_union(three_cycle_graph(), two_cycle_graph())):
+            misses = follower.cache_info().misses
+            assert entropy(g) == 0.0
+            assert follower.cache_info().misses == misses
 
     def test_lone_cycles_are_not_passed_to_eigvals(self, monkeypatch):
         calls = []

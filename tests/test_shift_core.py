@@ -27,6 +27,8 @@ from oracles import (
     follower_vertices_oracle,
     forbidden_words_oracle,
     graph_oracle,
+    point_walk_oracle,
+    segment_walk_oracle,
     word_distance,
 )
 from shiftlab import shift_core
@@ -46,6 +48,7 @@ from shiftlab.shift_core import (
     _first_difference,
     _image_map,
     _minimize,
+    _walk_point,
     canonical_presentation,
     common_prefix,
     determinize,
@@ -682,6 +685,32 @@ class TestSymbolicPoints:
     def test_shift_drops_first_symbol(self, x):
         assert x.shift(1).expand(20) == x.expand(21)[1:]
 
+    @settings(max_examples=200, deadline=None)
+    @given(binary_points(), st.integers(0, 12), st.integers(-3, 20))
+    def test_read_matches_symbol_at(self, x, a, width):
+        # Ranges start inside or past the preperiod, straddle its end, and
+        # are empty when width <= 0.
+        b = a + width
+        assert x.read(a, b) == tuple(map(x.symbol_at, range(a, b)))
+
+    @settings(max_examples=100, deadline=None)
+    @given(binary_points(), st.integers(-5, 5), st.integers(0, 30))
+    def test_read_far_out_slices_only_the_range(self, x, i, width):
+        # A prefix of 2**70 symbols could never be built.
+        a = 2 ** 70 + i
+        assert x.read(a, a + width) == tuple(map(x.symbol_at, range(a, a + width)))
+
+    def test_read_straddles_the_preperiod(self):
+        x = SymbolicPoint(("1", "1", "0"), ("0", "1"))
+        assert x.read(1, 9) == tuple("10010101")
+        assert x.read(3, 3) == x.read(5, 2) == x.read(0, -1) == ()
+        assert x.expand(0) == ()
+
+    @settings(max_examples=60, deadline=None)
+    @given(binary_points(), st.integers(0, 30))
+    def test_expand_reads_from_zero(self, x, n):
+        assert x.expand(n) == x.read(0, n) == tuple(x.symbol_at(i) for i in range(n))
+
     def test_point_in_shift(self):
         g = golden_mean_graph()
         assert point_in_shift(g, SymbolicPoint((), ("0", "1")))
@@ -799,6 +828,38 @@ def _read_back(k):
     edges = [("q0", "q0", "0"), ("q0", "q0", "1"), ("q0", "q1", "1")]
     edges += [(q[i], q[(i + 1) % (k + 1)], a) for i in range(1, k + 1) for a in BIN]
     return make_graph(q, edges, alphabet=BIN)
+
+
+def transition_tables():
+    """Random partial transition tables: boundary states of a period often
+    enter their cycle late, and some walks die."""
+    return st.dictionaries(st.tuples(st.integers(0, 4), st.sampled_from(BIN)),
+                           st.integers(0, 4), min_size=6)
+
+
+class TestPeriodJumpWalk:
+    @settings(max_examples=300, deadline=None)
+    @given(transition_tables(), st.integers(0, 4), binary_points(),
+           st.one_of(st.integers(0, 40), st.integers(2 ** 70, 2 ** 70 + 8)))
+    def test_finite_segments_match_the_old_walk(self, table, state, x, length):
+        got = _walk_point(table, state, x, length)
+        assert got == segment_walk_oracle(table, state, x, length)
+        if length <= 40:
+            walked = state
+            for sym in x.expand(length):
+                walked = table.get((walked, sym)) if walked is not None else None
+            assert got == walked
+
+    @settings(max_examples=300, deadline=None)
+    @given(transition_tables(), st.integers(0, 4), binary_points())
+    def test_whole_points_match_the_old_walk(self, table, state, x):
+        assert _walk_point(table, state, x) == point_walk_oracle(table, state, x)
+
+    @settings(max_examples=100, deadline=None)
+    @given(seeded_graphs(), binary_points())
+    def test_point_in_shift_is_the_whole_walk(self, g, x):
+        trans = follower(g).trans
+        assert point_in_shift(g, x) == (point_walk_oracle(trans, 0, x) is not None)
 
 
 class TestFollower:
