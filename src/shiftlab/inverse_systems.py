@@ -15,7 +15,9 @@ Mittag-Leffler condition.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -38,6 +40,7 @@ from .errors import (
     TooLarge,
 )
 from .shift_core import (
+    MEMO_SIZE,
     SftGraph,
     Word,
     canonical_presentation,
@@ -338,7 +341,7 @@ def extract_mlc1_subsequence(seq: InverseSequenceSpec,
 # Truncated limits
 
 
-@dataclass
+@dataclass(frozen=True)
 class TruncatedSystem:
     """Finite stand-in for the limit: tuples of admissible words, one per
     level up to the depth, compatible under the word maps (the image of a
@@ -351,18 +354,19 @@ class TruncatedSystem:
     points: tuple[tuple[Word, ...], ...]
     successors: tuple[tuple[int, ...], ...]
 
-    @property
-    def index(self) -> dict[tuple[Word, ...], int]:
-        return {p: i for i, p in enumerate(self.points)}
+    def exponent(self, i: int, j: int) -> float:
+        """The k of the distance 2**-k between points i and j: the least
+        n + common prefix over the levels n where they differ, and
+        ``math.inf`` when they differ nowhere."""
+        return min((n + common_prefix(u, v)
+                    for n, (u, v) in enumerate(zip(self.points[i], self.points[j]))
+                    if u != v), default=math.inf)
 
     def metric(self, i: int, j: int) -> Fraction:
         """The largest level distance 2**-n * d(level-n words): 2**-k for
-        the least k = n + common prefix over the levels n where the points
-        differ, and 0 when they differ nowhere."""
-        k = min((n + common_prefix(u, v)
-                 for n, (u, v) in enumerate(zip(self.points[i], self.points[j]))
-                 if u != v), default=None)
-        return Fraction(0) if k is None else Fraction(1, 2 ** k)
+        k = ``exponent(i, j)``, and 0 when the points differ nowhere."""
+        k = self.exponent(i, j)
+        return Fraction(0) if k == math.inf else Fraction(1, 2 ** k)
 
     def chain_component_ids(self) -> list[int]:
         """Component index per point under the successor relation
@@ -392,14 +396,22 @@ def truncated_limit(seq: InverseSequenceSpec, depth: int, word_length: int) -> T
     least once going up; a level is refused, deepest one included, at the
     first word that would take it past MAX_LIMIT_POINTS tuples, and no
     listing runs further.  Raises TooLarge there, and SchemaError for a
-    negative word length."""
+    negative word length.  Built once per sequence value, depth, word
+    length and cap as it stands at the call; the system is immutable, so
+    callers share it."""
+    return _limit_truncation(seq, depth, word_length, MAX_LIMIT_POINTS)
+
+
+@functools.lru_cache(maxsize=MEMO_SIZE)
+def _limit_truncation(seq: InverseSequenceSpec, depth: int, word_length: int,
+                      max_points: int) -> TruncatedSystem:
     if word_length < 0:
         raise SchemaError("word length must be nonnegative")
     T = word_length
     partial = [(w,) for w in itertools.islice(_words(seq.level(depth), T),
-                                              MAX_LIMIT_POINTS + 1)]
-    if len(partial) > MAX_LIMIT_POINTS:
-        raise TooLarge("truncated limit exceeds %d points" % MAX_LIMIT_POINTS)
+                                              max_points + 1)]
+    if len(partial) > max_points:
+        raise TooLarge("truncated limit exceeds %d points" % max_points)
     for n in range(depth - 1, 0, -1):
         level, code = seq.level(n), seq.code(n)
         # A listing cut at the room left takes the level past the cap at
@@ -410,10 +422,10 @@ def truncated_limit(seq: InverseSequenceSpec, depth: int, word_length: int) -> T
             image = code.word_map(tup[0])
             if image not in under:
                 under[image] = list(itertools.islice(
-                    _words(level, T, image), MAX_LIMIT_POINTS + 1 - len(nxt)))
+                    _words(level, T, image), max_points + 1 - len(nxt)))
             nxt.extend((w,) + tup for w in under[image])
-            if len(nxt) > MAX_LIMIT_POINTS:
-                raise TooLarge("truncated limit exceeds %d points" % MAX_LIMIT_POINTS)
+            if len(nxt) > max_points:
+                raise TooLarge("truncated limit exceeds %d points" % max_points)
         partial = nxt
     points = tuple(sorted(partial))
     # The successors of p are the points whose heads are p's tails; indices

@@ -45,7 +45,11 @@ words 0^(T+1) and 0^m 1 0^(T-m).  Both refuse more than
 check refuses more than ``MAX_SAMPLED_STEPS`` steps (samples times
 horizon), and an exhaustive check refuses to build more than its
 ``state_cap`` states, the only bound on a search its repeat has not yet
-decided.
+decided.  A system is immutable and equal only to one with the same
+labels, words and successors, so each truncation and limit system is
+built once per argument value and the caps as they stand at the call
+(``_truncation``, ``_limit_gap``), and every check at every scale, and
+the layered example's fibers, share it.
 """
 
 from __future__ import annotations
@@ -56,7 +60,7 @@ from array import array
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 from operator import or_
 from types import MappingProxyType
 from typing import Callable, Optional, Sequence
@@ -69,6 +73,7 @@ from .errors import (
     TooLarge,
 )
 from .shift_core import (
+    MEMO_SIZE,
     SftGraph,
     Word,
     common_prefix,
@@ -102,16 +107,17 @@ class FiniteSystem:
     Successors are stored as a read-only copy and as ``_succ``, one
     bitmask per index; ``_by_label`` lists the indices in label order,
     ``_order`` in word order, and ``_lcp`` holds the common prefix lengths
-    of the adjacent words in that order."""
+    of the adjacent words in that order.  Two systems are equal, and hash
+    alike, when their labels, words and successor masks are."""
 
     labels: tuple[str, ...]
-    words: tuple[Sequence[str], ...] = field(compare=False)
+    words: tuple[Sequence[str], ...]
     successors: Mapping[str, tuple[str, ...]] = field(compare=False)
     _pos: Mapping[str, int] = field(init=False, repr=False, compare=False)
     _by_label: tuple[int, ...] = field(init=False, repr=False, compare=False)
     _order: tuple[int, ...] = field(init=False, repr=False, compare=False)
     _lcp: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    _succ: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _succ: tuple[int, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         pos = {p: i for i, p in enumerate(self.labels)}
@@ -418,9 +424,9 @@ def is_shadowed(sys: FiniteSystem, epsilon: Fraction,
 # Truncated shifts as finite systems
 
 
-def _check_size(points: int) -> None:
-    if points > MAX_TRUNCATION_POINTS:
-        raise TooLarge("truncation exceeds %d points" % MAX_TRUNCATION_POINTS)
+def _check_size(points: int, max_points: int) -> None:
+    if points > max_points:
+        raise TooLarge("truncation exceeds %d points" % max_points)
 
 
 def truncate_shift(g: SftGraph, depth: int) -> FiniteSystem:
@@ -429,20 +435,28 @@ def truncate_shift(g: SftGraph, depth: int) -> FiniteSystem:
     so orbits of the truncation are exactly the shift orbits as far as the
     truncation can see.  Raises TooLarge above MAX_TRUNCATION_POINTS words
     or MAX_TRUNCATION_SYMBOLS symbols: the listing stops at the first word
-    past either cap."""
+    past either cap.  Built once per graph value, depth and the two caps
+    as they stand at the call; the system is immutable, so callers share
+    it."""
+    return _truncation(g, depth, MAX_TRUNCATION_POINTS, MAX_TRUNCATION_SYMBOLS)
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _truncation(g: SftGraph, depth: int, max_points: int,
+                max_symbols: int) -> FiniteSystem:
     if depth < 1:
         raise PreconditionError("truncation depth must be at least 1")
     sep = "." if any(len(a) > 1 for a in g.alphabet) else ""
     if sep:
         _undotted(g.alphabet, "truncation symbol")
     # Even one word past the symbol cap is too many.
-    if depth > MAX_TRUNCATION_SYMBOLS:
-        raise TooLarge("truncation exceeds %d symbols" % MAX_TRUNCATION_SYMBOLS)
-    cap = min(MAX_TRUNCATION_POINTS, MAX_TRUNCATION_SYMBOLS // depth)
+    if depth > max_symbols:
+        raise TooLarge("truncation exceeds %d symbols" % max_symbols)
+    cap = min(max_points, max_symbols // depth)
     words = list(itertools.islice(_words(g, depth), cap + 1))
-    _check_size(len(words))
-    if len(words) * depth > MAX_TRUNCATION_SYMBOLS:
-        raise TooLarge("truncation exceeds %d symbols" % MAX_TRUNCATION_SYMBOLS)
+    _check_size(len(words), max_points)
+    if len(words) * depth > max_symbols:
+        raise TooLarge("truncation exceeds %d symbols" % max_symbols)
     if not words:
         raise PreconditionError("no admissible words at this depth")
     labels = tuple(sep.join(w) for w in words)
@@ -475,10 +489,16 @@ def limit_gap_system(max_tail: int = 8) -> FiniteSystem:
     """Finite stand-in for the k -> infinity member of the gap family: a
     single fixed point z_inf and points z_m (a lone 1 preceded by m zeros)
     that march into it, with d(z_m, z_m') = 2**-min(m, m') and the map
-    z_m -> z_(m-1), z_0 -> z_inf."""
+    z_m -> z_(m-1), z_0 -> z_inf.  Built once per tail and point cap as it
+    stands at the call; the system is immutable, so callers share it."""
+    return _limit_gap(max_tail, MAX_TRUNCATION_POINTS)
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _limit_gap(max_tail: int, max_points: int) -> FiniteSystem:
     if max_tail < 0:
         raise PreconditionError("limit tail length must be nonnegative")
-    _check_size(max_tail + 2)
+    _check_size(max_tail + 2, max_points)
     labels = ("zinf",) + tuple("z%d" % m for m in range(max_tail + 1))
     # z_m is the word 0^m 1 0^(T-m) and z_inf the all-zero word 0^(T+1),
     # so two points share the prefix of the shallower one, with z_inf
@@ -556,7 +576,8 @@ def build_layered_example(base_depth: int = 4,
     # The base is the depth-base_depth truncation of the full 2-shift, so
     # it is capped like one: its 2**d words pass the cap exactly when d
     # reaches the cap's bit length.
-    _check_size(2 ** min(base_depth, MAX_TRUNCATION_POINTS.bit_length()))
+    _check_size(2 ** min(base_depth, MAX_TRUNCATION_POINTS.bit_length()),
+                MAX_TRUNCATION_POINTS)
     words = list(itertools.product("01", repeat=base_depth))
     # Interval embedding: each refinement level splits with a geometric
     # contraction tied to the finest scale used so far.

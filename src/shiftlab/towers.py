@@ -14,6 +14,7 @@ failure raises InternalInvariantViolation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -324,8 +325,12 @@ def truncated_fiber(seq: InverseSequenceSpec, tower: Tower,
 
 def fiber_hausdorff_gap(system: TruncatedSystem, inner: list[int],
                         outer: list[int]) -> Fraction:
-    """sup over inner points of the distance to the nearest outer point."""
+    """sup over inner points of the distance to the nearest outer point.
+    Distances are 2**-k, so this is 2**-k for the least, over inner
+    points, of the largest exponent k towards an outer point, and 0 when
+    that is infinite: one Fraction, however many points."""
     if inner and not outer:
         raise SchemaError("empty target fiber")
-    return max((min(system.metric(i, j) for j in outer) for i in inner),
-               default=Fraction(0))
+    k = min((max(system.exponent(i, j) for j in outer) for i in inner),
+            default=math.inf)
+    return Fraction(0) if k == math.inf else Fraction(1, 2 ** k)

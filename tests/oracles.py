@@ -12,7 +12,8 @@ mode, image chains, MLC checks,
 selection stability and maximal choices that compare canonical images
 by a language-equality search, the truncated limit joined from every
 word of every level, truncated fibers picked by one loop per tower
-kind, and the layered example assembled point by point over its
+kind, the fiber gap as a max-min of one Fraction per pair of points,
+and the layered example assembled point by point over its
 product space."""
 
 import itertools
@@ -495,6 +496,16 @@ def truncated_limit_oracle(seq, depth, word_length, max_points=MAX_LIMIT_POINTS)
     return TruncatedSystem(depth, T, points, succ)
 
 
+def fiber_hausdorff_gap_oracle(system, inner, outer):
+    """``towers.fiber_hausdorff_gap`` as it built a Fraction distance for
+    every pair of an inner and an outer point, and took the max over inner
+    points of the min over outer points."""
+    if inner and not outer:
+        raise SchemaError("empty target fiber")
+    return max((min(system.metric(i, j) for j in outer) for i in inner),
+               default=Fraction(0))
+
+
 def truncated_fiber_oracle(seq, tower, system):
     """``towers.truncated_fiber`` as it ran one membership loop for
     component towers and another for cyclic-class towers."""
@@ -547,7 +558,8 @@ def layered_example_oracle(base_depth=4, fiber_depth=12):
     if base_depth < 0:
         raise PreconditionError("base depth must be nonnegative")
     endpoint_max, limit_tail = 3, 8
-    _check_size(2 ** min(base_depth, MAX_TRUNCATION_POINTS.bit_length()))
+    _check_size(2 ** min(base_depth, MAX_TRUNCATION_POINTS.bit_length()),
+                MAX_TRUNCATION_POINTS)
     words = list(itertools.product("01", repeat=base_depth))
     eps = [Fraction(1, 2 ** k) for k in range(1, endpoint_max + 1)]
     deltas = [e / 4 for e in eps]

@@ -119,7 +119,7 @@ def _conjugacy_check(seq, res, depth=3, word_length=4):
         return tuple(pt[n - 1] for n in index_map[:depth])
 
     images = [phi(p) for p in big.points]
-    ext_index = ext.index
+    ext_index = {p: i for i, p in enumerate(ext.points)}
     if any(im not in ext_index for im in images):
         return False, "image left the extracted truncation"
     if len(set(images)) != len(ext.points) or len(images) != len(set(images)):

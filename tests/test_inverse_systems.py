@@ -1,5 +1,6 @@
 """Inverse sequences: image chains, stabilization, extraction, truncations."""
 
+import dataclasses
 import functools
 import json
 import os
@@ -39,6 +40,7 @@ from shiftlab.decomposition import chain_components
 from shiftlab.inverse_systems import (
     InverseSequenceSpec,
     TruncatedSystem,
+    _limit_truncation,
     check_mlc,
     composed_code,
     composed_image,
@@ -490,6 +492,29 @@ class TestTruncatedLimit:
             truncated_limit(cantor_product_sequence(3), 1, -1)
         # Length 0 keeps its one point of empty words.
         assert truncated_limit(cantor_product_sequence(3), 1, 0).points == (((),),)
+
+    def test_built_once_per_value_and_cap(self, monkeypatch):
+        clear_value_memos()
+        sysm = truncated_limit(abc_sequence(), 3, 4)
+        assert truncated_limit(abc_sequence(), 3, 4) is sysm
+        assert _limit_truncation.cache_info().misses == 1
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            sysm.points = ()
+        # The cap is read at each call and is part of the key.
+        monkeypatch.setattr(inverse_systems, "MAX_LIMIT_POINTS", 2)
+        with pytest.raises(TooLarge, match="^truncated limit exceeds 2 points$"):
+            truncated_limit(abc_sequence(), 3, 4)
+        monkeypatch.undo()
+        assert truncated_limit(abc_sequence(), 3, 4) is sysm
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 19), st.sampled_from([(1, 5), (2, 4), (3, 6), (4, 3)]))
+    def test_memoised_join_matches_its_body(self, seed, shape):
+        seq = random_sequence(seed)
+        new = truncated_limit(seq, *shape)
+        assert truncated_limit(random_sequence(seed), *shape) is new
+        old = _limit_truncation.__wrapped__(seq, *shape, inverse_systems.MAX_LIMIT_POINTS)
+        assert new == old
 
     def test_abc_limit_is_three_fixed_points(self):
         sysm = truncated_limit(abc_sequence(), 3, 4)

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from memos import clear_value_memos
 from oracles import (
     gap_entropy_oracle,
     layered_census_oracle,
@@ -21,7 +22,10 @@ from shiftlab.errors import InvalidScales, PreconditionError, SchemaError, TooLa
 from shiftlab.fixtures import golden_mean_graph, random_graph
 from shiftlab.shadow_lab import (
     FiniteSystem,
+    _balls,
     _fiber_chain_transitive,
+    _limit_gap,
+    _truncation,
     brute_shadowing_check,
     build_layered_example,
     gap_shift_graph,
@@ -62,6 +66,19 @@ class TestFiniteSystem:
     def test_successor_outside_space_rejected(self):
         with pytest.raises(PreconditionError):
             FiniteSystem(("a",), ["0"], {"a": ("zz",)})
+
+    def test_equal_only_with_equal_words_and_successors(self):
+        # One label tuple over other words with the map swapped: the
+        # 1/2-balls differ, so no memo may take one system for the other.
+        a = FiniteSystem(("p", "q"), ("00", "01"), {"p": ("p",), "q": ("q",)})
+        b = FiniteSystem(("p", "q"), ("00", "11"), {"p": ("q",), "q": ("p",)})
+        assert (_balls(a, HALF), _balls(b, HALF)) == ([3, 3], [1, 2])
+        assert a != b and len({a, b}) == 2
+        # Words alone, and successors alone, tell two systems apart.
+        assert a != FiniteSystem(("p", "q"), ("00", "11"), {"p": ("p",), "q": ("q",)})
+        assert a != FiniteSystem(("p", "q"), ("00", "01"), {"p": ("q",), "q": ("p",)})
+        same = FiniteSystem(("p", "q"), ["00", "01"], {"p": ["p"], "q": ["q"]})
+        assert a == same and hash(a) == hash(same)
 
     @settings(max_examples=100, deadline=None)
     @given(st.randoms(use_true_random=False))
@@ -1054,3 +1071,54 @@ class TestTruncationCap:
             with pytest.raises(TooLarge, match="^truncation exceeds 524288 symbols$"):
                 truncate_shift(g, depth)
             assert time.perf_counter() - t0 < 1.0
+
+
+class TestSystemMemos:
+    def test_equal_arguments_share_one_system(self):
+        clear_value_memos()
+        t = truncate_shift(golden_mean_graph(), 5)
+        assert truncate_shift(golden_mean_graph(), 5) is t
+        assert limit_gap_system(6) is limit_gap_system(6)
+        assert limit_gap_system() is limit_gap_system(8)
+        assert _truncation.cache_info().misses == 1
+        assert _limit_gap.cache_info().misses == 2
+
+    def test_lowered_cap_still_refuses_a_cached_system(self, monkeypatch):
+        # The caps are read at each call and are part of the key.
+        full, lim = truncate_shift(full_shift(BIN), 6), limit_gap_system(62)
+        monkeypatch.setattr(shadow_lab, "MAX_TRUNCATION_POINTS", 63)
+        with pytest.raises(TooLarge, match="^truncation exceeds 63 points$"):
+            truncate_shift(full_shift(BIN), 6)
+        with pytest.raises(TooLarge, match="^truncation exceeds 63 points$"):
+            limit_gap_system(62)
+        monkeypatch.undo()
+        monkeypatch.setattr(shadow_lab, "MAX_TRUNCATION_SYMBOLS", 64 * 6 - 1)
+        with pytest.raises(TooLarge, match="^truncation exceeds 383 symbols$"):
+            truncate_shift(full_shift(BIN), 6)
+        monkeypatch.undo()
+        assert truncate_shift(full_shift(BIN), 6) is full
+        assert limit_gap_system(62) is lim
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.randoms(use_true_random=False), st.integers(1, 7), st.integers(0, 20))
+    def test_memos_match_their_bodies(self, rng, depth, tail):
+        g = random_graph(rng, max_vertices=4)
+        caps = (shadow_lab.MAX_TRUNCATION_POINTS, shadow_lab.MAX_TRUNCATION_SYMBOLS)
+        err = error_text(lambda: truncate_shift(g, depth))
+        assert err == error_text(lambda: _truncation.__wrapped__(g, depth, *caps))
+        if err is None:
+            new = truncate_shift(g, depth)
+            assert truncate_shift(g, depth) is new
+            old = _truncation.__wrapped__(g, depth, *caps)
+            assert new == old
+            assert_same_system(new, old)
+        new = limit_gap_system(tail)
+        old = _limit_gap.__wrapped__(tail, caps[0])
+        assert new == old
+        assert_same_system(new, old)
+
+    def test_layered_fibers_are_the_memoised_systems(self):
+        ex = build_layered_example(base_depth=5, fiber_depth=6)
+        for s in ex.strata:
+            assert s.fiber is (truncate_shift(gap_shift_graph(s.index), 6)
+                               if s.kind == "endpoint" else limit_gap_system(8))

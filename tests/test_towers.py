@@ -7,8 +7,10 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oracles import (
+    fiber_hausdorff_gap_oracle,
     maximal_choices_oracle,
     one_step_stability_oracle,
     truncated_fiber_oracle,
@@ -294,6 +296,20 @@ class TestFibers:
         assert fiber_hausdorff_gap(sysm, [], []) == 0
         with pytest.raises(SchemaError, match="empty target fiber"):
             fiber_hausdorff_gap(sysm, fibers[0], [])
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from([abc_sequence, branching_sequence, mixed_sequence,
+                            lambda: cantor_product_sequence(3)]
+                           + [lambda s=s: random_sequence(s) for s in range(10)]),
+           st.randoms(use_true_random=False))
+    def test_hausdorff_gap_matches_max_min_oracle(self, make, rng):
+        # Exponents in place of one Fraction per pair, on any point sets.
+        sysm = truncated_limit(make(), 3, 4)
+        n = len(sysm.points)
+        inner = sorted(rng.sample(range(n), rng.randint(0, n)))
+        outer = sorted(rng.sample(range(n), rng.randint(min(1, n), n)))
+        assert fiber_hausdorff_gap(sysm, inner, outer) == \
+            fiber_hausdorff_gap_oracle(sysm, inner, outer)
 
 
 class TestApproximation:
