@@ -18,7 +18,11 @@ it, so the search stops at the first set met before: no pseudo-orbit of
 any length fails, and the count of states the full horizon would explore
 follows from one period of the repeat.  Each depth keeps only its heads
 and their parents' indices, and the one counterexample is read back
-through them.
+through them.  Sampled mode draws its first pseudo-orbit, then runs the
+same search as a decision, allowed as many states as the draws left
+would take steps: when it settles that every pseudo-orbit is shadowed
+within that budget, no draw could fail and none is made; otherwise the
+draws go on as before, so the report is the same either way.
 
 Every check reads one step table, ``_step_masks`` (the legal delta-steps
 from each point as a bitmask), and, outside the search, one survivor walk,
@@ -40,8 +44,8 @@ two words when it is read.
 
 Shift truncations are their admissible words, and the limit system is the
 words 0^(T+1) and 0^m 1 0^(T-m).  Both refuse more than
-``MAX_TRUNCATION_POINTS`` points, a truncation also refuses more than
-``MAX_TRUNCATION_SYMBOLS`` symbols (points times depth), a sampled
+``MAX_TRUNCATION_POINTS`` points and, past that, more than
+``MAX_TRUNCATION_SYMBOLS`` symbols (points times word length), a sampled
 check refuses more than ``MAX_SAMPLED_STEPS`` steps (samples times
 horizon), and an exhaustive check refuses to build more than its
 ``state_cap`` states, the only bound on a search its repeat has not yet
@@ -49,7 +53,8 @@ decided.  A system is immutable and equal only to one with the same
 labels, words and successors, so each truncation and limit system is
 built once per argument value and the caps as they stand at the call
 (``_truncation``, ``_limit_gap``), and every check at every scale, and
-the layered example's fibers, share it.
+the layered example's fibers, share it.  The gap shifts are built once
+per gap (``gap_shift_graph``).
 """
 
 from __future__ import annotations
@@ -253,7 +258,11 @@ def brute_shadowing_check(sys: FiniteSystem, epsilon: Fraction, delta: Fraction,
     depth's, every horizon is shadowed: the search stops there and counts
     the states of the depths left from the period.  It raises TooLarge
     only once it has built more than ``state_cap`` states.  Sampled mode
-    draws seeded random pseudo-orbits instead.
+    draws seeded random pseudo-orbits instead, and reports the first that
+    fails; once one passes, the exhaustive search answers the draws left
+    when it settles that every pseudo-orbit is shadowed within as many
+    built states as they would take steps.  Either way the report is
+    what the draws alone would give, with ``states_explored`` 0.
     """
     epsilon = Fraction(epsilon)
     delta = Fraction(delta)
@@ -273,6 +282,24 @@ def brute_shadowing_check(sys: FiniteSystem, epsilon: Fraction, delta: Fraction,
     if mode == "sampled":
         return _sampled_check(sys, near, image, steps, epsilon, delta,
                               horizon, samples, seed)
+    explored, dead = _search(sys, near, image, steps, horizon, state_cap)
+    if dead is None:
+        return ShadowingReport(True, epsilon, delta, horizon, "exhaustive",
+                               states_explored=explored)
+    path = _rebuild_path(sys.labels, *dead)
+    return ShadowingReport(False, epsilon, delta, horizon, "exhaustive",
+                           counterexample=path,
+                           failure_trace=_failure_trace(sys, near, image, path),
+                           states_explored=explored)
+
+
+def _search(sys: FiniteSystem, near: list[int], image: Callable[[int], int],
+            steps: list[int], horizon: int, state_cap: int
+            ) -> tuple[int, Optional[tuple[list[array], list[array], int]]]:
+    """The exhaustive search: the states it explores, and None when every
+    pseudo-orbit up to the horizon is shadowed, or else each depth's heads
+    and parents with the index of the first dead entry at the last depth.
+    Raises TooLarge once it has built more than state_cap states."""
     labels = sys.labels
     ordered = {m: sorted(bits, key=labels.__getitem__)
                for m, bits in _bit_lists(steps).items()}
@@ -298,12 +325,7 @@ def brute_shadowing_check(sys: FiniteSystem, epsilon: Fraction, delta: Fraction,
         expanded: dict[tuple[int, int], list[int]] = {}
         for i, (p, alive) in enumerate(zip(heads[-1], frontier)):
             if not alive:
-                path = _rebuild_path(labels, heads, parents, i)
-                return ShadowingReport(
-                    False, epsilon, delta, horizon, "exhaustive",
-                    counterexample=path,
-                    failure_trace=_failure_trace(sys, near, image, path),
-                    states_explored=explored)
+                return explored, (heads, parents, i)
             if depth == horizon:
                 continue
             img = image(alive)
@@ -344,8 +366,7 @@ def brute_shadowing_check(sys: FiniteSystem, epsilon: Fraction, delta: Fraction,
                 explored += (rest // len(period) * sum(period)
                              + sum(period[:rest % len(period)]))
                 break
-    return ShadowingReport(True, epsilon, delta, horizon, "exhaustive",
-                           states_explored=explored)
+    return explored, None
 
 
 def _rebuild_path(labels: tuple[str, ...], heads: list[array],
@@ -402,6 +423,15 @@ def _sampled_check(sys: FiniteSystem, near: list[int],
                                    failure_trace=_failure_trace(sys, near, image,
                                                                 counterexample),
                                    orbits_checked=checked)
+        # A search that finds every pseudo-orbit shadowed within the steps
+        # the draws left would take answers them all; otherwise they go on.
+        if checked == 1 and samples > 1:
+            try:
+                if _search(sys, near, image, steps, horizon,
+                           (samples - 1) * horizon)[1] is None:
+                    break
+            except TooLarge:
+                pass
     return ShadowingReport(True, epsilon, delta, horizon, "sampled",
                            orbits_checked=samples)
 
@@ -476,9 +506,10 @@ def _truncation(g: SftGraph, depth: int, max_points: int,
 # The gap family
 
 
+@lru_cache(maxsize=MEMO_SIZE)
 def gap_shift_graph(k: int) -> SftGraph:
     """Binary shift where any two 1 symbols are separated by at least k
-    zeros (free when k = 0)."""
+    zeros (free when k = 0).  Built once per k; graphs are immutable."""
     if k < 0:
         raise PreconditionError("gap parameter must be nonnegative")
     forbidden = [("1",) + ("0",) * j + ("1",) for j in range(k)]
@@ -489,16 +520,20 @@ def limit_gap_system(max_tail: int = 8) -> FiniteSystem:
     """Finite stand-in for the k -> infinity member of the gap family: a
     single fixed point z_inf and points z_m (a lone 1 preceded by m zeros)
     that march into it, with d(z_m, z_m') = 2**-min(m, m') and the map
-    z_m -> z_(m-1), z_0 -> z_inf.  Built once per tail and point cap as it
-    stands at the call; the system is immutable, so callers share it."""
-    return _limit_gap(max_tail, MAX_TRUNCATION_POINTS)
+    z_m -> z_(m-1), z_0 -> z_inf.  Its T + 2 words of T + 1 symbols are
+    capped like a truncation's, points first.  Built once per tail and the
+    two caps as they stand at the call; the system is immutable, so
+    callers share it."""
+    return _limit_gap(max_tail, MAX_TRUNCATION_POINTS, MAX_TRUNCATION_SYMBOLS)
 
 
 @lru_cache(maxsize=MEMO_SIZE)
-def _limit_gap(max_tail: int, max_points: int) -> FiniteSystem:
+def _limit_gap(max_tail: int, max_points: int, max_symbols: int) -> FiniteSystem:
     if max_tail < 0:
         raise PreconditionError("limit tail length must be nonnegative")
     _check_size(max_tail + 2, max_points)
+    if (max_tail + 2) * (max_tail + 1) > max_symbols:
+        raise TooLarge("truncation exceeds %d symbols" % max_symbols)
     labels = ("zinf",) + tuple("z%d" % m for m in range(max_tail + 1))
     # z_m is the word 0^m 1 0^(T-m) and z_inf the all-zero word 0^(T+1),
     # so two points share the prefix of the shallower one, with z_inf

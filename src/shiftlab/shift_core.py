@@ -312,7 +312,8 @@ class Follower:
 # ``decomposition._entropy``, ``codes.identity_code``,
 # ``codes.code_image``, ``chaos._distal_search``,
 # ``chaos.build_scrambled_tuple``, ``shadow_lab._truncation``,
-# ``shadow_lab._limit_gap`` and ``inverse_systems._limit_truncation``):
+# ``shadow_lab._limit_gap``, ``shadow_lab.gap_shift_graph`` and
+# ``inverse_systems._limit_truncation``):
 # 1024 entries hold a whole benchmark pass of distinct values without
 # growing forever.  A
 # seed-3 pass of the inverse-sequence jobs asks 4,205 language questions,
@@ -320,12 +321,12 @@ class Follower:
 # bound evicts answers it asks again and searches 1,169 times); its largest
 # other memos hold 597 code images and 548 follower automata.  A seed-
 # 20271017 pass of the shadowing jobs builds 19 distinct truncations for
-# 69 calls and 16 limit systems for 34.  Finite systems are the largest
-# entries (tracemalloc, Python 3.11): the full 2-shift at depth 12, the
-# largest truncation the point cap admits, holds 2.9 MB; the 724 words
-# of 723 symbols of the marked 1000-cycle, near the symbol cap, 5.4 MB;
-# the limit system at the point cap, whose 4,096 words have 4,095
-# symbols each, 18.6 MB; and a truncated limit about 340 bytes a point,
+# 69 calls, 16 limit systems for 34 and 3 gap shifts for 62.  Finite
+# systems are the largest entries (tracemalloc, Python 3.11): the full
+# 2-shift at depth 12, the largest truncation the point cap admits, holds
+# 2.9 MB; the 724 words of 723 symbols of the marked 1000-cycle, near the
+# symbol cap, 5.4 MB; the largest limit system the symbol cap admits, 724
+# words of 723 symbols, 0.8 MB; and a truncated limit about 340 bytes a point,
 # 170 MB at 524,288 points, so some 325 MB at its 10**6-point cap.
 MEMO_SIZE = 1024
 

@@ -15,13 +15,13 @@ from shiftlab.chaos import _distal_search, build_scrambled_tuple
 from shiftlab.codes import code_image, identity_code
 from shiftlab.decomposition import _decompose, _entropy, cyclic_structure, is_irreducible
 from shiftlab.inverse_systems import _limit_truncation
-from shiftlab.shadow_lab import _limit_gap, _truncation
+from shiftlab.shadow_lab import _limit_gap, _truncation, gap_shift_graph
 from shiftlab.shift_core import _first_difference, canonical_presentation, follower
 
 VALUE_MEMOS = (follower, canonical_presentation, _first_difference, _decompose,
                is_irreducible, cyclic_structure, _entropy, identity_code, code_image,
                _distal_search, build_scrambled_tuple, _truncation, _limit_gap,
-               _limit_truncation)
+               _limit_truncation, gap_shift_graph)
 
 
 def clear_value_memos():

@@ -500,8 +500,11 @@ class TestShadow:
         assert err == "precondition failed: truncation exceeds 4096 points\n"
 
     @pytest.mark.parametrize("argv", [["--family", "full", "--depth", "200"],
-                                      ["--family", "gap", "--k", "3", "--depth", "100000"]],
-                             ids=["full-depth-200", "gap-3-depth-100000"])
+                                      ["--family", "gap", "--k", "3", "--depth", "100000"],
+                                      ["--family", "limit", "--tail", "723"],
+                                      ["--family", "limit", "--tail", "4094"]],
+                             ids=["full-depth-200", "gap-3-depth-100000", "limit-tail-723",
+                                  "limit-tail-4094"])
     def test_truncation_past_both_caps_names_the_symbol_cap(self, capsys, argv):
         # The listing stops at the first word past either cap, and at these
         # depths the symbol cap comes first.

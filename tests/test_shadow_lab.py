@@ -951,6 +951,117 @@ class TestGroupedSearchOracle:
         assert rep.shadowed and rep.states_explored == 14336
 
 
+KINDS = ("random", "truncation", "limit", "gap")
+
+
+def sampled_case(rng, kind):
+    """A system of the given kind with scales, a horizon, and samples and
+    a seed in place of a state cap: horizons up to 40, so that the draws
+    left after the first often outweigh the search and sometimes not."""
+    sysm, eps, delta, horizon, _ = grouped_search_case(rng, kind)
+    horizon = rng.choice([horizon, rng.randint(1, 40)])
+    kw = dict(mode="sampled", samples=rng.choice([1, 2, 3, 5, 20, 100]),
+              seed=rng.randrange(1000))
+    return sysm, eps, delta, horizon, kw
+
+
+def sampled_path(sysm, eps, delta, horizon, samples, seed, **_):
+    """How the sampled check answers, from the oracles: "first" when its
+    first draw fails, "one sample" when no draw is left after it, "over
+    budget" when the search would build more states than the draws left
+    take steps, and otherwise "decided" or "failure" as the search finds
+    every pseudo-orbit shadowed or not."""
+    first = oracle_brute_shadowing_check(sysm, eps, delta, horizon, mode="sampled",
+                                         samples=1, seed=seed)
+    if not first.shadowed:
+        return "first"
+    if samples == 1:
+        return "one sample"
+    if oracle_states_built(sysm, eps, delta, horizon) > (samples - 1) * horizon:
+        return "over budget"
+    return "decided" if oracle_per_head_search(sysm, eps, delta, horizon).shadowed \
+        else "failure"
+
+
+def counted_check(monkeypatch, *args, **kw):
+    """The report of a check and the number of random choices it drew."""
+    drawn = [0]
+
+    class Counting(random.Random):
+        def choice(self, seq):
+            drawn[0] += 1
+            return super().choice(seq)
+
+    with monkeypatch.context() as m:
+        m.setattr(shadow_lab.random, "Random", Counting)
+        rep = brute_shadowing_check(*args, **kw)
+    return rep, drawn[0]
+
+
+class TestSampledDecision:
+    @pytest.mark.parametrize("kind", KINDS)
+    @settings(max_examples=150, deadline=None)
+    @given(rng=st.randoms(use_true_random=False))
+    def test_reports_match_sampling_oracle(self, kind, rng):
+        sysm, eps, delta, horizon, kw = sampled_case(rng, kind)
+        assert brute_shadowing_check(sysm, eps, delta, horizon, **kw) == \
+            oracle_brute_shadowing_check(sysm, eps, delta, horizon, **kw)
+
+    def test_every_path_occurs(self):
+        rng = random.Random(2)
+        paths = set()
+        for i in range(400):
+            sysm, eps, delta, horizon, kw = sampled_case(rng, KINDS[i % 4])
+            rep = brute_shadowing_check(sysm, eps, delta, horizon, **kw)
+            assert rep == oracle_brute_shadowing_check(sysm, eps, delta, horizon, **kw)
+            paths.add((sampled_path(sysm, eps, delta, horizon, **kw), rep.shadowed))
+        # Decided shadowed; failing at the first draw; failing at a later
+        # draw after the search found a failure or ran out of budget; and
+        # every draw shadowed after it ran out.
+        assert {("decided", True), ("first", False), ("failure", False),
+                ("over budget", False), ("over budget", True)} <= paths
+        assert ("decided", False) not in paths
+
+    def test_decided_check_draws_one_orbit(self, monkeypatch):
+        # The full 2-shift at depth 3 builds 8 states, then meets its first
+        # set of pairs again, at every horizon from 2 on: a budget of 8
+        # states decides, one of 7 or 6 does not.
+        sysm = truncate_shift(full_shift(BIN), 3)
+        assert {oracle_states_built(sysm, HALF, QUARTER, h) for h in (2, 4, 7, 8)} == {8}
+        for horizon, samples, orbits in ((8, 2, 1), (4, 3, 1), (2, 5, 1), (8, 1, 1),
+                                         (7, 2, 2), (2, 4, 4), (3, 3, 3)):
+            kw = dict(mode="sampled", samples=samples, seed=horizon)
+            rep, drawn = counted_check(monkeypatch, sysm, HALF, QUARTER, horizon, **kw)
+            assert rep == oracle_brute_shadowing_check(sysm, HALF, QUARTER, horizon, **kw)
+            assert rep.shadowed and rep.orbits_checked == samples
+            assert drawn == orbits * horizon
+
+    def test_failure_found_by_the_search_keeps_drawing(self, monkeypatch):
+        # The limit system with tail 3 is not shadowed at these scales, and
+        # its search fails within 23 states, so every draw is made until
+        # one fails, from the generator's state after the first.
+        lim = limit_gap_system(3)
+        assert oracle_states_built(lim, HALF, QUARTER, 10) == 23
+        later = 0
+        for seed in range(30):
+            kw = dict(mode="sampled", samples=50, seed=seed)
+            rep, drawn = counted_check(monkeypatch, lim, HALF, QUARTER, 10, **kw)
+            assert rep == oracle_brute_shadowing_check(lim, HALF, QUARTER, 10, **kw)
+            assert not rep.shadowed and drawn == rep.orbits_checked * 10
+            later += rep.orbits_checked > 1
+        assert later
+
+    def test_large_decided_check_within_budget(self, monkeypatch):
+        # 5,000 samples of 200 steps on 4,096 points: the search decides
+        # within its budget, so only the first orbit is drawn.
+        sysm = truncate_shift(full_shift(BIN), 12)
+        rep, drawn = counted_check(monkeypatch, sysm, HALF, QUARTER, 200,
+                                   mode="sampled", samples=5000)
+        assert drawn == 200
+        assert rep == shadow_lab.ShadowingReport(True, HALF, QUARTER, 200, "sampled",
+                                                 orbits_checked=5000)
+
+
 class TestMetricView:
     def test_view_reads_like_the_dict(self):
         new = truncate_shift(golden_mean_graph(), 4)
@@ -1025,9 +1136,24 @@ class TestTruncationCap:
         assert drawn == []
 
     def test_limit_system_cap(self, monkeypatch):
+        # T + 2 words of T + 1 symbols: tail 722 holds 523,452 symbols and
+        # tail 723 524,900, past the symbol cap of 524,288.
+        assert len(limit_gap_system(722).labels) == 724
+        for tail in (723, 4094):
+            with pytest.raises(TooLarge, match="^truncation exceeds 524288 symbols$"):
+                limit_gap_system(tail)
+        # The point cap is checked first.
+        with pytest.raises(TooLarge, match="^truncation exceeds 4096 points$"):
+            limit_gap_system(4095)
         monkeypatch.setattr(shadow_lab, "MAX_TRUNCATION_POINTS", 64)
         assert len(limit_gap_system(62).labels) == 64
         with pytest.raises(TooLarge, match="exceeds 64 points"):
+            limit_gap_system(63)
+        monkeypatch.setattr(shadow_lab, "MAX_TRUNCATION_SYMBOLS", 64 * 63 - 1)
+        assert len(limit_gap_system(61).labels) == 63
+        with pytest.raises(TooLarge, match="^truncation exceeds 4031 symbols$"):
+            limit_gap_system(62)
+        with pytest.raises(TooLarge, match="^truncation exceeds 64 points$"):
             limit_gap_system(63)
 
     def test_layered_base_cap_is_exact(self, monkeypatch):
@@ -1080,8 +1206,10 @@ class TestSystemMemos:
         assert truncate_shift(golden_mean_graph(), 5) is t
         assert limit_gap_system(6) is limit_gap_system(6)
         assert limit_gap_system() is limit_gap_system(8)
+        assert gap_shift_graph(3) is gap_shift_graph(3)
         assert _truncation.cache_info().misses == 1
         assert _limit_gap.cache_info().misses == 2
+        assert gap_shift_graph.cache_info().misses == 1
 
     def test_lowered_cap_still_refuses_a_cached_system(self, monkeypatch):
         # The caps are read at each call and are part of the key.
@@ -1095,6 +1223,10 @@ class TestSystemMemos:
         monkeypatch.setattr(shadow_lab, "MAX_TRUNCATION_SYMBOLS", 64 * 6 - 1)
         with pytest.raises(TooLarge, match="^truncation exceeds 383 symbols$"):
             truncate_shift(full_shift(BIN), 6)
+        # 64 words of 63 symbols.
+        monkeypatch.setattr(shadow_lab, "MAX_TRUNCATION_SYMBOLS", 64 * 63 - 1)
+        with pytest.raises(TooLarge, match="^truncation exceeds 4031 symbols$"):
+            limit_gap_system(62)
         monkeypatch.undo()
         assert truncate_shift(full_shift(BIN), 6) is full
         assert limit_gap_system(62) is lim
@@ -1113,7 +1245,7 @@ class TestSystemMemos:
             assert new == old
             assert_same_system(new, old)
         new = limit_gap_system(tail)
-        old = _limit_gap.__wrapped__(tail, caps[0])
+        old = _limit_gap.__wrapped__(tail, *caps)
         assert new == old
         assert_same_system(new, old)
 
