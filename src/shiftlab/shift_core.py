@@ -165,29 +165,25 @@ def make_graph(vertices: Iterable[str], edges: Iterable[tuple[str, str, str]],
     return SftGraph(vs, es, ab)
 
 
-def essential(g: SftGraph) -> SftGraph:
-    """Remove, one at a time, the vertices left without an incoming or an
-    outgoing edge, updating the degrees of their neighbours as they go.
-    Returns ``g`` itself when every vertex already has both."""
-    # Endpoints are vertices and vertex names are distinct, so the graph is
-    # essential when its edges have as many sources and targets as vertices.
-    n = len(g.vertices)
-    if len({e[0] for e in g.edges}) == n and len({e[1] for e in g.edges}) == n:
-        return g
-    preds: dict[str, list[str]] = {v: [] for v in g.vertices}
-    succs: dict[str, list[str]] = {v: [] for v in g.vertices}
-    for (u, v, _a) in g.edges:
-        succs[u].append(v)
-        preds[v].append(u)
-    ins = {v: len(p) for v, p in preds.items()}
-    outs = {v: len(s) for v, s in succs.items()}
-    dead: set[str] = set()
-    todo = [v for v in g.vertices if not ins[v] or not outs[v]]
+def _peel(n: int, arcs: Iterable[tuple]) -> list[bool]:
+    """Which of the vertices 0..n-1 keep an incoming and an outgoing arc
+    among those kept; an arc is read by its first two entries, (source,
+    target, ...).  The vertices left without one are removed one at a time,
+    updating the degrees of their neighbours as they go."""
+    preds: list[list[int]] = [[] for _ in range(n)]
+    succs: list[list[int]] = [[] for _ in range(n)]
+    for arc in arcs:
+        succs[arc[0]].append(arc[1])
+        preds[arc[1]].append(arc[0])
+    ins = [len(p) for p in preds]
+    outs = [len(s) for s in succs]
+    keep = [True] * n
+    todo = [v for v in range(n) if not ins[v] or not outs[v]]
     while todo:
         v = todo.pop()
-        if v in dead:
+        if not keep[v]:
             continue
-        dead.add(v)
+        keep[v] = False
         for w in succs[v]:
             ins[w] -= 1
             if not ins[w]:
@@ -196,9 +192,24 @@ def essential(g: SftGraph) -> SftGraph:
             outs[u] -= 1
             if not outs[u]:
                 todo.append(u)
+    return keep
+
+
+def essential(g: SftGraph) -> SftGraph:
+    """Remove the vertices left without an incoming or an outgoing edge
+    (see :func:`_peel`), keeping the order of the rest and of their edges.
+    Returns ``g`` itself when every vertex already has both."""
+    # Endpoints are vertices and vertex names are distinct, so the graph is
+    # essential when its edges have as many sources and targets as vertices.
+    n = len(g.vertices)
+    if len({e[0] for e in g.edges}) == n and len({e[1] for e in g.edges}) == n:
+        return g
+    index = {v: k for k, v in enumerate(g.vertices)}
+    ends = [(index[u], index[v]) for (u, v, _a) in g.edges]
+    keep = _peel(n, ends)
     return SftGraph(
-        tuple(v for v in g.vertices if v not in dead),
-        tuple(e for e in g.edges if e[0] not in dead and e[1] not in dead),
+        tuple(v for v, k in zip(g.vertices, keep) if k),
+        tuple(e for e, (u, v) in zip(g.edges, ends) if keep[u] and keep[v]),
         g.alphabet,
     )
 
@@ -338,10 +349,11 @@ MAX_FOLLOWER_STATES = 1 << 16
 @functools.lru_cache(maxsize=MEMO_SIZE)
 def follower(g: SftGraph) -> Follower:
     """Subset construction over the essential part of ``g``, built once per
-    graph value.  A state's image under a symbol is the OR, over the
-    nonzero bytes of its mask, of a table entry per (byte position, byte
-    value) holding the successors of those up-to-8 vertices; entries are
-    filled on first use.  Raises TooLarge past ``MAX_FOLLOWER_STATES``."""
+    graph value.  A state's image under a symbol is the OR of the successor
+    rows of its vertices when it has at most 8; a larger state ORs, over
+    the nonzero bytes of its mask, a table entry per (byte position, byte
+    value) holding the successors of those up-to-8 vertices, filled on
+    first use.  Raises TooLarge past ``MAX_FOLLOWER_STATES``."""
     ge = essential(g)
     names = ge.vertices
     bit = {v: k for k, v in enumerate(names)}
@@ -357,20 +369,26 @@ def follower(g: SftGraph) -> Follower:
     index = {start: 0}
     trans: dict[tuple[int, str], int] = {}
     for i, s in enumerate(states):
-        keys = [p << 8 | b for p, b in enumerate(s.to_bytes(nbytes, "little")) if b]
+        small = s.bit_count() <= 8
+        keys = (list(_bits(s)) if small else
+                [p << 8 | b for p, b in enumerate(s.to_bytes(nbytes, "little")) if b])
         for a, row, table in tables:
             nxt = 0
-            for key in keys:
-                m = table.get(key)
-                if m is None:
-                    m, b, k = 0, key & 255, (key >> 8) << 3
-                    while b:
-                        if b & 1:
-                            m |= row[k]
-                        b >>= 1
-                        k += 1
-                    table[key] = m
-                nxt |= m
+            if small:
+                for k in keys:
+                    nxt |= row[k]
+            else:
+                for key in keys:
+                    m = table.get(key)
+                    if m is None:
+                        m, b, k = 0, key & 255, (key >> 8) << 3
+                        while b:
+                            if b & 1:
+                                m |= row[k]
+                            b >>= 1
+                            k += 1
+                        table[key] = m
+                    nxt |= m
             if not nxt:
                 continue
             j = index.get(nxt)
@@ -457,7 +475,10 @@ def _know_canonical(g: SftGraph, c: SftGraph) -> None:
 def canonical_presentation(g: SftGraph) -> SftGraph:
     """Minimal deterministic essential presentation, with vertices renamed
     canonically by breadth-first discovery from the full-follower state,
-    symbols taken in alphabet-tuple order.  It depends only on the
+    symbols taken in alphabet-tuple order: ``c<k>`` for the k-th block of
+    the minimal automaton.  Its quotient graph is trimmed to its essential
+    part on block ids before any block is named, so one graph is built and
+    the ranks of the stranded blocks are left out.  It depends only on the
     language and the alphabet tuple: two graphs with one alphabet tuple
     present the same language iff their canonical presentations are the
     same object (graphs are interned), so the map is idempotent.  Graphs
@@ -472,12 +493,15 @@ def canonical_presentation(g: SftGraph) -> SftGraph:
     f = follower(g)
     # Follower states are numbered breadth-first from the full state and
     # _minimize numbers blocks by first appearance in state order, so the
-    # block ids already are the breadth-first ranks of the blocks.
+    # block ids already are the breadth-first ranks of the blocks.  The
+    # quotient is trimmed on block ids, and only the blocks kept are named.
     block, nblocks = _minimize(len(f.states), f.trans, g.alphabet)
-    names = tuple("c%d" % b for b in range(nblocks))
-    edges = tuple(sorted({(names[block[s]], names[block[t]], a)
-                          for (s, a), t in f.trans.items()}))
-    c = essential(SftGraph(names, edges, g.alphabet))
+    arcs = {(block[s], block[t], a) for (s, a), t in f.trans.items()}
+    keep = _peel(nblocks, arcs)
+    names = {b: "c%d" % b for b in range(nblocks) if keep[b]}
+    edges = tuple(sorted((names[u], names[v], a) for u, v, a in arcs
+                         if u in names and v in names))
+    c = SftGraph(tuple(names.values()), edges, g.alphabet)
     _know_canonical(c, c)
     return c
 

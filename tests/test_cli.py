@@ -12,7 +12,7 @@ import pytest
 
 from memos import clear_value_memos
 from shiftlab.cli import _build_parser, main
-from shiftlab.shift_core import follower
+from shiftlab.shift_core import canonical_presentation, follower
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -117,6 +117,21 @@ class TestAnalyze:
         with open(path("reducible_rgraph_report.json"), "rb") as f:
             assert target.read_bytes() == f.read()
         assert follower.cache_info().misses == 2
+
+    @pytest.mark.parametrize("name, builds", [("marked_cycle200", 1), ("reducible_rgraph28", 7)])
+    def test_large_automaton_reports_are_golden(self, tmp_path, capsys, name, builds):
+        # The reports were recorded before canonical presentations were
+        # trimmed on block ids.  The marked 200-cycle's 399 follower states
+        # are 399 blocks, 200 of them kept; the 28-vertex graph builds its
+        # own and those of the six chain components that are not lone cycles.
+        clear_value_memos()
+        target = tmp_path / "r.json"
+        code, out, err = run(capsys, "analyze", "--in", path(name + ".json"),
+                             "--out", str(target))
+        assert (code, out, err) == (0, "", "")
+        with open(path(name + "_report.json"), "rb") as f:
+            assert target.read_bytes() == f.read()
+        assert canonical_presentation.cache_info().misses == builds
 
     def test_follower_state_cap_is_exit_2(self, capsys):
         # Its follower automaton has 2**20 states.

@@ -32,6 +32,7 @@ from oracles import (
     word_distance,
 )
 from shiftlab import shift_core
+from shiftlab.decomposition import chain_components
 from shiftlab.errors import PreconditionError, SchemaError, TooLarge
 from shiftlab.fixtures import (
     cantor_product_sequence,
@@ -48,6 +49,7 @@ from shiftlab.shift_core import (
     _first_difference,
     _image_map,
     _minimize,
+    _peel,
     _walk_point,
     canonical_presentation,
     common_prefix,
@@ -215,6 +217,18 @@ def _essential_oracle(g):
     )
 
 
+def _peel_oracle(n, arcs):
+    """Which vertex ids survive dropping, in full rounds until none is
+    dropped, every vertex with no in-arc or no out-arc among those left."""
+    alive = set(range(n))
+    while True:
+        left = [(u, v) for u, v in arcs if u in alive and v in alive]
+        drop = alive - {u for u, _v in left} | alive - {v for _u, v in left}
+        if not drop:
+            return [v in alive for v in range(n)]
+        alive -= drop
+
+
 def _graph_triples():
     """(vertices, edges, alphabet) triples of small graphs that are often
     equal, or equal but for their alphabets: few vertices and symbols, and
@@ -371,6 +385,20 @@ class TestEssential:
         g = random_graph(random.Random(seed), max_vertices=nv)
         assert essential(g) == _essential_oracle(g) == g
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_peel_matches_fixpoint_oracle(self, data):
+        # Arcs between vertex ids, self-loops and parallel arcs among them,
+        # read by their first two entries: a third, a label, is ignored.
+        n = data.draw(st.integers(0, 12))
+        ids = st.integers(0, max(n - 1, 0))
+        arcs = data.draw(st.lists(st.tuples(ids, ids), max_size=3 * n)) if n else []
+        arcs += [(v, v) for v in data.draw(st.lists(ids, max_size=2))] if n else []
+        arcs += arcs[:data.draw(st.integers(0, len(arcs)))]
+        labelled = [(u, v, "a%d" % k) for k, (u, v) in enumerate(arcs)]
+        want = _peel_oracle(n, arcs)
+        assert _peel(n, arcs) == _peel(n, labelled) == want
+
 
 def _moore_oracle(num_states, trans, alphabet):
     """Moore refinement, which _minimize ran before Hopcroft's: split every
@@ -506,7 +534,48 @@ def same_alphabet_pairs():
                                       "determinized"]))
 
 
+def _resolving_graph(rng, n):
+    """Binary graph where each vertex has one out-edge per label of a random
+    nonempty label set, each to a random vertex: the shape of the random
+    graphs that the graph benchmark analyses."""
+    verts = ["s%d" % i for i in range(n)]
+    edges = []
+    for v in verts:
+        for a in sorted(rng.sample("01", rng.randint(1, 2))):
+            edges.append((v, rng.choice(verts), a))
+    return SftGraph(tuple(verts), tuple(edges), tuple(BIN))
+
+
 class TestCanonicalPresentation:
+    @settings(max_examples=40, deadline=None)
+    @given(st.one_of(
+        st.builds(lambda seed, n: _resolving_graph(random.Random(seed), n),
+                  st.integers(0, 10 ** 6), st.integers(16, 28)),
+        st.builds(lambda n, marked: _marked_cycle(n, {i % n for i in marked}),
+                  st.integers(1, 200), st.sets(st.integers(0, 199), min_size=1, max_size=4)),
+        st.just(SftGraph(("a",), (), ("0",)))))
+    def test_matches_oracle_on_graph_workload_shapes(self, g):
+        # The graph and every chain component of its canonical presentation,
+        # as `analyze` asks for them: one essential graph, the oracle's.
+        for h in [g] + [k.graph for k in chain_components(g).components]:
+            c = canonical_presentation(h)
+            assert c is _canonical_oracle(h)
+            assert essential(c) is c
+
+    @pytest.mark.parametrize("g", [_marked_cycle(200, {199})] + [
+        _resolving_graph(random.Random(seed), 28) for seed in (10, 11, 36)])
+    def test_stranded_blocks_leave_gaps_in_the_names(self, g):
+        # The marked 200-cycle's 399 follower states are 399 blocks, of
+        # which 199 are stranded; these 28-vertex resolving graphs drop some
+        # too.  Each block kept keeps the name of its breadth-first rank.
+        f = follower(g)
+        _block, nblocks = _minimize(len(f.states), f.trans, g.alphabet)
+        c = canonical_presentation(g)
+        ids = sorted(int(v[1:]) for v in c.vertices)
+        assert c is _canonical_oracle(g)
+        assert len(ids) < nblocks and ids[-1] == nblocks - 1
+        assert ids != list(range(len(ids)))
+
     @settings(max_examples=200, deadline=None)
     @given(canonical_inputs())
     def test_matches_bfs_renaming_oracle(self, g):
@@ -813,10 +882,13 @@ EMPTY = SftGraph(("a",), (), ("0",))
 
 
 def _assert_matches_oracle(g):
+    """Masks, vertex sets, transitions and their insertion order."""
     states, trans = _subset_automaton_oracle(g)
     f = follower(g)
+    bit = {v: k for k, v in enumerate(f.names)}
+    assert f.states == tuple(sum(1 << bit[v] for v in s) for s in states)
     assert tuple(f.vertices(i) for i in range(len(f.states))) == tuple(states)
-    assert dict(f.trans) == trans
+    assert list(f.trans.items()) == list(trans.items())
 
 
 def _read_back(k):
@@ -828,6 +900,31 @@ def _read_back(k):
     edges = [("q0", "q0", "0"), ("q0", "q0", "1"), ("q0", "q1", "1")]
     edges += [(q[i], q[(i + 1) % (k + 1)], a) for i in range(1, k + 1) for a in BIN]
     return make_graph(q, edges, alphabet=BIN)
+
+
+def _wide_graph(rng, n):
+    """An essential binary graph on exactly n vertices: vi -0-> v(i+1)
+    around a cycle, and up to two more edges per vertex and symbol to
+    random vertices, so that follower states of 7 to 10 vertices are common."""
+    verts = ["v%d" % i for i in range(n)]
+    edges = {(verts[i], verts[(i + 1) % n], "0") for i in range(n)}
+    for u in verts:
+        for a in BIN:
+            edges.update((u, rng.choice(verts), a) for _ in range(rng.randint(0, 2)))
+    return make_graph(verts, sorted(edges), alphabet=BIN)
+
+
+def wide_graphs():
+    """Graphs whose masks span one to five bytes, their vertex counts on
+    either side of a byte boundary, and whose states have 7 to 10 vertices
+    as well as fewer and more."""
+    counts = st.sampled_from([8, 9, 16, 17, 24, 25, 32, 33, 40])
+    return st.one_of(
+        st.builds(lambda seed, n: _wide_graph(random.Random(seed), n),
+                  st.integers(0, 10 ** 6), counts),
+        st.builds(lambda n, marked: _marked_cycle(n, {i % n for i in marked}),
+                  counts, st.sets(st.integers(0, 39), min_size=1, max_size=4)),
+        st.builds(_read_back, st.integers(7, 10)))
 
 
 def transition_tables():
@@ -872,6 +969,23 @@ class TestFollower:
     @given(st.integers(1, 60), st.sets(st.integers(0, 59), min_size=1))
     def test_marked_cycles_match_oracle(self, n, marked):
         _assert_matches_oracle(_marked_cycle(n, {i % n for i in marked}))
+
+    @settings(max_examples=150, deadline=None)
+    @given(wide_graphs())
+    def test_both_image_paths_match_oracle(self, g):
+        # A state of at most 8 vertices ORs their rows, a larger one reads
+        # the per-byte tables.
+        _assert_matches_oracle(g)
+
+    def test_wide_graphs_reach_both_image_paths(self):
+        # Over a fixed handful of the graphs above, states of every size
+        # from 7 to 10 are expanded, on masks of more than one byte.
+        sizes = set()
+        for seed, n in itertools.product(range(4), (9, 17, 33, 40)):
+            f = follower(_wide_graph(random.Random(seed), n))
+            assert len(f.names) == n
+            sizes.update(s.bit_count() for s in f.states)
+        assert {7, 8, 9, 10} <= sizes
 
     def test_empty_shift_matches_oracle(self):
         states, trans = _subset_automaton_oracle(EMPTY)
@@ -967,6 +1081,21 @@ class TestFollowerCap:
                 follower(g)
             # Building the 2**24 states first would take minutes.
             assert time.perf_counter() - t0 < 0.5
+
+    @pytest.mark.parametrize("k", [8, 9])
+    def test_cap_crossed_while_expanding_small_and_large_states(self, k, monkeypatch):
+        # The last of the 2**k states of _read_back(k) is found while a state
+        # of k vertices is expanded: 8 ORs rows, 9 reads the byte tables.
+        states, trans = _subset_automaton_oracle(_read_back(k))
+        last = len(states) - 1
+        parent = next(i for (i, _a), j in trans.items() if j == last)
+        assert len(states) == 2 ** k and len(states[parent]) == k
+        monkeypatch.setattr(shift_core, "MAX_FOLLOWER_STATES", last)
+        follower.cache_clear()
+        with pytest.raises(TooLarge, match="^follower automaton exceeds %d states$" % last):
+            follower(_read_back(k))
+        monkeypatch.setattr(shift_core, "MAX_FOLLOWER_STATES", last + 1)
+        assert len(follower(_read_back(k)).states) == last + 1
 
     def test_default_cap_admits_the_marked_4000_cycle(self):
         f = follower(_marked_cycle(4000, {0}))
